@@ -50,9 +50,9 @@ bench:
 # BENCH_interning.json and BENCH_broadcast.json for how to take real
 # numbers). The steady-state allocation contracts run here too — the
 # trace store's intern/release round, the chunked replay loop, and the
-# chunk-buffer pool — plus the broadcast sweep's correctness gates:
-# decode-once counting, full-Result equivalence against per-cell
-# replay, and stream-cache accounting untouched by decoded chunks.
+# chunk-buffer pool — plus the group driver's correctness gates:
+# decode-once counting, full-Result equivalence against each cell run
+# alone, and stream-cache accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -76,6 +76,7 @@ experiments: build
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
+	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 
 clean:
 	$(GO) clean ./...

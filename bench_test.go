@@ -188,52 +188,33 @@ func BenchmarkStreamReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5Mode measures the end-to-end Figure 5 sweep with
-// record-once/replay-many on versus off — the headline wall-clock win
-// of the stream layer (BENCH_replay.json records the ratio).
+// BenchmarkFigure5Mode measures the end-to-end Figure 5 sweep over gcc
+// and go.
 func BenchmarkFigure5Mode(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"replay", true}, {"direct", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			was := core.SetReplay(mode.on)
-			defer core.SetReplay(was)
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Figure5(benchBudget, []string{"gcc", "go"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Figure5(benchBudget, []string{"gcc", "go"}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSweepTCBaseline is an end-to-end trace-cache sizing sweep —
-// the PB=0 curve of Figure 5 — with record-once/replay-many on versus
-// off. The stream cache is reset each iteration so the replay side pays
-// its one recording per benchmark; every sweep point after that replays.
-// This isolates the stream layer's win from the preconstruction engine,
-// whose per-config work no amount of replay can share.
+// the PB=0 curve of Figure 5 — run cell by cell through RunBenchmark.
+// The stream cache is reset each iteration so the sweep pays its one
+// recording per benchmark; every sweep point after that replays. This
+// isolates the stream layer from the preconstruction engine, whose
+// per-config work no amount of replay can share.
 func BenchmarkSweepTCBaseline(b *testing.B) {
 	benches := []string{"gcc", "go"}
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"replay", true}, {"direct", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			was := core.SetReplay(mode.on)
-			defer core.SetReplay(was)
-			for i := 0; i < b.N; i++ {
-				core.ResetStreamCache()
-				for _, bench := range benches {
-					for _, tc := range core.Figure5TCSizes {
-						if _, err := core.RunBenchmark(bench, core.BaselineConfig(tc), benchBudget); err != nil {
-							b.Fatal(err)
-						}
-					}
+	for i := 0; i < b.N; i++ {
+		core.ResetStreamCache()
+		for _, bench := range benches {
+			for _, tc := range core.Figure5TCSizes {
+				if _, err := core.RunBenchmark(bench, core.BaselineConfig(tc), benchBudget); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -340,8 +321,6 @@ func BenchmarkFigure5Precon(b *testing.B) {
 			}
 		}
 	}
-	was := core.SetReplay(true)
-	defer core.SetReplay(was)
 	// Warm the stream cache once so the sweep never records.
 	for _, bench := range benches {
 		if _, err := core.RunBenchmark(bench, core.PreconConfig(256, 256), benchBudget); err != nil {
@@ -362,36 +341,25 @@ func BenchmarkFigure5Precon(b *testing.B) {
 
 // BenchmarkFigure5Broadcast is the Figure 5 PB>0 multi-cell sweep —
 // the same 18 cells as BenchmarkFigure5Precon — dispatched through the
-// harness's group scheduler with decode-once broadcast replay on versus
-// off. Per benchmark all 9 PB>0 points share one recorded stream, so
-// broadcast mode decodes gcc and go once each and steps the 9 member
-// simulators in lockstep over every chunk; per-cell mode re-decodes the
-// stream for every cell. Warm stream cache, so recording is never
-// measured (BENCH_broadcast.json records the interleaved ABBA ratio).
+// harness's group driver. Per benchmark all 9 PB>0 points share one
+// recorded stream and one SelectConfig, so the sweep decodes and
+// segments gcc and go once each and steps the 9 member simulators in
+// lockstep over every trace. Warm stream cache, so recording is never
+// measured.
 func BenchmarkFigure5Broadcast(b *testing.B) {
 	benches := []string{"gcc", "go"}
 	m := harness.Matrix{Name: "fig5-pb", Benches: benches, Budget: benchBudget, Points: figure5PBPoints()}
 	ctx := context.Background()
-	// Warm the stream cache once so neither mode measures recording.
+	// Warm the stream cache once so the timed loop never records.
 	if _, err := harness.Run(ctx, m); err != nil {
 		b.Fatal(err)
 	}
-	instrs := int64(len(benches)) * int64(len(m.Points)) * int64(benchBudget)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"broadcast", true}, {"percell", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			was := core.SetBroadcast(mode.on)
-			defer core.SetBroadcast(was)
-			b.SetBytes(instrs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := harness.Run(ctx, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(benches)) * int64(len(m.Points)) * int64(benchBudget))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.Run(ctx, m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -484,7 +452,7 @@ func BenchmarkFigure5Sampled(b *testing.B) {
 //     20M the plan keeps the full-size units and warm tails
 //     (20k detail / 30k warm / 240k model-warm) and stretches the skip
 //     until ~20 units fit, so most of the stream is a raw decode-once
-//     stretch shared by the broadcast group. Reports the median IPC
+//     stretch shared by the group. Reports the median IPC
 //     error against full-20M — this is the ≥5x-at-≤2% headline.
 //   - sampled-200M: the paper's actual per-benchmark instruction count.
 //     The claim worth keeping: a 200M-instruction sampled sweep costs

@@ -49,42 +49,6 @@ import (
 	"tracepre/internal/sample"
 )
 
-// samplePlan builds and validates the sampling schedule from the
-// command line: a budget-derived default with optional overrides.
-// detail and warm are -1 when the flag was not given.
-func samplePlan(budget uint64, detail, warm int64, targetCI float64, replay bool) (sample.Plan, error) {
-	if budget == 0 {
-		return sample.Plan{}, errors.New("-n 0: sampling needs a positive instruction budget")
-	}
-	if !replay {
-		return sample.Plan{}, errors.New("-sample requires -replay=true (the fast-forward phase consumes a recorded stream)")
-	}
-	if detail < -1 || detail == 0 {
-		return sample.Plan{}, fmt.Errorf("-sample-detail %d: measurement units must be positive", detail)
-	}
-	if warm < -1 {
-		return sample.Plan{}, fmt.Errorf("-sample-warm %d: warm-up length cannot be negative", warm)
-	}
-	if targetCI < 0 {
-		return sample.Plan{}, fmt.Errorf("-sample-target-ci %v: relative half-width target cannot be negative", targetCI)
-	}
-	p := sample.PlanForBudget(budget)
-	if detail > 0 {
-		p.Detail = uint64(detail)
-	}
-	if warm >= 0 {
-		p.Warm = uint64(warm)
-	}
-	p.TargetRelCI = targetCI
-	if p.Warm > p.Skip {
-		return sample.Plan{}, fmt.Errorf("-sample-warm %d exceeds the %d-instruction skip (warm-up is the skip's tail)", p.Warm, p.Skip)
-	}
-	if err := p.Validate(); err != nil {
-		return sample.Plan{}, err
-	}
-	return p, nil
-}
-
 func main() {
 	var (
 		exp          = flag.String("exp", "all", "experiment id (fig5, tables123, fig6, fig8, ext-*, ablation-*, all)")
@@ -96,8 +60,6 @@ func main() {
 		outDir       = flag.String("out", "", "write one file per experiment into this directory instead of stdout")
 		progress     = flag.Bool("progress", false, "report sweep progress (done/total, elapsed, ETA) on stderr")
 		jobs         = flag.Int("j", 0, "max concurrent sweep cells (0: one per CPU)")
-		replay       = flag.Bool("replay", true, "record each benchmark's stream once and replay it to every sweep point (-replay=false re-emulates per run)")
-		broadcast    = flag.Bool("broadcast", true, "decode each recorded stream once per sweep group and step the group's cells in lockstep (-broadcast=false replays per cell)")
 		doSample     = flag.Bool("sample", false, "statistically sampled sweeps: fast-forward between short full-detail measurement units, cells become value ±95% CI")
 		sampleDetail = flag.Int64("sample-detail", -1, "measurement unit length in instructions (-1: derive from budget)")
 		sampleWarm   = flag.Int64("sample-warm", -1, "detailed warm-up instructions before each unit (-1: derive from budget)")
@@ -123,9 +85,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	core.SetReplay(*replay)
-	core.SetBroadcast(*broadcast)
-
 	var benches []string
 	if *bench != "" {
 		benches = strings.Split(*bench, ",")
@@ -142,7 +101,7 @@ func main() {
 	var plan sample.Plan
 	if *doSample {
 		var err error
-		if plan, err = samplePlan(*n, *sampleDetail, *sampleWarm, *sampleCI, *replay); err != nil {
+		if plan, err = sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI); err != nil {
 			fail(err)
 		}
 	}

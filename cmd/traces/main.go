@@ -41,8 +41,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	e := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
+	// Segment a recording exactly as the simulator does, so these are
+	// the traces it demands.
+	st, err := emulator.Record(im, *n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "traces:", err)
+		os.Exit(1)
+	}
+	cr := st.DecodeChunks(0)
+	defer cr.Close()
+	seg := trace.NewChunkSegmenter(trace.DefaultSelectConfig())
 	var (
 		lenHist  [17]uint64
 		brHist   [17]uint64
@@ -67,8 +75,17 @@ func main() {
 			endAlign++
 		}
 	}
-	_, err = e.Run(*n, func(d emulator.Dyn) bool {
-		if tr := seg.Push(d); tr != nil {
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		for len(chunk) > 0 {
+			used, tr, _ := seg.Feed(chunk)
+			if tr == nil {
+				break
+			}
+			chunk = chunk[used:]
 			total++
 			instrs += uint64(tr.Len())
 			lenHist[tr.Len()]++
@@ -77,12 +94,11 @@ func main() {
 			id := tr.ID()
 			hot[id]++
 			if _, ok := sample[id]; !ok {
-				sample[id] = tr
+				sample[id] = tr.Clone()
 			}
 		}
-		return true
-	})
-	if err != nil {
+	}
+	if err := cr.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "traces:", err)
 		os.Exit(1)
 	}

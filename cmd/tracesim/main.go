@@ -28,42 +28,6 @@ import (
 	"tracepre/internal/stats"
 )
 
-// samplePlan builds and validates the sampling schedule from the
-// command line: a budget-derived default with optional overrides.
-// detail and warm are -1 when the flag was not given.
-func samplePlan(budget uint64, detail, warm int64, targetCI float64, replay bool) (sample.Plan, error) {
-	if budget == 0 {
-		return sample.Plan{}, errors.New("-n 0: sampling needs a positive instruction budget")
-	}
-	if !replay {
-		return sample.Plan{}, errors.New("-sample requires -replay=true (the fast-forward phase consumes a recorded stream)")
-	}
-	if detail < -1 || detail == 0 {
-		return sample.Plan{}, fmt.Errorf("-sample-detail %d: measurement units must be positive", detail)
-	}
-	if warm < -1 {
-		return sample.Plan{}, fmt.Errorf("-sample-warm %d: warm-up length cannot be negative", warm)
-	}
-	if targetCI < 0 {
-		return sample.Plan{}, fmt.Errorf("-sample-target-ci %v: relative half-width target cannot be negative", targetCI)
-	}
-	p := sample.PlanForBudget(budget)
-	if detail > 0 {
-		p.Detail = uint64(detail)
-	}
-	if warm >= 0 {
-		p.Warm = uint64(warm)
-	}
-	p.TargetRelCI = targetCI
-	if p.Warm > p.Skip {
-		return sample.Plan{}, fmt.Errorf("-sample-warm %d exceeds the %d-instruction skip (warm-up is the skip's tail)", p.Warm, p.Skip)
-	}
-	if err := p.Validate(); err != nil {
-		return sample.Plan{}, err
-	}
-	return p, nil
-}
-
 func main() {
 	var (
 		bench        = flag.String("bench", "gcc", "benchmark name (see -list)")
@@ -73,7 +37,6 @@ func main() {
 		timing       = flag.Bool("timing", false, "enable the full backend timing model")
 		preproc      = flag.Bool("preproc", false, "enable fill-unit preprocessing (implies -timing)")
 		timeline     = flag.Uint64("timeline", 0, "print a miss-rate sparkline, one point per this many instructions")
-		replay       = flag.Bool("replay", true, "drive the simulator from a recorded stream (shared across invocations in one process)")
 		doSample     = flag.Bool("sample", false, "statistically sampled simulation: fast-forward between short full-detail measurement units")
 		sampleDetail = flag.Int64("sample-detail", -1, "measurement unit length in instructions (-1: derive from budget)")
 		sampleWarm   = flag.Int64("sample-warm", -1, "detailed warm-up instructions before each unit (-1: derive from budget)")
@@ -81,7 +44,6 @@ func main() {
 		list         = flag.Bool("list", false, "list benchmarks and exit")
 	)
 	flag.Parse()
-	core.SetReplay(*replay)
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "tracesim:", err)
@@ -101,7 +63,7 @@ func main() {
 	var plan sample.Plan
 	if *doSample {
 		var err error
-		if plan, err = samplePlan(*n, *sampleDetail, *sampleWarm, *sampleCI, *replay); err != nil {
+		if plan, err = sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI); err != nil {
 			fail(err)
 		}
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"tracepre/internal/sample"
 )
 
 func TestSamplePlanValidation(t *testing.T) {
@@ -12,27 +14,25 @@ func TestSamplePlanValidation(t *testing.T) {
 		detail   int64
 		warm     int64
 		targetCI float64
-		replay   bool
 		wantErr  string
 	}{
-		{name: "auto plan", budget: 2_000_000, detail: -1, warm: -1, replay: true},
-		{name: "explicit lengths", budget: 2_000_000, detail: 1000, warm: 500, replay: true},
-		{name: "zero warm is legal", budget: 2_000_000, detail: 1000, warm: 0, replay: true},
-		{name: "adaptive target", budget: 2_000_000, detail: -1, warm: -1, targetCI: 0.05, replay: true},
-		{name: "zero budget", budget: 0, detail: -1, warm: -1, replay: true, wantErr: "positive instruction budget"},
-		{name: "replay disabled", budget: 2_000_000, detail: -1, warm: -1, replay: false, wantErr: "requires -replay"},
-		{name: "zero detail", budget: 2_000_000, detail: 0, warm: -1, replay: true, wantErr: "must be positive"},
-		{name: "negative detail", budget: 2_000_000, detail: -7, warm: -1, replay: true, wantErr: "must be positive"},
-		{name: "negative warm", budget: 2_000_000, detail: -1, warm: -3, replay: true, wantErr: "cannot be negative"},
-		{name: "negative target", budget: 2_000_000, detail: -1, warm: -1, targetCI: -0.1, replay: true, wantErr: "cannot be negative"},
-		{name: "warm exceeds skip", budget: 2_000_000, detail: -1, warm: 70_000, replay: true, wantErr: "exceeds"},
+		{name: "auto plan", budget: 2_000_000, detail: -1, warm: -1},
+		{name: "explicit lengths", budget: 2_000_000, detail: 1000, warm: 500},
+		{name: "zero warm is legal", budget: 2_000_000, detail: 1000, warm: 0},
+		{name: "adaptive target", budget: 2_000_000, detail: -1, warm: -1, targetCI: 0.05},
+		{name: "zero budget", budget: 0, detail: -1, warm: -1, wantErr: "positive instruction budget"},
+		{name: "zero detail", budget: 2_000_000, detail: 0, warm: -1, wantErr: "must be positive"},
+		{name: "negative detail", budget: 2_000_000, detail: -7, warm: -1, wantErr: "must be positive"},
+		{name: "negative warm", budget: 2_000_000, detail: -1, warm: -3, wantErr: "cannot be negative"},
+		{name: "negative target", budget: 2_000_000, detail: -1, warm: -1, targetCI: -0.1, wantErr: "cannot be negative"},
+		{name: "warm exceeds skip", budget: 2_000_000, detail: -1, warm: 70_000, wantErr: "exceeds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := samplePlan(c.budget, c.detail, c.warm, c.targetCI, c.replay)
+			p, err := sample.PlanFromFlags(c.budget, c.detail, c.warm, c.targetCI)
 			if c.wantErr != "" {
 				if err == nil {
-					t.Fatalf("samplePlan accepted %+v: %+v", c, p)
+					t.Fatalf("PlanFromFlags accepted %+v: %+v", c, p)
 				}
 				if !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("error %q does not mention %q", err, c.wantErr)
@@ -43,7 +43,7 @@ func TestSamplePlanValidation(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("samplePlan rejected %+v: %v", c, err)
+				t.Fatalf("PlanFromFlags rejected %+v: %v", c, err)
 			}
 			if c.detail > 0 && p.Detail != uint64(c.detail) {
 				t.Errorf("detail override ignored: %+v", p)

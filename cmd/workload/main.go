@@ -60,28 +60,46 @@ func main() {
 	t.AddRow("indirect jumps", st.IndJumps)
 	fmt.Print(t.String())
 
-	// Dynamic statistics over the first n instructions.
-	e := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
+	// Dynamic statistics over the first n instructions, segmented from a
+	// recording exactly as the simulator segments it.
+	rec, err := emulator.Record(im, *n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "workload:", err)
+		os.Exit(1)
+	}
+	cr := rec.DecodeChunks(0)
+	defer cr.Close()
+	seg := trace.NewChunkSegmenter(trace.DefaultSelectConfig())
 	unique := map[trace.ID]bool{}
-	var traces, branches, taken, calls uint64
-	ran, err := e.Run(*n, func(d emulator.Dyn) bool {
-		if d.Inst.IsBranch() {
-			branches++
-			if d.Taken {
-				taken++
+	var ran, traces, branches, taken, calls uint64
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		ran += uint64(len(chunk))
+		for _, d := range chunk {
+			if d.Inst.IsBranch() {
+				branches++
+				if d.Taken {
+					taken++
+				}
+			}
+			if d.Inst.IsCall() {
+				calls++
 			}
 		}
-		if d.Inst.IsCall() {
-			calls++
-		}
-		if tr := seg.Push(d); tr != nil {
+		for len(chunk) > 0 {
+			used, tr, _ := seg.Feed(chunk)
+			if tr == nil {
+				break
+			}
+			chunk = chunk[used:]
 			traces++
 			unique[tr.ID()] = true
 		}
-		return true
-	})
-	if err != nil {
+	}
+	if err := cr.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "workload:", err)
 		os.Exit(1)
 	}

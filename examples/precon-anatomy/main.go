@@ -85,13 +85,25 @@ func main() {
 	})
 
 	fmt.Println("\nexecution (trace by trace):")
-	em := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
-	var pending []emulator.Dyn
+	rec, err := emulator.Record(im, 10_000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cr := rec.DecodeChunks(0)
+	defer cr.Close()
+	seg := trace.NewChunkSegmenter(trace.DefaultSelectConfig())
 	supplied := 0
-	_, err = em.Run(10_000, func(d emulator.Dyn) bool {
-		pending = append(pending, d)
-		if tr := seg.Push(d); tr != nil {
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		for len(chunk) > 0 {
+			used, tr, dyns := seg.Feed(chunk)
+			if tr == nil {
+				break
+			}
+			chunk = chunk[used:]
 			id := tr.ID()
 			eng.OnDemandFetch(id.Start)
 			if _, hit := tc.Lookup(id); hit {
@@ -101,21 +113,19 @@ func main() {
 				tc.Insert(got)
 				fmt.Printf("  demand %v: SUPPLIED BY PRECONSTRUCTION\n", id)
 			} else {
-				tc.Insert(tr)
+				tc.Insert(tr.Clone())
 				fmt.Printf("  demand %v: miss, built by slow path\n", id)
 			}
-			for _, dd := range pending {
-				if dd.Inst.IsBranch() {
-					bim.Update(dd.PC, dd.Taken)
+			for _, d := range dyns {
+				if d.Inst.IsBranch() {
+					bim.Update(d.PC, d.Taken)
 				}
-				eng.Observe(dd)
+				eng.Observe(d)
 			}
-			pending = pending[:0]
 			eng.Step(16) // idle slow-path cycles granted to the engine
 		}
-		return true
-	})
-	if err != nil {
+	}
+	if err := cr.Err(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -75,10 +75,10 @@ func TimingBenchmarks() []string { return []string{"gcc", "go", "perl", "vortex"
 func Image(name string) (*program.Image, error) { return harness.Image(name) }
 
 // RunBenchmark simulates a benchmark under the configuration for the
-// given committed-instruction budget. When replay is enabled (the
-// default, see SetReplay), the benchmark's dynamic stream is recorded
-// once into the shared stream cache and this and every later run of the
-// same (benchmark, budget) replays it instead of re-emulating.
+// given committed-instruction budget. The benchmark's dynamic stream is
+// recorded once into the shared stream cache, and this and every later
+// run of the same (benchmark, budget) replays it instead of
+// re-emulating.
 func RunBenchmark(name string, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
 	res, err := harness.RunBenchmark(name, 0, cfg, budget)
 	if err != nil {
@@ -90,7 +90,7 @@ func RunBenchmark(name string, cfg pipeline.Config, budget uint64) (pipeline.Res
 // RunBenchmarkSampled simulates a benchmark under statistically sampled
 // simulation: fast-forward between short full-detail measurement units
 // per the plan, returning per-interval statistics with confidence
-// intervals (see internal/sample). Requires replay.
+// intervals (see internal/sample).
 func RunBenchmarkSampled(name string, cfg pipeline.Config, budget uint64, plan sample.Plan) (*sample.Stats, error) {
 	st, err := harness.RunBenchmarkSampled(name, 0, cfg, budget, plan)
 	if err != nil {
@@ -100,8 +100,9 @@ func RunBenchmarkSampled(name string, cfg pipeline.Config, budget uint64, plan s
 }
 
 // RunImage simulates an arbitrary image (for custom workloads). Ad-hoc
-// images have no cache identity, so RunImage always emulates directly;
-// use RunBenchmark (or the harness's keyed path) to share streams.
+// images have no cache identity, so RunImage records the image's stream
+// for this run alone; use RunBenchmark (or a harness sweep) to share
+// streams.
 func RunImage(im *program.Image, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
 	sim, err := pipeline.New(im, cfg)
 	if err != nil {
@@ -109,22 +110,6 @@ func RunImage(im *program.Image, cfg pipeline.Config, budget uint64) (pipeline.R
 	}
 	return sim.Run(budget)
 }
-
-// SetReplay switches record-once/replay-many execution on or off
-// (cmd flags plumb -replay here). It returns the previous setting.
-func SetReplay(on bool) bool { return harness.SetReplay(on) }
-
-// ReplayOn reports whether replay-based execution is enabled.
-func ReplayOn() bool { return harness.ReplayOn() }
-
-// SetBroadcast switches decode-once broadcast replay on or off (cmd
-// flags plumb -broadcast here): when on, sweep cells sharing a recorded
-// stream are driven in lockstep from a single decode pass. It returns
-// the previous setting.
-func SetBroadcast(on bool) bool { return harness.SetBroadcast(on) }
-
-// BroadcastOn reports whether broadcast replay is enabled.
-func BroadcastOn() bool { return harness.BroadcastOn() }
 
 // SetStreamCacheCap bounds the memory (in encoded bytes) the shared
 // stream cache may hold; least-recently-used streams are evicted.

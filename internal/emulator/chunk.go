@@ -7,7 +7,7 @@ import (
 
 // DefaultChunkLen is the chunk size DecodeChunks uses when the caller
 // passes 0. Sized so one chunk of decoded Dyn records stays
-// cache-resident while every consumer of a broadcast group drains it,
+// cache-resident while every member of a harness group drains it,
 // yet is large enough that the per-chunk handoff between the decode
 // goroutine and the consumer is amortized to noise.
 const DefaultChunkLen = 1024
@@ -35,9 +35,10 @@ func ChunkBufAllocs() uint64 { return chunkAllocs.Load() }
 // ChunkedReplayer decodes a recorded Stream into fixed-size []Dyn
 // chunks exactly once, on a dedicated goroutine, double-buffered so
 // decode of chunk k+1 overlaps consumption of chunk k. It is the
-// decode-once half of broadcast replay: one ChunkedReplayer feeds any
-// number of simulators that step over each chunk in lockstep, turning a
-// sweep's N×(decode+simulate) into decode+N×simulate.
+// decode-once half of the harness's group driver: one ChunkedReplayer
+// feeds any number of simulators that step over each chunk in
+// lockstep, turning a sweep's N×(decode+simulate) into
+// decode+N×simulate.
 //
 // A ChunkedReplayer is single-consumer: Next and Close must be called
 // from one goroutine. The returned chunk is borrowed — it is

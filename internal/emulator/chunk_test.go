@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"errors"
 	"runtime/debug"
 	"testing"
 
@@ -155,8 +156,8 @@ func TestChunkedReplayerError(t *testing.T) {
 		}
 		n += len(chunk)
 	}
-	if err := cr.Err(); err == nil {
-		t.Fatal("corrupt stream decoded without error")
+	if err := cr.Err(); !errors.Is(err, ErrCorruptStream) {
+		t.Fatalf("corrupt stream decoded with error %v, want ErrCorruptStream", err)
 	}
 	if n >= int(st.Len()) {
 		t.Errorf("decoded %d instrs from a truncated stream of %d", n, st.Len())

@@ -21,6 +21,10 @@ var (
 	ErrHalted = errors.New("emulator: halted")
 	// ErrBadPC is returned when the PC leaves the program image.
 	ErrBadPC = errors.New("emulator: PC outside image")
+	// ErrCorruptStream is returned when a recorded stream's bytes
+	// disagree with its program image: a branch with no recorded
+	// outcome, or an unreadable address delta.
+	ErrCorruptStream = errors.New("emulator: corrupt stream")
 )
 
 // Dyn is one committed dynamic instruction. NextPC is the address of the
@@ -111,7 +115,13 @@ type Emulator struct {
 
 	seq    uint64
 	halted bool
-	runErr error // first non-halt error, reported via Err (Source)
+
+	// Padding rounds the struct up to 192 bytes, three whole cache
+	// lines, so emulators allocated back to back — one per goroutine
+	// when sweep set-up records streams in parallel — never share a
+	// line. Without it, false sharing on the registers and PC slows
+	// parallel recording.
+	_ [24]byte
 }
 
 // New creates an emulator for the image with the data section loaded,

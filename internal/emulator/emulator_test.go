@@ -3,6 +3,7 @@ package emulator
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
@@ -107,6 +108,18 @@ func TestLoadStore(t *testing.T) {
 	}
 	if e.Mem.Load(0x20008) != 42 {
 		t.Errorf("mem = %d", e.Mem.Load(0x20008))
+	}
+}
+
+// TestEmulatorFillsWholeCacheLines pins the padding that keeps
+// emulators recording on different goroutines off each other's cache
+// lines: the struct must stay a whole number of 64-byte lines.
+func TestEmulatorFillsWholeCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit pointers")
+	}
+	if size := unsafe.Sizeof(Emulator{}); size%64 != 0 {
+		t.Errorf("Emulator is %d bytes, want a multiple of 64: adjust its padding", size)
 	}
 }
 

@@ -8,35 +8,6 @@ import (
 	"tracepre/internal/program"
 )
 
-// Source is any producer of the committed dynamic instruction stream.
-// Next returns the next committed instruction, or ok=false when the
-// stream ends (clean halt, exhausted recording, or error). After
-// ok=false, Err reports the first error other than a clean halt.
-//
-// The live Emulator implements Source, as does Replayer; the timing
-// model consumes either interchangeably, which is what lets one
-// functional execution drive arbitrarily many simulator configurations.
-type Source interface {
-	Next() (Dyn, bool)
-	Err() error
-}
-
-// Next implements Source: it commits one instruction, reporting ok=false
-// on halt or error. The error (if any) is available via Err.
-func (e *Emulator) Next() (Dyn, bool) {
-	d, err := e.Step()
-	if err != nil {
-		if err != ErrHalted && e.runErr == nil {
-			e.runErr = err
-		}
-		return Dyn{}, false
-	}
-	return d, true
-}
-
-// Err implements Source: the first error other than a clean halt.
-func (e *Emulator) Err() error { return e.runErr }
-
 // Stream is a compact recording of a committed dynamic instruction
 // stream. Only the truly dynamic bits are stored — conditional branch
 // outcomes (one bit each), indirect jump targets and memory effective
@@ -142,8 +113,8 @@ func Record(im *program.Image, budget uint64) (*Stream, error) {
 	return r.Stream(), nil
 }
 
-// Replayer re-emits a recorded Stream as Dyn records, implementing
-// Source. Replay is allocation-free and bit-identical to the original
+// Replayer re-emits a recorded Stream as Dyn records. Replay is
+// allocation-free and bit-identical to the original
 // emulation: instructions are re-decoded from the program image and the
 // recorded dynamic bits fill in branch outcomes, indirect targets and
 // memory addresses.
@@ -170,14 +141,15 @@ func (s *Stream) Replay() *Replayer {
 func (r *Replayer) readAux() (int64, bool) {
 	u, k := binary.Uvarint(r.s.aux[r.auxPos:])
 	if k <= 0 {
-		r.err = fmt.Errorf("emulator: corrupt stream aux data at %d", r.auxPos)
+		r.err = fmt.Errorf("%w: aux data at %d", ErrCorruptStream, r.auxPos)
 		return 0, false
 	}
 	r.auxPos += k
 	return unzigzag(u), true
 }
 
-// Next implements Source.
+// Next returns the next recorded instruction, or ok=false at end of
+// stream or on error (see Err).
 func (r *Replayer) Next() (Dyn, bool) {
 	var d Dyn
 	if !r.NextInto(&d) {
@@ -216,7 +188,7 @@ func (r *Replayer) NextInto(d *Dyn) bool {
 		r.lastMem = d.MemAddr
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 		if r.bitPos >= r.s.nbits {
-			r.err = fmt.Errorf("emulator: corrupt stream: branch bits exhausted at seq %d", r.seq)
+			r.err = fmt.Errorf("%w: branch bits exhausted at seq %d", ErrCorruptStream, r.seq)
 			return false
 		}
 		d.Taken = r.s.taken[r.bitPos/8]&(1<<(r.bitPos%8)) != 0
@@ -239,5 +211,5 @@ func (r *Replayer) NextInto(d *Dyn) bool {
 	return true
 }
 
-// Err implements Source.
+// Err reports the first decode error, if any.
 func (r *Replayer) Err() error { return r.err }

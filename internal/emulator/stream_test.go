@@ -110,28 +110,3 @@ func TestReplayerIndependent(t *testing.T) {
 		}
 	}
 }
-
-func TestEmulatorImplementsSource(t *testing.T) {
-	p, err := workload.ByName("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := workload.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src Source = New(im)
-	var n int
-	for n < 1000 {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no instructions from live source")
-	}
-}

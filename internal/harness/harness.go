@@ -208,10 +208,11 @@ func ContextWithWorkers(ctx context.Context, n int) context.Context {
 }
 
 // Run executes the matrix: it records (or reuses) each benchmark's
-// dynamic stream, fans the cells out over one worker per CPU, and
+// dynamic stream, fans the cell groups out over one worker per CPU, and
 // collects every pipeline.Result into a Grid. The first cell error
 // cancels nothing but wins the returned error (remaining cells still
-// run); cancelling ctx stops the sweep promptly and returns ctx.Err().
+// run); cancelling ctx stops the sweep within one decoded chunk per
+// running group and returns an error wrapping ctx.Err().
 func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -238,9 +239,6 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	if o.sampling != nil {
 		if err := o.sampling.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, err)
-		}
-		if !ReplayOn() {
-			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, errSamplingNeedsReplay)
 		}
 	}
 
@@ -281,27 +279,15 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	}
 	report()
 
-	// Fan out over stream-sharing groups rather than individual cells:
-	// cells that replay the same recorded stream run broadcast (one
-	// decode pass, member simulators in lockstep), cells with unique
-	// streams take the per-cell path. Workers bound concurrent groups.
+	// Fan out over groups rather than individual cells: the cells of a
+	// group share one decode and one segmentation of their stream and
+	// step in lockstep (runGroup). Workers bound concurrent groups.
 	groups := runGroups(g)
 	err := forEach(ctx, len(groups), o.workers, func(gi int) error {
-		idx := groups[gi]
-		var err error
-		if len(idx) == 1 {
-			err = runCell(ctx, m, &g.Cells[idx[0]], o.sampling)
-		} else {
-			cells := make([]*Cell, len(idx))
-			for j, i := range idx {
-				cells[j] = &g.Cells[i]
-			}
-			err = broadcastRun(ctx, m, cells, o.sampling)
+		if err := runGroup(ctx, m.Budget, groups[gi], o.sampling); err != nil {
+			return fmt.Errorf("harness: %s: %w", m.Name, err)
 		}
-		if err != nil {
-			return err
-		}
-		for range idx {
+		for range groups[gi] {
 			progressMu.Lock()
 			done++
 			progressMu.Unlock()

@@ -2,21 +2,17 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"math"
 
-	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 	"tracepre/internal/stats"
-	"tracepre/internal/trace"
 )
 
 // WithSampling runs every cell of the sweep under statistically sampled
 // simulation with the given plan: each cell's Result becomes the
 // aggregate over its measurement units (so every Metric extractor works
 // unchanged) and Cell.Sample carries the per-interval statistics and
-// confidence intervals. Sampling replays recorded streams by
-// construction — Run fails up front if replay is disabled.
+// confidence intervals.
 func WithSampling(plan sample.Plan) Option {
 	return func(o *runOptions) { p := plan; o.sampling = &p }
 }
@@ -32,193 +28,6 @@ type samplingCtxKey struct{}
 func ContextWithSampling(ctx context.Context, plan sample.Plan) context.Context {
 	return context.WithValue(ctx, samplingCtxKey{}, plan)
 }
-
-// samplingCfg applies the plan's pipeline-side knobs to a cell config.
-func samplingCfg(cfg pipeline.Config, plan *sample.Plan) pipeline.Config {
-	cfg.FFObservePrecon = plan.ObservePrecon
-	return cfg
-}
-
-// runCellSampled executes one cell under sampled simulation on the
-// per-cell path: its own decode pass, segmentation driven by
-// sample.Run.
-func runCellSampled(m Matrix, c *Cell, plan *sample.Plan) error {
-	im, err := ImageSeed(c.Bench, c.Seed)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, c.Bench, err)
-	}
-	st, err := streams.get(streamKey{name: c.Bench, seed: c.Seed, budget: m.Budget}, im)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, c.Bench, err)
-	}
-	sim, err := pipeline.New(im, samplingCfg(c.Point.Cfg, plan))
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s/%s: %w", m.Name, c.Bench, c.Point.Name, err)
-	}
-	decodePasses.Add(1)
-	ss, err := sample.Run(sim, st, *plan, m.Budget)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s/%s: %w", m.Name, c.Bench, c.Point.Name, err)
-	}
-	c.Sample = ss
-	c.Result = ss.Aggregate
-	return nil
-}
-
-// broadcastRunSampled executes one stream-sharing group under sampled
-// simulation: one decode pass, one segmentation (the group shares a
-// SelectConfig — the caller checked), every member's Runner fed in
-// lockstep. All members share the plan and budget, so their phase
-// schedules advance identically over the shared trace sequence. With
-// WarmModel off, the whole group raw-skips each fast-forward stretch
-// (decode only, no segmentation) and the shared segmenter is reset at
-// warm entry; with a ModelWarm tail, segmentation runs continuously
-// and raw-stretch traces are withheld from every member (SkipRaw) —
-// the group pays one segmentation pass for the whole raw head instead
-// of nine warm models. A member that finishes early — adaptive
-// sampling met its target — goes dormant while the rest keep
-// consuming.
-func broadcastRunSampled(m Matrix, cells []*Cell, sel trace.SelectConfig, plan *sample.Plan) error {
-	bench, seed := cells[0].Bench, cells[0].Seed
-	wrap := func(c *Cell, err error) error {
-		return fmt.Errorf("harness: %s: %s/%s: %w", m.Name, bench, c.Point.Name, err)
-	}
-	im, err := ImageSeed(bench, seed)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
-	}
-	st, err := streams.get(streamKey{name: bench, seed: seed, budget: m.Budget}, im)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
-	}
-
-	runners := make([]*sample.Runner, len(cells))
-	for i, c := range cells {
-		sim, err := pipeline.New(im, samplingCfg(c.Point.Cfg, plan))
-		if err != nil {
-			return wrap(c, err)
-		}
-		if runners[i], err = sample.NewRunner(sim, *plan, m.Budget); err != nil {
-			return wrap(c, err)
-		}
-	}
-
-	decodePasses.Add(1)
-	cr := st.DecodeChunks(0)
-	defer cr.Close()
-	seg := trace.NewChunkSegmenter(sel)
-	segmenting := true
-	live := len(runners)
-	leader := func() *sample.Runner {
-		for _, r := range runners {
-			if !r.Done() {
-				return r
-			}
-		}
-		return nil
-	}
-
-	for live > 0 {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		for len(chunk) > 0 && live > 0 {
-			ld := leader()
-			if ld == nil {
-				break
-			}
-			if !plan.WarmModel && ld.Phase() == pipeline.PhaseFastForward {
-				// The group's schedules are in lockstep: every live
-				// member is in the same fast-forward stretch. Skip it raw.
-				n := ld.FFRemaining()
-				if c := uint64(len(chunk)); n > c {
-					n = c
-				}
-				for i, r := range runners {
-					if r.Done() {
-						continue
-					}
-					if err := r.SkipRaw(n); err != nil {
-						return wrap(cells[i], err)
-					}
-					if r.Done() {
-						live--
-					}
-				}
-				chunk = chunk[n:]
-				segmenting = false
-				continue
-			}
-			if !segmenting {
-				seg.Reset()
-				segmenting = true
-			}
-			used, tr, dyns := seg.Feed(chunk)
-			chunk = chunk[used:]
-			if tr == nil {
-				break
-			}
-			k := uint64(len(dyns))
-			raw := plan.WarmModel && ld.RawFFRemaining() >= k
-			for i, r := range runners {
-				if r.Done() {
-					continue
-				}
-				var err error
-				if raw {
-					err = r.SkipRaw(k)
-				} else {
-					_, err = r.Feed(tr, dyns)
-				}
-				if err != nil {
-					return wrap(cells[i], err)
-				}
-				if r.Done() {
-					live--
-				}
-			}
-		}
-	}
-	if err := cr.Err(); err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
-	}
-	for i, r := range runners {
-		ss, err := r.Finish()
-		if err != nil {
-			return wrap(cells[i], err)
-		}
-		cells[i].Sample = ss
-		cells[i].Result = ss.Aggregate
-	}
-	return nil
-}
-
-// RunBenchmarkSampled is the single-cell sampled form of RunBenchmark:
-// one benchmark, one configuration, sampled under the plan. Requires
-// replay (the sampling runner consumes a recorded stream).
-func RunBenchmarkSampled(name string, seed int64, cfg pipeline.Config, budget uint64, plan sample.Plan) (*sample.Stats, error) {
-	if !ReplayOn() {
-		return nil, errSamplingNeedsReplay
-	}
-	im, err := ImageSeed(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	st, err := streams.get(streamKey{name: name, seed: seed, budget: budget}, im)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := pipeline.New(im, samplingCfg(cfg, &plan))
-	if err != nil {
-		return nil, err
-	}
-	decodePasses.Add(1)
-	return sample.Run(sim, st, plan, budget)
-}
-
-// errSamplingNeedsReplay explains the one mode sampling cannot run in.
-var errSamplingNeedsReplay = fmt.Errorf("harness: sampling requires replay (the fast-forward phase consumes a recorded stream); re-enable it with SetReplay(true) / -replay=true")
 
 // MetricCI returns the metric's Student-t 95% confidence interval over
 // the cell's measurement units. For a cell that ran full detail (no

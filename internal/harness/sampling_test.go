@@ -75,42 +75,70 @@ func TestSampledSweep(t *testing.T) {
 	}
 }
 
-// TestSampledBroadcastMatchesPerCell runs the same sampled matrix with
-// broadcast on and off: the group path shares one decode and one
-// segmentation but must produce bit-identical interval statistics to
-// the per-cell path.
+// TestSampledBroadcastMatchesPerCell runs a sampled matrix, whose
+// groups share one decode and one segmentation, and requires every
+// cell's interval statistics and aggregate to equal the same cell
+// sampled alone through RunBenchmarkSampled.
 func TestSampledBroadcastMatchesPerCell(t *testing.T) {
 	const budget = 100_000
 	m := samplingTestMatrix(budget)
 	plan := testPlan()
 
-	run := func() *Grid {
-		g, err := Run(context.Background(), m, WithSampling(plan))
+	g, err := Run(context.Background(), m, WithSampling(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.Cells {
+		c := &g.Cells[i]
+		alone, err := RunBenchmarkSampled(c.Bench, c.Seed, c.Point.Cfg, budget, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g
-	}
-	prev := SetBroadcast(true)
-	broad := run()
-	SetBroadcast(false)
-	percell := run()
-	SetBroadcast(prev)
-
-	for i := range broad.Cells {
-		b, p := &broad.Cells[i], &percell.Cells[i]
-		if !reflect.DeepEqual(b.Sample.Intervals, p.Sample.Intervals) {
-			t.Errorf("%s/%s: broadcast and per-cell interval stats differ", b.Bench, b.Point.Name)
+		if !reflect.DeepEqual(c.Sample.Intervals, alone.Intervals) {
+			t.Errorf("%s/%s: grid and lone-cell interval stats differ", c.Bench, c.Point.Name)
 		}
-		if !reflect.DeepEqual(b.Result, p.Result) {
-			t.Errorf("%s/%s: broadcast and per-cell aggregates differ", b.Bench, b.Point.Name)
+		if !reflect.DeepEqual(c.Result, alone.Aggregate) {
+			t.Errorf("%s/%s: grid and lone-cell aggregates differ", c.Bench, c.Point.Name)
 		}
 	}
 }
 
-// TestSampledRawSkipBroadcast covers the WarmModel=false broadcast
-// path: fast-forward stretches are raw-skipped (no segmentation) and
-// the shared segmenter restarts at each warm boundary.
+// TestGridIndependentOfWorkers asserts results do not depend on the
+// fan-out: full-detail and sampled grids come out identical under one
+// worker and under four.
+func TestGridIndependentOfWorkers(t *testing.T) {
+	m := samplingTestMatrix(60_000)
+	m.Seeds = []int64{0, 1}
+	for _, plan := range []*sample.Plan{nil, {Detail: 2_000, Warm: 3_000, Skip: 8_000, WarmModel: true}} {
+		run := func(workers int) *Grid {
+			opts := []Option{WithWorkers(workers)}
+			if plan != nil {
+				opts = append(opts, WithSampling(*plan))
+			}
+			g, err := Run(context.Background(), m, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		one, four := run(1), run(4)
+		for i := range one.Cells {
+			a, b := &one.Cells[i], &four.Cells[i]
+			if !reflect.DeepEqual(a.Result, b.Result) {
+				t.Errorf("sampled=%v %s/%d/%s: Result differs between 1 and 4 workers",
+					plan != nil, a.Bench, a.Seed, a.Point.Name)
+			}
+			if plan != nil && !reflect.DeepEqual(a.Sample.Intervals, b.Sample.Intervals) {
+				t.Errorf("%s/%d/%s: interval stats differ between 1 and 4 workers",
+					a.Bench, a.Seed, a.Point.Name)
+			}
+		}
+	}
+}
+
+// TestSampledRawSkipBroadcast covers the WarmModel=false group path:
+// fast-forward stretches are raw-skipped (no segmentation) and the
+// shared segmenter restarts at each warm boundary.
 func TestSampledRawSkipBroadcast(t *testing.T) {
 	const budget = 100_000
 	m := samplingTestMatrix(budget)
@@ -126,18 +154,6 @@ func TestSampledRawSkipBroadcast(t *testing.T) {
 		if c.Sample.FFInstrs == 0 || len(c.Sample.Intervals) == 0 {
 			t.Errorf("%s/%s: raw-skip run captured nothing: %+v", c.Bench, c.Point.Name, c.Sample)
 		}
-	}
-}
-
-func TestSamplingRequiresReplay(t *testing.T) {
-	prev := SetReplay(false)
-	defer SetReplay(prev)
-	_, err := Run(context.Background(), samplingTestMatrix(10_000), WithSampling(testPlan()))
-	if err == nil || !strings.Contains(err.Error(), "replay") {
-		t.Fatalf("sampled run without replay must fail actionably, got %v", err)
-	}
-	if _, err := RunBenchmarkSampled("compress", 0, pipeline.DefaultConfig(), 10_000, testPlan()); err == nil {
-		t.Fatal("RunBenchmarkSampled without replay must fail")
 	}
 }
 

@@ -5,30 +5,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tracepre/internal/emulator"
-	"tracepre/internal/pipeline"
 	"tracepre/internal/program"
 	"tracepre/internal/workload"
 )
-
-// replayEnabled gates record-once/replay-many execution. When on (the
-// default), RunBenchmark and Run record each (benchmark, seed, budget)
-// dynamic stream once and replay it to every simulator configuration;
-// when off, every run re-executes the functional emulator directly.
-// Both paths produce bit-identical Results (asserted by
-// TestReplayEquivalence).
-var replayEnabled atomic.Bool
-
-func init() { replayEnabled.Store(true) }
-
-// SetReplay switches record-once/replay-many execution on or off
-// (cmd flags plumb -replay here). It returns the previous setting.
-func SetReplay(on bool) bool { return replayEnabled.Swap(on) }
-
-// ReplayOn reports whether replay-based execution is enabled.
-func ReplayOn() bool { return replayEnabled.Load() }
 
 // imageKey identifies one generated benchmark program: generation is
 // deterministic, so name plus seed perturbation pins down the image.
@@ -196,45 +177,11 @@ func (c *streamCache) get(key streamKey, im *program.Image) (*emulator.Stream, e
 	return e.s, nil
 }
 
-// runKeyed builds a simulator for the image and drives it from the
-// shared stream cache when replay is enabled, or a live emulator when
-// it is not.
-func runKeyed(im *program.Image, key streamKey, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
-	sim, err := pipeline.New(im, cfg)
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	if ReplayOn() {
-		st, err := streams.get(key, im)
-		if err != nil {
-			return pipeline.Result{}, err
-		}
-		decodePasses.Add(1)
-		return sim.RunStream(st, budget)
-	}
-	return sim.Run(budget)
-}
-
-// RunBenchmark simulates one benchmark (with an optional generator
-// seed perturbation) under the configuration for the given
-// committed-instruction budget, sharing recordings through the stream
-// cache when replay is enabled. This is the single-cell form of Run.
-func RunBenchmark(name string, seed int64, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
-	im, err := ImageSeed(name, seed)
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	return runKeyed(im, streamKey{name: name, seed: seed, budget: budget}, cfg, budget)
-}
-
 // warmStreams records each (benchmark, seed) stream of the matrix up
 // front, in parallel, so the sweep fan-out replays from the start
 // instead of serializing behind the first worker to demand each
-// stream. A no-op when replay is disabled.
+// stream.
 func warmStreams(ctx context.Context, m Matrix, workers int) error {
-	if !ReplayOn() {
-		return nil
-	}
 	type unit struct {
 		name string
 		seed int64

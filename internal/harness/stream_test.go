@@ -16,11 +16,11 @@ func precon(tc, pb int) pipeline.Config {
 }
 
 // TestReplayEquivalence asserts the determinism guarantee behind
-// record-once/replay-many: for every benchmark profile, a simulator
-// driven by a recorded-and-replayed stream produces a Result identical
-// to one driven by direct functional emulation — for both the plain
-// miss-rate machine and the full-timing preconstruction+preprocessing
-// machine.
+// record-once/replay-many: for every benchmark profile, a cell run by
+// the harness's group driver from the shared stream cache produces a
+// Result identical to pipeline.Simulator.Run recording and replaying
+// its own stream — for both the plain miss-rate machine and the
+// full-timing preconstruction+preprocessing machine.
 func TestReplayEquivalence(t *testing.T) {
 	timing := precon(128, 128)
 	timing.FullTiming = true
@@ -48,35 +48,16 @@ func TestReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replayed, err := runKeyed(im, streamKey{name: bench, budget: testBudget}, c.cfg, testBudget)
+				shared, err := RunBenchmark(bench, 0, c.cfg, testBudget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(direct, replayed) {
-					t.Errorf("replayed Result differs from direct emulation:\ndirect %+v\nreplay %+v",
-						direct, replayed)
+				if !reflect.DeepEqual(direct, shared) {
+					t.Errorf("group-driver Result differs from Simulator.Run:\nrun   %+v\ngroup %+v",
+						direct, shared)
 				}
 			})
 		}
-	}
-}
-
-// TestRunBenchmarkReplayToggle asserts both execution modes of the
-// single-cell entry point agree.
-func TestRunBenchmarkReplayToggle(t *testing.T) {
-	cfg := precon(128, 128)
-	was := SetReplay(false)
-	direct, err := RunBenchmark("compress", 0, cfg, testBudget)
-	SetReplay(was)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := RunBenchmark("compress", 0, cfg, testBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, replayed) {
-		t.Errorf("replay toggle changes results:\ndirect %+v\nreplay %+v", direct, replayed)
 	}
 }
 

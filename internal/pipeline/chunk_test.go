@@ -7,22 +7,39 @@ import (
 	"testing"
 
 	"tracepre/internal/emulator"
+	"tracepre/internal/trace"
 )
 
-// TestChunkedRunMatchesRunSource drives StartChunked/RunChunk/Finish by
-// hand over a recorded stream and requires the full Result to equal the
-// RunSource reference — including the budget-tail case where the stream
-// outruns the budget and a trace completes past the remaining headroom.
-func TestChunkedRunMatchesRunSource(t *testing.T) {
+// TestChunkedRunMatchesRunStream pins RunStream's budget tail against
+// a hand-driven reference: the stream truncated at the budget, cut into
+// traces one instruction at a time by trace.Builder and fed through
+// StartChunked/RunTrace/Finish. RunStream sees the whole stream, so
+// where a trace completes past the budget it must drop that trace
+// exactly as truncation does.
+func TestChunkedRunMatchesRunStream(t *testing.T) {
 	im := memLoopImage(t, 400)
 	st, err := emulator.Record(im, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []uint64{10_000, 7_777, 100} {
-		for _, chunkLen := range []int{1, 33, emulator.DefaultChunkLen} {
+	var all []emulator.Dyn
+	cr := st.DecodeChunks(0)
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		all = append(all, chunk...)
+	}
+	cr.Close()
+	if err := cr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []uint64{10_000, 1_777, 100} {
+		for _, timing := range []bool{false, true} {
 			cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
-			want, err := MustNew(im, cfg).RunSource(st.Replay(), budget)
+			cfg.FullTiming = timing
+			got, err := MustNew(im, cfg).RunStream(st, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,42 +48,35 @@ func TestChunkedRunMatchesRunSource(t *testing.T) {
 			if err := sim.StartChunked(budget); err != nil {
 				t.Fatal(err)
 			}
-			cr := st.DecodeChunks(chunkLen)
-			for {
-				chunk, ok := cr.Next()
-				if !ok {
-					break
-				}
-				done, err := sim.RunChunk(chunk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if done {
-					break
+			b := trace.NewBuilder(cfg.Select, false)
+			start := 0
+			for i, d := range all[:min(budget, uint64(len(all)))] {
+				if b.Append(d.PC, d.Inst, d.Taken) {
+					if _, err := sim.RunTrace(b.Seal(d.NextPC), all[start:i+1]); err != nil {
+						t.Fatal(err)
+					}
+					b.Reset(false)
+					start = i + 1
 				}
 			}
-			if err := cr.Err(); err != nil {
-				t.Fatal(err)
-			}
-			cr.Close()
-			got, err := sim.Finish()
+			want, err := sim.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("budget=%d chunkLen=%d: chunked result differs:\nchunked %+v\nsource  %+v",
-					budget, chunkLen, got, want)
+				t.Errorf("budget=%d timing=%v: RunStream result differs:\nstream    %+v\ntruncated %+v",
+					budget, timing, got, want)
 			}
 		}
 	}
 }
 
-// TestChunkedRunContract pins the chunked-run state machine: RunChunk,
-// RunTrace and Finish before StartChunked report ErrNotChunked;
-// StartChunked claims the simulator's single run (a second Start or any
-// Run* entry point returns ErrRunTwice); RunChunk after budget
-// exhaustion keeps reporting done without error; Finish seals the run
-// so further Finish calls report ErrNotChunked.
+// TestChunkedRunContract pins the chunked-run state machine: RunTrace
+// and Finish before StartChunked report ErrNotChunked; StartChunked
+// claims the simulator's single run (a second Start or any Run* entry
+// point returns ErrRunTwice); RunTrace after budget exhaustion keeps
+// reporting done without error; Finish seals the run so further Finish
+// calls report ErrNotChunked.
 func TestChunkedRunContract(t *testing.T) {
 	im := loopImage(t, 50)
 	st, err := emulator.Record(im, 1_000)
@@ -74,9 +84,6 @@ func TestChunkedRunContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := MustNew(im, DefaultConfig())
-	if _, err := sim.RunChunk(nil); !errors.Is(err, ErrNotChunked) {
-		t.Errorf("RunChunk before Start = %v, want ErrNotChunked", err)
-	}
 	if _, err := sim.RunTrace(nil, nil); !errors.Is(err, ErrNotChunked) {
 		t.Errorf("RunTrace before Start = %v, want ErrNotChunked", err)
 	}
@@ -103,16 +110,25 @@ func TestChunkedRunContract(t *testing.T) {
 	if !ok {
 		t.Fatal("no chunk")
 	}
-	done, err := sim.RunChunk(chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("a 100-instruction budget survived a full default chunk")
+	seg := trace.NewChunkSegmenter(DefaultConfig().Select)
+	var (
+		tr   *trace.Trace
+		dyns []emulator.Dyn
+		done bool
+	)
+	for !done {
+		var used int
+		if used, tr, dyns = seg.Feed(chunk); tr == nil {
+			t.Fatal("a 100-instruction budget survived a full default chunk")
+		}
+		chunk = chunk[used:]
+		if done, err = sim.RunTrace(tr, dyns); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Feeding past exhaustion is allowed and inert.
-	if done, err := sim.RunChunk(chunk); err != nil || !done {
-		t.Errorf("RunChunk after exhaustion = (%v, %v), want (true, nil)", done, err)
+	if done, err := sim.RunTrace(tr, dyns); err != nil || !done {
+		t.Errorf("RunTrace after exhaustion = (%v, %v), want (true, nil)", done, err)
 	}
 
 	if _, err := sim.Finish(); err != nil {
@@ -124,12 +140,11 @@ func TestChunkedRunContract(t *testing.T) {
 }
 
 // TestChunkLoopSteadyStateAllocs checks the chunked hot loop is
-// allocation-free once warm: decoding chunks and feeding them through
-// RunChunk must reuse the pooled chunk buffers and the simulator's own
-// scratch, with zero allocations per pass attributable to the loop.
-// Trace-store slab growth is the one legitimate allocator on this path,
-// so the measured simulator uses a trace cache small enough to be fully
-// populated during warming.
+// allocation-free once warm: RunStream's decode and segmentation must
+// reuse the pooled chunk buffers, with zero chunk-buffer allocations
+// per run. Trace-store slab growth is the one legitimate allocator on
+// this path, so the measured simulator uses a trace cache small enough
+// to be fully populated during warming.
 func TestChunkLoopSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; exact pool accounting only holds without it")
@@ -141,29 +156,7 @@ func TestChunkLoopSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		sim := MustNew(im, DefaultConfig().WithTraceCache(16))
-		if err := sim.StartChunked(budget); err != nil {
-			t.Fatal(err)
-		}
-		cr := st.DecodeChunks(0)
-		defer cr.Close()
-		for {
-			chunk, ok := cr.Next()
-			if !ok {
-				break
-			}
-			done, err := sim.RunChunk(chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				break
-			}
-		}
-		if err := cr.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Finish(); err != nil {
+		if _, err := MustNew(im, DefaultConfig().WithTraceCache(16)).RunStream(st, budget); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
@@ -170,8 +168,8 @@ type Simulator struct {
 	mem *mem.Hierarchy // shared by I-side, D-side, and precon fetches
 
 	res   Result
-	ran   bool      // Run/RunSource/StartChunked consumed this simulator
-	ck    *chunkRun // resumable chunked-run state (nil outside StartChunked..Finish)
+	ran   bool      // Run/RunStream/StartChunked consumed this simulator
+	ck    *chunkRun // budget accounting (nil outside StartChunked..Finish)
 	phase Phase
 
 	fetchFree   uint64
@@ -189,57 +187,21 @@ type Simulator struct {
 	window WindowStat // accumulating current window (WindowInstrs > 0)
 }
 
-// ErrRunTwice is returned when Run or RunSource is called on a
-// Simulator that already ran: the predictors, caches and timing state
-// are warm from the first run, so a second pass would silently measure
-// a machine the paper never describes.
+// ErrRunTwice is returned when Run, RunStream or StartChunked is called
+// on a Simulator that already ran: the predictors, caches and timing
+// state are warm from the first run, so a second pass would silently
+// measure a machine the paper never describes.
 var ErrRunTwice = errors.New("pipeline: Run may be called only once per Simulator")
 
-// ErrNotChunked is returned by RunChunk, RunTrace and Finish when no
-// chunked run is open (StartChunked not called, or Finish already
-// sealed the run).
+// ErrNotChunked is returned by RunTrace and Finish when no chunked run
+// is open (StartChunked not called, or Finish already sealed the run).
 var ErrNotChunked = errors.New("pipeline: no chunked run in progress (call StartChunked first)")
 
-// chunkRun is the resumable state of a chunked run: the per-simulator
-// segmenter (carrying a partial trace across chunk boundaries) and the
-// committed-instruction budget accounting that RunStream's loop used to
-// keep in locals.
+// chunkRun is the committed-instruction budget accounting of a chunked
+// run.
 type chunkRun struct {
-	seg    *trace.ChunkSegmenter
 	n      uint64 // committed instructions consumed (completed traces only)
 	budget uint64
-}
-
-// dynPool recycles dispatch buffers across runs. Trace selection caps
-// traces at 16 instructions (trace.SelectConfig.Validate), so one pooled
-// capacity fits every configuration.
-var dynPool = sync.Pool{
-	New: func() interface{} {
-		s := make([]emulator.Dyn, 0, 16)
-		return &s
-	},
-}
-
-// dynPoolOutstanding balances borrowDyns against returnDyns. Every
-// runSource path — normal exhaustion, source error, budget cutoff —
-// must return its buffer, or concurrent sweeps slowly abandon pooled
-// capacity. The counter makes the invariant observable from tests.
-var dynPoolOutstanding atomic.Int64
-
-// borrowDyns checks a dispatch buffer out of the pool. Callers must
-// pair it with returnDyns on every path, including error returns.
-func borrowDyns() *[]emulator.Dyn {
-	dynPoolOutstanding.Add(1)
-	return dynPool.Get().(*[]emulator.Dyn)
-}
-
-// returnDyns resets and returns a borrowed dispatch buffer. dyns is the
-// caller's current (possibly regrown) slice so the pool keeps the
-// larger backing array.
-func returnDyns(bufp *[]emulator.Dyn, dyns []emulator.Dyn) {
-	*bufp = dyns[:0]
-	dynPool.Put(bufp)
-	dynPoolOutstanding.Add(-1)
 }
 
 // New builds a simulator for the image: a frontend composed from the
@@ -282,11 +244,6 @@ func MustNew(im *program.Image, cfg Config) *Simulator {
 // Frontend exposes the composed fetch side for diagnostics and tests.
 func (s *Simulator) Frontend() *frontend.Frontend { return s.fe }
 
-// Config returns the configuration the simulator was built with.
-// External drivers (the sampling runner, broadcast scheduling) read it
-// to segment the stream with the simulator's own selection rules.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // SetPhase switches the simulator's processing phase. The sampling
 // runner calls it at phase boundaries; phase changes take effect at the
 // next demanded trace, so they land exactly on trace boundaries.
@@ -317,51 +274,47 @@ func (s *Simulator) PreconEngine() *precon.Engine { return s.fe.Engine() }
 // Mem exposes the memory hierarchy behind the L1s.
 func (s *Simulator) Mem() *mem.Hierarchy { return s.mem }
 
-// Run executes up to budget committed instructions on a live emulator
-// and returns the measurements. Run may be called once per Simulator; a
-// second call returns ErrRunTwice.
+// Run records up to budget committed instructions of the simulator's
+// image and runs the recording through RunStream. Run may be called
+// once per Simulator; a second call returns ErrRunTwice.
 func (s *Simulator) Run(budget uint64) (Result, error) {
 	if s.ran {
 		return s.res, ErrRunTwice
 	}
-	return s.runSource(emulator.New(s.im), budget)
-}
-
-// RunSource executes up to budget committed instructions drawn from an
-// arbitrary Source — typically a Replayer over a recorded stream, so
-// one functional execution can drive many simulator configurations.
-// The source must describe the same program image the simulator was
-// built for; like Run, RunSource may be called once per Simulator.
-func (s *Simulator) RunSource(src emulator.Source, budget uint64) (Result, error) {
-	if s.ran {
-		return s.res, ErrRunTwice
+	st, err := emulator.Record(s.im, budget)
+	if err != nil {
+		return s.res, fmt.Errorf("pipeline: %w", err)
 	}
-	return s.runSource(src, budget)
+	return s.RunStream(st, budget)
 }
 
-// RunStream drives the simulator from a recorded stream: a thin wrapper
-// over the resumable chunked entry points — the stream is decoded into
-// chunks once (emulator.ChunkedReplayer, decode overlapping
-// consumption) and stepped through RunChunk. Measurements are
-// bit-identical to Run and RunSource on the same stream; like them,
-// RunStream may be called once per Simulator.
+// RunStream drives the simulator from a recorded stream of the image it
+// was built for: the stream is decoded into chunks (decode overlapping
+// consumption), one ChunkSegmenter cuts them into demanded traces, and
+// each trace goes through RunTrace. Like Run, RunStream may be called
+// once per Simulator.
 func (s *Simulator) RunStream(st *emulator.Stream, budget uint64) (Result, error) {
 	if err := s.StartChunked(budget); err != nil {
 		return s.res, err
 	}
+	seg := trace.NewChunkSegmenter(s.cfg.Select)
 	cr := st.DecodeChunks(0)
 	defer cr.Close()
-	for {
+	for done := false; !done; {
 		chunk, ok := cr.Next()
 		if !ok {
 			break
 		}
-		done, err := s.RunChunk(chunk)
-		if err != nil {
-			return s.res, err
-		}
-		if done {
-			break
+		for len(chunk) > 0 && !done {
+			used, tr, dyns := seg.Feed(chunk)
+			if tr == nil {
+				break
+			}
+			chunk = chunk[used:]
+			var err error
+			if done, err = s.RunTrace(tr, dyns); err != nil {
+				return s.res, err
+			}
 		}
 	}
 	if err := cr.Err(); err != nil {
@@ -370,63 +323,27 @@ func (s *Simulator) RunStream(st *emulator.Stream, budget uint64) (Result, error
 	return s.Finish()
 }
 
-// StartChunked opens a resumable chunked run: subsequent RunChunk (or
-// RunTrace) calls feed the decoded stream piecewise and Finish seals
-// the measurements. It claims the simulator's single run — a second
-// Start (or any Run* call) returns ErrRunTwice.
+// StartChunked opens a resumable chunked run: subsequent RunTrace calls
+// feed the segmented stream trace by trace and Finish seals the
+// measurements. It claims the simulator's single run — a second Start
+// (or any Run* call) returns ErrRunTwice.
 func (s *Simulator) StartChunked(budget uint64) error {
 	if s.ran {
 		return ErrRunTwice
 	}
 	s.ran = true
-	s.ck = &chunkRun{seg: trace.NewChunkSegmenter(s.cfg.Select), budget: budget}
+	s.ck = &chunkRun{budget: budget}
 	return nil
 }
 
-// RunChunk consumes one decoded chunk of the committed instruction
-// stream, segmenting it into demanded traces with the simulator's own
-// selection state (partial traces resume across chunk boundaries).
-// Chunks must arrive in stream order, each borrowed only for the call.
-// done reports that the budget is exhausted: the caller may stop
-// feeding and call Finish (further chunks are ignored). A final partial
-// trace is dropped at Finish, exactly as RunStream always has.
-func (s *Simulator) RunChunk(chunk []emulator.Dyn) (done bool, err error) {
-	ck := s.ck
-	if ck == nil {
-		return false, ErrNotChunked
-	}
-	for len(chunk) > 0 {
-		rem := ck.budget - ck.n
-		if rem == 0 {
-			return true, nil
-		}
-		used, tr, dyns := ck.seg.Feed(chunk)
-		if tr == nil {
-			return false, nil
-		}
-		chunk = chunk[used:]
-		k := uint64(len(dyns))
-		if k > rem {
-			// The trace completes beyond the budget: drop it, as the
-			// stream loop drops a trace it cannot finish decoding.
-			ck.n = ck.budget
-			return true, nil
-		}
-		ck.n += k
-		s.onTrace(tr, dyns)
-	}
-	return ck.n >= ck.budget, nil
-}
-
-// RunTrace consumes one pre-segmented demanded trace. It is the
-// broadcast fast path: when every simulator in a group shares one
-// SelectConfig, the group scheduler segments each decoded chunk once
-// and fans the resulting traces out, so neither decode nor selection is
-// repeated per member. tr and dyns must come from a segmenter with this
-// simulator's selection rules over the same stream prefix, in order,
-// and are borrowed only for the call. Do not mix RunTrace with RunChunk
-// on one simulator: RunChunk's own segmenter would miss the
-// instructions RunTrace consumed.
+// RunTrace consumes one demanded trace. tr and dyns must come, in
+// order, from a segmenter with this simulator's selection rules over
+// its stream, and are borrowed only for the call — which is what lets
+// one segmentation feed every simulator of a group that shares a
+// SelectConfig. done reports that the budget is exhausted: a trace
+// completing beyond the remaining budget is dropped and the run ends,
+// so the caller may stop feeding and call Finish (further traces are
+// ignored).
 func (s *Simulator) RunTrace(tr *trace.Trace, dyns []emulator.Dyn) (done bool, err error) {
 	ck := s.ck
 	if ck == nil {
@@ -450,37 +367,6 @@ func (s *Simulator) Finish() (Result, error) {
 		return s.res, ErrNotChunked
 	}
 	s.ck = nil
-	s.finalize()
-	return s.res, nil
-}
-
-// runSource drains the source through trace selection and the frontend,
-// reusing a pooled dispatch buffer so the per-trace hot path does not
-// allocate.
-func (s *Simulator) runSource(src emulator.Source, budget uint64) (Result, error) {
-	s.ran = true
-	seg := trace.NewSegmenter(s.cfg.Select)
-	bufp := borrowDyns()
-	dyns := (*bufp)[:0]
-	defer func() { returnDyns(bufp, dyns) }()
-	var n uint64
-	for n < budget {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		n++
-		dyns = append(dyns, d)
-		if tr := seg.PushBorrow(d); tr != nil {
-			s.onTrace(tr, dyns)
-			dyns = dyns[:0]
-		}
-	}
-	if err := src.Err(); err != nil {
-		return s.res, fmt.Errorf("pipeline: %w", err)
-	}
-	// The final partial trace (if any) is dropped: it never became a
-	// demanded trace.
 	s.finalize()
 	return s.res, nil
 }

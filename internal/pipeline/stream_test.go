@@ -45,19 +45,27 @@ func TestRunTwiceErrors(t *testing.T) {
 	if _, err := sim.Run(1000); !errors.Is(err, ErrRunTwice) {
 		t.Fatalf("second Run: got %v, want ErrRunTwice", err)
 	}
-	// RunSource is guarded by the same contract.
+	// RunStream is guarded by the same contract.
 	st, err := emulator.Record(im, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunSource(st.Replay(), 1000); !errors.Is(err, ErrRunTwice) {
-		t.Fatalf("RunSource after Run: got %v, want ErrRunTwice", err)
+	if _, err := sim.RunStream(st, 1000); !errors.Is(err, ErrRunTwice) {
+		t.Fatalf("RunStream after Run: got %v, want ErrRunTwice", err)
 	}
 }
 
-func TestRunSourceMatchesRun(t *testing.T) {
-	im := memLoopImage(t, 200)
-	const budget = 5000
+// TestRunMatchesRunStream pins Run, which records exactly the budget,
+// against RunStream over a recording twice as long with the same
+// budget: the two must report identical Results, with and without full
+// timing, so RunStream's budget cut matches a recording that ends there.
+func TestRunMatchesRunStream(t *testing.T) {
+	im := memLoopImage(t, 2_000) // ~8 instrs/iteration, outruns the recording
+	const budget = 5_000
+	st, err := emulator.Record(im, 2*budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, timing := range []bool{false, true} {
 		cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
 		cfg.FullTiming = timing
@@ -65,24 +73,47 @@ func TestRunSourceMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := emulator.Record(im, budget)
+		streamed, err := MustNew(im, cfg).RunStream(st, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := MustNew(im, cfg).RunSource(st.Replay(), budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(direct, replayed) {
-			t.Errorf("timing=%v: replayed result differs:\ndirect %+v\nreplay %+v",
-				timing, direct, replayed)
+		if !reflect.DeepEqual(direct, streamed) {
+			t.Errorf("timing=%v: RunStream over a longer recording differs:\nRun       %+v\nRunStream %+v",
+				timing, direct, streamed)
 		}
 	}
 }
 
+// TestRunStreamCorruptStream runs a recording whose records disagree
+// with the image: it ends at a conditional branch recorded as an ALU
+// op, so replay finds no outcome bit for the branch. RunStream must
+// return the decode error, wrapped, rather than panic or report a
+// short run as a success.
+func TestRunStreamCorruptStream(t *testing.T) {
+	im := memLoopImage(t, 50)
+	e := emulator.New(im)
+	rec := emulator.NewRecorder(im)
+	for {
+		d, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Inst.IsBranch() {
+			d.Inst = isa.Inst{Op: isa.OpAdd, Rd: d.Inst.Rd, Ra: d.Inst.Ra, Rb: d.Inst.Rb}
+			rec.Observe(d)
+			break
+		}
+		rec.Observe(d)
+	}
+	_, err := MustNew(im, DefaultConfig()).RunStream(rec.Stream(), 10_000)
+	if !errors.Is(err, emulator.ErrCorruptStream) {
+		t.Fatalf("RunStream over a corrupt recording = %v, want an ErrCorruptStream", err)
+	}
+}
+
 // BenchmarkRunAllocs measures the per-instruction allocation rate of a
-// full-timing run over a recorded stream: the dispatch buffer, backend
-// scratch and segmenter scratch must all be reused across traces, so
+// full-timing run over a recorded stream: the backend scratch and the
+// segmenter scratch must be reused across traces, so
 // allocations stay bounded by trace-cache fills rather than trace count.
 func BenchmarkRunAllocs(b *testing.B) {
 	bld := program.NewBuilder(0x1000)
@@ -110,7 +141,7 @@ func BenchmarkRunAllocs(b *testing.B) {
 	b.SetBytes(budget)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MustNew(im, cfg).RunSource(st.Replay(), budget); err != nil {
+		if _, err := MustNew(im, cfg).RunStream(st, budget); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ type driveResult struct {
 func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 	t.Helper()
 	e := emulator.New(r.im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
+	b := trace.NewBuilder(trace.DefaultSelectConfig(), false)
 	res := driveResult{hitAt: make(map[int]bool)}
 	handle := func(tr *trace.Trace) {
 		id := tr.ID()
@@ -86,8 +86,9 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 			r.bim.Update(d.PC, d.Taken)
 		}
 		r.eng.Observe(d)
-		if tr := seg.Push(d); tr != nil {
-			handle(tr)
+		if b.Append(d.PC, d.Inst, d.Taken) {
+			handle(b.Finish(d.NextPC))
+			b.Reset(false)
 		}
 		return true
 	})

@@ -18,6 +18,7 @@
 package sample
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -65,8 +66,8 @@ type Plan struct {
 	// stretch: only the last ModelWarm instructions before the next
 	// detailed warm-up run through the warm model; the rest of the skip
 	// is raw — decoded but never segmented or fed to the simulator, so
-	// a broadcast group pays for it once, not once per member (0 runs
-	// the warm model over the whole skip). Trainable state re-converges
+	// a group pays for it once, not once per member (0 runs the warm
+	// model over the whole skip). Trainable state re-converges
 	// quickly — saturating predictor counters, cache tags and trace
 	// cache contents churn at working-set speed — so a tail a few times
 	// the detailed warm-up long recovers the warm-model fidelity at a
@@ -103,7 +104,7 @@ type Plan struct {
 	// between grid points entirely — while a jittered grid catches them
 	// in proportion. The offsets come from a fixed-seed hash of the
 	// period index, so runs remain exactly reproducible and every
-	// member of a broadcast group computes the same schedule.
+	// member of a group computes the same schedule.
 	Jitter bool
 
 	// TargetRelCI, when positive, enables adaptive sampling: once
@@ -181,7 +182,7 @@ func DefaultPlan() Plan {
 // doubling it while more than 32 units fit — so the unit count stays
 // near what the confidence intervals need while the unit, warm-up and
 // warm-model tails keep their absolute lengths: extra budget buys
-// longer raw stretches (near-free, especially under broadcast), not
+// longer raw stretches (near-free when a group shares them), not
 // more warming, which is how a 200M-instruction sampled run costs a
 // small fraction of a 20M full-detail one.
 func PlanForBudget(budget uint64) Plan {
@@ -197,4 +198,39 @@ func PlanForBudget(budget uint64) Plan {
 		p.Skip *= 2
 	}
 	return p
+}
+
+// PlanFromFlags builds and validates the plan that cmd/tablegen's and
+// cmd/tracesim's -sample flags describe: PlanForBudget(budget) with the
+// -sample-detail, -sample-warm and -sample-target-ci overrides applied.
+// detail and warm are -1 when their flag was not given. Errors name the
+// offending flag.
+func PlanFromFlags(budget uint64, detail, warm int64, targetCI float64) (Plan, error) {
+	if budget == 0 {
+		return Plan{}, errors.New("-n 0: sampling needs a positive instruction budget")
+	}
+	if detail < -1 || detail == 0 {
+		return Plan{}, fmt.Errorf("-sample-detail %d: measurement units must be positive", detail)
+	}
+	if warm < -1 {
+		return Plan{}, fmt.Errorf("-sample-warm %d: warm-up length cannot be negative", warm)
+	}
+	if targetCI < 0 {
+		return Plan{}, fmt.Errorf("-sample-target-ci %v: relative half-width target cannot be negative", targetCI)
+	}
+	p := PlanForBudget(budget)
+	if detail > 0 {
+		p.Detail = uint64(detail)
+	}
+	if warm >= 0 {
+		p.Warm = uint64(warm)
+	}
+	p.TargetRelCI = targetCI
+	if p.Warm > p.Skip {
+		return Plan{}, fmt.Errorf("-sample-warm %d exceeds the %d-instruction skip (warm-up is the skip's tail)", p.Warm, p.Skip)
+	}
+	if err := p.Validate(); err != nil {
+		return Plan{}, err
+	}
+	return p, nil
 }

@@ -80,7 +80,7 @@ const (
 // grid does) yet equidistributed (so a single realization cannot
 // cluster its units on hot spots the way an independent pseudo-random
 // draw can). Deterministic, so runs are exactly reproducible and every
-// member of a broadcast group computes the same schedule.
+// member of a group computes the same schedule.
 func jitterOffset(i, ffLen uint64) uint64 {
 	const inversePhi = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 	hi, _ := bits.Mul64(i*inversePhi, ffLen+1)
@@ -88,10 +88,11 @@ func jitterOffset(i, ffLen uint64) uint64 {
 }
 
 // Runner drives one simulator through a sampling schedule. The caller
-// owns stream decode and trace segmentation (so broadcast groups can
-// share both) and feeds demanded traces through Feed; the runner
-// switches the simulator's phase at unit boundaries, snapshots around
-// measurement units, and applies the adaptive stopping rule. Feed-fed
+// owns stream decode and trace segmentation (so the harness's group
+// driver shares both across a group) and feeds demanded traces through
+// Feed; the runner switches the simulator's phase at unit boundaries,
+// snapshots around measurement units, and applies the adaptive
+// stopping rule. Feed-fed
 // runs must segment with the simulator's own SelectConfig over the
 // same stream prefix, in order — the contract of
 // pipeline.Simulator.RunTrace, which Feed wraps.
@@ -225,9 +226,9 @@ func (r *Runner) Phase() pipeline.Phase { return r.sim.Phase() }
 
 // Done reports that the runner wants no more input: the budget is
 // consumed or adaptive sampling met its target. Feeding a done runner
-// is a harmless no-op (Feed returns done immediately) — broadcast
-// groups keep fanning the shared stream to live members while finished
-// ones sit dormant.
+// is a harmless no-op (Feed returns done immediately) — groups keep
+// fanning the shared stream to live members while finished ones sit
+// dormant.
 func (r *Runner) Done() bool { return r.done }
 
 // Remaining returns the committed-instruction budget left.
@@ -246,9 +247,9 @@ func (r *Runner) FFRemaining() uint64 {
 // skip without touching the simulator (SkipRaw): the portion of the
 // fast-forward more than ModelWarm ahead of the next detailed warm-up,
 // or the whole remainder with WarmModel off. 0 means every skipped
-// instruction runs through the warm model. Members of a broadcast
-// group share plan, budget and input, so their schedules agree on this
-// value in lockstep. Note the two raw modes differ in what the driver
+// instruction runs through the warm model. Members of a group share
+// plan, budget and input, so their schedules agree on this value in
+// lockstep. Note the two raw modes differ in what the driver
 // does with the stretch: WarmModel=false drivers skip segmentation
 // itself (and reset the segmenter at warm entry), while a ModelWarm
 // driver keeps segmenting — traces stay aligned with the full run's —
@@ -303,7 +304,7 @@ func (r *Runner) Feed(tr *trace.Trace, dyns []emulator.Dyn) (done bool, err erro
 	k := uint64(len(dyns))
 	if k > r.budget-r.pos {
 		// The trace completes beyond the budget: drop it, like
-		// pipeline.RunChunk. An open measurement unit is incomplete and
+		// pipeline.Simulator.RunTrace. An open measurement unit is incomplete and
 		// is discarded, never partially reported.
 		r.pos = r.budget
 		r.done = true
@@ -384,68 +385,4 @@ func (r *Runner) Finish() (*Stats, error) {
 		r.st.Aggregate = addResult(r.st.Aggregate, iv.Res)
 	}
 	return &r.st, nil
-}
-
-// Run drives a sampled run over a recorded stream end to end: decode,
-// segment with the simulator's own selection rules, feed the runner.
-// With WarmModel off, fast-forward stretches skip segmentation
-// entirely (the decoded chunks are only counted) and the segmenter is
-// reset at each warm entry. With a ModelWarm tail, segmentation runs
-// continuously — keeping trace boundaries aligned with a full run's —
-// and raw-stretch traces are merely withheld from the simulator
-// (SkipRaw). This is the single-simulator entry point; the harness's
-// broadcast path drives Runners directly so a sweep group shares one
-// decode and one segmentation.
-func Run(sim *pipeline.Simulator, st *emulator.Stream, plan Plan, budget uint64) (*Stats, error) {
-	r, err := NewRunner(sim, plan, budget)
-	if err != nil {
-		return nil, err
-	}
-	seg := trace.NewChunkSegmenter(sim.Config().Select)
-	cr := st.DecodeChunks(0)
-	defer cr.Close()
-	segmenting := true // false inside a WarmModel=false fast-forward
-chunks:
-	for !r.Done() {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		for len(chunk) > 0 && !r.Done() {
-			if !plan.WarmModel && r.Phase() == pipeline.PhaseFastForward {
-				n := r.FFRemaining()
-				if n > uint64(len(chunk)) {
-					n = uint64(len(chunk))
-				}
-				if err := r.SkipRaw(n); err != nil {
-					return nil, err
-				}
-				chunk = chunk[n:]
-				segmenting = false
-				continue
-			}
-			if !segmenting {
-				seg.Reset()
-				segmenting = true
-			}
-			used, tr, dyns := seg.Feed(chunk)
-			chunk = chunk[used:]
-			if tr == nil {
-				continue chunks
-			}
-			if k := uint64(len(dyns)); plan.WarmModel && r.RawFFRemaining() >= k {
-				if err := r.SkipRaw(k); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if _, err := r.Feed(tr, dyns); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("sample: %w", err)
-	}
-	return r.Finish()
 }

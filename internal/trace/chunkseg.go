@@ -5,18 +5,20 @@ import (
 	"tracepre/internal/isa"
 )
 
-// ChunkSegmenter applies trace selection to pre-decoded Dyn chunks —
-// the consumption half of decode-once broadcast replay. One
-// emulator.ChunkedReplayer decodes a recorded stream into chunks; a
-// ChunkSegmenter (one per consumer, or one shared by a whole broadcast
-// group when every member uses the same SelectConfig) slices those
-// chunks into the exact trace sequence the live machine would demand.
+// ChunkSegmenter applies trace selection to pre-decoded Dyn chunks: it
+// slices the chunks emulator.ChunkedReplayer decodes from a recorded
+// stream into the exact trace sequence the machine demands. Every run
+// segments through one: pipeline.Simulator.RunStream for a lone
+// simulator, and the harness's group driver once for a whole group of
+// simulators that share a SelectConfig.
 //
-// The termination rules here mirror StreamSegmenter.NextTrace (and
-// therefore Builder.Append) instruction for instruction; the
-// equivalence tests drive both over the same stream at adversarial
-// chunk boundaries and require identical traces. Any divergence is a
-// test failure, not a silent skew.
+// The termination rules here restate Builder.Append instruction for
+// instruction; they are inlined rather than delegated because neither
+// Append nor a shared step function inlines, which costs about half
+// again the segmentation time. The equivalence tests and
+// FuzzChunkSegmenter drive both over the same streams at adversarial
+// chunk boundaries and require identical traces, so any divergence is
+// a test failure, not a silent skew.
 //
 // Feed is zero-copy in the common case: a trace that lies entirely
 // within one chunk borrows the chunk's own Dyn backing. Only a trace

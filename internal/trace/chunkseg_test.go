@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"tracepre/internal/emulator"
@@ -55,13 +56,67 @@ func feedAll(t *testing.T, st *emulator.Stream, cfg SelectConfig, chunkLen int) 
 	return traces, dyns
 }
 
-// TestChunkSegmenterMatchesStreamSegmenter drives the chunked and fused
-// segmenters over the same recordings and requires the identical trace
-// sequence — including the dyn slices — at chunk sizes chosen to land
-// boundaries inside traces (1 splits every trace; 17 and 1000 are
-// coprime to typical trace lengths; DefaultChunkLen is the production
-// size).
-func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
+// decodeAll decodes a whole recorded stream into one flat slice.
+func decodeAll(t testing.TB, st *emulator.Stream) []emulator.Dyn {
+	t.Helper()
+	var all []emulator.Dyn
+	cr := st.DecodeChunks(0)
+	defer cr.Close()
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		all = append(all, chunk...)
+	}
+	if err := cr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// builderTraces is the selection oracle: Builder.Append run once per
+// instruction over the committed stream. It returns every completed
+// trace with the span of the stream it covers; a trailing partial trace
+// is dropped, as the simulator drops it.
+func builderTraces(all []emulator.Dyn, cfg SelectConfig) (traces []*Trace, dyns [][]emulator.Dyn) {
+	b := NewBuilder(cfg, false)
+	start := 0
+	for i, d := range all {
+		if b.Append(d.PC, d.Inst, d.Taken) {
+			traces = append(traces, b.Finish(d.NextPC))
+			dyns = append(dyns, all[start:i+1])
+			b.Reset(false)
+			start = i + 1
+		}
+	}
+	return traces, dyns
+}
+
+// checkTrace fails the test unless a segmented trace and its dyn slice
+// equal the oracle's.
+func checkTrace(t testing.TB, what string, tr *Trace, dyns []emulator.Dyn, want *Trace, wantDyns []emulator.Dyn) {
+	t.Helper()
+	if !tracesEqual(tr, want) {
+		t.Fatalf("%s differs:\nchunked %v\nbuilder %v", what, tr, want)
+	}
+	if len(dyns) != len(wantDyns) {
+		t.Fatalf("%s: %d dyns, want %d", what, len(dyns), len(wantDyns))
+	}
+	for j := range wantDyns {
+		if dyns[j] != wantDyns[j] {
+			t.Fatalf("%s: dyn %d differs", what, j)
+		}
+	}
+}
+
+// TestChunkSegmenterMatchesBuilder drives ChunkSegmenter over recorded
+// streams and requires the trace sequence — including the dyn slices —
+// that Builder produces instruction by instruction, at chunk sizes
+// chosen to land boundaries inside traces (1 splits every trace; 17 and
+// 1000 are coprime to typical trace lengths; DefaultChunkLen is the
+// production size).
+func TestChunkSegmenterMatchesBuilder(t *testing.T) {
 	const budget = 30_000
 	cfgs := []SelectConfig{
 		DefaultSelectConfig(),
@@ -70,22 +125,9 @@ func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
 	}
 	for _, name := range []string{"gcc", "compress"} {
 		st := chunkRecord(t, name, budget)
+		all := decodeAll(t, st)
 		for _, cfg := range cfgs {
-			// Reference sequence from the fused segmenter.
-			var wantTr []*Trace
-			var wantDy [][]emulator.Dyn
-			ss := NewStreamSegmenter(st, cfg)
-			for {
-				tr, ds, ok := ss.NextTrace(uint64(cfg.MaxLen))
-				if !ok {
-					break
-				}
-				wantTr = append(wantTr, tr.Clone())
-				wantDy = append(wantDy, append([]emulator.Dyn(nil), ds...))
-			}
-			if err := ss.Err(); err != nil {
-				t.Fatal(err)
-			}
+			wantTr, wantDy := builderTraces(all, cfg)
 			for _, chunkLen := range []int{1, 17, 1000, emulator.DefaultChunkLen} {
 				gotTr, gotDy := feedAll(t, st, cfg, chunkLen)
 				if len(gotTr) != len(wantTr) {
@@ -93,24 +135,67 @@ func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
 						name, cfg, chunkLen, len(gotTr), len(wantTr))
 				}
 				for i := range wantTr {
-					if !tracesEqual(gotTr[i], wantTr[i]) {
-						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d differs:\nchunked %v\nfused   %v",
-							name, cfg, chunkLen, i, gotTr[i], wantTr[i])
-					}
-					if len(gotDy[i]) != len(wantDy[i]) {
-						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d dyns %d, want %d",
-							name, cfg, chunkLen, i, len(gotDy[i]), len(wantDy[i]))
-					}
-					for j := range wantDy[i] {
-						if gotDy[i][j] != wantDy[i][j] {
-							t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d dyn %d differs",
-								name, cfg, chunkLen, i, j)
-						}
-					}
+					what := fmt.Sprintf("%s cfg=%+v chunkLen=%d: trace %d", name, cfg, chunkLen, i)
+					checkTrace(t, what, gotTr[i], gotDy[i], wantTr[i], wantDy[i])
 				}
 			}
 		}
 	}
+}
+
+// FuzzChunkSegmenter checks ChunkSegmenter against the Builder oracle
+// over random programs, random selection parameters and random chunk
+// splits. Each chunk gets its own backing that is scrubbed once the
+// segmenter has consumed it, as the decoder recycles its buffers, so a
+// trace that kept pointing into an old chunk would show up as a
+// mismatch.
+func FuzzChunkSegmenter(f *testing.F) {
+	f.Add(int64(1), uint8(15), uint8(3), []byte{0})
+	f.Add(int64(2), uint8(7), uint8(3), []byte{16, 0, 231})
+	f.Add(int64(3), uint8(15), uint8(1), []byte{0, 1, 2, 3, 255})
+	f.Add(int64(4), uint8(0), uint8(0), []byte{6})
+	f.Add(int64(5), uint8(11), uint8(6), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, maxLen, alignMod uint8, splits []byte) {
+		cfg := SelectConfig{MaxLen: 1 + int(maxLen)%16, AlignMod: 1 + int(alignMod)%8}
+		if len(splits) == 0 {
+			splits = []byte{255}
+		}
+		var all []emulator.Dyn
+		if _, err := emulator.New(randomProgram(seed)).Run(3_000, func(d emulator.Dyn) bool {
+			all = append(all, d)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wantTr, wantDy := builderTraces(all, cfg)
+
+		cs := NewChunkSegmenter(cfg)
+		got := 0
+		for pos, k := 0, 0; pos < len(all); k++ {
+			n := 1 + int(splits[k%len(splits)])
+			if n > len(all)-pos {
+				n = len(all) - pos
+			}
+			buf := append([]emulator.Dyn(nil), all[pos:pos+n]...)
+			pos += n
+			for chunk := buf; len(chunk) > 0; {
+				used, tr, dyns := cs.Feed(chunk)
+				chunk = chunk[used:]
+				if tr == nil {
+					break
+				}
+				if got == len(wantTr) {
+					t.Fatalf("cfg=%+v: more traces than the %d Builder produced", cfg, len(wantTr))
+				}
+				checkTrace(t, fmt.Sprintf("cfg=%+v: trace %d", cfg, got), tr, dyns, wantTr[got], wantDy[got])
+				got++
+			}
+			clear(buf)
+		}
+		if got != len(wantTr) {
+			t.Fatalf("cfg=%+v: %d traces, want %d", cfg, got, len(wantTr))
+		}
+	})
 }
 
 // tracesEqual compares every selection-relevant field of two traces.
@@ -179,20 +264,7 @@ func TestChunkSegmenterReset(t *testing.T) {
 	st := chunkRecord(t, "gcc", 50_000)
 	cfg := DefaultSelectConfig()
 
-	// Decode the whole stream into one flat slice for offset slicing.
-	var all []emulator.Dyn
-	cr := st.DecodeChunks(0)
-	for {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		all = append(all, chunk...)
-	}
-	if err := cr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	cr.Close()
+	all := decodeAll(t, st) // one flat slice for offset slicing
 
 	segment := func(cs *ChunkSegmenter, in []emulator.Dyn) []*Trace {
 		var out []*Trace

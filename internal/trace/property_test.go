@@ -95,16 +95,20 @@ func TestQuickSuffixClosure(t *testing.T) {
 	}
 }
 
+// segmentDyns cuts a committed stream into its demanded trace sequence
+// with a ChunkSegmenter fed the whole stream as one chunk, returning an
+// independent copy of each trace. A trailing partial trace is dropped,
+// as the simulator drops it.
 func segmentDyns(dyns []emulator.Dyn) []*Trace {
-	s := NewSegmenter(DefaultSelectConfig())
+	s := NewChunkSegmenter(DefaultSelectConfig())
 	var out []*Trace
-	for _, d := range dyns {
-		if tr := s.Push(d); tr != nil {
-			out = append(out, tr)
+	for len(dyns) > 0 {
+		used, tr, _ := s.Feed(dyns)
+		if tr == nil {
+			break
 		}
-	}
-	if tr := s.Flush(); tr != nil {
-		out = append(out, tr)
+		dyns = dyns[used:]
+		out = append(out, tr.Clone())
 	}
 	return out
 }
@@ -122,15 +126,16 @@ func TestQuickSegmentationInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := emulator.New(im)
-	s := NewSegmenter(DefaultSelectConfig())
+	var dyns []emulator.Dyn
+	if _, err := emulator.New(im).Run(100_000, func(d emulator.Dyn) bool {
+		dyns = append(dyns, d)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 	var prev *Trace
 	checked := 0
-	_, err = e.Run(100_000, func(d emulator.Dyn) bool {
-		tr := s.Push(d)
-		if tr == nil {
-			return true
-		}
+	for _, tr := range segmentDyns(dyns) {
 		checked++
 		if tr.Len() < 1 || tr.Len() > 16 {
 			t.Fatalf("trace length %d", tr.Len())
@@ -159,10 +164,6 @@ func TestQuickSegmentationInvariants(t *testing.T) {
 			t.Fatalf("discontinuity: prev succ 0x%x, next start 0x%x", prev.Succ, tr.PCs[0])
 		}
 		prev = tr
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if checked == 0 {
 		t.Fatal("no traces checked")

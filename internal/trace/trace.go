@@ -6,8 +6,10 @@
 // paper): a preconstructed trace is only useful if it starts exactly
 // where a trace the processor needs starts. Both the fill unit (which
 // builds traces from the committed stream) and the preconstruction
-// engine (which builds traces from a static walk) therefore use the
-// same Builder with the same termination rules:
+// engine (which builds traces from a static walk) therefore apply the
+// same termination rules — the engine through Builder, the fill unit
+// through ChunkSegmenter, which restates Builder's rules and is tested
+// against it:
 //
 //   - a trace never exceeds MaxLen instructions;
 //   - a trace ends at a return instruction (so traces following returns

@@ -243,11 +243,11 @@ func TestTraceStringAndPending(t *testing.T) {
 	if (&Trace{}).ID() != (ID{}) {
 		t.Error("empty trace ID not zero")
 	}
-	seg := NewSegmenter(cfg())
+	seg := NewChunkSegmenter(cfg())
 	if seg.Pending() != 0 {
 		t.Error("fresh segmenter pending")
 	}
-	seg.Push(emulator.Dyn{PC: 0x100, Inst: isa.Inst{Op: isa.OpAdd}, NextPC: 0x104})
+	seg.Feed([]emulator.Dyn{{PC: 0x100, Inst: isa.Inst{Op: isa.OpAdd}, NextPC: 0x104}})
 	if seg.Pending() != 1 {
 		t.Errorf("pending = %d", seg.Pending())
 	}
@@ -290,28 +290,9 @@ func buildLoopProgram(t *testing.T) *program.Image {
 	return im
 }
 
-func segmentRun(t *testing.T, im *program.Image, budget uint64) []*Trace {
-	t.Helper()
-	e := emulator.New(im)
-	s := NewSegmenter(DefaultSelectConfig())
-	var traces []*Trace
-	if _, err := e.Run(budget, func(d emulator.Dyn) bool {
-		if tr := s.Push(d); tr != nil {
-			traces = append(traces, tr)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tr := s.Flush(); tr != nil {
-		traces = append(traces, tr)
-	}
-	return traces
-}
-
 func TestSegmenterCoversStream(t *testing.T) {
 	im := buildLoopProgram(t)
-	traces := segmentRun(t, im, 1000)
+	traces := segmentImage(im, 1000)
 	if len(traces) == 0 {
 		t.Fatal("no traces")
 	}
@@ -338,7 +319,7 @@ func TestSegmenterCoversStream(t *testing.T) {
 
 func TestSegmenterReturnBoundary(t *testing.T) {
 	im := buildLoopProgram(t)
-	traces := segmentRun(t, im, 1000)
+	traces := segmentImage(im, 1000)
 	found := false
 	for _, tr := range traces {
 		if tr.EndsInReturn {
@@ -398,19 +379,12 @@ func mustImage() *program.Image {
 }
 
 func segmentImage(im *program.Image, budget uint64) []*Trace {
-	e := emulator.New(im)
-	s := NewSegmenter(DefaultSelectConfig())
-	var traces []*Trace
-	e.Run(budget, func(d emulator.Dyn) bool {
-		if tr := s.Push(d); tr != nil {
-			traces = append(traces, tr)
-		}
+	var dyns []emulator.Dyn
+	emulator.New(im).Run(budget, func(d emulator.Dyn) bool {
+		dyns = append(dyns, d)
 		return true
 	})
-	if tr := s.Flush(); tr != nil {
-		traces = append(traces, tr)
-	}
-	return traces
+	return segmentDyns(dyns)
 }
 
 func idsOf(ts []*Trace) []ID {
@@ -453,9 +427,13 @@ func BenchmarkSegmenter(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSegmenter(DefaultSelectConfig())
-		for _, d := range dyns {
-			s.Push(d)
+		s := NewChunkSegmenter(DefaultSelectConfig())
+		for rest := dyns; len(rest) > 0; {
+			used, tr, _ := s.Feed(rest)
+			if tr == nil {
+				break
+			}
+			rest = rest[used:]
 		}
 	}
 }

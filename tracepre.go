@@ -100,13 +100,6 @@ func RunImage(im *Image, cfg Config, budget uint64) (Result, error) {
 	return core.RunImage(im, cfg, budget)
 }
 
-// SetReplay switches record-once/replay-many execution on or off and
-// returns the previous setting. When on (the default), RunBenchmark and
-// the experiment sweeps record each benchmark's committed instruction
-// stream once and replay it to every simulator configuration — the
-// results are bit-identical to direct emulation, just faster.
-func SetReplay(on bool) bool { return core.SetReplay(on) }
-
 // SetStreamCacheCap bounds the memory (in encoded bytes) the shared
 // stream cache may hold; least-recently-used streams are evicted.
 func SetStreamCacheCap(bytes int64) { core.SetStreamCacheCap(bytes) }
