@@ -7,9 +7,11 @@ GO ?= go
 all: build vet test
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 gate plus a
-# race-detector pass over the short suite and the lint job.
+# race-detector pass over the short suite, the benchmark module (its
+# own Go module, so ./... above never compiles it) and the lint job.
 ci: build lint test
 	$(GO) test -race -short ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -46,22 +48,27 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the hot-path microbenchmarks: not a measurement, a
-# CI canary that the benchmarks build and run (see BENCH_precon.json,
-# BENCH_interning.json and BENCH_broadcast.json for how to take real
-# numbers). The steady-state allocation contracts run here too — the
-# trace store's intern/release round, the chunked replay loop, and the
-# chunk-buffer pool — plus the group driver's correctness gates:
-# decode-once counting, full-Result equivalence against each cell run
-# alone, and stream-cache accounting untouched by decoded chunks.
+# CI canary that the benchmarks build and run (real numbers come from
+# `bash perfbench/run.sh`, which BENCHMARK.json declares). The
+# steady-state allocation contracts run here too — the trace store's
+# intern/release round, the chunked replay loop, the chunk-buffer pool,
+# the backend's dispatch and the fill unit's preprocessing — plus the
+# group driver's correctness gates: decode-once counting, full-Result
+# equivalence against each cell run alone, and stream-cache accounting
+# untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
 	$(GO) test -run '^$$' -bench 'InternHit|InternChurn|Clone' \
 		-benchtime 1x -benchmem ./internal/trace/
+	$(GO) test -run '^$$' -bench 'Optimize' -benchtime 1x -benchmem ./internal/preproc/
 	$(GO) test -run '^$$' -bench 'Figure5Broadcast' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'SimulateFullTiming' -benchtime 1x -benchmem .
 	$(GO) test -run TestInternSteadyStateAllocs -count 1 ./internal/trace/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
+	$(GO) test -run 'TestDispatchSteadyStateAllocs' -count 1 ./internal/pipeline/
+	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
 	$(GO) test -run 'TestChunkBufPoolSteadyState' -count 1 ./internal/emulator/
 	$(GO) test -run 'TestBroadcast' -count 1 ./internal/harness/
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/

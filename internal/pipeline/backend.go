@@ -57,9 +57,13 @@ type dispatchScratch struct {
 	prevStore [16]int
 	loadFloor [16]uint64
 	doneOf    [16]uint64
-	issuedAt  [16]uint64
 	issued    [16]bool
 	writer    [isa.NumRegs]int8 // reg -> producing slot in this trace, -1 none
+	// src[i] holds the in-trace producer of each source register of
+	// slot i (-1 none); regFloor[i] is the cycle at which its sources
+	// produced by earlier traces are ready.
+	src      [16][2]int8
+	regFloor [16]uint64
 	// Latest in-trace store per word address; with <= 16 entries a
 	// linear scan beats a map.
 	storeAddr [16]uint32
@@ -99,7 +103,7 @@ func (b *backend) arbRecord(addr uint32, done uint64) {
 }
 
 // arbReady returns the cycle at which a load from addr may execute:
-// after the youngest in-flight store to the same word.
+// the latest completion among in-flight stores to the same word.
 func (b *backend) arbReady(addr uint32) uint64 {
 	addr &^= 3
 	var latest uint64
@@ -203,12 +207,40 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 		}
 	}
 
-	// writer[r] = last slot in this trace writing register r, -1 none.
+	// Register dependences, resolved once for the trace. Before slot i
+	// notes its own write, writer[r] is the last earlier slot writing r:
+	// the in-trace producer of i's read of r. A source with no in-trace
+	// producer comes from an earlier trace, whose published result (plus
+	// XferLat across PEs) stays fixed until this trace publishes, so
+	// regFloor[i] folds those sources into one cycle. After the pass,
+	// writer[r] is the last slot in this trace writing r, -1 none.
 	writer := &scr.writer
 	for r := range writer {
 		writer[r] = -1
 	}
+	src := scr.src[:n]
+	regFloor := scr.regFloor[:n]
 	for i, in := range tr.Insts {
+		src[i] = [2]int8{-1, -1}
+		regFloor[i] = 0
+		var regs [2]uint8
+		for k, r := range in.ReadsRegs(regs[:0]) {
+			if r == isa.RegZero {
+				continue
+			}
+			if p := writer[r]; p >= 0 {
+				src[i][k] = p
+				continue
+			}
+			st := b.regReady[r]
+			c := st.cycle
+			if st.pe != pe && c > start {
+				c += uint64(b.cfg.XferLat)
+			}
+			if c > regFloor[i] {
+				regFloor[i] = c
+			}
+		}
 		if rd, w := in.WritesReg(); w {
 			writer[rd] = int8(i)
 		}
@@ -238,24 +270,11 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 			scr.noteStore(dyns[i].MemAddr&^3, i)
 		}
 	}
-	// firstWriter resolves whether a read at slot i sees an external
-	// value or an in-trace producer: the last writer before i.
-	producerOf := func(i int, r uint8) int {
-		p := -1
-		for j := 0; j < i; j++ {
-			if rd, w := tr.Insts[j].WritesReg(); w && rd == r {
-				p = j
-			}
-		}
-		return p
-	}
 
 	doneOf := scr.doneOf[:n]
-	issuedAt := scr.issuedAt[:n]
 	issued := scr.issued[:n]
 	for i := 0; i < n; i++ {
 		doneOf[i] = 0
-		issuedAt[i] = 0
 		issued[i] = false
 	}
 	remaining := n
@@ -280,35 +299,19 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 		if opt != nil && opt.Folded&(1<<uint(i)) != 0 {
 			return rdy, true
 		}
-		fusedOnto := -1
-		if opt != nil && opt.FusedWith[i] >= 0 {
-			fusedOnto = int(opt.FusedWith[i])
+		if regFloor[i] > rdy {
+			rdy = regFloor[i]
 		}
-		var regScratch [4]uint8
-		for _, r := range in.ReadsRegs(regScratch[:0]) {
-			if r == isa.RegZero {
+		// A fused consumer never gets here: it issues with its producer.
+		for _, p := range src[i] {
+			if p < 0 {
 				continue
 			}
-			if p := producerOf(i, r); p >= 0 {
-				if !issued[p] {
-					return 0, false
-				}
-				c := doneOf[p]
-				if p == fusedOnto {
-					c = issuedAt[p] // combined ALU: dependence is free
-				}
-				if c > rdy {
-					rdy = c
-				}
-			} else {
-				st := b.regReady[r]
-				c := st.cycle
-				if st.pe != pe && c > start {
-					c += uint64(b.cfg.XferLat)
-				}
-				if c > rdy {
-					rdy = c
-				}
+			if !issued[p] {
+				return 0, false
+			}
+			if doneOf[p] > rdy {
+				rdy = doneOf[p]
 			}
 		}
 		return rdy, true
@@ -334,13 +337,11 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 					continue
 				}
 				issued[idx] = true
-				issuedAt[idx] = c
 				doneOf[idx] = c + b.latency(tr.Insts[idx], dyns[idx], c)
 				remaining--
 				slots--
 				if f := fusedOf[idx]; f >= 0 && !issued[f] {
 					issued[f] = true
-					issuedAt[f] = c
 					doneOf[f] = c + b.latency(tr.Insts[f], dyns[f], c)
 					remaining--
 				}

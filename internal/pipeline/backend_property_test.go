@@ -48,6 +48,77 @@ func randTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
 	return tr, dyns
 }
 
+// randCtlTrace builds a random trace that also carries what randTrace
+// never emits: conditional branches, jal and jalr (which write the link
+// register), jr (often through the link register, a return), lui, and
+// r0 as a source or destination. Sources draw from r0-r12 and the link
+// register. Half the memory operations hit a 32-word hot set, so stores
+// forward to loads in the trace and through the ARB; the rest spread
+// over 32 KiB, so a small D-cache misses into the shared level.
+func randCtlTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
+	n := 1 + r.Intn(16)
+	tr := &trace.Trace{}
+	var dyns []emulator.Dyn
+	reg := func() uint8 {
+		switch r.Intn(8) {
+		case 0:
+			return isa.RegZero
+		case 1:
+			return isa.RegLink
+		}
+		return uint8(1 + r.Intn(12))
+	}
+	for i := 0; i < n; i++ {
+		pc := start + uint32(i*4)
+		var in isa.Inst
+		switch r.Intn(14) {
+		case 0, 1:
+			in = isa.Inst{Op: isa.OpLoad, Rd: reg(), Ra: reg(), Imm: int32(r.Intn(64) * 4)}
+		case 2:
+			in = isa.Inst{Op: isa.OpStore, Rb: reg(), Ra: reg(), Imm: int32(r.Intn(64) * 4)}
+		case 3:
+			in = isa.Inst{Op: isa.OpMul, Rd: reg(), Ra: reg(), Rb: reg()}
+		case 4:
+			in = isa.Inst{Op: isa.OpDiv, Rd: reg(), Ra: reg(), Rb: reg()}
+		case 5:
+			in = isa.Inst{Op: isa.OpShlI, Rd: reg(), Ra: reg(), Imm: int32(1 + r.Intn(4))}
+		case 6:
+			in = isa.Inst{Op: isa.OpLui, Rd: reg(), Imm: int32(r.Intn(1 << 12))}
+		case 7:
+			in = isa.Inst{Op: isa.OpAddI, Rd: reg(), Ra: reg(), Imm: int32(r.Intn(64))}
+		case 8:
+			ops := [...]isa.Op{isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge}
+			in = isa.Inst{Op: ops[r.Intn(len(ops))], Ra: reg(), Rb: reg(), Imm: 8}
+		case 9:
+			in = isa.Inst{Op: isa.OpJal, Target: 0x8000}
+		case 10:
+			in = isa.Inst{Op: isa.OpJalr, Ra: reg()}
+		case 11:
+			ra := uint8(isa.RegLink)
+			if r.Intn(2) == 0 {
+				ra = reg()
+			}
+			in = isa.Inst{Op: isa.OpJr, Ra: ra}
+		default:
+			ops := [...]isa.Op{isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpSlt}
+			in = isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Ra: reg(), Rb: reg()}
+		}
+		d := emulator.Dyn{PC: pc, Inst: in, NextPC: pc + 4}
+		if in.Op == isa.OpLoad || in.Op == isa.OpStore {
+			if r.Intn(2) == 0 {
+				d.MemAddr = 0x40000 + uint32(r.Intn(32))*4
+			} else {
+				d.MemAddr = 0x48000 + uint32(r.Intn(8192))*4
+			}
+		}
+		tr.PCs = append(tr.PCs, pc)
+		tr.Insts = append(tr.Insts, in)
+		dyns = append(dyns, d)
+	}
+	tr.Succ = start + uint32(n*4)
+	return tr, dyns
+}
+
 // TestQuickBackendInvariants dispatches random trace streams and checks
 // the timing invariants that must hold regardless of content:
 // retirement is monotone and in order, resolve never exceeds retire,
@@ -62,7 +133,7 @@ func TestQuickBackendInvariants(t *testing.T) {
 		var prevRetire uint64
 		clock := uint64(10)
 		for k := 0; k < 40; k++ {
-			tr, dyns := randTrace(r, uint32(0x1000+k*0x100))
+			tr, dyns := randCtlTrace(r, uint32(0x1000+k*0x100))
 			preprocessed := r.Intn(2) == 0
 			if preprocessed {
 				tr.Opt = preproc.Optimize(tr)

@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"math/rand"
 	"testing"
 
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
+	"tracepre/internal/mem"
 	"tracepre/internal/preproc"
 	"tracepre/internal/trace"
 )
@@ -286,5 +288,49 @@ func TestBackendResolveGating(t *testing.T) {
 	r2, res2 := be.dispatch(tr2, dyns2, 50, false)
 	if res2 != r2 {
 		t.Errorf("no-control resolve = %d, retire %d", res2, r2)
+	}
+}
+
+// TestDispatchSteadyStateAllocs: dispatch keeps its per-trace state in
+// the backend's fixed scratch, so a warm backend dispatches plain and
+// preprocessed traces behind the modeled L2 without allocating.
+func TestDispatchSteadyStateAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type job struct {
+		tr   *trace.Trace
+		dyns []emulator.Dyn
+	}
+	jobs := make([]job, 64)
+	for k := range jobs {
+		tr, dyns := randCtlTrace(r, uint32(0x1000+k*0x100))
+		tr.Opt = preproc.Optimize(tr)
+		jobs[k] = job{tr, dyns}
+	}
+	for _, pre := range []bool{false, true} {
+		name := "plain"
+		if pre {
+			name = "preprocessed"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultBackendConfig()
+			h, err := mem.New(mem.DefaultModeledL2(), cfg.L2Lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc := cache.MustNew(cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2})
+			be := newBackend(cfg, dc, h)
+			k, ready := 0, uint64(0)
+			round := func() {
+				j := jobs[k%len(jobs)]
+				k++
+				ready, _ = be.dispatch(j.tr, j.dyns, ready, pre)
+			}
+			for i := 0; i < 2*len(jobs); i++ {
+				round()
+			}
+			if avg := testing.AllocsPerRun(1000, round); avg != 0 {
+				t.Errorf("dispatch allocates %.2f objects per trace, want 0", avg)
+			}
+		})
 	}
 }

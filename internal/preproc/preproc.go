@@ -43,12 +43,20 @@ type Info struct {
 	// FoldedCount and FusedCount summarize the transformation for
 	// reports.
 	FoldedCount, FusedCount int
+
+	// fused and order back FusedWith and Order, so an Info is one
+	// allocation. Trace selection caps traces at 16 instructions
+	// (trace.SelectConfig.Validate).
+	fused [16]int16
+	order [16]uint8
 }
 
 // Optimize preprocesses a trace.
 func Optimize(tr *trace.Trace) *Info {
 	n := tr.Len()
-	info := &Info{FusedWith: make([]int16, n), Order: make([]uint8, n)}
+	info := &Info{}
+	info.FusedWith = info.fused[:n]
+	info.Order = info.order[:n]
 	for i := range info.FusedWith {
 		info.FusedWith[i] = -1
 	}
@@ -67,7 +75,8 @@ func foldConstants(tr *trace.Trace, info *Info) {
 	known[isa.RegZero] = true
 	for i, in := range tr.Insts {
 		allKnown := true
-		for _, r := range in.ReadsRegs(nil) {
+		var regs [2]uint8
+		for _, r := range in.ReadsRegs(regs[:0]) {
 			if !known[r] {
 				allKnown = false
 				break
@@ -89,10 +98,8 @@ func foldConstants(tr *trace.Trace, info *Info) {
 				known[rd] = false
 			case allKnown && in.Classify() == isa.ClassALU:
 				known[rd] = true
-				if in.Op != isa.OpLui {
-					info.Folded |= 1 << uint(i)
-					info.FoldedCount++
-				}
+				info.Folded |= 1 << uint(i)
+				info.FoldedCount++
 			default:
 				known[rd] = false
 			}
@@ -126,7 +133,6 @@ func fusibleConsumer(op isa.Op) bool {
 // fit the combined-ALU template, and fuses them.
 func fusePairs(tr *trace.Trace, info *Info) {
 	n := tr.Len()
-	var scratch []uint8
 	for i := 0; i < n; i++ {
 		in := tr.Insts[i]
 		if !fusibleProducer(in.Op) {
@@ -140,8 +146,8 @@ func fusePairs(tr *trace.Trace, info *Info) {
 		consumer := -1
 		uses := 0
 		for j := i + 1; j < n; j++ {
-			scratch = tr.Insts[j].ReadsRegs(scratch[:0])
-			for _, r := range scratch {
+			var regs [2]uint8
+			for _, r := range tr.Insts[j].ReadsRegs(regs[:0]) {
 				if r == rd {
 					uses++
 					if consumer == -1 {
@@ -164,16 +170,7 @@ func fusePairs(tr *trace.Trace, info *Info) {
 		}
 		// The producer itself must not already serve as a fused
 		// consumer of something else (one fusion per instruction).
-		already := false
 		if info.FusedWith[i] != -1 {
-			already = true
-		}
-		for _, f := range info.FusedWith {
-			if int(f) == i {
-				already = true
-			}
-		}
-		if already {
 			continue
 		}
 		info.FusedWith[consumer] = int16(i)
@@ -185,8 +182,7 @@ func fusePairs(tr *trace.Trace, info *Info) {
 // before consumers, longest chains first.
 func schedule(tr *trace.Trace, info *Info) {
 	n := tr.Len()
-	height := make([]int, n)
-	var scratch []uint8
+	var height [16]int
 	// Heights from the bottom: an instruction's height is 1 + max of
 	// its consumers' heights.
 	for i := n - 1; i >= 0; i-- {
@@ -194,8 +190,8 @@ func schedule(tr *trace.Trace, info *Info) {
 		rd, writes := tr.Insts[i].WritesReg()
 		if writes {
 			for j := i + 1; j < n; j++ {
-				scratch = tr.Insts[j].ReadsRegs(scratch[:0])
-				for _, r := range scratch {
+				var regs [2]uint8
+				for _, r := range tr.Insts[j].ReadsRegs(regs[:0]) {
 					if r == rd && height[j]+1 > h {
 						h = height[j] + 1
 					}

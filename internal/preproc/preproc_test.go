@@ -159,7 +159,9 @@ func TestOptimizeEmptyAndTrivial(t *testing.T) {
 	}
 }
 
-func BenchmarkOptimize(b *testing.B) {
+// full16 is a trace of the longest length selection builds: 16 loads,
+// shifts and adds.
+func full16() *trace.Trace {
 	insts := make([]isa.Inst, 16)
 	for i := range insts {
 		switch i % 4 {
@@ -171,9 +173,24 @@ func BenchmarkOptimize(b *testing.B) {
 			insts[i] = isa.Inst{Op: isa.OpAdd, Rd: uint8(1 + (i+2)%7), Ra: uint8(1 + (i+1)%7), Rb: uint8(1 + i%7)}
 		}
 	}
-	tr := mk(insts...)
+	return mk(insts...)
+}
+
+var sink *Info
+
+// TestOptimizeAllocs: the fill unit's preprocessing allocates only the
+// Info it returns; FusedWith and Order live inside it.
+func TestOptimizeAllocs(t *testing.T) {
+	tr := full16()
+	if avg := testing.AllocsPerRun(100, func() { sink = Optimize(tr) }); avg != 1 {
+		t.Errorf("Optimize makes %.2f allocations per 16-instruction trace, want 1", avg)
+	}
+}
+
+func BenchmarkOptimize(b *testing.B) {
+	tr := full16()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Optimize(tr)
+		sink = Optimize(tr)
 	}
 }
