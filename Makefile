@@ -51,7 +51,7 @@ bench:
 # CI canary that the benchmarks build and run (real numbers come from
 # `bash perfbench/run.sh`, which BENCHMARK.json declares). The
 # steady-state allocation contracts run here too — the trace store's
-# intern/release round, the chunked replay loop, the chunk-buffer pool,
+# intern/release round, the chunked replay loop, a whole decode pass,
 # the backend's dispatch and the fill unit's preprocessing — plus the
 # group driver's correctness gates: decode-once counting, full-Result
 # equivalence against each cell run alone, and stream-cache accounting
@@ -69,7 +69,7 @@ bench-smoke:
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestDispatchSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
-	$(GO) test -run 'TestChunkBufPoolSteadyState' -count 1 ./internal/emulator/
+	$(GO) test -run 'TestDecodeChunksAllocs' -count 1 ./internal/emulator/
 	$(GO) test -run 'TestBroadcast' -count 1 ./internal/harness/
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestSampledCoversFullRunCI' -count 1 ./internal/core/
@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzReplayer -fuzztime 30s ./internal/emulator/
 
 clean:
 	$(GO) clean ./...

@@ -111,10 +111,6 @@ func RunImage(im *program.Image, cfg pipeline.Config, budget uint64) (pipeline.R
 	return sim.Run(budget)
 }
 
-// SetStreamCacheCap bounds the memory (in encoded bytes) the shared
-// stream cache may hold; least-recently-used streams are evicted.
-func SetStreamCacheCap(bytes int64) { harness.SetStreamCacheCap(bytes) }
-
 // StreamCacheStats reports the cached stream count and encoded bytes.
 func StreamCacheStats() (entries int, bytes int64) { return harness.StreamCacheStats() }
 

@@ -26,18 +26,13 @@ type FrontendResult struct {
 	Budget uint64
 }
 
-// FrontendStudy measures the composed frontend's per-supplier hit rates
-// and the slow-path port arbitration across the split and adaptive
-// designs at equal total storage. The port columns quantify the paper's
-// "the engine uses only otherwise-idle i-cache port cycles" assumption:
-// contention is the fraction of engine fetch requests the arbiter
-// denied because the per-cycle budget was spent.
-func FrontendStudy(budget uint64, benches []string) (*FrontendResult, error) {
-	return FrontendStudyCtx(context.Background(), budget, benches)
-}
-
-// FrontendStudyCtx is FrontendStudy with sweep cancellation and
-// progress via ctx.
+// FrontendStudyCtx measures the composed frontend's per-supplier hit
+// rates and the slow-path port arbitration across the split and
+// adaptive designs at equal total storage, with sweep cancellation and
+// progress via ctx. The port columns quantify the paper's "the engine
+// uses only otherwise-idle i-cache port cycles" assumption: contention
+// is the fraction of engine fetch requests the arbiter denied because
+// the per-cycle budget was spent.
 func FrontendStudyCtx(ctx context.Context, budget uint64, benches []string) (*FrontendResult, error) {
 	adaptCfg := PreconConfig(256, 256)
 	adaptCfg.AdaptivePartition = true

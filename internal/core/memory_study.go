@@ -64,18 +64,13 @@ func memoryLevels() []struct {
 	}
 }
 
-// MemoryStudy measures memory sensitivity on the full-timing machine
-// with preconstruction: each benchmark's recorded stream runs against
-// the paper's flat 10-cycle level and a grid of modeled shared L2s
-// (capacity × MSHR count). The precon columns quantify what the flat
-// model hides — the engine's stolen fetches land in the same L2 and the
-// same MSHRs as demand traffic.
-func MemoryStudy(budget uint64, benches []string) (*MemoryResult, error) {
-	return MemoryStudyCtx(context.Background(), budget, benches)
-}
-
-// MemoryStudyCtx is MemoryStudy with sweep cancellation and progress
-// via ctx.
+// MemoryStudyCtx measures memory sensitivity on the full-timing
+// machine with preconstruction, with sweep cancellation and progress
+// via ctx: each benchmark's recorded stream runs against the paper's
+// flat 10-cycle level and a grid of modeled shared L2s (capacity ×
+// MSHR count). The precon columns quantify what the flat model hides —
+// the engine's stolen fetches land in the same L2 and the same MSHRs
+// as demand traffic.
 func MemoryStudyCtx(ctx context.Context, budget uint64, benches []string) (*MemoryResult, error) {
 	levels := memoryLevels()
 	points := make([]harness.ConfigPoint, len(levels))

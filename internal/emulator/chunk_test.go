@@ -2,14 +2,13 @@ package emulator
 
 import (
 	"errors"
-	"runtime/debug"
 	"testing"
 
 	"tracepre/internal/workload"
 )
 
 // recordBench records one benchmark stream for the chunk tests.
-func recordBench(t *testing.T, name string, budget uint64) *Stream {
+func recordBench(t testing.TB, name string, budget uint64) *Stream {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {
@@ -76,45 +75,35 @@ func TestChunkedReplayerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChunkBufPoolSteadyState checks that once the pool is warm,
-// repeated decode passes reuse the double buffer instead of allocating
-// fresh chunk scratch: ChunkBufAllocs must not move across a run of
-// full decode cycles. GC is disabled for the measurement window since a
-// collection may legitimately empty a sync.Pool.
-func TestChunkBufPoolSteadyState(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops Puts at random under -race; exact pool accounting only holds without it")
-	}
-	st := recordBench(t, "compress", 5_000)
-	drain := func() {
-		cr := st.DecodeChunks(0)
-		for {
-			if _, ok := cr.Next(); !ok {
-				break
+// TestDecodeChunksAllocs pins a whole decode pass to the same small
+// allocation count however long the stream: one buffer serves every
+// chunk of the pass.
+func TestDecodeChunksAllocs(t *testing.T) {
+	pass := func(st *Stream) float64 {
+		return testing.AllocsPerRun(10, func() {
+			cr := st.DecodeChunks(0)
+			defer cr.Close()
+			for {
+				if _, ok := cr.Next(); !ok {
+					break
+				}
 			}
-		}
-		if err := cr.Err(); err != nil {
-			t.Fatal(err)
-		}
-		cr.Close()
+			if err := cr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ {
-		drain() // warm the pool
-	}
-	before := ChunkBufAllocs()
-	for i := 0; i < 10; i++ {
-		drain()
-	}
-	if got := ChunkBufAllocs() - before; got != 0 {
-		t.Errorf("steady-state decode allocated %d chunk buffers, want 0", got)
+	short := pass(recordBench(t, "compress", 5_000))
+	long := pass(recordBench(t, "compress", 50_000))
+	if short != long || long > 3 {
+		t.Errorf("decode pass allocated %v times at 5k instructions and %v at 50k, want one constant of at most 3",
+			short, long)
 	}
 }
 
 // TestChunkedReplayerEarlyClose abandons a decode mid-stream: Close
-// must stop the decode goroutine, recycle the buffers, and be
-// idempotent; Next after Close reports end of stream.
+// must be idempotent, Next after Close reports end of stream, and the
+// abandoned pass reports no error.
 func TestChunkedReplayerEarlyClose(t *testing.T) {
 	st := recordBench(t, "go", 20_000)
 	cr := st.DecodeChunks(64)
@@ -130,10 +119,12 @@ func TestChunkedReplayerEarlyClose(t *testing.T) {
 		t.Errorf("abandoned decode reported error: %v", err)
 	}
 
-	// Close without ever calling Next: the decoder may be blocked
-	// handing over the first chunk.
+	// Close before the first Next ends the pass just the same.
 	cr = st.DecodeChunks(64)
 	cr.Close()
+	if _, ok := cr.Next(); ok {
+		t.Error("Next returned a chunk after Close")
+	}
 }
 
 // TestChunkedReplayerError corrupts a recording and checks the decode

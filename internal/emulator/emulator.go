@@ -8,7 +8,6 @@ package emulator
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
@@ -23,7 +22,8 @@ var (
 	ErrBadPC = errors.New("emulator: PC outside image")
 	// ErrCorruptStream is returned when a recorded stream's bytes
 	// disagree with its program image: a branch with no recorded
-	// outcome, or an unreadable address delta.
+	// outcome, an unreadable address delta, or a jump target outside
+	// the image (which also wraps ErrBadPC).
 	ErrCorruptStream = errors.New("emulator: corrupt stream")
 )
 
@@ -75,36 +75,6 @@ func (m *Memory) Store(a, v uint32) {
 
 // Pages reports how many distinct pages have been touched by stores.
 func (m *Memory) Pages() int { return len(m.pages) }
-
-// Checksum returns an FNV-1a hash over the memory's pages in address
-// order — a compact fingerprint for architectural-state equivalence
-// tests (two executions of the same instruction sequence produce the
-// same page set, so equal checksums mean equal memories).
-func (m *Memory) Checksum() uint64 {
-	idxs := make([]uint32, 0, len(m.pages))
-	for idx := range m.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint32) {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(v>>s) & 0xFF
-			h *= prime64
-		}
-	}
-	for _, idx := range idxs {
-		mix(idx)
-		for _, w := range m.pages[idx] {
-			mix(w)
-		}
-	}
-	return h
-}
 
 // Emulator holds the architectural state of a running program.
 type Emulator struct {
@@ -263,118 +233,6 @@ func (e *Emulator) Run(budget uint64, fn func(Dyn) bool) (uint64, error) {
 		if fn != nil && !fn(d) {
 			break
 		}
-	}
-	return n, nil
-}
-
-// FastForward commits up to budget instructions with no per-instruction
-// Dyn bookkeeping: the functional-only mode behind sampled simulation's
-// skip phases. Architectural state — registers, memory, PC, the commit
-// counter — advances exactly as under Step (the equivalence is pinned
-// bit-for-bit by TestFastForwardArchEquivalence); only the dynamic
-// record is skipped. It returns the number of instructions committed,
-// stopping early on a clean halt; further calls after a halt return
-// (0, nil), matching Run's halt behaviour.
-func (e *Emulator) FastForward(budget uint64) (uint64, error) {
-	r := &e.Regs
-	var n uint64
-	for n < budget {
-		if e.halted {
-			return n, nil
-		}
-		in, ok := e.im.At(e.PC)
-		if !ok {
-			return n, fmt.Errorf("%w: 0x%x", ErrBadPC, e.PC)
-		}
-		next := e.PC + isa.WordSize
-		taken := false
-
-		switch in.Op {
-		case isa.OpNop:
-		case isa.OpAdd:
-			r[in.Rd] = r[in.Ra] + r[in.Rb]
-		case isa.OpSub:
-			r[in.Rd] = r[in.Ra] - r[in.Rb]
-		case isa.OpMul:
-			r[in.Rd] = r[in.Ra] * r[in.Rb]
-		case isa.OpDiv:
-			if r[in.Rb] == 0 {
-				r[in.Rd] = 0
-			} else {
-				r[in.Rd] = uint32(int32(r[in.Ra]) / int32(r[in.Rb]))
-			}
-		case isa.OpAnd:
-			r[in.Rd] = r[in.Ra] & r[in.Rb]
-		case isa.OpOr:
-			r[in.Rd] = r[in.Ra] | r[in.Rb]
-		case isa.OpXor:
-			r[in.Rd] = r[in.Ra] ^ r[in.Rb]
-		case isa.OpShl:
-			r[in.Rd] = r[in.Ra] << (r[in.Rb] & 31)
-		case isa.OpShr:
-			r[in.Rd] = r[in.Ra] >> (r[in.Rb] & 31)
-		case isa.OpAddI:
-			r[in.Rd] = r[in.Ra] + uint32(in.Imm)
-		case isa.OpAndI:
-			r[in.Rd] = r[in.Ra] & uint32(in.Imm)
-		case isa.OpOrI:
-			r[in.Rd] = r[in.Ra] | uint32(in.Imm)
-		case isa.OpXorI:
-			r[in.Rd] = r[in.Ra] ^ uint32(in.Imm)
-		case isa.OpShlI:
-			r[in.Rd] = r[in.Ra] << (uint32(in.Imm) & 31)
-		case isa.OpShrI:
-			r[in.Rd] = r[in.Ra] >> (uint32(in.Imm) & 31)
-		case isa.OpLui:
-			r[in.Rd] = uint32(in.Imm) << 16
-		case isa.OpSlt:
-			if int32(r[in.Ra]) < int32(r[in.Rb]) {
-				r[in.Rd] = 1
-			} else {
-				r[in.Rd] = 0
-			}
-		case isa.OpSltu:
-			if r[in.Ra] < r[in.Rb] {
-				r[in.Rd] = 1
-			} else {
-				r[in.Rd] = 0
-			}
-		case isa.OpLoad:
-			r[in.Rd] = e.Mem.Load(r[in.Ra] + uint32(in.Imm))
-		case isa.OpStore:
-			e.Mem.Store(r[in.Ra]+uint32(in.Imm), r[in.Rb])
-		case isa.OpBeq:
-			taken = r[in.Ra] == r[in.Rb]
-		case isa.OpBne:
-			taken = r[in.Ra] != r[in.Rb]
-		case isa.OpBlt:
-			taken = int32(r[in.Ra]) < int32(r[in.Rb])
-		case isa.OpBge:
-			taken = int32(r[in.Ra]) >= int32(r[in.Rb])
-		case isa.OpJmp:
-			next = in.Target
-		case isa.OpJal:
-			r[isa.RegLink] = e.PC + isa.WordSize
-			next = in.Target
-		case isa.OpJr:
-			next = r[in.Ra]
-		case isa.OpJalr:
-			t := r[in.Ra]
-			r[isa.RegLink] = e.PC + isa.WordSize
-			next = t
-		case isa.OpHalt:
-			e.halted = true
-		default:
-			return n, fmt.Errorf("emulator: unimplemented op %v at 0x%x", in.Op, e.PC)
-		}
-		if taken {
-			next = in.BranchTarget(e.PC)
-		}
-		r[isa.RegZero] = 0 // writes to r0 are discarded
-
-		e.PC = next
-		e.seq++
-		n++
 	}
 	return n, nil
 }

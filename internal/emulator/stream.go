@@ -167,7 +167,9 @@ func (r *Replayer) NextInto(d *Dyn) bool {
 	}
 	idx := (r.pc - r.base) / isa.WordSize
 	if uint64(idx) >= uint64(len(r.code)) || (r.pc-r.base)%isa.WordSize != 0 {
-		r.err = fmt.Errorf("%w: 0x%x (replay)", ErrBadPC, r.pc)
+		// Recording stops at the first bad PC, so replay reaching one
+		// means the recorded bytes are corrupt.
+		r.err = fmt.Errorf("%w: %w: 0x%x (replay)", ErrCorruptStream, ErrBadPC, r.pc)
 		return false
 	}
 	in := &r.code[idx]
@@ -187,11 +189,12 @@ func (r *Replayer) NextInto(d *Dyn) bool {
 		d.MemAddr = uint32(int64(r.lastMem) + delta)
 		r.lastMem = d.MemAddr
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if r.bitPos >= r.s.nbits {
+		i := r.bitPos / 8
+		if r.bitPos >= r.s.nbits || i >= uint64(len(r.s.taken)) {
 			r.err = fmt.Errorf("%w: branch bits exhausted at seq %d", ErrCorruptStream, r.seq)
 			return false
 		}
-		d.Taken = r.s.taken[r.bitPos/8]&(1<<(r.bitPos%8)) != 0
+		d.Taken = r.s.taken[i]&(1<<(r.bitPos%8)) != 0
 		r.bitPos++
 		if d.Taken {
 			next = in.BranchTarget(r.pc)

@@ -41,7 +41,11 @@ func RunBenchmarkSampled(name string, seed int64, cfg pipeline.Config, budget ui
 // runAlone runs a single cell as a group of one.
 func runAlone(name string, seed int64, cfg pipeline.Config, budget uint64, plan *sample.Plan) (Cell, error) {
 	c := Cell{Bench: name, Seed: seed, Point: ConfigPoint{Name: "cell", Cfg: cfg}}
-	if err := runGroup(context.Background(), budget, []*Cell{&c}, plan); err != nil {
+	st, err := stream(name, seed, budget)
+	if err != nil {
+		return c, fmt.Errorf("harness: %s: %w", name, err)
+	}
+	if err := runGroup(context.Background(), st, budget, []*Cell{&c}, plan); err != nil {
 		return c, fmt.Errorf("harness: %w", err)
 	}
 	return c, nil
@@ -83,8 +87,8 @@ type member struct {
 
 // runGroup is the one stream driver. It runs a group of cells that
 // share (bench, seed, SelectConfig) — a lone cell is a group of one —
-// over a single decode and a single segmentation of the recorded
-// stream, handing each trace to every live member in lockstep while
+// over a single decode and a single segmentation of their recorded
+// stream st, handing each trace to every live member in lockstep while
 // its instructions are still hot in cache, and fills in each cell's
 // Result (and Sample under a plan). ctx is checked once per decoded
 // chunk. Errors name the bench, and the cell when one cell failed.
@@ -100,16 +104,9 @@ type member struct {
 // withheld from every member (SkipRaw). A member that finishes early —
 // budget spent, or adaptive target met — goes dormant while the rest
 // keep consuming.
-func runGroup(ctx context.Context, budget uint64, cells []*Cell, plan *sample.Plan) error {
-	bench, seed := cells[0].Bench, cells[0].Seed
-	im, err := ImageSeed(bench, seed)
-	if err != nil {
-		return fmt.Errorf("%s: %w", bench, err)
-	}
-	st, err := streams.get(streamKey{name: bench, seed: seed, budget: budget}, im)
-	if err != nil {
-		return fmt.Errorf("%s: %w", bench, err)
-	}
+func runGroup(ctx context.Context, st *emulator.Stream, budget uint64, cells []*Cell, plan *sample.Plan) error {
+	bench, im := cells[0].Bench, st.Image()
+	var err error
 	members := make([]member, len(cells))
 	for i, c := range cells {
 		mb := &members[i]

@@ -208,6 +208,10 @@ func (c *countdownCtx) Err() error {
 // sampled, and reports no results.
 func TestGroupCancelled(t *testing.T) {
 	const budget = 100_000 // ~100 chunks
+	st, err := stream("compress", 0, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := testPlan()
 	for _, p := range []*sample.Plan{nil, &plan} {
 		cells := []*Cell{
@@ -215,7 +219,7 @@ func TestGroupCancelled(t *testing.T) {
 			{Bench: "compress", Point: ConfigPoint{Name: "pb64", Cfg: precon(64, 64)}},
 		}
 		ctx := &countdownCtx{Context: context.Background(), n: 3}
-		err := runGroup(ctx, budget, cells, p)
+		err := runGroup(ctx, st, budget, cells, p)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("sampled=%v: err = %v, want context.Canceled", p != nil, err)
 		}

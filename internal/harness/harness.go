@@ -274,7 +274,8 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 		o.progress(p)
 	}
 
-	if err := warmStreams(ctx, m, o.workers); err != nil {
+	sts, err := warmStreams(ctx, m, o.workers)
+	if err != nil {
 		return nil, err
 	}
 	report()
@@ -283,8 +284,9 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	// group share one decode and one segmentation of their stream and
 	// step in lockstep (runGroup). Workers bound concurrent groups.
 	groups := runGroups(g)
-	err := forEach(ctx, len(groups), o.workers, func(gi int) error {
-		if err := runGroup(ctx, m.Budget, groups[gi], o.sampling); err != nil {
+	err = forEach(ctx, len(groups), o.workers, func(gi int) error {
+		c := groups[gi][0]
+		if err := runGroup(ctx, sts[imageKey{c.Bench, c.Seed}], m.Budget, groups[gi], o.sampling); err != nil {
 			return fmt.Errorf("harness: %s: %w", m.Name, err)
 		}
 		for range groups[gi] {

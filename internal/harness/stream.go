@@ -101,17 +101,6 @@ func newStreamCache(capBytes int64) *streamCache {
 // streams is the process-wide stream cache.
 var streams = newStreamCache(DefaultStreamCacheCap)
 
-// SetStreamCacheCap sets the stream cache's byte budget and evicts
-// least-recently-used streams until under it. The cap bounds cached
-// encodings only; streams handed out earlier remain valid (they are
-// immutable), they just stop being shared.
-func SetStreamCacheCap(bytes int64) {
-	streams.mu.Lock()
-	defer streams.mu.Unlock()
-	streams.cap = bytes
-	streams.evictLocked()
-}
-
 // StreamCacheStats reports the cached stream count and encoded bytes.
 func StreamCacheStats() (entries int, bytes int64) {
 	streams.mu.Lock()
@@ -177,34 +166,49 @@ func (c *streamCache) get(key streamKey, im *program.Image) (*emulator.Stream, e
 	return e.s, nil
 }
 
-// warmStreams records each (benchmark, seed) stream of the matrix up
-// front, in parallel, so the sweep fan-out replays from the start
-// instead of serializing behind the first worker to demand each
-// stream.
-func warmStreams(ctx context.Context, m Matrix, workers int) error {
-	type unit struct {
-		name string
-		seed int64
+// stream returns the recorded stream of a benchmark (with a generator
+// seed perturbation) at a budget, from the cache or by recording it.
+func stream(name string, seed int64, budget uint64) (*emulator.Stream, error) {
+	im, err := ImageSeed(name, seed)
+	if err != nil {
+		return nil, err
 	}
-	var units []unit
-	seen := map[unit]bool{}
+	return streams.get(streamKey{name: name, seed: seed, budget: budget}, im)
+}
+
+// warmStreams records (or finds in the cache) each (benchmark, seed)
+// stream of the matrix up front, in parallel, so the sweep fan-out
+// replays from the start instead of serializing behind the first
+// worker to demand each stream. The sweep's groups replay the returned
+// streams without asking the cache again: a sweep whose streams
+// overflow the cache cap would otherwise record them a second time.
+func warmStreams(ctx context.Context, m Matrix, workers int) (map[imageKey]*emulator.Stream, error) {
+	var units []imageKey
+	seen := map[imageKey]bool{}
 	for _, b := range m.Benches {
 		for _, s := range m.seeds() {
-			u := unit{b, s}
+			u := imageKey{b, s}
 			if !seen[u] {
 				seen[u] = true
 				units = append(units, u)
 			}
 		}
 	}
-	return forEach(ctx, len(units), workers, func(i int) error {
-		im, err := ImageSeed(units[i].name, units[i].seed)
+	sts := make([]*emulator.Stream, len(units))
+	err := forEach(ctx, len(units), workers, func(i int) error {
+		st, err := stream(units[i].name, units[i].seed, m.Budget)
 		if err != nil {
 			return fmt.Errorf("harness: %s: %s: %w", m.Name, units[i].name, err)
 		}
-		if _, err := streams.get(streamKey{name: units[i].name, seed: units[i].seed, budget: m.Budget}, im); err != nil {
-			return fmt.Errorf("harness: %s: %s: %w", m.Name, units[i].name, err)
-		}
+		sts[i] = st
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[imageKey]*emulator.Stream, len(units))
+	for i, u := range units {
+		out[u] = sts[i]
+	}
+	return out, nil
 }

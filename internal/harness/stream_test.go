@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -108,6 +109,33 @@ func TestStreamCacheSharesRecordings(t *testing.T) {
 	}
 	if bytes <= 0 {
 		t.Errorf("cache reports %d bytes, want > 0", bytes)
+	}
+}
+
+// TestSweepReplaysWarmStreams checks a sweep's groups replay the
+// streams its own warm-up recorded instead of looking them up again:
+// with the cache emptied between warm-up and the groups (as eviction
+// does when a sweep's streams overflow the cap), the groups must not
+// record any stream a second time.
+func TestSweepReplaysWarmStreams(t *testing.T) {
+	ResetStreamCache()
+	defer ResetStreamCache()
+	m := Matrix{
+		Name:    "warm-replay",
+		Benches: []string{"compress", "li"},
+		Budget:  20_000,
+		Points:  []ConfigPoint{{Name: "base", Cfg: baseline(64)}},
+	}
+	emptyAfterWarmup := func(p Progress) {
+		if p.Done == 0 {
+			ResetStreamCache()
+		}
+	}
+	if _, err := Run(context.Background(), m, WithProgress(emptyAfterWarmup)); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := StreamCacheStats(); entries != 0 {
+		t.Errorf("groups recorded %d streams after warm-up, want 0", entries)
 	}
 }
 

@@ -2,7 +2,7 @@
 
 package pipeline
 
-// raceDetectorEnabled reports a -race build: sync.Pool deliberately
-// drops a fraction of Puts under the race detector, so exact
-// steady-state pool assertions are skipped there.
+// raceDetectorEnabled reports a -race build. The race detector slows
+// execution several-fold, so tests shorten their property checks
+// under it, and the fast-forward allocation test skips there.
 const raceDetectorEnabled = false

@@ -231,9 +231,6 @@ func (r *Runner) Phase() pipeline.Phase { return r.sim.Phase() }
 // dormant.
 func (r *Runner) Done() bool { return r.done }
 
-// Remaining returns the committed-instruction budget left.
-func (r *Runner) Remaining() uint64 { return r.budget - r.pos }
-
 // FFRemaining returns how many instructions remain in the current
 // fast-forward segment, or 0 when the runner is not fast-forwarding.
 func (r *Runner) FFRemaining() uint64 {

@@ -100,10 +100,6 @@ func RunImage(im *Image, cfg Config, budget uint64) (Result, error) {
 	return core.RunImage(im, cfg, budget)
 }
 
-// SetStreamCacheCap bounds the memory (in encoded bytes) the shared
-// stream cache may hold; least-recently-used streams are evicted.
-func SetStreamCacheCap(bytes int64) { core.SetStreamCacheCap(bytes) }
-
 // Experiments lists every reproducible artifact: the paper's tables and
 // figures followed by the extension and ablation studies.
 func Experiments() []Experiment { return core.Experiments() }
