@@ -52,10 +52,11 @@ bench:
 # `bash perfbench/run.sh`, which BENCHMARK.json declares). The
 # steady-state allocation contracts run here too — the trace store's
 # intern/release round, the chunked replay loop, a whole decode pass,
-# the backend's dispatch and the fill unit's preprocessing — plus the
+# the cost of one more group member over shared predictor tables, the
+# backend's dispatch and the fill unit's preprocessing — plus the
 # group driver's correctness gates: decode-once counting, full-Result
-# equivalence against each cell run alone, and stream-cache accounting
-# untouched by decoded chunks.
+# equivalence against each cell run alone (shared predictors included),
+# and stream-cache accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -70,6 +71,7 @@ bench-smoke:
 	$(GO) test -run 'TestDispatchSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
 	$(GO) test -run 'TestDecodeChunksAllocs' -count 1 ./internal/emulator/
+	$(GO) test -run 'TestGroupMemberAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestBroadcast' -count 1 ./internal/harness/
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestSampledCoversFullRunCI' -count 1 ./internal/core/
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReplayer -fuzztime 30s ./internal/emulator/
+	$(GO) test -fuzz FuzzConfig -fuzztime 30s ./internal/pipeline/
 
 clean:
 	$(GO) clean ./...

@@ -85,7 +85,10 @@ type Config struct {
 	RASDepth       int
 	TargetEntries  int
 
-	Pred tpred.Config
+	// Pred holds the next-trace predictor tables the frontend predicts
+	// through, with a view of its own. Frontends fed the same traces in
+	// lockstep may share one set (see tpred.Tables).
+	Pred *tpred.Tables
 
 	// Precon configures the engine; Select must already be merged in
 	// (Precon.Select is the trace-selection rule set shared with the
@@ -184,7 +187,10 @@ type Supply struct {
 
 // Frontend is the composition root: it owns the supplier probe order,
 // routes fills, runs the slow path on misses, and hosts the shared
-// fetch-side state (predictors, intern store, precon engine, port).
+// fetch-side state (predictors, intern store, precon engine, port). Its
+// next-trace predictor is a view: the tables behind it may be shared
+// with other frontends (Config.Pred); the bimodal table and the
+// indirect target buffer are always its own.
 type Frontend struct {
 	cfg   Config
 	im    *program.Image
@@ -199,7 +205,7 @@ type Frontend struct {
 	bim  *bpred.Bimodal
 	ras  *bpred.RAS
 	itb  *bpred.TargetBuffer
-	pred *tpred.Predictor
+	pred *tpred.Predictor // view over private or shared tables
 	eng  *precon.Engine
 
 	// partition reports the adaptive store's feedback state; nil for
@@ -236,9 +242,7 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 	if f.itb, err = bpred.NewTargetBuffer(cfg.TargetEntries); err != nil {
 		return nil, err
 	}
-	if f.pred, err = tpred.New(cfg.Pred); err != nil {
-		return nil, err
-	}
+	f.pred = cfg.Pred.View()
 
 	// Supplier wiring: probe order is primary first, preconstruction
 	// buffers second. Everything design-specific is bound here, once.

@@ -26,10 +26,19 @@ func testConfig() Config {
 		BimodalEntries:    1 << 14,
 		RASDepth:          16,
 		TargetEntries:     1 << 10,
-		Pred:              tpred.DefaultConfig(),
+		Pred:              mustTables(),
 		Precon:            precon.DefaultConfig(),
 		ObserveWrongPath:  true,
 	}
+}
+
+// mustTables builds next-trace predictor tables of the paper's size.
+func mustTables() *tpred.Tables {
+	t, err := tpred.NewTables(tpred.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // slowRig builds a frontend around a straight-line image so slowPath

@@ -90,8 +90,11 @@ type member struct {
 // over a single decode and a single segmentation of their recorded
 // stream st, handing each trace to every live member in lockstep while
 // its instructions are still hot in cache, and fills in each cell's
-// Result (and Sample under a plan). ctx is checked once per decoded
-// chunk. Errors name the bench, and the cell when one cell failed.
+// Result (and Sample under a plan). The members are one
+// pipeline.NewGroup, so members with equal predictor configs share one
+// set of next-trace predictor tables, trained once per trace. ctx is
+// checked once per decoded chunk. Errors name the bench, and the cell
+// when one cell failed.
 //
 // With plan nil every member runs full detail (Simulator.RunTrace).
 // Under a plan every member is a sample.Runner. Members share plan,
@@ -105,21 +108,29 @@ type member struct {
 // budget spent, or adaptive target met — goes dormant while the rest
 // keep consuming.
 func runGroup(ctx context.Context, st *emulator.Stream, budget uint64, cells []*Cell, plan *sample.Plan) error {
-	bench, im := cells[0].Bench, st.Image()
-	var err error
+	bench := cells[0].Bench
+	cfgs := make([]pipeline.Config, len(cells))
+	for i, c := range cells {
+		cfgs[i] = c.Point.Cfg
+		if plan != nil {
+			cfgs[i].FFObservePrecon = plan.ObservePrecon
+		}
+		if err := cfgs[i].Validate(); err != nil {
+			return fmt.Errorf("%s/%s: %w", bench, c.Point.Name, err)
+		}
+	}
+	sims, err := pipeline.NewGroup(st.Image(), cfgs)
+	if err != nil {
+		return fmt.Errorf("%s: %w", bench, err)
+	}
 	members := make([]member, len(cells))
 	for i, c := range cells {
 		mb := &members[i]
-		cfg := c.Point.Cfg
-		if plan != nil {
-			cfg.FFObservePrecon = plan.ObservePrecon
-		}
-		if mb.sim, err = pipeline.New(im, cfg); err == nil {
-			if plan == nil {
-				err = mb.sim.StartChunked(budget)
-			} else {
-				mb.run, err = sample.NewRunner(mb.sim, *plan, budget)
-			}
+		mb.sim = sims[i]
+		if plan == nil {
+			err = mb.sim.StartChunked(budget)
+		} else {
+			mb.run, err = sample.NewRunner(mb.sim, *plan, budget)
 		}
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", bench, c.Point.Name, err)

@@ -3,10 +3,13 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
+	"tracepre/internal/tpred"
 )
 
 // broadcastMatrix is the shape of the bit-identity check: the three
@@ -74,6 +77,74 @@ func checkAgainstAlone(t *testing.T, m Matrix) {
 // cell run alone exactly.
 func TestBroadcastEquivalence(t *testing.T) {
 	checkAgainstAlone(t, broadcastMatrix())
+}
+
+// sharedPredictorMatrix crosses the four next-trace predictor configs
+// of ablation-tpred with two storage points, on one gcc stream: one
+// group whose members share one set of predictor tables per config.
+func sharedPredictorMatrix(budget uint64) Matrix {
+	variants := []func(*tpred.Config){
+		func(*tpred.Config) {},
+		func(c *tpred.Config) { c.DisableRHS = true },
+		func(c *tpred.Config) { c.DisableSecondary = true },
+		func(c *tpred.Config) { c.DisableRHS, c.DisableSecondary = true, true },
+	}
+	m := Matrix{Name: "shared-predictors", Benches: []string{"gcc"}, Budget: budget}
+	for i, mut := range variants {
+		for _, st := range []struct {
+			name string
+			cfg  pipeline.Config
+		}{{"tc512", baseline(512)}, {"tc64-pb256", precon(64, 256)}} {
+			mut(&st.cfg.Pred)
+			m.Points = append(m.Points, ConfigPoint{Name: fmt.Sprintf("pred%d-%s", i, st.name), Cfg: st.cfg})
+		}
+	}
+	return m
+}
+
+// TestBroadcastSharedPredictors runs members that share next-trace
+// predictor tables with members that share other tables, in full
+// detail and sampled, and requires every cell to equal the same cell
+// run alone over private tables.
+func TestBroadcastSharedPredictors(t *testing.T) {
+	checkAgainstAlone(t, sharedPredictorMatrix(60_000))
+	checkSampledAgainstAlone(t, sharedPredictorMatrix(100_000), testPlan())
+}
+
+// TestFigure5MembersPredictAlike records why sharing predictor tables
+// is exact: run alone, over private tables, the nine Figure 5 PB>0
+// points of one group end with identical next-trace predictor
+// counters, with the full-timing backend off and on. The predictor
+// trains from the committed trace sequence only, which storage sizes
+// and timing do not change.
+func TestFigure5MembersPredictAlike(t *testing.T) {
+	const budget = 200_000
+	for _, timing := range []bool{false, true} {
+		var first tpred.Stats
+		n := 0
+		for _, pb := range []int{64, 256} {
+			for _, tc := range []int{64, 128, 256, 512, 1024} {
+				if pb >= 256 && tc >= 1024 {
+					continue // beyond the paper's area range, as in Figure 5
+				}
+				cfg := precon(tc, pb)
+				cfg.FullTiming = timing
+				r, err := RunBenchmark("gcc", 0, cfg, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					first = r.Pred
+				} else if r.Pred != first {
+					t.Errorf("timing=%v tc%d/pb%d: Pred %+v, tc64/pb64 %+v", timing, tc, pb, r.Pred, first)
+				}
+				n++
+			}
+		}
+		if n != 9 || first.Predictions == 0 {
+			t.Fatalf("timing=%v: %d points, predictions %d", timing, n, first.Predictions)
+		}
+	}
 }
 
 // TestBroadcastMixedSelect covers points whose SelectConfigs differ:

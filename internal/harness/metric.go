@@ -52,21 +52,6 @@ var (
 	PreconNsPerKI = Metric{"precon-ns/KI", func(r pipeline.Result) float64 {
 		return stats.PerKI(r.Precon.EngineNs(), r.Instructions)
 	}}
-	// InternHitRate is the fraction of trace-store interns served by a
-	// resident identical trace (a refcount bump instead of a copy).
-	InternHitRate = Metric{"intern-hit-rate", func(r pipeline.Result) float64 {
-		return r.Intern.HitRate()
-	}}
-	// InternSlabKiB is the trace store's slab footprint in KiB at the
-	// end of the run — the resident cost of interned storage.
-	InternSlabKiB = Metric{"intern-slab-KiB", func(r pipeline.Result) float64 {
-		return float64(r.Intern.SlabBytes) / 1024
-	}}
-	// InternReleasedPerKI is released trace references per 1000
-	// committed instructions: eviction/replacement churn in the caches.
-	InternReleasedPerKI = Metric{"intern-released/KI", func(r pipeline.Result) float64 {
-		return stats.PerKI(r.Intern.Released, r.Instructions)
-	}}
 	// TCHitRate is the primary supplier's (trace cache's) hit rate as
 	// seen by the frontend's probe loop: hits over demanded traces.
 	TCHitRate = Metric{"tc-hit-rate", func(r pipeline.Result) float64 {

@@ -80,17 +80,21 @@ func TestSampledSweep(t *testing.T) {
 // cell's interval statistics and aggregate to equal the same cell
 // sampled alone through RunBenchmarkSampled.
 func TestSampledBroadcastMatchesPerCell(t *testing.T) {
-	const budget = 100_000
-	m := samplingTestMatrix(budget)
-	plan := testPlan()
+	checkSampledAgainstAlone(t, samplingTestMatrix(100_000), testPlan())
+}
 
+// checkSampledAgainstAlone runs the matrix under the plan and requires
+// every cell's interval statistics and aggregate to equal the same cell
+// sampled alone through RunBenchmarkSampled, a group of one.
+func checkSampledAgainstAlone(t *testing.T, m Matrix, plan sample.Plan) {
+	t.Helper()
 	g, err := Run(context.Background(), m, WithSampling(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Cells {
 		c := &g.Cells[i]
-		alone, err := RunBenchmarkSampled(c.Bench, c.Seed, c.Point.Cfg, budget, plan)
+		alone, err := RunBenchmarkSampled(c.Bench, c.Seed, c.Point.Cfg, m.Budget, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,10 +189,11 @@ func (c Config) WithModeledL2(mc mem.Config) Config {
 // frontendConfig slices the fetch-side configuration out for the
 // frontend composition root (trace selection rules are merged into the
 // precon config, and the backend's L2 latency prices slow-path i-cache
-// misses, as before the decomposition). The shared memory hierarchy is
-// not part of the slice: Simulator.New builds it once and binds it into
-// the returned Config's Mem field, so I-side and D-side misses meet in
-// one level.
+// misses, as before the decomposition). The shared memory hierarchy and
+// the next-trace predictor tables are not part of the slice: the
+// simulator's constructor binds them into the returned Config's Mem and
+// Pred fields, so I-side and D-side misses meet in one level and group
+// members can share predictor tables.
 func (c Config) frontendConfig() frontend.Config {
 	pcfg := c.Precon
 	pcfg.Select = c.Select
@@ -207,7 +208,6 @@ func (c Config) frontendConfig() frontend.Config {
 		BimodalEntries:    c.BimodalEntries,
 		RASDepth:          c.RASDepth,
 		TargetEntries:     c.TargetEntries,
-		Pred:              c.Pred,
 		Precon:            pcfg,
 		PreprocEnabled:    c.PreprocEnabled,
 		ObserveWrongPath:  c.ObserveWrongPath,
@@ -222,11 +222,17 @@ func (c Config) Validate() error {
 	if err := c.TraceCache.Validate(); err != nil {
 		return err
 	}
+	if err := c.ICache.Validate(); err != nil {
+		return err
+	}
 	if c.PreconEnabled() {
 		if err := c.Buffers.Validate(); err != nil {
 			return err
 		}
 		if err := c.Precon.Validate(); err != nil {
+			return err
+		}
+		if _, _, err := c.Precon.ResolveLine(c.ICache.LineBytes); err != nil {
 			return err
 		}
 	}
@@ -241,9 +247,6 @@ func (c Config) Validate() error {
 		if err := unified.Validate(); err != nil {
 			return fmt.Errorf("pipeline: adaptive partition: %w", err)
 		}
-	}
-	if err := c.ICache.Validate(); err != nil {
-		return err
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
@@ -262,8 +265,11 @@ func (c Config) Validate() error {
 	if c.BimodalEntries <= 0 || c.BimodalEntries&(c.BimodalEntries-1) != 0 {
 		return fmt.Errorf("pipeline: BimodalEntries %d", c.BimodalEntries)
 	}
-	if c.RASDepth <= 0 || c.TargetEntries <= 0 {
-		return fmt.Errorf("pipeline: RAS %d targets %d", c.RASDepth, c.TargetEntries)
+	if c.RASDepth <= 0 {
+		return fmt.Errorf("pipeline: RASDepth %d", c.RASDepth)
+	}
+	if c.TargetEntries <= 0 || c.TargetEntries&(c.TargetEntries-1) != 0 {
+		return fmt.Errorf("pipeline: TargetEntries %d not a power of two", c.TargetEntries)
 	}
 	if err := c.Pred.Validate(); err != nil {
 		return err

@@ -1,0 +1,103 @@
+package pipeline
+
+import (
+	"testing"
+
+	"tracepre/internal/mem"
+)
+
+// configFields are the mutations FuzzConfig applies to the default
+// configuration. Each sets one field from a small signed value, scaled
+// where the field counts bytes, so both valid and invalid settings come
+// up and no setting allocates much.
+var configFields = []struct {
+	name string
+	set  func(c *Config, v int)
+}{
+	{"Select.MaxLen", func(c *Config, v int) { c.Select.MaxLen = v }},
+	{"Select.AlignMod", func(c *Config, v int) { c.Select.AlignMod = v }},
+	{"TraceCache.Entries", func(c *Config, v int) { c.TraceCache.Entries = v }},
+	{"TraceCache.Assoc", func(c *Config, v int) { c.TraceCache.Assoc = v }},
+	{"Buffers.Entries", func(c *Config, v int) { c.Buffers.Entries = v }},
+	{"Buffers.Assoc", func(c *Config, v int) { c.Buffers.Assoc = v }},
+	{"ICache.SizeBytes", func(c *Config, v int) { c.ICache.SizeBytes = 64 * v }},
+	{"ICache.LineBytes", func(c *Config, v int) { c.ICache.LineBytes = v }},
+	{"ICache.Assoc", func(c *Config, v int) { c.ICache.Assoc = v }},
+	{"DCache.SizeBytes", func(c *Config, v int) { c.DCache.SizeBytes = 64 * v }},
+	{"DCache.LineBytes", func(c *Config, v int) { c.DCache.LineBytes = v }},
+	{"Mem", func(c *Config, v int) {
+		if v%2 != 0 {
+			c.Mem = mem.DefaultModeledL2()
+		}
+		c.Mem.ModelL2 = v != 0
+	}},
+	{"Mem.L2.SizeBytes", func(c *Config, v int) { c.Mem.L2.SizeBytes = 1024 * v }},
+	{"Mem.L2.LineBytes", func(c *Config, v int) { c.Mem.L2.LineBytes = v }},
+	{"Mem.MSHRs", func(c *Config, v int) { c.Mem.MSHRs = v }},
+	{"Mem.FillGap", func(c *Config, v int) { c.Mem.FillGap = v }},
+	{"SlowFetchWidth", func(c *Config, v int) { c.SlowFetchWidth = v }},
+	{"MispredictPenalty", func(c *Config, v int) { c.MispredictPenalty = v }},
+	{"BimodalEntries", func(c *Config, v int) { c.BimodalEntries = v }},
+	{"RASDepth", func(c *Config, v int) { c.RASDepth = v }},
+	{"TargetEntries", func(c *Config, v int) { c.TargetEntries = v }},
+	{"Pred.PrimaryEntries", func(c *Config, v int) { c.Pred.PrimaryEntries = v }},
+	{"Pred.SecondaryEntries", func(c *Config, v int) { c.Pred.SecondaryEntries = v }},
+	{"Pred.HistoryTraces", func(c *Config, v int) { c.Pred.HistoryTraces = v }},
+	{"Pred.RHSDepth", func(c *Config, v int) { c.Pred.RHSDepth = v }},
+	{"Precon.StackDepth", func(c *Config, v int) { c.Precon.StackDepth = v }},
+	{"Precon.NumRegions", func(c *Config, v int) { c.Precon.NumRegions = v }},
+	{"Precon.PrefetchInstrs", func(c *Config, v int) { c.Precon.PrefetchInstrs = v }},
+	{"Precon.NumConstructors", func(c *Config, v int) { c.Precon.NumConstructors = v }},
+	{"Precon.LineBytes", func(c *Config, v int) { c.Precon.LineBytes = v }},
+	{"Precon.Select.MaxLen", func(c *Config, v int) { c.Precon.Select.MaxLen = v }},
+	{"AdaptivePartition", func(c *Config, v int) { c.AdaptivePartition = v%2 != 0 }},
+	{"FullTiming", func(c *Config, v int) { c.FullTiming = v%2 != 0 }},
+	{"FrontendIPC", func(c *Config, v int) { c.FrontendIPC = float64(v) / 4 }},
+	{"Backend.NumPEs", func(c *Config, v int) { c.Backend.NumPEs = v }},
+	{"Backend.IssuePerPE", func(c *Config, v int) { c.Backend.IssuePerPE = v }},
+	{"Backend.XferLat", func(c *Config, v int) { c.Backend.XferLat = v }},
+	{"Backend.L2Lat", func(c *Config, v int) { c.Backend.L2Lat = v }},
+	{"Backend.Lookahead", func(c *Config, v int) { c.Backend.Lookahead = v }},
+}
+
+// fieldIndex returns the index of the named configFields entry.
+func fieldIndex(name string) uint8 {
+	for i, f := range configFields {
+		if f.name == name {
+			return uint8(i)
+		}
+	}
+	panic("no config field " + name)
+}
+
+// FuzzConfig requires Validate to be the whole configuration check:
+// for the default configuration under up to three field mutations,
+// Validate returns nil exactly when New succeeds, and neither panics.
+// The seeds are the two checks construction makes beyond the parts'
+// own Validate methods: a target buffer size that is not a power of
+// two, and a prefetch cache smaller than one 64-byte i-cache line.
+func FuzzConfig(f *testing.F) {
+	none := uint8(len(configFields)) // out of range: no mutation
+	f.Add(fieldIndex("TargetEntries"), int8(3), none, int8(0), none, int8(0))
+	f.Add(fieldIndex("Buffers.Entries"), int8(64), fieldIndex("Precon.PrefetchInstrs"), int8(8), none, int8(0))
+	im := loopImage(f, 5)
+	f.Fuzz(func(t *testing.T, f1 uint8, v1 int8, f2 uint8, v2 int8, f3 uint8, v3 int8) {
+		c := DefaultConfig()
+		var applied []string
+		for _, m := range []struct {
+			field uint8
+			v     int8
+		}{{f1, v1}, {f2, v2}, {f3, v3}} {
+			if int(m.field) < len(configFields) {
+				fd := configFields[m.field]
+				fd.set(&c, int(m.v))
+				applied = append(applied, fd.name)
+			}
+		}
+		verr := c.Validate()
+		_, nerr := New(im, c)
+		if (verr == nil) != (nerr == nil) {
+			t.Fatalf("mutating %v: Validate = %v but New = %v", applied, verr, nerr)
+		}
+	})
+}

@@ -2,18 +2,20 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
 	"tracepre/internal/program"
+	"tracepre/internal/tpred"
 	"tracepre/internal/tracecache"
 )
 
 // loopImage builds a program that repeats the same control flow many
 // times: a counted loop around a call, so the trace working set is tiny
 // and the trace cache gets hot quickly.
-func loopImage(t *testing.T, iters int32) *program.Image {
+func loopImage(t testing.TB, iters int32) *program.Image {
 	t.Helper()
 	b := program.NewBuilder(0x1000)
 	b.ALUI(isa.OpAddI, 1, 0, iters)
@@ -414,5 +416,34 @@ func TestWindowedStats(t *testing.T) {
 	res2, _ := MustNew(im, DefaultConfig()).Run(5_000)
 	if len(res2.Windows) != 0 {
 		t.Error("windows recorded when disabled")
+	}
+}
+
+// TestGroupMemberAllocs bounds what building one more member of a group
+// costs once the group's next-trace predictor tables exist: a
+// tc1024/pb64 member must allocate under 256 KiB. Built with private
+// tables, as New does, it allocates about 758 KiB, 640 KiB of which are
+// predictor tables.
+func TestGroupMemberAllocs(t *testing.T) {
+	im := loopImage(t, 5)
+	cfg := DefaultConfig().WithTraceCache(1024).WithPrecon(64)
+	tables, err := tpred.NewTables(cfg.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	s, err := newMember(im, cfg, tables)
+	runtime.ReadMemStats(&ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	got := ms.TotalAlloc - before
+	t.Logf("tc1024/pb64 member over shared tables: %d KiB", got>>10)
+	if got >= 256<<10 {
+		t.Errorf("building a tc1024/pb64 member over shared tables allocated %d KiB, want under 256 KiB", got>>10)
 	}
 }

@@ -205,11 +205,60 @@ type chunkRun struct {
 }
 
 // New builds a simulator for the image: a frontend composed from the
-// config's fetch-side slice, plus the optional full-timing backend.
+// config's fetch-side slice, plus the optional full-timing backend. It
+// is a group of one (NewGroup), so its next-trace predictor tables are
+// its own.
 func New(im *program.Image, cfg Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	sims, err := NewGroup(im, []Config{cfg})
+	if err != nil {
 		return nil, err
 	}
+	return sims[0], nil
+}
+
+// NewGroup builds one simulator per config for a group whose members
+// are fed the same demanded traces in lockstep: every member consumes a
+// trace (RunTrace, or a sample.Runner's Feed over it) before any member
+// gets the next. The next-trace predictor learns from that trace
+// sequence alone, so members with equal Pred configs share one set of
+// predictor tables, which train once per trace; each member keeps its
+// own predictor counters (Result.Pred) and everything else, including
+// the bimodal table and the indirect target buffer, which it reads
+// before its own retirement trains them. Feeding members out of
+// lockstep panics in the predictor.
+//
+// Adaptive-partition members keep private tables. While the engine
+// steps in Frontend.Retire, their unified store can evict the trace
+// the slow path just built and the trace store can recycle its slot,
+// all before the predictor trains from that trace, so what they train
+// on is not the committed sequence alone.
+func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
+	tables := map[tpred.Config]*tpred.Tables{}
+	sims := make([]*Simulator, len(cfgs))
+	var err error
+	for i, cfg := range cfgs {
+		if err = cfg.Validate(); err != nil {
+			return nil, err
+		}
+		t := tables[cfg.Pred]
+		if t == nil || cfg.AdaptivePartition {
+			if t, err = tpred.NewTables(cfg.Pred); err != nil {
+				return nil, err
+			}
+			if !cfg.AdaptivePartition {
+				tables[cfg.Pred] = t
+			}
+		}
+		if sims[i], err = newMember(im, cfg, t); err != nil {
+			return nil, err
+		}
+	}
+	return sims, nil
+}
+
+// newMember builds one validated simulator whose frontend predicts
+// through the given predictor tables.
+func newMember(im *program.Image, cfg Config, tables *tpred.Tables) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, im: im}
 	h, err := mem.New(cfg.Mem, cfg.Backend.L2Lat)
 	if err != nil {
@@ -218,6 +267,7 @@ func New(im *program.Image, cfg Config) (*Simulator, error) {
 	s.mem = h
 	fcfg := cfg.frontendConfig()
 	fcfg.Mem = h
+	fcfg.Pred = tables
 	fe, err := frontend.New(im, fcfg)
 	if err != nil {
 		return nil, err

@@ -150,6 +150,23 @@ func (c Config) Validate() error {
 	return c.Select.Validate()
 }
 
+// ResolveLine returns the prefetch-cache line size, LineBytes or the
+// instruction cache's line size icacheLine when LineBytes is 0, and how
+// many such lines the prefetch cache holds. A prefetch cache smaller
+// than one line is an error. icacheLine must be positive.
+func (c Config) ResolveLine(icacheLine int) (lineBytes, lineCap int, err error) {
+	lineBytes = c.LineBytes
+	if lineBytes == 0 {
+		lineBytes = icacheLine
+	}
+	lineCap = c.PrefetchInstrs * isa.WordSize / lineBytes
+	if lineCap <= 0 {
+		return 0, 0, fmt.Errorf("precon: prefetch cache (%d instrs) smaller than one %dB line",
+			c.PrefetchInstrs, lineBytes)
+	}
+	return lineBytes, lineCap, nil
+}
+
 // Kind distinguishes the two region start-point constructs of §3.2.
 type Kind uint8
 
@@ -338,14 +355,9 @@ func New(cfg Config, im *program.Image, bim *bpred.Bimodal, port *SlowPathPort,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lineBytes := cfg.LineBytes
-	if lineBytes == 0 {
-		lineBytes = port.LineBytes()
-	}
-	lineCap := cfg.PrefetchInstrs * isa.WordSize / lineBytes
-	if lineCap <= 0 {
-		return nil, fmt.Errorf("precon: prefetch cache (%d instrs) smaller than one %dB line",
-			cfg.PrefetchInstrs, lineBytes)
+	lineBytes, lineCap, err := cfg.ResolveLine(port.LineBytes())
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:        cfg,

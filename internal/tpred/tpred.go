@@ -84,8 +84,22 @@ func (s Stats) Accuracy() float64 {
 	return float64(s.Correct) / float64(s.Predictions)
 }
 
-// Predictor is the hybrid path-based next-trace predictor.
-type Predictor struct {
+// Tables is the predictor's trained state: the primary and secondary
+// tables, the path history, the return history stack and the last
+// trace ID. It learns from the committed trace sequence alone, so
+// simulators fed the same demanded traces — the members of a sweep
+// group — would train identical copies; one Tables serves them all
+// through a Predictor view each.
+//
+// Views sharing a Tables must be fed in lockstep: every view consumes
+// trace n (Predict then Update, or Train) before any view moves on to
+// trace n+1. The tables then advance once per trace index. The first
+// view to reach trace n looks it up from the state before n and caches
+// the lookup, and later views reuse it; the first Update or Train of
+// trace n trains the tables, and later ones for the same n do nothing.
+// A view more than one trace away from its tables breaks that contract
+// and panics.
+type Tables struct {
 	cfg       Config
 	primary   []entry
 	secondary []entry
@@ -96,28 +110,62 @@ type Predictor struct {
 	rhsSize   int
 	lastID    trace.ID
 	haveLast  bool
-	stats     Stats
 
-	// State captured at Predict time so Update trains the entries the
-	// prediction actually came from.
-	pIdx, sIdx int
-	pTag       uint16
-	predicted  trace.ID
-	havePred   bool
+	n    uint64 // traces trained so far
+	look lookup // the latest lookup: of trace n, or of trace n-1
 }
 
-// New builds a predictor.
-func New(cfg Config) (*Predictor, error) {
+// lookup is one trace's table lookup, taken from the state before that
+// trace trained the tables: the slots a prediction reads and training
+// writes, and the prediction they hold.
+type lookup struct {
+	trace      uint64 // index of the trace looked up
+	pIdx, sIdx int
+	pTag       uint16
+	id         trace.ID
+	ok         bool // id is a prediction
+	primary    bool // from the path table
+}
+
+// NewTables builds one set of predictor tables.
+func NewTables(cfg Config) (*Tables, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Predictor{
+	t := &Tables{
 		cfg:       cfg,
 		primary:   make([]entry, cfg.PrimaryEntries),
 		secondary: make([]entry, cfg.SecondaryEntries),
 		histBits:  uint(64 / cfg.HistoryTraces),
 		rhs:       make([]uint64, cfg.RHSDepth),
-	}, nil
+	}
+	t.look.trace = ^uint64(0) // none yet
+	return t, nil
+}
+
+// View returns a new predictor over the tables, positioned at the next
+// trace they have not trained. Its counters start at zero.
+func (t *Tables) View() *Predictor { return &Predictor{t: t, n: t.n} }
+
+// Predictor is one simulator's view of the hybrid path-based next-trace
+// predictor: its own counters and pending prediction over Tables that
+// may be shared (see Tables).
+type Predictor struct {
+	t *Tables
+	n uint64 // traces this view has consumed
+
+	stats     Stats
+	predicted trace.ID // what the last Predict offered, for Update
+	havePred  bool
+}
+
+// New builds a predictor over private tables.
+func New(cfg Config) (*Predictor, error) {
+	t, err := NewTables(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return t.View(), nil
 }
 
 // MustNew builds a predictor, panicking on config error.
@@ -136,75 +184,93 @@ func fold(h uint64) uint32 {
 	return uint32(h)
 }
 
-func (p *Predictor) indices() (pIdx int, pTag uint16, sIdx int) {
-	f := fold(p.hist)
-	pIdx = int(f) & (p.cfg.PrimaryEntries - 1)
-	pTag = uint16(f >> 16)
-	sIdx = int(p.lastID.Hash()) & (p.cfg.SecondaryEntries - 1)
-	return
+// lookupAt returns trace i's lookup: the cached one when a view has
+// already looked trace i up, else one taken now from the current state,
+// which must then be the state before trace i. Any other i is a view
+// out of lockstep, and panics.
+func (t *Tables) lookupAt(i uint64) *lookup {
+	l := &t.look
+	if l.trace == i {
+		return l
+	}
+	if i != t.n {
+		panic(fmt.Sprintf("tpred: view at trace %d, tables at trace %d: views sharing tables must be fed in lockstep", i, t.n))
+	}
+	f := fold(t.hist)
+	l.trace = i
+	l.pIdx = int(f) & (t.cfg.PrimaryEntries - 1)
+	l.pTag = uint16(f >> 16)
+	l.sIdx = int(t.lastID.Hash()) & (t.cfg.SecondaryEntries - 1)
+	l.id, l.ok, l.primary = trace.ID{}, false, false
+	if e := &t.primary[l.pIdx]; e.valid && e.tag == l.pTag {
+		l.id, l.ok, l.primary = e.id, true, true
+	} else if t.haveLast && !t.cfg.DisableSecondary {
+		if e := &t.secondary[l.sIdx]; e.valid {
+			l.id, l.ok = e.id, true
+		}
+	}
+	return l
 }
 
 // Predict returns the predicted next trace ID. ok is false when neither
 // table has anything useful (cold start), in which case the frontend
 // falls back to the slow path immediately.
 func (p *Predictor) Predict() (id trace.ID, ok bool) {
-	p.pIdx, p.pTag, p.sIdx = p.indices()
+	l := p.t.lookupAt(p.n)
 	p.stats.Predictions++
-	if e := &p.primary[p.pIdx]; e.valid && e.tag == p.pTag {
+	if l.primary {
 		p.stats.FromPrimary++
-		p.predicted, p.havePred = e.id, true
-		return e.id, true
 	}
-	if p.haveLast && !p.cfg.DisableSecondary {
-		if e := &p.secondary[p.sIdx]; e.valid {
-			p.predicted, p.havePred = e.id, true
-			return e.id, true
-		}
+	if !l.ok {
+		p.stats.NoPredict++
 	}
-	p.stats.NoPredict++
-	p.havePred = false
-	return trace.ID{}, false
+	p.predicted, p.havePred = l.id, l.ok
+	return l.id, l.ok
 }
 
 // Update trains the predictor with the actual next trace and advances
 // the path history. The actual trace's control character drives the
 // return history stack: traces containing calls push a history snapshot,
-// traces ending in returns restore one. Update trains at the indices
-// the preceding Predict captured — every demanded trace is predicted
-// before it retires, so prediction and training always agree on where
-// in the tables this path lives.
+// traces ending in returns restore one. Update trains at the slots the
+// preceding Predict read — every demanded trace is predicted before it
+// retires, so prediction and training always agree on where in the
+// tables this path lives.
 func (p *Predictor) Update(actual *trace.Trace) {
-	id := actual.ID()
-	if p.havePred && p.predicted == id {
+	if p.havePred && p.predicted == actual.ID() {
 		p.stats.Correct++
 	}
-	p.train(actual, id)
+	p.Train(actual)
 }
 
-// Train trains the predictor without a paired Predict: indices are
-// computed fresh from the current history, exactly as Predict would
-// have. The sampled fast-forward path uses it — the skipped stream
-// retires without predictions, but the tables must be trained at the
-// same slots a full-detail run would train, or the path-indexed primary
+// Train trains the predictor without counting a prediction: the slots
+// are the ones Predict would have read from the current history. The
+// sampled fast-forward path uses it — the skipped stream retires
+// without predictions, but the tables must be trained at the same slots
+// a full-detail run would train, or the path-indexed primary
 // degenerates to thrashing whichever slot the last real prediction
 // touched.
 func (p *Predictor) Train(actual *trace.Trace) {
-	p.pIdx, p.pTag, p.sIdx = p.indices()
+	if p.t.n != p.n+1 { // else a view sharing the tables trained this trace
+		p.t.train(p.n, actual)
+	}
+	p.n++
 	p.havePred = false
-	p.train(actual, actual.ID())
 }
 
-// train is the shared table-training and history-advance tail of Update
-// and Train; id is actual.ID().
-func (p *Predictor) train(actual *trace.Trace, id trace.ID) {
-	// Train the primary (tagged) table at the indices used to predict.
-	e := &p.primary[p.pIdx]
+// train trains the tables with the actual trace i, which must be the
+// next they have not trained (lookupAt panics otherwise).
+func (t *Tables) train(i uint64, actual *trace.Trace) {
+	l := t.lookupAt(i)
+	id := actual.ID()
+
+	// Train the primary (tagged) table at the slot the lookup read.
+	e := &t.primary[l.pIdx]
 	switch {
-	case e.valid && e.tag == p.pTag && e.id == id:
+	case e.valid && e.tag == l.pTag && e.id == id:
 		if e.conf < 3 {
 			e.conf++
 		}
-	case e.valid && e.tag == p.pTag:
+	case e.valid && e.tag == l.pTag:
 		if e.conf > 0 {
 			e.conf--
 		} else {
@@ -213,12 +279,12 @@ func (p *Predictor) train(actual *trace.Trace, id trace.ID) {
 		}
 	default:
 		// Tag miss: allocate.
-		*e = entry{tag: p.pTag, id: id, conf: 1, valid: true}
+		*e = entry{tag: l.pTag, id: id, conf: 1, valid: true}
 	}
 
 	// Train the secondary (last-trace) table.
-	if p.haveLast {
-		se := &p.secondary[p.sIdx]
+	if t.haveLast {
+		se := &t.secondary[l.sIdx]
 		switch {
 		case se.valid && se.id == id:
 			if se.conf < 3 {
@@ -237,55 +303,40 @@ func (p *Predictor) train(actual *trace.Trace, id trace.ID) {
 	}
 
 	// Advance path history with the actual trace.
-	p.hist = p.hist<<p.histBits ^ uint64(id.Hash())
-	p.lastID = id
-	p.haveLast = true
+	t.hist = t.hist<<t.histBits ^ uint64(id.Hash())
+	t.lastID = id
+	t.haveLast = true
 
 	// Return history stack: push after calls, restore at returns.
-	if actual.ContainsCall() && !p.cfg.DisableRHS {
-		p.rhsPush(p.hist)
+	if actual.ContainsCall() && !t.cfg.DisableRHS {
+		t.rhsPush(t.hist)
 	}
-	if actual.EndsInReturn && !p.cfg.DisableRHS {
-		if h, ok := p.rhsPop(); ok {
+	if actual.EndsInReturn && !t.cfg.DisableRHS {
+		if h, ok := t.rhsPop(); ok {
 			// Restore the pre-call history, then fold in the
 			// returning trace so the post-return path is distinct.
-			p.hist = h<<p.histBits ^ uint64(id.Hash())
+			t.hist = h<<t.histBits ^ uint64(id.Hash())
 		}
 	}
-	p.havePred = false
+	t.n++
 }
 
-func (p *Predictor) rhsPush(h uint64) {
-	p.rhs[p.rhsTop] = h
-	p.rhsTop = (p.rhsTop + 1) % len(p.rhs)
-	if p.rhsSize < len(p.rhs) {
-		p.rhsSize++
+func (t *Tables) rhsPush(h uint64) {
+	t.rhs[t.rhsTop] = h
+	t.rhsTop = (t.rhsTop + 1) % len(t.rhs)
+	if t.rhsSize < len(t.rhs) {
+		t.rhsSize++
 	}
 }
 
-func (p *Predictor) rhsPop() (uint64, bool) {
-	if p.rhsSize == 0 {
+func (t *Tables) rhsPop() (uint64, bool) {
+	if t.rhsSize == 0 {
 		return 0, false
 	}
-	p.rhsTop = (p.rhsTop - 1 + len(p.rhs)) % len(p.rhs)
-	p.rhsSize--
-	return p.rhs[p.rhsTop], true
+	t.rhsTop = (t.rhsTop - 1 + len(t.rhs)) % len(t.rhs)
+	t.rhsSize--
+	return t.rhs[t.rhsTop], true
 }
 
 // Stats returns a copy of the counters.
 func (p *Predictor) Stats() Stats { return p.stats }
-
-// Reset clears tables, history and statistics.
-func (p *Predictor) Reset() {
-	for i := range p.primary {
-		p.primary[i] = entry{}
-	}
-	for i := range p.secondary {
-		p.secondary[i] = entry{}
-	}
-	p.hist = 0
-	p.rhsTop, p.rhsSize = 0, 0
-	p.lastID = trace.ID{}
-	p.haveLast, p.havePred = false, false
-	p.stats = Stats{}
-}

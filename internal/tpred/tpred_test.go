@@ -1,6 +1,7 @@
 package tpred
 
 import (
+	"math/rand"
 	"testing"
 
 	"tracepre/internal/isa"
@@ -231,19 +232,104 @@ func TestUpdateTrainsReplacement(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := MustNew(smallCfg())
+// lockstepSeq is a repeating trace sequence with some noise, calls and
+// returns, long enough to warm both tables and the RHS.
+func lockstepSeq() []*trace.Trace {
+	kinds := []*trace.Trace{
+		mkTrace(0x1000, true, false),
+		mkTrace(0x2000, false, true),
+		mkTrace(0x3000, false, false),
+		mkTrace(0x4000, true, false),
+		mkTrace(0x5000, false, true),
+		mkTrace(0x6000, false, false),
+	}
+	rng := rand.New(rand.NewSource(3))
+	seq := make([]*trace.Trace, 3000)
+	for i := range seq {
+		k := i % len(kinds)
+		if rng.Intn(8) == 0 {
+			k = rng.Intn(len(kinds))
+		}
+		seq[i] = kinds[k]
+	}
+	return seq
+}
+
+// TestSharedTablesMatchPrivate feeds two views over one set of tables
+// and two predictors over private tables the same trace sequence, in
+// lockstep. Each trace is either predicted and updated, as full detail
+// does, or trained only, as fast-forward does, chosen per predictor;
+// and which view reaches a trace first alternates. Every prediction
+// and every counter of a view must equal its private twin's.
+func TestSharedTablesMatchPrivate(t *testing.T) {
+	tables, err := NewTables(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := []*Predictor{tables.View(), tables.View()}
+	private := []*Predictor{MustNew(smallCfg()), MustNew(smallCfg())}
+	rng := rand.New(rand.NewSource(5))
+	for n, tr := range lockstepSeq() {
+		order := []int{0, 1}
+		if n%2 == 1 {
+			order = []int{1, 0}
+		}
+		for _, v := range order {
+			if rng.Intn(4) == 0 {
+				shared[v].Train(tr)
+				private[v].Train(tr)
+				continue
+			}
+			id, ok := shared[v].Predict()
+			pid, pok := private[v].Predict()
+			if id != pid || ok != pok {
+				t.Fatalf("trace %d view %d: shared predicted (%v, %v), private (%v, %v)", n, v, id, ok, pid, pok)
+			}
+			shared[v].Update(tr)
+			private[v].Update(tr)
+		}
+		for v := range shared {
+			if s, p := shared[v].Stats(), private[v].Stats(); s != p {
+				t.Fatalf("trace %d view %d: shared stats %+v, private %+v", n, v, s, p)
+			}
+		}
+	}
+	if s := shared[0].Stats(); s.Correct == 0 || s.FromPrimary == 0 || s.NoPredict == 0 {
+		t.Errorf("sequence too easy or too hard to exercise every counter: %+v", s)
+	}
+}
+
+// TestViewOutOfLockstepPanics: a view two traces behind its tables can
+// no longer be served, and panics rather than predict from the wrong
+// state. One trace behind is the lockstep norm.
+func TestViewOutOfLockstepPanics(t *testing.T) {
+	tables, err := NewTables(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, lag := tables.View(), tables.View()
 	x := mkTrace(0x1000, false, false)
-	for i := 0; i < 4; i++ {
-		p.Predict()
-		p.Update(x)
-	}
-	p.Reset()
-	if _, ok := p.Predict(); ok {
-		t.Error("prediction after Reset")
-	}
-	if s := p.Stats(); s.Predictions != 1 || s.Correct != 0 {
-		t.Errorf("stats after Reset = %+v", s)
+	lead.Predict()
+	lead.Update(x)
+	lag.Predict() // one behind: served from the cached lookup
+	lag.Update(x) // one behind: the tables already trained this trace
+	lead.Predict()
+	lead.Update(x)
+	lead.Predict()
+	lead.Update(x)
+	for name, f := range map[string]func(){
+		"Predict": func() { lag.Predict() },
+		"Update":  func() { lag.Update(x) },
+		"Train":   func() { lag.Train(x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s two traces behind the tables did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
