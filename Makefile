@@ -8,8 +8,9 @@ all: build vet test
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 gate plus a
 # race-detector pass over the short suite, the benchmark module (its
-# own Go module, so ./... above never compiles it) and the lint job.
-ci: build lint test
+# own Go module, so ./... above never compiles it), the examples and
+# the lint job.
+ci: build lint test examples
 	$(GO) test -race -short ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
@@ -17,8 +18,14 @@ build:
 	$(GO) build ./...
 	$(GO) build ./examples/...
 
+# Build and run every example; each finishes in a second or two.
+# precon-anatomy exits non-zero when preconstruction supplies none of
+# its demanded traces ahead of need.
 examples:
 	$(GO) build ./examples/...
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Fail when any file drifts from gofmt — mirrored by the CI lint job.
 fmt-check:

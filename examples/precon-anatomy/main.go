@@ -4,6 +4,12 @@
 // engine jumps ahead and constructs traces, and the demanded traces
 // after the return and the loop exit are supplied from the buffers.
 //
+// It drives the simulated machine itself (pipeline.Simulator) one
+// demanded trace at a time, so the engine gets exactly the idle
+// slow-path port cycles the timing model grants it, and reads who
+// supplied each trace from the difference of two Snapshots. It exits
+// non-zero when preconstruction supplies no demanded trace.
+//
 //	go run ./examples/precon-anatomy
 package main
 
@@ -11,14 +17,12 @@ import (
 	"fmt"
 	"log"
 
-	"tracepre/internal/bpred"
-	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
+	"tracepre/internal/pipeline"
 	"tracepre/internal/precon"
 	"tracepre/internal/program"
 	"tracepre/internal/trace"
-	"tracepre/internal/tracecache"
 )
 
 // buildExample assembles a program shaped like the paper's Figure 2:
@@ -73,63 +77,80 @@ func main() {
 	fmt.Println("static program:")
 	fmt.Print(im.Disassemble(im.Base, im.NumInstrs()))
 
-	bim := bpred.MustNewBimodal(1024)
-	ic := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-	tc := tracecache.MustNew(tracecache.Config{Entries: 64, Assoc: 2})
-	buf := tracecache.MustNewBuffers(tracecache.Config{Entries: 64, Assoc: 2})
-	eng := precon.MustNew(precon.DefaultConfig(), im, bim, precon.NewSlowPathPort(ic), tc, buf)
-
-	eng.SetTraceHook(func(tr *trace.Trace, sp precon.StartPoint) {
-		fmt.Printf("    engine built %v (len %d) for %s region at 0x%x\n",
-			tr.ID(), tr.Len(), sp.Kind, sp.Addr)
+	// The paper's machine with a 64-entry trace cache and 64 entries of
+	// preconstruction buffers.
+	cfg := pipeline.DefaultConfig().WithTraceCache(64).WithPrecon(64)
+	sim, err := pipeline.New(im, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The engine builds while a demanded trace retires; collect its
+	// reports and print them under that trace.
+	var built []string
+	sim.PreconEngine().SetTraceHook(func(tr *trace.Trace, sp precon.StartPoint) {
+		built = append(built, fmt.Sprintf("    engine built %v (len %d) for %s region at 0x%x",
+			tr.ID(), tr.Len(), sp.Kind, sp.Addr))
 	})
 
-	fmt.Println("\nexecution (trace by trace):")
-	rec, err := emulator.Record(im, 10_000)
+	const budget = 10_000
+	rec, err := emulator.Record(im, budget)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sim.StartChunked(budget); err != nil {
 		log.Fatal(err)
 	}
 	cr := rec.DecodeChunks(0)
 	defer cr.Close()
-	seg := trace.NewChunkSegmenter(trace.DefaultSelectConfig())
-	supplied := 0
-	for {
+	seg := trace.NewChunkSegmenter(cfg.Select)
+
+	fmt.Println("\nexecution (trace by trace):")
+	var ahead []trace.ID
+	prev := sim.Snapshot()
+	for done := false; !done; {
 		chunk, ok := cr.Next()
 		if !ok {
 			break
 		}
-		for len(chunk) > 0 {
+		for len(chunk) > 0 && !done {
 			used, tr, dyns := seg.Feed(chunk)
 			if tr == nil {
 				break
 			}
 			chunk = chunk[used:]
 			id := tr.ID()
-			eng.OnDemandFetch(id.Start)
-			if _, hit := tc.Lookup(id); hit {
+			built = built[:0]
+			if done, err = sim.RunTrace(tr, dyns); err != nil {
+				log.Fatal(err)
+			}
+			cur := sim.Snapshot()
+			switch {
+			case cur.TCHits > prev.TCHits:
 				fmt.Printf("  demand %v: trace cache hit\n", id)
-			} else if got, hit := buf.Take(id); hit {
-				supplied++
-				tc.Insert(got)
+			case cur.PreconSupplied > prev.PreconSupplied:
+				ahead = append(ahead, id)
 				fmt.Printf("  demand %v: SUPPLIED BY PRECONSTRUCTION\n", id)
-			} else {
-				tc.Insert(tr.Clone())
+			case cur.TCMisses > prev.TCMisses:
 				fmt.Printf("  demand %v: miss, built by slow path\n", id)
 			}
-			for _, d := range dyns {
-				if d.Inst.IsBranch() {
-					bim.Update(d.PC, d.Taken)
-				}
-				eng.Observe(d)
+			for _, line := range built {
+				fmt.Println(line)
 			}
-			eng.Step(16) // idle slow-path cycles granted to the engine
+			prev = cur
 		}
 	}
 	if err := cr.Err(); err != nil {
 		log.Fatal(err)
 	}
+	res, err := sim.Finish()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	st := eng.Stats()
-	fmt.Printf("\nsummary: %d start-point pushes, %d regions, %d traces built, %d demanded traces supplied ahead of need\n",
-		st.StackPushes, st.RegionsActivated, st.TracesBuilt, supplied)
+	st := res.Precon
+	fmt.Printf("\nsummary: %d start-point pushes, %d regions, %d traces built, %d demanded traces supplied ahead of need %v\n",
+		st.StackPushes, st.RegionsActivated, st.TracesBuilt, len(ahead), ahead)
+	if len(ahead) == 0 {
+		log.Fatal("preconstruction supplied no demanded trace")
+	}
 }

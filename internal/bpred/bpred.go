@@ -49,15 +49,6 @@ func NewBimodal(entries int) (*Bimodal, error) {
 	return &Bimodal{table: t, mask: uint32(entries - 1)}, nil
 }
 
-// MustNewBimodal is NewBimodal that panics on error.
-func MustNewBimodal(entries int) *Bimodal {
-	b, err := NewBimodal(entries)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 func (b *Bimodal) idx(pc uint32) uint32 { return (pc / isa.WordSize) & b.mask }
 
 // Predict returns the predicted direction for the branch at pc and counts
@@ -126,15 +117,6 @@ func NewRAS(depth int) (*RAS, error) {
 	return &RAS{entries: make([]uint32, depth)}, nil
 }
 
-// MustNewRAS is NewRAS that panics on error.
-func MustNewRAS(depth int) *RAS {
-	r, err := NewRAS(depth)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Push records a return address (on a call).
 func (r *RAS) Push(addr uint32) {
 	r.entries[r.top] = addr
@@ -179,15 +161,6 @@ func NewTargetBuffer(entries int) (*TargetBuffer, error) {
 		targets: make([]uint32, entries),
 		mask:    uint32(entries - 1),
 	}, nil
-}
-
-// MustNewTargetBuffer is NewTargetBuffer that panics on error.
-func MustNewTargetBuffer(entries int) *TargetBuffer {
-	t, err := NewTargetBuffer(entries)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Predict returns the last seen target for the jump at pc, if any.

@@ -15,16 +15,39 @@ func TestNewBimodalValidation(t *testing.T) {
 	if _, err := NewBimodal(1024); err != nil {
 		t.Errorf("NewBimodal(1024): %v", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewBimodal did not panic")
-		}
-	}()
-	MustNewBimodal(3)
+}
+
+// newBimodal, newRAS and newTargetBuffer build a predictor, failing the
+// test on a size error.
+func newBimodal(t testing.TB, entries int) *Bimodal {
+	t.Helper()
+	b, err := NewBimodal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newRAS(t testing.TB, depth int) *RAS {
+	t.Helper()
+	r, err := NewRAS(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func newTargetBuffer(t testing.TB, entries int) *TargetBuffer {
+	t.Helper()
+	tb, err := NewTargetBuffer(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 func TestBimodalTraining(t *testing.T) {
-	b := MustNewBimodal(64)
+	b := newBimodal(t, 64)
 	pc := uint32(0x100)
 	// Initial state is weakly taken.
 	if !b.Predict(pc) {
@@ -51,7 +74,7 @@ func TestBimodalTraining(t *testing.T) {
 }
 
 func TestBimodalWeakIsNotStrong(t *testing.T) {
-	b := MustNewBimodal(64)
+	b := newBimodal(t, 64)
 	pc := uint32(0x40)
 	// Initial counter is weakly-taken: not strong.
 	if _, strong := b.Bias(pc); strong {
@@ -68,7 +91,7 @@ func TestBimodalWeakIsNotStrong(t *testing.T) {
 }
 
 func TestBimodalStats(t *testing.T) {
-	b := MustNewBimodal(64)
+	b := newBimodal(t, 64)
 	pc := uint32(0x10)
 	b.Predict(pc)       // lookup 1 (weakly taken -> predicts taken)
 	b.Update(pc, false) // mispredict; counter decays to not-taken
@@ -90,7 +113,7 @@ func TestBimodalStats(t *testing.T) {
 }
 
 func TestPeekDoesNotCount(t *testing.T) {
-	b := MustNewBimodal(64)
+	b := newBimodal(t, 64)
 	b.Peek(0)
 	b.Bias(0)
 	if l, _ := b.Stats(); l != 0 {
@@ -99,7 +122,7 @@ func TestPeekDoesNotCount(t *testing.T) {
 }
 
 func TestBimodalAliasing(t *testing.T) {
-	b := MustNewBimodal(4) // tiny: pcs 0 and 64 alias (4 entries x 4 bytes)
+	b := newBimodal(t, 4) // tiny: pcs 0 and 64 alias (4 entries x 4 bytes)
 	b.Update(0, false)
 	b.Update(0, false)
 	if b.Peek(4 * 4) {
@@ -112,7 +135,7 @@ func TestQuickBimodalSaturation(t *testing.T) {
 	// prediction matches that direction and becomes strong after >=3.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := MustNewBimodal(256)
+		b := newBimodal(t, 256)
 		pc := uint32(r.Intn(1024)) * 4
 		dir := r.Intn(2) == 0
 		for i := 0; i < 3+r.Intn(5); i++ {
@@ -127,7 +150,7 @@ func TestQuickBimodalSaturation(t *testing.T) {
 }
 
 func TestRASBasic(t *testing.T) {
-	r := MustNewRAS(4)
+	r := newRAS(t, 4)
 	if _, ok := r.Pop(); ok {
 		t.Error("pop from empty succeeded")
 	}
@@ -148,7 +171,7 @@ func TestRASBasic(t *testing.T) {
 }
 
 func TestRASOverflowDiscardsOldest(t *testing.T) {
-	r := MustNewRAS(2)
+	r := newRAS(t, 2)
 	r.Push(1)
 	r.Push(2)
 	r.Push(3) // discards 1
@@ -164,7 +187,7 @@ func TestRASOverflowDiscardsOldest(t *testing.T) {
 }
 
 func TestRASReset(t *testing.T) {
-	r := MustNewRAS(4)
+	r := newRAS(t, 4)
 	r.Push(1)
 	r.Reset()
 	if r.Depth() != 0 {
@@ -180,7 +203,7 @@ func TestQuickRASLIFO(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		depth := 1 + r.Intn(16)
-		ras := MustNewRAS(depth)
+		ras := newRAS(t, depth)
 		n := r.Intn(depth + 1)
 		vals := make([]uint32, n)
 		for i := range vals {
@@ -202,7 +225,7 @@ func TestQuickRASLIFO(t *testing.T) {
 }
 
 func TestTargetBuffer(t *testing.T) {
-	tb := MustNewTargetBuffer(16)
+	tb := newTargetBuffer(t, 16)
 	if _, ok := tb.Predict(0x100); ok {
 		t.Error("cold predict succeeded")
 	}
@@ -225,7 +248,7 @@ func TestTargetBuffer(t *testing.T) {
 }
 
 func BenchmarkBimodalPredictUpdate(b *testing.B) {
-	p := MustNewBimodal(4096)
+	p := newBimodal(b, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := uint32(i*4) & 0xFFFF

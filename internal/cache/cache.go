@@ -96,15 +96,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// MustNew builds a cache and panics on config error (for fixed configs).
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 

@@ -6,14 +6,20 @@ import (
 	"testing/quick"
 )
 
-func small(t *testing.T) *Cache {
+// newCache builds a cache, failing the test on a config error.
+func newCache(t testing.TB, cfg Config) *Cache {
 	t.Helper()
-	// 4 sets x 2 ways x 64-byte lines = 512 bytes.
-	c, err := New(Config{SizeBytes: 512, LineBytes: 64, Assoc: 2})
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+func small(t *testing.T) *Cache {
+	t.Helper()
+	// 4 sets x 2 ways x 64-byte lines = 512 bytes.
+	return newCache(t, Config{SizeBytes: 512, LineBytes: 64, Assoc: 2})
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -38,15 +44,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate(%+v) = %v", good, err)
 	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{})
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -179,7 +176,7 @@ func TestMissRate(t *testing.T) {
 func TestQuickWorkingSetFits(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := MustNew(Config{SizeBytes: 512, LineBytes: 64, Assoc: 2})
+		c := newCache(t, Config{SizeBytes: 512, LineBytes: 64, Assoc: 2})
 		// Two lines in set 0, two in set 1: all fit simultaneously.
 		lines := []uint32{0x0000, 0x0100, 0x0040, 0x0140}
 		for _, a := range lines {
@@ -204,7 +201,7 @@ func TestQuickWorkingSetFits(t *testing.T) {
 func TestQuickStatsConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := MustNew(Config{SizeBytes: 1024, LineBytes: 32, Assoc: 4})
+		c := newCache(t, Config{SizeBytes: 1024, LineBytes: 32, Assoc: 4})
 		for i := 0; i < 500; i++ {
 			a := uint32(r.Intn(1 << 14))
 			c.Access(a)
@@ -301,7 +298,7 @@ func TestLRUSurvivesResetStats(t *testing.T) {
 // cached in the Cache (not recomputed per access); this benchmark is
 // the no-regression proof.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := MustNew(Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
+	c := newCache(b, Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint32(i*64) & 0x1FFFF) // 128 KiB working set: ~50% miss
@@ -309,7 +306,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 func BenchmarkAccessHit(b *testing.B) {
-	c := MustNew(Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
+	c := newCache(b, Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
 	c.Access(0x1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,7 +315,7 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkAccessMissHeavy(b *testing.B) {
-	c := MustNew(Config{SizeBytes: 4 * 1024, LineBytes: 64, Assoc: 2})
+	c := newCache(b, Config{SizeBytes: 4 * 1024, LineBytes: 64, Assoc: 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint32(i*64) & 0xFFFFF)

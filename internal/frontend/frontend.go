@@ -69,15 +69,10 @@ type Config struct {
 	// Slow-path model parameters.
 	SlowFetchWidth    int
 	MispredictPenalty int
-	// L2Lat is the flat latency of the default fixed memory level; used
-	// only when Mem is nil.
-	L2Lat int
 
-	// Mem is the memory hierarchy behind the L1s (mem.Hierarchy), shared
-	// with the backend when the pipeline wires it. Demand i-fetch misses
-	// and the preconstruction engine's stolen fetches both route through
-	// its I-side. nil wires a private FixedLevel at L2Lat — the paper's
-	// perfect L2.
+	// Mem is the memory hierarchy behind the L1s, shared with the
+	// backend. Demand i-fetch misses and the preconstruction engine's
+	// stolen fetches both route through its I-side. Required.
 	Mem *mem.Hierarchy
 
 	// Slow-path predictor sizes.
@@ -87,7 +82,7 @@ type Config struct {
 
 	// Pred holds the next-trace predictor tables the frontend predicts
 	// through, with a view of its own. Frontends fed the same traces in
-	// lockstep may share one set (see tpred.Tables).
+	// lockstep may share one set (see tpred.Tables). Required.
 	Pred *tpred.Tables
 
 	// Precon configures the engine; Select must already be merged in
@@ -137,7 +132,7 @@ type SlowPathStats struct {
 type Stats struct {
 	Suppliers []SupplierStats
 	Slow      SlowPathStats
-	Port      PortStats
+	Port      precon.PortStats
 }
 
 // SupplierHitRate returns supplier i's hit rate (0 when absent).
@@ -163,11 +158,8 @@ type supplierSlot struct {
 // Supply reports how one demanded trace was supplied.
 type Supply struct {
 	// Trace is the supplied trace: the resident copy on a hit, the
-	// interned build on a miss. Demand is the trace to train the
-	// next-trace predictor with and to dispatch on a miss (the same
-	// underlying content as the caller's borrowed trace).
-	Trace  *trace.Trace
-	Demand *trace.Trace
+	// interned build on a miss.
+	Trace *trace.Trace
 
 	ID       trace.ID
 	Hit      bool
@@ -200,8 +192,7 @@ type Frontend struct {
 	primary   PrimarySupplier
 
 	ic   *cache.Cache
-	mem  *mem.Hierarchy
-	port *SlowPathPort
+	port *precon.SlowPathPort
 	bim  *bpred.Bimodal
 	ras  *bpred.RAS
 	itb  *bpred.TargetBuffer
@@ -225,14 +216,7 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 	if f.ic, err = cache.New(cfg.ICache); err != nil {
 		return nil, err
 	}
-	f.port = NewSlowPathPort(f.ic)
-	f.mem = cfg.Mem
-	if f.mem == nil {
-		if f.mem, err = mem.New(mem.Config{}, cfg.L2Lat); err != nil {
-			return nil, err
-		}
-	}
-	f.port.SetMem(f.mem)
+	f.port = precon.NewSlowPathPort(f.ic, cfg.Mem)
 	if f.bim, err = bpred.NewBimodal(cfg.BimodalEntries); err != nil {
 		return nil, err
 	}
@@ -253,11 +237,10 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 			Entries: cfg.TraceCache.Entries + cfg.Buffers.Entries,
 			Assoc:   cfg.TraceCache.Assoc,
 		}
-		adpt, err := tracecache.NewAdaptive(unified)
+		adpt, err := tracecache.NewAdaptive(unified, f.store)
 		if err != nil {
 			return nil, err
 		}
-		adpt.SetStore(f.store)
 		pb := adpt.PBView()
 		f.primary = adpt
 		f.addSupplier(supplierSlot{
@@ -279,11 +262,10 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		}
 		engTC, engBuf = adpt, pb
 	} else {
-		tcc, err := tracecache.New(cfg.TraceCache)
+		tcc, err := tracecache.New(cfg.TraceCache, f.store)
 		if err != nil {
 			return nil, err
 		}
-		tcc.SetStore(f.store)
 		f.primary = tcc
 		f.addSupplier(supplierSlot{
 			name:      "trace-cache",
@@ -294,11 +276,10 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		})
 		engTC = tcc
 		if cfg.PreconEnabled() {
-			bufc, err := tracecache.NewBuffers(cfg.Buffers)
+			bufc, err := tracecache.NewBuffers(cfg.Buffers, f.store)
 			if err != nil {
 				return nil, err
 			}
-			bufc.SetStore(f.store)
 			f.addSupplier(supplierSlot{
 				name:      "precon-buffers",
 				s:         bufc,
@@ -310,24 +291,12 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		}
 	}
 	if cfg.PreconEnabled() {
-		if f.eng, err = precon.New(cfg.Precon, im, f.bim, f.port, engTC, engBuf); err != nil {
+		f.eng, err = precon.New(cfg.Precon, im, f.bim, f.itb, f.port, engTC, engBuf, f.store)
+		if err != nil {
 			return nil, err
-		}
-		f.eng.SetStore(f.store)
-		if cfg.Precon.ResolveIndirects {
-			f.eng.SetTargetBuffer(f.itb)
 		}
 	}
 	return f, nil
-}
-
-// MustNew builds a frontend, panicking on config error.
-func MustNew(im *program.Image, cfg Config) *Frontend {
-	f, err := New(im, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 func (f *Frontend) addSupplier(s supplierSlot) {
@@ -345,7 +314,7 @@ func (f *Frontend) addSupplier(s supplierSlot) {
 // path stamps its memory-level requests relative to it.
 func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supply {
 	id := tr.ID()
-	sup := Supply{Trace: tr, Demand: tr, ID: id, Supplier: -1}
+	sup := Supply{Trace: tr, ID: id, Supplier: -1}
 	sup.PredID, sup.PredOK = f.pred.Predict()
 	sup.PredHit = sup.PredOK && sup.PredID == id
 
@@ -384,7 +353,6 @@ func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supp
 	}
 	f.primary.Fill(tr)
 	sup.Trace = tr
-	sup.Demand = tr
 	return sup
 }
 
@@ -488,9 +456,12 @@ func (f *Frontend) ReplayWrongPath(predID, actual trace.ID) {
 // the slow path left the port idle, let it observe the retiring
 // dispatch stream, train the slow-path predictors from the resolved
 // stream, and train the next-trace predictor with the actual trace.
-// now is the cycle the idle interval starts (the previous trace's
-// retirement); the port clock walks forward from it as units are
-// granted, timestamping the engine's memory-level requests.
+// demand is the caller's borrowed trace, not a stored copy: the engine
+// steps first, and its inserts may evict the copy Supply filled and let
+// the intern store reuse its slot. now is the cycle the idle interval
+// starts (the previous trace's retirement); the port clock walks
+// forward from it as units are granted, timestamping the engine's
+// memory-level requests.
 func (f *Frontend) Retire(demand *trace.Trace, idle int64, dyns []emulator.Dyn, now uint64) {
 	if f.eng != nil {
 		f.port.SetClock(now)
@@ -540,9 +511,6 @@ func (f *Frontend) StoreStats() trace.StoreStats { return f.store.Stats() }
 // TotalICMisses returns all i-cache misses, demand and engine-induced.
 func (f *Frontend) TotalICMisses() uint64 { return f.ic.Stats().Misses }
 
-// Mem returns the memory hierarchy behind the L1s (never nil after New).
-func (f *Frontend) Mem() *mem.Hierarchy { return f.mem }
-
 // AdaptiveStats returns the adaptive partition's feedback state; ok is
 // false for split designs.
 func (f *Frontend) AdaptiveStats() (share float64, adjusts uint64, ok bool) {
@@ -558,9 +526,6 @@ func (f *Frontend) Engine() *precon.Engine { return f.eng }
 
 // Store exposes the intern store backing every supplier.
 func (f *Frontend) Store() *trace.Store { return f.store }
-
-// Port exposes the slow-path port arbiter.
-func (f *Frontend) Port() *SlowPathPort { return f.port }
 
 // Drain empties every supplier, returning interned references to the
 // store (the leak invariant: after Drain the store holds zero live

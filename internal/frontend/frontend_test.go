@@ -21,9 +21,9 @@ func supplyRig(t *testing.T) *Frontend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Buffers = tracecache.Config{Entries: 64, Assoc: 2}
-	return MustNew(im, cfg)
+	return newFrontend(t, im, cfg)
 }
 
 // TestSupplyProbeOrderAndPromotion: a miss builds through the slow path

@@ -4,15 +4,23 @@ import (
 	"testing"
 
 	"tracepre/internal/cache"
+	"tracepre/internal/mem"
+	"tracepre/internal/precon"
 )
 
-func testPort(t *testing.T) *SlowPathPort {
+// testPort builds the frontend's slow-path port the way New does: the
+// paper's i-cache behind a fixed-latency L2.
+func testPort(t *testing.T) *precon.SlowPathPort {
 	t.Helper()
 	ic, err := cache.New(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSlowPathPort(ic)
+	h, err := mem.New(mem.Config{}, testL2Lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return precon.NewSlowPathPort(ic, h)
 }
 
 // TestPortDemandAlwaysWins: demand accesses are never denied, no matter

@@ -6,6 +6,7 @@ import (
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
+	"tracepre/internal/mem"
 	"tracepre/internal/precon"
 	"tracepre/internal/program"
 	"tracepre/internal/tpred"
@@ -13,32 +14,46 @@ import (
 	"tracepre/internal/tracecache"
 )
 
+// testL2Lat is the fixed L2 latency behind the test frontends' i-cache.
+const testL2Lat = 10
+
 // testConfig mirrors the fetch-side slice of pipeline.DefaultConfig():
-// the paper's machine with preconstruction disabled.
-func testConfig() Config {
+// the paper's machine with preconstruction disabled, over a fresh
+// fixed-latency L2 and fresh predictor tables of the paper's size.
+func testConfig(t testing.TB) Config {
+	t.Helper()
+	h, err := mem.New(mem.Config{}, testL2Lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := tpred.NewTables(tpred.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Config{
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
 		Buffers:           tracecache.Config{Entries: 0, Assoc: 2},
 		ICache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
 		SlowFetchWidth:    4,
 		MispredictPenalty: 5,
-		L2Lat:             10,
+		Mem:               h,
 		BimodalEntries:    1 << 14,
 		RASDepth:          16,
 		TargetEntries:     1 << 10,
-		Pred:              mustTables(),
+		Pred:              tables,
 		Precon:            precon.DefaultConfig(),
 		ObserveWrongPath:  true,
 	}
 }
 
-// mustTables builds next-trace predictor tables of the paper's size.
-func mustTables() *tpred.Tables {
-	t, err := tpred.NewTables(tpred.DefaultConfig())
+// newFrontend builds a frontend, failing the test on a config error.
+func newFrontend(t testing.TB, im *program.Image, cfg Config) *Frontend {
+	t.Helper()
+	f, err := New(im, cfg)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return t
+	return f
 }
 
 // slowRig builds a frontend around a straight-line image so slowPath
@@ -54,7 +69,7 @@ func slowRig(t *testing.T, n int) *Frontend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MustNew(im, testConfig())
+	return newFrontend(t, im, testConfig(t))
 }
 
 // mkSeq builds a trace plus dyns from sequential straight-line PCs.
@@ -81,8 +96,8 @@ func TestSlowPathGroupAccounting(t *testing.T) {
 	if busy != 4 {
 		t.Errorf("busy = %d, want 4", busy)
 	}
-	// One cold line miss: fetchLat = busy + L2Lat.
-	want := busy + uint64(f.cfg.L2Lat)
+	// One cold line miss: fetchLat = busy + the L2 latency.
+	want := busy + testL2Lat
 	if fetchLat != want {
 		t.Errorf("fetchLat = %d, want %d", fetchLat, want)
 	}

@@ -113,36 +113,42 @@ func TestBroadcastSharedPredictors(t *testing.T) {
 
 // TestFigure5MembersPredictAlike records why sharing predictor tables
 // is exact: run alone, over private tables, the nine Figure 5 PB>0
-// points of one group end with identical next-trace predictor
-// counters, with the full-timing backend off and on. The predictor
-// trains from the committed trace sequence only, which storage sizes
-// and timing do not change.
+// points of one group and the adaptive design over the tc64/pb64 area
+// end with identical next-trace predictor counters, with the
+// full-timing backend off and on. The predictor trains from the
+// committed trace sequence only, which storage sizes, the partition
+// policy and timing do not change.
 func TestFigure5MembersPredictAlike(t *testing.T) {
 	const budget = 200_000
+	var cfgs []pipeline.Config
+	for _, pb := range []int{64, 256} {
+		for _, tc := range []int{64, 128, 256, 512, 1024} {
+			if pb >= 256 && tc >= 1024 {
+				continue // beyond the paper's area range, as in Figure 5
+			}
+			cfgs = append(cfgs, precon(tc, pb))
+		}
+	}
+	adaptive := precon(64, 64)
+	adaptive.AdaptivePartition = true
+	cfgs = append(cfgs, adaptive)
 	for _, timing := range []bool{false, true} {
 		var first tpred.Stats
-		n := 0
-		for _, pb := range []int{64, 256} {
-			for _, tc := range []int{64, 128, 256, 512, 1024} {
-				if pb >= 256 && tc >= 1024 {
-					continue // beyond the paper's area range, as in Figure 5
-				}
-				cfg := precon(tc, pb)
-				cfg.FullTiming = timing
-				r, err := RunBenchmark("gcc", 0, cfg, budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n == 0 {
-					first = r.Pred
-				} else if r.Pred != first {
-					t.Errorf("timing=%v tc%d/pb%d: Pred %+v, tc64/pb64 %+v", timing, tc, pb, r.Pred, first)
-				}
-				n++
+		for i, cfg := range cfgs {
+			cfg.FullTiming = timing
+			r, err := RunBenchmark("gcc", 0, cfg, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = r.Pred
+			} else if r.Pred != first {
+				t.Errorf("timing=%v tc%d/pb%d adaptive=%v: Pred %+v, tc64/pb64 %+v", timing,
+					cfg.TraceCache.Entries, cfg.Buffers.Entries, cfg.AdaptivePartition, r.Pred, first)
 			}
 		}
-		if n != 9 || first.Predictions == 0 {
-			t.Fatalf("timing=%v: %d points, predictions %d", timing, n, first.Predictions)
+		if first.Predictions == 0 {
+			t.Fatalf("timing=%v: tc64/pb64 made no predictions", timing)
 		}
 	}
 }

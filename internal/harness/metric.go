@@ -32,25 +32,9 @@ var (
 	InstrsFromICMissesPerKI = Metric{"icache-miss-instr/KI", pipeline.Result.InstrsFromICMissesPerKI}
 	// IPC is retired instructions per cycle (full timing runs).
 	IPC = Metric{"IPC", pipeline.Result.IPC}
-	// FetchSupplyPct is the percentage of committed instructions the
-	// slow path (i-cache) supplied rather than the trace cache or
-	// preconstruction buffers.
-	FetchSupplyPct = Metric{"fetch-supply-%", func(r pipeline.Result) float64 {
-		if r.Instructions == 0 {
-			return 0
-		}
-		return float64(r.SlowPathInstrs) * 100 / float64(r.Instructions)
-	}}
 	// PredAccuracy is the next-trace predictor's accuracy.
 	PredAccuracy = Metric{"pred-accuracy", func(r pipeline.Result) float64 {
 		return r.Pred.Accuracy()
-	}}
-	// PreconNsPerKI is the preconstruction engine's measured wall-clock
-	// overhead in nanoseconds per 1000 committed instructions — the
-	// simulator-side cost of the engine, not a modeled quantity. It is
-	// nonzero only when the sweep sets precon.Config.MeasureOverhead.
-	PreconNsPerKI = Metric{"precon-ns/KI", func(r pipeline.Result) float64 {
-		return stats.PerKI(r.Precon.EngineNs(), r.Instructions)
 	}}
 	// TCHitRate is the primary supplier's (trace cache's) hit rate as
 	// seen by the frontend's probe loop: hits over demanded traces.

@@ -121,13 +121,8 @@ type regStamp struct {
 }
 
 // newBackend wires the execution engine to its data cache and the
-// shared memory level behind it. A nil hierarchy (standalone backends
-// in unit tests) gets a private FixedLevel at cfg.L2Lat — the same
-// flat-latency pricing as before the hierarchy existed.
+// shared memory level behind it.
 func newBackend(cfg BackendConfig, dc *cache.Cache, h *mem.Hierarchy) *backend {
-	if h == nil {
-		h, _ = mem.New(mem.Config{}, cfg.L2Lat)
-	}
 	return &backend{cfg: cfg, dcache: dc, mem: h, peFree: make([]uint64, cfg.NumPEs)}
 }
 

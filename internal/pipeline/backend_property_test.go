@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/preproc"
@@ -127,9 +126,8 @@ func randCtlTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
 func TestQuickBackendInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-		cfg := DefaultBackendConfig()
-		be := newBackend(cfg, dc, nil)
+		be := testBackend(t)
+		cfg := be.cfg
 		var prevRetire uint64
 		clock := uint64(10)
 		for k := 0; k < 40; k++ {
@@ -186,14 +184,13 @@ func TestPreprocessedFasterInAggregate(t *testing.T) {
 	for k := 0; k < 400; k++ {
 		tr, dyns := randTrace(r, 0x1000)
 		run := func(pre bool) uint64 {
-			dc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
+			be := testBackend(t)
 			// Warm the D-cache so both runs see identical latencies.
 			for _, d := range dyns {
 				if d.MemAddr != 0 {
-					dc.Access(d.MemAddr)
+					be.dcache.Access(d.MemAddr)
 				}
 			}
-			be := newBackend(DefaultBackendConfig(), dc, nil)
 			cp := *tr
 			if pre {
 				cp.Opt = preproc.Optimize(tr)

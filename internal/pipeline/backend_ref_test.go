@@ -309,12 +309,7 @@ func TestDispatchMatchesReference(t *testing.T) {
 func matchesReference(t *testing.T, r *rand.Rand, cfg BackendConfig, level mem.Config, traces int) (*backend, bool) {
 	t.Helper()
 	pair := func() *backend {
-		dc := cache.MustNew(cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2})
-		h, err := mem.New(level, cfg.L2Lat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newBackend(cfg, dc, h)
+		return testBackendWith(t, cfg, cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, level)
 	}
 	got, want := pair(), pair()
 	clock := uint64(10)

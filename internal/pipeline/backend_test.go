@@ -12,9 +12,28 @@ import (
 	"tracepre/internal/trace"
 )
 
-func testBackend() *backend {
-	dc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-	return newBackend(DefaultBackendConfig(), dc, nil)
+// testDCache is the paper's 64 KiB data cache.
+var testDCache = cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4}
+
+// testBackendWith wires a backend to a fresh data cache of geometry
+// dcfg and the memory level selected by level.
+func testBackendWith(t testing.TB, cfg BackendConfig, dcfg cache.Config, level mem.Config) *backend {
+	t.Helper()
+	dc, err := cache.New(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mem.New(level, cfg.L2Lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newBackend(cfg, dc, h)
+}
+
+// testBackend is the default backend over the paper's data cache and
+// fixed-latency L2.
+func testBackend(t testing.TB) *backend {
+	return testBackendWith(t, DefaultBackendConfig(), testDCache, mem.Config{})
 }
 
 // mkTrace builds a trace and matching dyn records at sequential PCs.
@@ -29,7 +48,7 @@ func mkTrace(insts ...isa.Inst) (*trace.Trace, []emulator.Dyn) {
 }
 
 func TestBackendSerialChain(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	// Four dependent single-cycle adds: retire at start + 4.
 	tr, dyns := mkTrace(
 		isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 1, Imm: 1},
@@ -44,7 +63,7 @@ func TestBackendSerialChain(t *testing.T) {
 }
 
 func TestBackendDualIssue(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	// Four independent adds, 2-way issue: 2 cycles.
 	tr, dyns := mkTrace(
 		isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 1},
@@ -59,7 +78,7 @@ func TestBackendDualIssue(t *testing.T) {
 }
 
 func TestBackendIssueWidthRespected(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	insts := make([]isa.Inst, 8)
 	for i := range insts {
 		insts[i] = isa.Inst{Op: isa.OpAddI, Rd: uint8(i + 1), Ra: 0, Imm: 1}
@@ -74,7 +93,7 @@ func TestBackendIssueWidthRespected(t *testing.T) {
 }
 
 func TestBackendCrossPETransfer(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	// Trace 1 on PE0 produces r1 at some cycle; trace 2 on PE1 consumes
 	// it with the +2 bus latency.
 	t1, d1 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 5})
@@ -93,8 +112,7 @@ func TestBackendCrossPETransfer(t *testing.T) {
 func TestBackendSamePENoTransfer(t *testing.T) {
 	cfg := DefaultBackendConfig()
 	cfg.NumPEs = 1
-	dc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-	be := newBackend(cfg, dc, nil)
+	be := testBackendWith(t, cfg, testDCache, mem.Config{})
 	t1, d1 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 5})
 	be.dispatch(t1, d1, 100, false)
 	t2, d2 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 2, Ra: 1, Imm: 1})
@@ -107,7 +125,7 @@ func TestBackendSamePENoTransfer(t *testing.T) {
 }
 
 func TestBackendLoadLatencyAndMiss(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	tr, dyns := mkTrace(
 		isa.Inst{Op: isa.OpLoad, Rd: 1, Ra: 2, Imm: 0},
 		isa.Inst{Op: isa.OpAddI, Rd: 3, Ra: 1, Imm: 1},
@@ -135,7 +153,7 @@ func TestBackendLoadLatencyAndMiss(t *testing.T) {
 }
 
 func TestBackendInOrderRetirement(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	// A slow trace (divide) followed by a fast one: the fast trace must
 	// not retire earlier.
 	slow, dSlow := mkTrace(isa.Inst{Op: isa.OpDiv, Rd: 1, Ra: 2, Rb: 3})
@@ -153,8 +171,7 @@ func TestBackendLookaheadLimits(t *testing.T) {
 	mk := func(lookahead int) uint64 {
 		cfg := DefaultBackendConfig()
 		cfg.Lookahead = lookahead
-		dc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-		be := newBackend(cfg, dc, nil)
+		be := testBackendWith(t, cfg, testDCache, mem.Config{})
 		// Producer trace on PE0 making r1 available late.
 		prod, dProd := mkTrace(
 			isa.Inst{Op: isa.OpDiv, Rd: 1, Ra: 2, Rb: 3},
@@ -187,7 +204,7 @@ func TestBackendPreprocessedFusionAndFolding(t *testing.T) {
 		{Op: isa.OpAdd, Rd: 4, Ra: 3, Rb: 1},
 	}
 	run := func(preprocessed bool) uint64 {
-		be := testBackend()
+		be := testBackend(t)
 		be.dcache.Access(0x20000) // warm the line
 		tr, dyns := mkTrace(insts...)
 		for i := range dyns {
@@ -209,7 +226,7 @@ func TestBackendPreprocessedFusionAndFolding(t *testing.T) {
 // TestBackendARBIntraTrace: a load following a same-word store inside
 // one trace waits for the store's completion.
 func TestBackendARBIntraTrace(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	be.dcache.Access(0x20000) // warm line
 	// Store depends on a slow divide; the load must wait for the store.
 	insts := []isa.Inst{
@@ -235,7 +252,7 @@ func TestBackendARBIntraTrace(t *testing.T) {
 // TestBackendARBCrossTrace: a load in a later trace waits for an
 // in-flight store from an earlier trace to the same word.
 func TestBackendARBCrossTrace(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	be.dcache.Access(0x20000)
 	// Trace 1: slow store (behind a divide).
 	t1, d1 := mkTrace(
@@ -257,7 +274,7 @@ func TestBackendARBCrossTrace(t *testing.T) {
 		t.Errorf("arbForwards = %d", be.arbForwards)
 	}
 	// A load from an unrelated word is not delayed.
-	be2 := testBackend()
+	be2 := testBackend(t)
 	be2.dcache.Access(0x20000)
 	be2.dcache.Access(0x30000)
 	be2.dispatch(t1, d1, 0, false)
@@ -270,7 +287,7 @@ func TestBackendARBCrossTrace(t *testing.T) {
 }
 
 func TestBackendResolveGating(t *testing.T) {
-	be := testBackend()
+	be := testBackend(t)
 	tr, dyns := mkTrace(
 		isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 1},
 		isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 0, Imm: 64},
@@ -312,13 +329,8 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 			name = "preprocessed"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultBackendConfig()
-			h, err := mem.New(mem.DefaultModeledL2(), cfg.L2Lat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dc := cache.MustNew(cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2})
-			be := newBackend(cfg, dc, h)
+			be := testBackendWith(t, DefaultBackendConfig(),
+				cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, mem.DefaultModeledL2())
 			k, ready := 0, uint64(0)
 			round := func() {
 				j := jobs[k%len(jobs)]

@@ -39,12 +39,12 @@ func TestChunkedRunMatchesRunStream(t *testing.T) {
 		for _, timing := range []bool{false, true} {
 			cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
 			cfg.FullTiming = timing
-			got, err := MustNew(im, cfg).RunStream(st, budget)
+			got, err := newSim(t, im, cfg).RunStream(st, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			sim := MustNew(im, cfg)
+			sim := newSim(t, im, cfg)
 			if err := sim.StartChunked(budget); err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestChunkedRunContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := MustNew(im, DefaultConfig())
+	sim := newSim(t, im, DefaultConfig())
 	if _, err := sim.RunTrace(nil, nil); !errors.Is(err, ErrNotChunked) {
 		t.Errorf("RunTrace before Start = %v, want ErrNotChunked", err)
 	}
@@ -155,7 +155,7 @@ func TestChunkLoopSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := MustNew(im, DefaultConfig().WithTraceCache(16)).RunStream(st, budget); err != nil {
+			if _, err := newSim(t, im, DefaultConfig().WithTraceCache(16)).RunStream(st, budget); err != nil {
 				t.Fatal(err)
 			}
 		})

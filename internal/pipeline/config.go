@@ -188,11 +188,10 @@ func (c Config) WithModeledL2(mc mem.Config) Config {
 
 // frontendConfig slices the fetch-side configuration out for the
 // frontend composition root (trace selection rules are merged into the
-// precon config, and the backend's L2 latency prices slow-path i-cache
-// misses, as before the decomposition). The shared memory hierarchy and
-// the next-trace predictor tables are not part of the slice: the
-// simulator's constructor binds them into the returned Config's Mem and
-// Pred fields, so I-side and D-side misses meet in one level and group
+// precon config). The shared memory hierarchy and the next-trace
+// predictor tables are not part of the slice: the simulator's
+// constructor binds them into the returned Config's Mem and Pred
+// fields, so I-side and D-side misses meet in one level and group
 // members can share predictor tables.
 func (c Config) frontendConfig() frontend.Config {
 	pcfg := c.Precon
@@ -204,7 +203,6 @@ func (c Config) frontendConfig() frontend.Config {
 		ICache:            c.ICache,
 		SlowFetchWidth:    c.SlowFetchWidth,
 		MispredictPenalty: c.MispredictPenalty,
-		L2Lat:             c.Backend.L2Lat,
 		BimodalEntries:    c.BimodalEntries,
 		RASDepth:          c.RASDepth,
 		TargetEntries:     c.TargetEntries,

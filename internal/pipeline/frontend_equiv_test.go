@@ -57,7 +57,7 @@ func TestCrossDesignEquivalence(t *testing.T) {
 
 	for _, d := range equivDesigns() {
 		t.Run(d.name, func(t *testing.T) {
-			res, err := MustNew(im, d.cfg).RunStream(st, budget)
+			res, err := newSim(t, im, d.cfg).RunStream(st, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestPortStealsOnlyIdleCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustNew(im, DefaultConfig().WithTraceCache(64).WithPrecon(64)).Run(60_000)
+	res, err := newSim(t, im, DefaultConfig().WithTraceCache(64).WithPrecon(64)).Run(60_000)
 	if err != nil {
 		t.Fatal(err)
 	}

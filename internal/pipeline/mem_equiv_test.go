@@ -68,7 +68,7 @@ func TestFixedLevelMatchesLegacyConstant(t *testing.T) {
 			t.Fatalf("legacy golden has config %q this test does not build", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := MustNew(im, cfg).RunStream(st, budget)
+			res, err := newSim(t, im, cfg).RunStream(st, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,11 +155,11 @@ func TestModeledL2ChangesTiming(t *testing.T) {
 		FillGap: 4,
 	}
 
-	fres, err := MustNew(im, fixed).RunStream(st, budget)
+	fres, err := newSim(t, im, fixed).RunStream(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := MustNew(im, modeled).RunStream(st, budget)
+	mres, err := newSim(t, im, modeled).RunStream(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // runs that never touch SetPhase behave exactly as before phases
 // existed.
 func TestPhaseZeroValueIsMeasure(t *testing.T) {
-	sim := MustNew(loopImage(t, 100), DefaultConfig().WithTraceCache(16))
+	sim := newSim(t, loopImage(t, 100), DefaultConfig().WithTraceCache(16))
 	if got := sim.Phase(); got != PhaseMeasure {
 		t.Fatalf("new simulator phase = %v, want PhaseMeasure", got)
 	}
@@ -70,7 +70,7 @@ func TestFastForwardFreezesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
-	sim := MustNew(im, cfg)
+	sim := newSim(t, im, cfg)
 	if err := sim.StartChunked(1 << 40); err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestSnapshotMatchesFinish(t *testing.T) {
 	}
 	cfg := DefaultConfig().WithTraceCache(64)
 
-	want, err := MustNew(im, cfg).RunStream(st, budget)
+	want, err := newSim(t, im, cfg).RunStream(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sim := MustNew(im, cfg)
+	sim := newSim(t, im, cfg)
 	if err := sim.StartChunked(budget); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFastForwardSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
-	sim := MustNew(im, cfg)
+	sim := newSim(t, im, cfg)
 	if err := sim.StartChunked(1 << 40); err != nil {
 		t.Fatal(err)
 	}

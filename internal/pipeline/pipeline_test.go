@@ -36,6 +36,16 @@ func loopImage(t testing.TB, iters int32) *program.Image {
 	return im
 }
 
+// newSim builds a simulator for im, failing the test on a config error.
+func newSim(t testing.TB, im *program.Image, cfg Config) *Simulator {
+	t.Helper()
+	sim, err := New(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config: %v", err)
@@ -100,18 +110,9 @@ func TestConfigBuilders(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew(loopImage(t, 1), Config{})
-}
-
 func TestRunAccountsInstructions(t *testing.T) {
 	im := loopImage(t, 50)
-	sim := MustNew(im, DefaultConfig())
+	sim := newSim(t, im, DefaultConfig())
 	res, err := sim.Run(10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestRunAccountsInstructions(t *testing.T) {
 
 func TestHotLoopHitsTraceCache(t *testing.T) {
 	im := loopImage(t, 500)
-	sim := MustNew(im, DefaultConfig())
+	sim := newSim(t, im, DefaultConfig())
 	res, err := sim.Run(100_000)
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +155,11 @@ func TestHotLoopHitsTraceCache(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	im := loopImage(t, 200)
 	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(32)
-	a, err := MustNew(im, cfg).Run(50_000)
+	a, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(im, cfg).Run(50_000)
+	b, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +173,11 @@ func TestFullTimingDeterminism(t *testing.T) {
 	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(32)
 	cfg.FullTiming = true
 	cfg.PreprocEnabled = true
-	a, err := MustNew(im, cfg).Run(50_000)
+	a, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(im, cfg).Run(50_000)
+	b, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestResultAccessorsZero(t *testing.T) {
 func TestSupplyInvariants(t *testing.T) {
 	im := loopImage(t, 300)
 	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
-	res, err := MustNew(im, cfg).Run(50_000)
+	res, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +255,11 @@ func TestPreconReducesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := MustNew(im, DefaultConfig().WithTraceCache(16)).Run(100_000)
+	base, err := newSim(t, im, DefaultConfig().WithTraceCache(16)).Run(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := MustNew(im, DefaultConfig().WithTraceCache(16).WithPrecon(16)).Run(100_000)
+	pre, err := newSim(t, im, DefaultConfig().WithTraceCache(16).WithPrecon(16)).Run(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +298,12 @@ func TestPreprocSpeedsUpBackend(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.FullTiming = true
-	plain, err := MustNew(im, cfg).Run(50_000)
+	plain, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PreprocEnabled = true
-	opt, err := MustNew(im, cfg).Run(50_000)
+	opt, err := newSim(t, im, cfg).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestFullTimingIPCBounds(t *testing.T) {
 	im := loopImage(t, 500)
 	cfg := DefaultConfig()
 	cfg.FullTiming = true
-	res, err := MustNew(im, cfg).Run(100_000)
+	res, err := newSim(t, im, cfg).Run(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +357,11 @@ func TestBiggerTraceCacheNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := MustNew(im, DefaultConfig().WithTraceCache(16)).Run(50_000)
+	small, err := newSim(t, im, DefaultConfig().WithTraceCache(16)).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := MustNew(im, DefaultConfig().WithTraceCache(256)).Run(50_000)
+	big, err := newSim(t, im, DefaultConfig().WithTraceCache(256)).Run(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +372,10 @@ func TestBiggerTraceCacheNeverWorse(t *testing.T) {
 
 func TestPreconEngineAccessor(t *testing.T) {
 	im := loopImage(t, 5)
-	if MustNew(im, DefaultConfig()).PreconEngine() != nil {
+	if newSim(t, im, DefaultConfig()).PreconEngine() != nil {
 		t.Error("engine present when disabled")
 	}
-	if MustNew(im, DefaultConfig().WithPrecon(32)).PreconEngine() == nil {
+	if newSim(t, im, DefaultConfig().WithPrecon(32)).PreconEngine() == nil {
 		t.Error("engine absent when enabled")
 	}
 }
@@ -383,7 +384,7 @@ func TestWindowedStats(t *testing.T) {
 	im := loopImage(t, 500)
 	cfg := DefaultConfig()
 	cfg.WindowInstrs = 1000
-	res, err := MustNew(im, cfg).Run(10_000)
+	res, err := newSim(t, im, cfg).Run(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestWindowedStats(t *testing.T) {
 		t.Error("zero window MissPerKI != 0")
 	}
 	// Disabled windows: no allocation.
-	res2, _ := MustNew(im, DefaultConfig()).Run(5_000)
+	res2, _ := newSim(t, im, DefaultConfig()).Run(5_000)
 	if len(res2.Windows) != 0 {
 		t.Error("windows recorded when disabled")
 	}

@@ -226,12 +226,6 @@ func New(im *program.Image, cfg Config) (*Simulator, error) {
 // the bimodal table and the indirect target buffer, which it reads
 // before its own retirement trains them. Feeding members out of
 // lockstep panics in the predictor.
-//
-// Adaptive-partition members keep private tables. While the engine
-// steps in Frontend.Retire, their unified store can evict the trace
-// the slow path just built and the trace store can recycle its slot,
-// all before the predictor trains from that trace, so what they train
-// on is not the committed sequence alone.
 func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 	tables := map[tpred.Config]*tpred.Tables{}
 	sims := make([]*Simulator, len(cfgs))
@@ -241,13 +235,11 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 			return nil, err
 		}
 		t := tables[cfg.Pred]
-		if t == nil || cfg.AdaptivePartition {
+		if t == nil {
 			if t, err = tpred.NewTables(cfg.Pred); err != nil {
 				return nil, err
 			}
-			if !cfg.AdaptivePartition {
-				tables[cfg.Pred] = t
-			}
+			tables[cfg.Pred] = t
 		}
 		if sims[i], err = newMember(im, cfg, t); err != nil {
 			return nil, err
@@ -282,15 +274,6 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables) (*Simulator,
 	return s, nil
 }
 
-// MustNew builds a simulator, panicking on config error.
-func MustNew(im *program.Image, cfg Config) *Simulator {
-	s, err := New(im, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Frontend exposes the composed fetch side for diagnostics and tests.
 func (s *Simulator) Frontend() *frontend.Frontend { return s.fe }
 
@@ -320,9 +303,6 @@ func (s *Simulator) Snapshot() Result { return s.fold() }
 // PreconEngine exposes the preconstruction engine (nil when disabled)
 // for diagnostics and the anatomy example.
 func (s *Simulator) PreconEngine() *precon.Engine { return s.fe.Engine() }
-
-// Mem exposes the memory hierarchy behind the L1s.
-func (s *Simulator) Mem() *mem.Hierarchy { return s.mem }
 
 // Run records up to budget committed instructions of the simulator's
 // image and runs the recording through RunStream. Run may be called
@@ -546,7 +526,7 @@ func (s *Simulator) onTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 		s.idleSum += uint64(idle)
 	}
 	s.elapsedSum += retire - prevRetire
-	s.fe.Retire(sup.Demand, idle, dyns, prevRetire)
+	s.fe.Retire(tr, idle, dyns, prevRetire)
 
 	if s.cfg.WindowInstrs > 0 && s.window.Instructions >= s.cfg.WindowInstrs {
 		s.res.Windows = append(s.res.Windows, s.window)

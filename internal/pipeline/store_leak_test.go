@@ -48,7 +48,7 @@ func TestStoreLeakInvariant(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			sim := MustNew(im, tt.cfg)
+			sim := newSim(t, im, tt.cfg)
 			res, err := sim.Run(60_000)
 			if err != nil {
 				t.Fatal(err)

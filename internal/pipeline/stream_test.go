@@ -38,7 +38,7 @@ func memLoopImage(t *testing.T, iters int32) *program.Image {
 
 func TestRunTwiceErrors(t *testing.T) {
 	im := loopImage(t, 50)
-	sim := MustNew(im, DefaultConfig().WithTraceCache(64))
+	sim := newSim(t, im, DefaultConfig().WithTraceCache(64))
 	if _, err := sim.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestRunMatchesRunStream(t *testing.T) {
 	for _, timing := range []bool{false, true} {
 		cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
 		cfg.FullTiming = timing
-		direct, err := MustNew(im, cfg).Run(budget)
+		direct, err := newSim(t, im, cfg).Run(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := MustNew(im, cfg).RunStream(st, budget)
+		streamed, err := newSim(t, im, cfg).RunStream(st, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestRunStreamCorruptStream(t *testing.T) {
 		}
 		rec.Observe(d)
 	}
-	_, err := MustNew(im, DefaultConfig()).RunStream(rec.Stream(), 10_000)
+	_, err := newSim(t, im, DefaultConfig()).RunStream(rec.Stream(), 10_000)
 	if !errors.Is(err, emulator.ErrCorruptStream) {
 		t.Fatalf("RunStream over a corrupt recording = %v, want an ErrCorruptStream", err)
 	}
@@ -141,7 +141,7 @@ func BenchmarkRunAllocs(b *testing.B) {
 	b.SetBytes(budget)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MustNew(im, cfg).RunStream(st, budget); err != nil {
+		if _, err := newSim(b, im, cfg).RunStream(st, budget); err != nil {
 			b.Fatal(err)
 		}
 	}

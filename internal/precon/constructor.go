@@ -185,7 +185,7 @@ func (c *constructor) walk(n int) {
 			}
 		case isa.ClassJumpInd:
 			next = 0
-			if e.cfg.ResolveIndirects && e.itb != nil {
+			if e.cfg.ResolveIndirects {
 				if target, ok := e.itb.Predict(pc); ok {
 					next = target
 				}

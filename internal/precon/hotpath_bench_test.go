@@ -3,12 +3,9 @@ package precon
 import (
 	"testing"
 
-	"tracepre/internal/bpred"
-	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
-	"tracepre/internal/tracecache"
 )
 
 // Microbenchmarks for the engine's per-instruction hot path. bytes/s
@@ -49,11 +46,12 @@ func benchStream(tb testing.TB) ([]emulator.Dyn, *program.Image) {
 }
 
 func benchEngine(tb testing.TB, im *program.Image, cfg Config) *Engine {
-	return MustNew(cfg, im,
-		bpred.MustNewBimodal(4096),
-		NewSlowPathPort(cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})),
-		tracecache.MustNew(tracecache.Config{Entries: 256, Assoc: 2}),
-		tracecache.MustNewBuffers(tracecache.Config{Entries: 256, Assoc: 2}))
+	tb.Helper()
+	r, err := buildRig(tb, im, cfg, 64, 256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r.eng
 }
 
 // BenchmarkObserve measures the per-instruction monitoring cost alone

@@ -4,30 +4,19 @@ import (
 	"strings"
 	"testing"
 
-	"tracepre/internal/bpred"
-	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
-	"tracepre/internal/tracecache"
 )
 
 // newRigLines is newRig with a configurable i-cache line size, for the
 // prefetch-cache capacity tests.
 func newRigLines(t *testing.T, im *program.Image, cfg Config, icLine int) *rig {
 	t.Helper()
-	r := &rig{
-		im:  im,
-		bim: bpred.MustNewBimodal(4096),
-		ic:  cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: icLine, Assoc: 4}),
-		tc:  tracecache.MustNew(tracecache.Config{Entries: 64, Assoc: 2}),
-		buf: tracecache.MustNewBuffers(tracecache.Config{Entries: 64, Assoc: 2}),
-	}
-	eng, err := New(cfg, im, r.bim, NewSlowPathPort(r.ic), r.tc, r.buf)
+	r, err := buildRig(t, im, cfg, icLine, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng = eng
 	return r
 }
 
@@ -110,10 +99,7 @@ func TestLineBytesTooLargeForPrefetch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PrefetchInstrs = 16
 	cfg.LineBytes = 128 // 16 instrs = 64 bytes < one line
-	_, err := New(cfg, im, bpred.MustNewBimodal(4096),
-		NewSlowPathPort(cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})),
-		tracecache.MustNew(tracecache.Config{Entries: 64, Assoc: 2}),
-		tracecache.MustNewBuffers(tracecache.Config{Entries: 64, Assoc: 2}))
+	_, err := buildRig(t, im, cfg, 64, 64)
 	if err == nil || !strings.Contains(err.Error(), "smaller than one") {
 		t.Fatalf("New = %v, want prefetch-smaller-than-line error", err)
 	}

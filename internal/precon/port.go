@@ -45,34 +45,26 @@ func (s PortStats) Contention() float64 {
 // cycles as retire-interval minus demand busy time before calling
 // Engine.Step).
 //
-// The type lives next to the engine (rather than in internal/frontend,
-// which re-exports it) so the engine's fetch path is a concrete call
-// that inlines into the construction walk; an interface here measurably
-// slows every sweep. Standalone engines (tests, examples) use the same
-// type with the demand side simply unexercised.
+// The frontend uses this concrete type from this package, next to the
+// engine, so the engine's fetch path is a direct call that inlines into
+// the construction walk; an interface here measurably slows every
+// sweep.
 type SlowPathPort struct {
 	ic     *cache.Cache
-	mem    *mem.Hierarchy // level behind the L1; nil for standalone engines
+	mem    *mem.Hierarchy // level behind the L1
 	now    uint64         // port clock, advanced by SetClock/BeginUnit
 	budget int
 	stats  PortStats
 }
 
-// NewSlowPathPort wraps the slow-path instruction cache in the arbiter.
-func NewSlowPathPort(ic *cache.Cache) *SlowPathPort {
-	return &SlowPathPort{ic: ic}
+// NewSlowPathPort wraps the slow-path instruction cache in the arbiter,
+// with the memory hierarchy h behind it. Both sides of the port route
+// their L1 misses through h: demand misses price their fetch there
+// (DemandAccess), and engine misses fill through it, subject to its
+// admission back-pressure (FetchLine).
+func NewSlowPathPort(ic *cache.Cache, h *mem.Hierarchy) *SlowPathPort {
+	return &SlowPathPort{ic: ic, mem: h}
 }
-
-// SetMem binds the memory hierarchy behind the instruction cache. Both
-// sides of the port route their L1 misses through it: demand misses
-// price their fetch there (DemandAccess), and engine misses fill through
-// it — subject to its admission back-pressure (FetchLine). A nil
-// hierarchy (standalone engines, tests) leaves misses unpriced, the
-// pre-hierarchy behavior.
-func (p *SlowPathPort) SetMem(h *mem.Hierarchy) { p.mem = h }
-
-// Mem returns the bound hierarchy (nil when standalone).
-func (p *SlowPathPort) Mem() *mem.Hierarchy { return p.mem }
 
 // SetClock positions the port clock: the cycle at which subsequently
 // granted engine fetches are deemed to reach the hierarchy. The caller
@@ -85,10 +77,6 @@ func (p *SlowPathPort) SetClock(now uint64) { p.now = now }
 // Now returns the port clock.
 func (p *SlowPathPort) Now() uint64 { return p.now }
 
-// ICache exposes the instruction cache behind the port (total-miss
-// accounting, line geometry).
-func (p *SlowPathPort) ICache() *cache.Cache { return p.ic }
-
 // LineBytes is the line size of the instruction cache behind the port
 // (used to derive prefetch-cache geometry when Config.LineBytes is
 // zero, and for line-address arithmetic).
@@ -99,18 +87,14 @@ func (p *SlowPathPort) LineBytes() int { return p.ic.Config().LineBytes }
 // none of the engine's idle-cycle budget, and is never refused by the
 // hierarchy's back-pressure (demand misses must be tracked; only engine
 // prefetches are deniable). It reports whether the line hit the i-cache
-// and, on a miss, the cycles until the backing level returns the line
-// (0 when no hierarchy is bound).
+// and, on a miss, the cycles until the backing level returns the line.
 func (p *SlowPathPort) DemandAccess(line uint32, now uint64) (hit bool, missLat uint64) {
 	p.stats.DemandAccesses++
 	if p.ic.Access(line) {
 		return true, 0
 	}
 	p.stats.DemandMisses++
-	if p.mem != nil {
-		missLat = p.mem.Latency(mem.IFetch, line, now)
-	}
-	return false, missLat
+	return false, p.mem.Latency(mem.IFetch, line, now)
 }
 
 // ChargeDemand records cycles the demand path held the port busy. Busy
@@ -145,7 +129,7 @@ func (p *SlowPathPort) FetchLine(line uint32) (granted, miss bool) {
 	}
 	// Probe, not Access: admission must be checked before the L1 fills
 	// the line, or a denied fetch would spuriously hit on retry.
-	if p.mem != nil && !p.ic.Probe(line) && !p.mem.AdmitPrecon(p.now) {
+	if !p.ic.Probe(line) && !p.mem.AdmitPrecon(p.now) {
 		p.stats.PreconMemDenied++
 		return false, false
 	}
@@ -154,9 +138,7 @@ func (p *SlowPathPort) FetchLine(line uint32) (granted, miss bool) {
 	miss = !p.ic.Access(line)
 	if miss {
 		p.stats.PreconMisses++
-		if p.mem != nil {
-			p.mem.Lookup(mem.Precon, line, p.now)
-		}
+		p.mem.Lookup(mem.Precon, line, p.now)
 	}
 	return true, miss
 }

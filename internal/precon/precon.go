@@ -99,10 +99,10 @@ type Config struct {
 	// ResolveIndirects is an extension beyond the paper: instead of
 	// abandoning a path at an indirect jump ("the target is unknown",
 	// §2.1), the constructor consults the slow path's indirect target
-	// buffer (installed via SetTargetBuffer) for the likely target and
-	// continues the region there. Trace selection is unchanged —
-	// traces still end at the indirect jump — only the successor
-	// start point becomes known.
+	// buffer (shared through New) for the likely target and continues
+	// the region there. Trace selection is unchanged — traces still end
+	// at the indirect jump — only the successor start point becomes
+	// known.
 	ResolveIndirects bool
 
 	Select trace.SelectConfig
@@ -287,21 +287,10 @@ type Engine struct {
 	// itb resolves indirect-jump targets when ResolveIndirects is on.
 	itb *bpred.TargetBuffer
 
-	// store, when set, interns completed traces instead of cloning them
-	// into the buffers (see trace.Store).
+	// store interns completed traces before they escape into the
+	// buffers (see trace.Store).
 	store *trace.Store
 }
-
-// SetStore attaches an intern store: deliver retains completed traces
-// through store.Intern — a refcount bump and content check when an
-// identical trace is resident — instead of deep-copying with Clone.
-// The buffers must share the same store (their Insert takes ownership
-// of the reference Intern returns).
-func (e *Engine) SetStore(s *trace.Store) { e.store = s }
-
-// SetTargetBuffer shares the slow path's indirect target buffer with
-// the engine (used only when Config.ResolveIndirects is set).
-func (e *Engine) SetTargetBuffer(tb *bpred.TargetBuffer) { e.itb = tb }
 
 // SetTraceHook installs an observer called for every trace the engine
 // constructs (including duplicates). The trace is borrowed — valid only
@@ -345,13 +334,17 @@ func (r *region) popWork() uint32 {
 	return v
 }
 
-// New builds an engine sharing the image, bimodal predictor, slow-path
-// i-cache port, trace cache and preconstruction buffers with the
-// frontend. The port is the engine's only route to instruction lines:
-// in the composed frontend demand fetch shares it, standalone it wraps
-// a private cache with the demand side unexercised.
-func New(cfg Config, im *program.Image, bim *bpred.Bimodal, port *SlowPathPort,
-	tc TraceStore, buf BufferStore) (*Engine, error) {
+// New builds an engine sharing the image, the slow path's bimodal
+// predictor and indirect target buffer (read only under
+// ResolveIndirects), the slow-path i-cache port, the trace cache, the
+// preconstruction buffers and the intern store with the frontend. The
+// port is the engine's only route to instruction lines; demand fetch
+// shares it. deliver retains completed traces through store.Intern — a
+// refcount bump and content check when an identical trace is resident —
+// and the buffers' Insert takes ownership of that reference, so they
+// must hold references in the same store.
+func New(cfg Config, im *program.Image, bim *bpred.Bimodal, itb *bpred.TargetBuffer,
+	port *SlowPathPort, tc TraceStore, buf BufferStore, store *trace.Store) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -363,9 +356,11 @@ func New(cfg Config, im *program.Image, bim *bpred.Bimodal, port *SlowPathPort,
 		cfg:        cfg,
 		im:         im,
 		bim:        bim,
+		itb:        itb,
 		port:       port,
 		tc:         tc,
 		buf:        buf,
+		store:      store,
 		icLineMask: uint32(port.LineBytes() - 1),
 		completed:  make([]uint32, cfg.CompletedSlots),
 		regions:    make([]*region, cfg.NumRegions),
@@ -379,16 +374,6 @@ func New(cfg Config, im *program.Image, bim *bpred.Bimodal, port *SlowPathPort,
 		e.ctors[i] = newConstructor(e)
 	}
 	return e, nil
-}
-
-// MustNew builds an engine, panicking on config error.
-func MustNew(cfg Config, im *program.Image, bim *bpred.Bimodal, port *SlowPathPort,
-	tc TraceStore, buf BufferStore) *Engine {
-	e, err := New(cfg, im, bim, port, tc, buf)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // LineBytes returns the resolved prefetch-cache line size.
@@ -710,8 +695,7 @@ func (e *Engine) fetchLine(r *region, line uint32) bool {
 // buffer it. A buffer rejection terminates the region (§3.1). It also
 // queues the trace's successor as a new start point (§2.1). tr is
 // borrowed from the constructor's builder; the insert path interns it
-// (or, with no store attached, clones it) before it escapes into the
-// buffers.
+// before it escapes into the buffers.
 func (e *Engine) deliver(r *region, tr *trace.Trace) {
 	e.stats.TracesBuilt++
 	r.built++
@@ -722,13 +706,7 @@ func (e *Engine) deliver(r *region, tr *trace.Trace) {
 	if e.tc.Contains(id) || e.buf.Contains(id) {
 		e.stats.TracesDuplicate++
 	} else {
-		var kept *trace.Trace
-		if e.store != nil {
-			kept = e.store.Intern(tr)
-		} else {
-			kept = tr.Clone()
-		}
-		if !e.buf.Insert(kept, r.seq) {
+		if !e.buf.Insert(e.store.Intern(tr), r.seq) {
 			e.completeRegion(r, &e.stats.RegionsBounded)
 			return
 		}
@@ -829,15 +807,3 @@ func (e *Engine) Idle() bool { return e.quiet() }
 
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// ActiveRegions returns descriptions of active regions (for the anatomy
-// example and tests).
-func (e *Engine) ActiveRegions() []StartPoint {
-	var out []StartPoint
-	for _, r := range e.regions {
-		if r != nil && r.active {
-			out = append(out, r.start)
-		}
-	}
-	return out
-}

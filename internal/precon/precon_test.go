@@ -1,12 +1,14 @@
 package precon
 
 import (
+	"errors"
 	"testing"
 
 	"tracepre/internal/bpred"
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
+	"tracepre/internal/mem"
 	"tracepre/internal/program"
 	"tracepre/internal/trace"
 	"tracepre/internal/tracecache"
@@ -14,29 +16,42 @@ import (
 
 // rig bundles the shared structures an engine needs.
 type rig struct {
-	im  *program.Image
-	bim *bpred.Bimodal
-	ic  *cache.Cache
-	tc  *tracecache.TraceCache
-	buf *tracecache.Buffers
-	eng *Engine
+	im    *program.Image
+	bim   *bpred.Bimodal
+	itb   *bpred.TargetBuffer
+	ic    *cache.Cache
+	store *trace.Store
+	tc    *tracecache.TraceCache
+	buf   *tracecache.Buffers
+	eng   *Engine
+}
+
+// buildRig wires an engine the way the frontend does, through the real
+// constructors: a 64 KiB i-cache of icLine-byte lines behind a
+// fixed-latency L2, and a trace cache and buffers of entries traces
+// each over one intern store. It returns New's error.
+func buildRig(tb testing.TB, im *program.Image, cfg Config, icLine, entries int) (*rig, error) {
+	tb.Helper()
+	r := &rig{im: im, store: trace.NewStore()}
+	var h *mem.Hierarchy
+	var errs [6]error
+	r.bim, errs[0] = bpred.NewBimodal(4096)
+	r.itb, errs[1] = bpred.NewTargetBuffer(64)
+	r.ic, errs[2] = cache.New(cache.Config{SizeBytes: 64 * 1024, LineBytes: icLine, Assoc: 4})
+	h, errs[3] = mem.New(mem.Config{}, 10)
+	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: entries, Assoc: 2}, r.store)
+	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: entries, Assoc: 2}, r.store)
+	if err := errors.Join(errs[:]...); err != nil {
+		tb.Fatal(err)
+	}
+	var err error
+	r.eng, err = New(cfg, im, r.bim, r.itb, NewSlowPathPort(r.ic, h), r.tc, r.buf, r.store)
+	return r, err
 }
 
 func newRig(t *testing.T, im *program.Image, cfg Config) *rig {
 	t.Helper()
-	r := &rig{
-		im:  im,
-		bim: bpred.MustNewBimodal(4096),
-		ic:  cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4}),
-		tc:  tracecache.MustNew(tracecache.Config{Entries: 64, Assoc: 2}),
-		buf: tracecache.MustNewBuffers(tracecache.Config{Entries: 64, Assoc: 2}),
-	}
-	eng, err := New(cfg, im, r.bim, NewSlowPathPort(r.ic), r.tc, r.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.eng = eng
-	return r
+	return newRigLines(t, im, cfg, 64)
 }
 
 // driveResult summarizes a run of the mini-frontend in drive.
@@ -74,7 +89,7 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 				}
 				r.tc.Insert(got)
 			} else {
-				r.tc.Insert(tr)
+				r.tc.Insert(r.store.Intern(tr))
 			}
 		}
 		res.demanded = append(res.demanded, tr)
@@ -363,15 +378,16 @@ func TestCatchUpTerminatesRegion(t *testing.T) {
 	// Push the region start and let the engine work a little.
 	r.eng.Observe(emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(4)
-	if len(r.eng.ActiveRegions()) == 0 {
-		t.Fatalf("no active region; stats = %+v", r.eng.Stats())
+	if st := r.eng.Stats(); st.RegionsActivated != 1 || st.RegionsCompleted != 0 {
+		t.Fatalf("want one active region; stats = %+v", st)
 	}
 	r.eng.OnDemandFetch(after)
-	if got := r.eng.Stats().RegionsCaughtUp; got != 1 {
-		t.Errorf("caught-up regions = %d", got)
+	st := r.eng.Stats()
+	if st.RegionsCaughtUp != 1 {
+		t.Errorf("caught-up regions = %d", st.RegionsCaughtUp)
 	}
-	if len(r.eng.ActiveRegions()) != 0 {
-		t.Errorf("region still active after catch-up")
+	if st.RegionsCompleted != st.RegionsActivated {
+		t.Errorf("region still active after catch-up; stats = %+v", st)
 	}
 }
 
@@ -608,11 +624,9 @@ func TestResolveIndirects(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ResolveIndirects = resolve
 		r := newRig(t, im, cfg)
-		itb := bpred.MustNewTargetBuffer(64)
 		if train {
-			itb.Update(start+4, landing)
+			r.itb.Update(start+4, landing)
 		}
-		r.eng.SetTargetBuffer(itb)
 		r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 		r.eng.Step(50)
 		return r.eng.Stats().TracesBuilt
@@ -739,11 +753,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bim := bpred.MustNewBimodal(4096)
-	ic := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4})
-	tc := tracecache.MustNew(tracecache.Config{Entries: 256, Assoc: 2})
-	buf := tracecache.MustNewBuffers(tracecache.Config{Entries: 256, Assoc: 2})
-	eng := MustNew(DefaultConfig(), im, bim, NewSlowPathPort(ic), tc, buf)
+	eng := benchEngine(b, im, DefaultConfig())
 	start, _ := im.Lookup("start")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

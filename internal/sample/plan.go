@@ -142,12 +142,6 @@ func (p Plan) Validate() error {
 // skip.
 func (p Plan) Period() uint64 { return p.Detail + p.Skip }
 
-// DetailFraction returns the fraction of the stream run in full detail
-// (measurement units plus detailed warm-up).
-func (p Plan) DetailFraction() float64 {
-	return float64(p.Detail+p.Warm) / float64(p.Period())
-}
-
 // Intervals returns the number of complete measurement units a budget
 // of committed instructions contains. Unit i closes at (i+1) periods
 // into the stream (each period is a skip followed by its unit).

@@ -32,9 +32,6 @@ func TestPlanSchedule(t *testing.T) {
 	if got := p.Period(); got != 100 {
 		t.Errorf("Period = %d, want 100", got)
 	}
-	if got := p.DetailFraction(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("DetailFraction = %v, want 0.3", got)
-	}
 	// Unit i occupies [100i+90, 100(i+1)): complete when 100(i+1) <= budget.
 	for _, c := range []struct {
 		budget uint64
@@ -44,6 +41,12 @@ func TestPlanSchedule(t *testing.T) {
 			t.Errorf("Intervals(%d) = %d, want %d", c.budget, got, c.want)
 		}
 	}
+}
+
+// detailFraction is the fraction of the stream a plan runs in full
+// detail: measurement units plus detailed warm-up.
+func detailFraction(p Plan) float64 {
+	return float64(p.Detail+p.Warm) / float64(p.Period())
 }
 
 func TestPlanForBudget(t *testing.T) {
@@ -62,7 +65,7 @@ func TestPlanForBudget(t *testing.T) {
 	// Small budgets halve every length, keeping the detailed fraction.
 	for _, budget := range []uint64{200_000, 2_000_000} {
 		p := PlanForBudget(budget)
-		df, want := p.DetailFraction(), DefaultPlan().DetailFraction()
+		df, want := detailFraction(p), detailFraction(DefaultPlan())
 		if math.Abs(df-want) > 0.01 {
 			t.Errorf("PlanForBudget(%d) detail fraction %v, want ~%v", budget, df, want)
 		}
@@ -78,7 +81,7 @@ func TestPlanForBudget(t *testing.T) {
 	if big.Skip <= def.Skip {
 		t.Errorf("paper-scale budget must stretch the skip, got %d", big.Skip)
 	}
-	if df := big.DetailFraction(); df > 0.01 {
+	if df := detailFraction(big); df > 0.01 {
 		t.Errorf("paper-scale detail fraction %v, want under 1%%", df)
 	}
 }
@@ -142,7 +145,11 @@ func newSim(t testing.TB, bench string, cfg pipeline.Config) *pipeline.Simulator
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pipeline.MustNew(im, cfg)
+	sim, err := pipeline.New(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
 }
 
 func TestRunnerErrors(t *testing.T) {

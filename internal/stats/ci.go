@@ -102,18 +102,3 @@ func CI95(xs []float64) CI {
 	ci.Half = TCrit95(len(xs)-1) * s.Std / math.Sqrt(float64(len(xs)))
 	return ci
 }
-
-// PairedCI95 returns the 95% confidence interval of the mean paired
-// difference a[i]-b[i] — the A-vs-B column comparison, where pairing by
-// interval removes the common per-interval variance. It panics if the
-// series lengths differ: paired samples must align.
-func PairedCI95(a, b []float64) CI {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: paired series lengths differ (%d vs %d)", len(a), len(b)))
-	}
-	d := make([]float64, len(a))
-	for i := range a {
-		d[i] = a[i] - b[i]
-	}
-	return CI95(d)
-}

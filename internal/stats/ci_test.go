@@ -115,33 +115,6 @@ func TestCIString(t *testing.T) {
 	}
 }
 
-func TestPairedCI95(t *testing.T) {
-	// Perfectly correlated pairs with a constant offset: the paired
-	// difference has zero variance, so the interval collapses onto the
-	// offset even though each series alone is noisy.
-	a := []float64{10, 20, 30, 40, 50}
-	b := []float64{8, 18, 28, 38, 48}
-	ci := PairedCI95(a, b)
-	if math.Abs(ci.Mean-2) > 1e-9 || ci.Half != 0 {
-		t.Errorf("paired CI = (%v ±%v), want (2 ±0)", ci.Mean, ci.Half)
-	}
-
-	// Known-value check: differences {1,2,3,4,5} reduce to the CI95 case.
-	base := []float64{0, 0, 0, 0, 0}
-	diff := []float64{1, 2, 3, 4, 5}
-	got, want := PairedCI95(diff, base), CI95(diff)
-	if math.Abs(got.Mean-want.Mean) > 1e-12 || math.Abs(got.Half-want.Half) > 1e-12 {
-		t.Errorf("paired CI over zero base = %+v, want %+v", got, want)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Errorf("PairedCI95 with mismatched lengths must panic")
-		}
-	}()
-	PairedCI95([]float64{1}, []float64{1, 2})
-}
-
 func TestSummarizeSmallSeries(t *testing.T) {
 	if s := Summarize(nil); s != (Summary{}) {
 		t.Errorf("Summarize(nil) = %+v, want zero Summary", s)

@@ -168,15 +168,6 @@ func New(cfg Config) (*Predictor, error) {
 	return t.View(), nil
 }
 
-// MustNew builds a predictor, panicking on config error.
-func MustNew(cfg Config) *Predictor {
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func fold(h uint64) uint32 {
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD

@@ -52,16 +52,24 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil", c)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{})
+	if _, err := New(Config{}); err == nil {
+		t.Error("New accepted the zero config")
+	}
+}
+
+// newPredictor builds a predictor over private tables, failing the test
+// on a config error.
+func newPredictor(t testing.TB, cfg Config) *Predictor {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestColdNoPrediction(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	if _, ok := p.Predict(); ok {
 		t.Error("cold predictor produced a prediction")
 	}
@@ -74,7 +82,7 @@ func TestColdNoPrediction(t *testing.T) {
 // TestLearnsRepeatingSequence: after one pass over a repeating trace
 // sequence, the predictor should predict the second pass correctly.
 func TestLearnsRepeatingSequence(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	seq := []*trace.Trace{
 		mkTrace(0x1000, false, false),
 		mkTrace(0x2000, false, false),
@@ -108,7 +116,7 @@ func TestLearnsRepeatingSequence(t *testing.T) {
 // depending on the preceding path is predictable only with path history;
 // verify the primary table disambiguates.
 func TestPathCorrelation(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	a := mkTrace(0xA000, false, false)
 	b := mkTrace(0xB000, false, false)
 	x := mkTrace(0x1000, false, false)
@@ -144,7 +152,7 @@ func TestPathCorrelation(t *testing.T) {
 // prediction from the secondary last-trace table once the pair has been
 // seen under some other history.
 func TestSecondaryFallback(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	x := mkTrace(0x1000, false, false)
 	y := mkTrace(0x2000, false, false)
 	fillers := []*trace.Trace{
@@ -178,7 +186,7 @@ func TestSecondaryFallback(t *testing.T) {
 // TestRHSRestoresHistory: a call/return wrapping a variable-length callee
 // must not destroy the caller-side correlation.
 func TestRHSRestoresHistory(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	pre := mkTrace(0x1000, true, false) // caller trace containing the call
 	c1 := mkTrace(0x9000, false, true)  // callee variant 1 (ends in return)
 	c2 := mkTrace(0x9800, false, true)  // callee variant 2
@@ -208,7 +216,7 @@ func TestRHSRestoresHistory(t *testing.T) {
 }
 
 func TestUpdateTrainsReplacement(t *testing.T) {
-	p := MustNew(smallCfg())
+	p := newPredictor(t, smallCfg())
 	x := mkTrace(0x1000, false, false)
 	y := mkTrace(0x2000, false, false)
 	z := mkTrace(0x3000, false, false)
@@ -267,7 +275,7 @@ func TestSharedTablesMatchPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := []*Predictor{tables.View(), tables.View()}
-	private := []*Predictor{MustNew(smallCfg()), MustNew(smallCfg())}
+	private := []*Predictor{newPredictor(t, smallCfg()), newPredictor(t, smallCfg())}
 	rng := rand.New(rand.NewSource(5))
 	for n, tr := range lockstepSeq() {
 		order := []int{0, 1}
@@ -341,7 +349,7 @@ func TestAccuracyEmpty(t *testing.T) {
 }
 
 func BenchmarkPredictUpdate(b *testing.B) {
-	p := MustNew(DefaultConfig())
+	p := newPredictor(b, DefaultConfig())
 	seq := make([]*trace.Trace, 64)
 	for i := range seq {
 		seq[i] = mkTrace(uint32(0x1000+i*64), i%7 == 0, i%11 == 0)

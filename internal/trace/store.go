@@ -246,15 +246,12 @@ func (s *Store) Retain(t *Trace) {
 
 // Release drops one reference. The last release parks the trace in
 // limbo: still resident for revival by Intern, its storage reclaimed
-// lazily when the store needs a chunk. Releasing an unmanaged trace
-// (nil store) is a no-op, so consumers can hold a mix of interned and
-// plain traces.
+// lazily when the store needs a chunk. Releasing a trace this store did
+// not intern (a plain or cloned trace, or one from another store)
+// panics: every consumer holds only interned references.
 func (s *Store) Release(t *Trace) {
-	if t == nil || t.store == nil {
-		return
-	}
 	if t.store != s {
-		panic("trace: Release of a trace interned in another store")
+		panic("trace: Release of a trace not interned in this store")
 	}
 	if t.refs <= 0 {
 		panic("trace: Release without a matching Intern/Retain")

@@ -251,14 +251,11 @@ func TestStoreMisusePanics(t *testing.T) {
 	expectPanic("Retain foreign", func() { other.Retain(a) })
 	expectPanic("Release foreign", func() { other.Release(a) })
 	expectPanic("Retain unmanaged", func() { s.Retain(storeTrace(0x6000, 2)) })
+	expectPanic("Release unmanaged", func() { s.Release(storeTrace(0x7000, 2)) })
 
 	s.Release(a)
 	expectPanic("Release past zero", func() { s.Release(a) })
 	expectPanic("Retain released", func() { s.Retain(a) })
-
-	// Releasing an unmanaged or nil trace is a no-op, not a panic.
-	s.Release(storeTrace(0x7000, 2))
-	s.Release(nil)
 }
 
 func TestStoreCloneIsUnmanaged(t *testing.T) {
@@ -268,9 +265,16 @@ func TestStoreCloneIsUnmanaged(t *testing.T) {
 	if s.Refs(c) != 0 {
 		t.Fatal("clone of an interned trace reports store refs")
 	}
-	s.Release(c) // must be a no-op
-	if s.Live() != 1 {
-		t.Fatalf("Live = %d after releasing a clone, want 1", s.Live())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Release of a clone did not panic")
+			}
+		}()
+		s.Release(c)
+	}()
+	if s.Live() != 1 || s.Refs(a) != 1 {
+		t.Fatalf("Live = %d, Refs = %d after releasing a clone, want 1, 1", s.Live(), s.Refs(a))
 	}
 	s.Release(a)
 }

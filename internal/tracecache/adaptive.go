@@ -45,18 +45,6 @@ type Adaptive struct {
 	store   *trace.Store
 }
 
-// SetStore attaches an intern store; see TraceCache.SetStore. Insert
-// and InsertPrecon take ownership of one reference per inserted trace;
-// Take keeps the reference with the entry (the role flips in place, so
-// nothing changes hands).
-func (a *Adaptive) SetStore(s *trace.Store) { a.store = s }
-
-func (a *Adaptive) release(t *trace.Trace) {
-	if a.store != nil {
-		a.store.Release(t)
-	}
-}
-
 type aline struct {
 	id     trace.ID
 	tr     *trace.Trace
@@ -76,8 +64,11 @@ const (
 )
 
 // NewAdaptive builds an adaptive store with cfg.Entries total entries
-// (the sum the fixed design would split statically).
-func NewAdaptive(cfg Config) (*Adaptive, error) {
+// (the sum the fixed design would split statically) whose lines hold
+// references in store. Insert and InsertPrecon take ownership of one
+// reference per inserted trace; Take keeps the reference with the entry
+// (the role flips in place, so nothing changes hands).
+func NewAdaptive(cfg Config, store *trace.Store) (*Adaptive, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,16 +87,8 @@ func NewAdaptive(cfg Config) (*Adaptive, error) {
 		warmup:   adaptiveWarmup,
 		dir:      adaptiveStep,
 		prevMiss: -1,
+		store:    store,
 	}, nil
-}
-
-// MustNewAdaptive builds the store, panicking on config error.
-func MustNewAdaptive(cfg Config) *Adaptive {
-	a, err := NewAdaptive(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 func (a *Adaptive) set(id trace.ID) []aline {
@@ -281,20 +264,20 @@ func (a *Adaptive) Insert(tr *trace.Trace) {
 			}
 			old := s[i].tr
 			s[i] = aline{id: id, tr: tr, valid: true, lru: a.clock}
-			a.release(old)
+			a.store.Release(old)
 			return
 		}
 	}
 	v := a.victim(s, false, 0)
 	if v < 0 {
-		a.release(tr) // cannot happen: trace-cache inserts always find a way
+		a.store.Release(tr) // cannot happen: trace-cache inserts always find a way
 		return
 	}
 	if s[v].valid {
 		if s[v].precon {
 			a.pbCount--
 		}
-		a.release(s[v].tr)
+		a.store.Release(s[v].tr)
 	}
 	s[v] = aline{id: id, tr: tr, valid: true, lru: a.clock}
 }
@@ -345,14 +328,14 @@ func (a *Adaptive) InsertPrecon(tr *trace.Trace, region uint64) bool {
 		if s[i].valid && s[i].id == id {
 			if !s[i].precon {
 				// Already in the trace cache: nothing to buffer.
-				a.release(tr)
+				a.store.Release(tr)
 				return true
 			}
 			old := s[i].tr
 			s[i].tr = tr
 			s[i].region = region
 			s[i].lru = a.clock
-			a.release(old)
+			a.store.Release(old)
 			a.pbStats.Inserts++
 			return true
 		}
@@ -360,11 +343,11 @@ func (a *Adaptive) InsertPrecon(tr *trace.Trace, region uint64) bool {
 	v := a.victim(s, true, region)
 	if v < 0 {
 		a.pbStats.Rejected++
-		a.release(tr)
+		a.store.Release(tr)
 		return false
 	}
 	if s[v].valid {
-		a.release(s[v].tr)
+		a.store.Release(s[v].tr)
 	}
 	if !s[v].valid || !s[v].precon {
 		a.pbCount++
@@ -380,7 +363,7 @@ func (a *Adaptive) Drain() {
 	for _, s := range a.sets {
 		for i := range s {
 			if s[i].valid {
-				a.release(s[i].tr)
+				a.store.Release(s[i].tr)
 				s[i] = aline{}
 			}
 		}

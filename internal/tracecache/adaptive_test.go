@@ -6,30 +6,17 @@ import (
 	"tracepre/internal/trace"
 )
 
-func adaptiveForTest(t *testing.T, entries int) *Adaptive {
-	t.Helper()
-	a, err := NewAdaptive(Config{Entries: entries, Assoc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 func TestAdaptiveValidation(t *testing.T) {
-	if _, err := NewAdaptive(Config{Entries: 48, Assoc: 2}); err == nil {
-		t.Error("invalid geometry accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewAdaptive did not panic")
+	for _, c := range []Config{{}, {Entries: 48, Assoc: 2}} {
+		if _, err := NewAdaptive(c, trace.NewStore()); err == nil {
+			t.Errorf("invalid geometry %+v accepted", c)
 		}
-	}()
-	MustNewAdaptive(Config{})
+	}
 }
 
 func TestAdaptiveRoleSeparation(t *testing.T) {
-	a := adaptiveForTest(t, 16)
-	tr := mkTrace(0x1000)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
+	tr := a.store.Intern(mkTrace(0x1000))
 	if !a.InsertPrecon(tr, 1) {
 		t.Fatal("precon insert refused")
 	}
@@ -64,12 +51,14 @@ func TestAdaptiveRoleSeparation(t *testing.T) {
 }
 
 func TestAdaptiveInsertOverBufferedEntry(t *testing.T) {
-	a := adaptiveForTest(t, 16)
-	tr := mkTrace(0x1000)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
+	tr := a.store.Intern(mkTrace(0x1000))
 	a.InsertPrecon(tr, 1)
 	// A demand insert of the same trace converts it to TC role without
 	// duplicating.
-	tr2 := mkTrace(0x1000)
+	other := mkTrace(0x1000)
+	other.Insts[0].Rd = 2 // same ID, different content: a different object
+	tr2 := a.store.Intern(other)
 	a.Insert(tr2)
 	tc, pb := a.Occupancy()
 	if tc != 1 || pb != 0 {
@@ -81,10 +70,10 @@ func TestAdaptiveInsertOverBufferedEntry(t *testing.T) {
 }
 
 func TestAdaptivePreconInsertOnCachedTraceIsNoop(t *testing.T) {
-	a := adaptiveForTest(t, 16)
-	tr := mkTrace(0x1000)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
+	tr := a.store.Intern(mkTrace(0x1000))
 	a.Insert(tr)
-	if !a.InsertPrecon(mkTrace(0x1000), 3) {
+	if !a.InsertPrecon(a.store.Intern(mkTrace(0x1000)), 3) {
 		t.Error("precon insert over cached trace should report success")
 	}
 	if a.ContainsPrecon(tr.ID()) {
@@ -93,14 +82,14 @@ func TestAdaptivePreconInsertOnCachedTraceIsNoop(t *testing.T) {
 }
 
 func TestAdaptiveRegionPriorityPreserved(t *testing.T) {
-	a := adaptiveForTest(t, 4) // 2 sets x 2 ways
+	a := newAdaptive(t, Config{Entries: 4, Assoc: 2}) // 2 sets x 2 ways
 	// Fill one set with buffer entries from region 5.
 	ts := make([]*trace.Trace, 0, 8)
 	set0 := mkTrace(0x1000).ID().Hash() & a.setMask
 	for start := uint32(0x1000); len(ts) < 4; start += 4 {
 		tr := mkTrace(start)
 		if tr.ID().Hash()&a.setMask == set0 {
-			ts = append(ts, tr)
+			ts = append(ts, a.store.Intern(tr))
 		}
 	}
 	// Force the store over its buffer target so region rules apply.
@@ -108,7 +97,10 @@ func TestAdaptiveRegionPriorityPreserved(t *testing.T) {
 	if !a.InsertPrecon(ts[0], 5) || !a.InsertPrecon(ts[1], 5) {
 		t.Fatal("initial inserts refused")
 	}
-	// Same region cannot displace same region when over target.
+	// Same region cannot displace same region when over target. The
+	// refusal releases the reference it was given, so hold a second one
+	// for the retry below.
+	a.store.Retain(ts[2])
 	if a.InsertPrecon(ts[2], 5) {
 		t.Error("same-region displacement allowed over target")
 	}
@@ -119,7 +111,7 @@ func TestAdaptiveRegionPriorityPreserved(t *testing.T) {
 }
 
 func TestAdaptiveSharesMoveUnderFeedback(t *testing.T) {
-	a := adaptiveForTest(t, 16)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
 	a.epochLen = 64
 	a.warmup = 0
 	start := a.TargetPBShare()
@@ -138,9 +130,9 @@ func TestAdaptiveSharesMoveUnderFeedback(t *testing.T) {
 }
 
 func TestAdaptivePBViewProtocol(t *testing.T) {
-	a := adaptiveForTest(t, 16)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
 	v := a.PBView()
-	tr := mkTrace(0x2000)
+	tr := a.store.Intern(mkTrace(0x2000))
 	if !v.Insert(tr, 1) {
 		t.Fatal("view insert failed")
 	}
@@ -157,10 +149,10 @@ func TestAdaptivePBViewProtocol(t *testing.T) {
 }
 
 func TestAdaptiveStatsAndString(t *testing.T) {
-	a := adaptiveForTest(t, 16)
-	a.Insert(mkTrace(0x1000))
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
+	a.Insert(a.store.Intern(mkTrace(0x1000)))
 	a.Lookup(mkTrace(0x1000).ID())
-	a.InsertPrecon(mkTrace(0x2000), 1)
+	a.InsertPrecon(a.store.Intern(mkTrace(0x2000)), 1)
 	if s := a.Stats(); s.Lookups != 1 || s.Hits != 1 || s.Inserts != 1 {
 		t.Errorf("tc stats = %+v", s)
 	}
@@ -176,14 +168,14 @@ func TestAdaptiveStatsAndString(t *testing.T) {
 }
 
 func TestAdaptiveTCInsertNeverRefused(t *testing.T) {
-	a := adaptiveForTest(t, 4)
+	a := newAdaptive(t, Config{Entries: 4, Assoc: 2})
 	// Fill everything with buffer entries, then demand inserts must
 	// still succeed by reclaiming buffer space.
 	for start := uint32(0x1000); start < 0x1100; start += 4 {
-		a.InsertPrecon(mkTrace(start), 9)
+		a.InsertPrecon(a.store.Intern(mkTrace(start)), 9)
 	}
 	for start := uint32(0x5000); start < 0x5040; start += 4 {
-		tr := mkTrace(start)
+		tr := a.store.Intern(mkTrace(start))
 		a.Insert(tr)
 		if !a.Contains(tr.ID()) {
 			t.Fatalf("demand insert lost at 0x%x", start)

@@ -8,8 +8,8 @@ import (
 )
 
 // checkLive asserts the refcount invariant: every reference the store
-// counts as live is exactly one resident line across the attached
-// containers.
+// counts as live is exactly one resident line across the containers
+// built over it.
 func checkLive(t *testing.T, s *trace.Store, want int, what string) {
 	t.Helper()
 	if got := s.Live(); got != want {
@@ -18,12 +18,11 @@ func checkLive(t *testing.T, s *trace.Store, want int, what string) {
 }
 
 // TestTraceCacheStoreLifecycle drives inserts, refreshes, evictions and
-// a drain through a store-attached TraceCache, checking after every
-// step that live interned traces equal cache occupancy.
+// a drain through a TraceCache, checking after every step that live
+// interned traces equal cache occupancy.
 func TestTraceCacheStoreLifecycle(t *testing.T) {
-	s := trace.NewStore()
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	tc.SetStore(s)
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	s := tc.store
 
 	// Fill well past capacity: evictions must release their victims.
 	for i := 0; i < 64; i++ {
@@ -54,9 +53,8 @@ func TestTraceCacheStoreLifecycle(t *testing.T) {
 // inserts, rejections, Take transfers, drain — under the same
 // invariant.
 func TestBuffersStoreLifecycle(t *testing.T) {
-	s := trace.NewStore()
-	b := MustNewBuffers(Config{Entries: 4, Assoc: 2})
-	b.SetStore(s)
+	b := newBuffers(t, Config{Entries: 4, Assoc: 2})
+	s := b.store
 
 	// Region 1 fills the buffers.
 	ids := make([]trace.ID, 0, 8)
@@ -106,9 +104,8 @@ func TestBuffersStoreLifecycle(t *testing.T) {
 // buffer-role inserts, in-place promotion (Take), trace-cache inserts,
 // the already-resident early return, and drain.
 func TestAdaptiveStoreLifecycle(t *testing.T) {
-	s := trace.NewStore()
-	a := MustNewAdaptive(Config{Entries: 16, Assoc: 2})
-	a.SetStore(s)
+	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
+	s := a.store
 
 	occ := func() int { tc, pb := a.Occupancy(); return tc + pb }
 
@@ -156,11 +153,12 @@ func TestAdaptiveStoreLifecycle(t *testing.T) {
 // traces — the leak invariant under arbitrary interleavings.
 func TestQuickMixedStoreChurn(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		s := trace.NewStore()
-		tc := MustNew(Config{Entries: 16, Assoc: 2})
-		b := MustNewBuffers(Config{Entries: 8, Assoc: 2})
-		tc.SetStore(s)
-		b.SetStore(s)
+		tc := newTC(t, Config{Entries: 16, Assoc: 2})
+		s := tc.store
+		b, err := NewBuffers(Config{Entries: 8, Assoc: 2}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := rand.New(rand.NewSource(seed))
 		region := uint64(0)
 		for i := 0; i < 2000; i++ {

@@ -57,8 +57,12 @@ type Stats struct {
 	Rejected uint64
 }
 
-// TraceCache is the primary trace cache.
-type TraceCache struct {
+// setArray is what the split design's two stores share: the
+// set-associative line array indexed by trace ID, its counters, and the
+// intern store that owns every resident trace. Each resident line holds
+// one reference to its trace, released when the line is refreshed,
+// evicted or drained.
+type setArray struct {
 	cfg     Config
 	sets    [][]line
 	setMask uint32
@@ -67,56 +71,82 @@ type TraceCache struct {
 	store   *trace.Store
 }
 
-// SetStore attaches an intern store. With a store attached the cache
-// participates in the reference-count protocol: Insert takes ownership
-// of one reference to the inserted trace and releases it when the line
-// is refreshed, evicted or drained. Without a store (the default) the
-// cache owns plain traces and releases are no-ops.
-func (tc *TraceCache) SetStore(s *trace.Store) { tc.store = s }
-
-func (tc *TraceCache) release(t *trace.Trace) {
-	if tc.store != nil {
-		tc.store.Release(t)
-	}
-}
-
-// New builds a trace cache.
-func New(cfg Config) (*TraceCache, error) {
+func newSetArray(cfg Config, store *trace.Store) (setArray, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return setArray{}, err
 	}
-	return &TraceCache{
-		cfg:     cfg,
-		sets:    makeSets(cfg),
-		setMask: uint32(cfg.Entries/cfg.Assoc - 1),
-	}, nil
-}
-
-// MustNew builds a trace cache, panicking on config error.
-func MustNew(cfg Config) *TraceCache {
-	t, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-func makeSets(cfg Config) [][]line {
 	numSets := cfg.Entries / cfg.Assoc
 	backing := make([]line, cfg.Entries)
 	sets := make([][]line, numSets)
 	for i := range sets {
 		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
-	return sets
+	return setArray{cfg: cfg, sets: sets, setMask: uint32(numSets - 1), store: store}, nil
 }
 
-func (tc *TraceCache) set(id trace.ID) []line {
-	return tc.sets[id.Hash()&tc.setMask]
+func (a *setArray) set(id trace.ID) []line {
+	return a.sets[id.Hash()&a.setMask]
 }
 
 // Config returns the geometry.
-func (tc *TraceCache) Config() Config { return tc.cfg }
+func (a *setArray) Config() Config { return a.cfg }
+
+// Contains reports residency without perturbing LRU state, statistics
+// or (for the buffers) the entry. The preconstruction engine uses this
+// to avoid buffering traces already resident.
+func (a *setArray) Contains(id trace.ID) bool {
+	for _, l := range a.set(id) {
+		if l.valid && l.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// Drain invalidates every line, releasing its reference. The geometry
+// and statistics are preserved.
+func (a *setArray) Drain() {
+	for _, s := range a.sets {
+		for i := range s {
+			if s[i].valid {
+				a.store.Release(s[i].tr)
+				s[i] = line{}
+			}
+		}
+	}
+}
+
+// Occupancy returns the number of valid entries (for tests and reports).
+func (a *setArray) Occupancy() int {
+	n := 0
+	for _, s := range a.sets {
+		for _, l := range s {
+			if l.valid {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Stats returns a copy of the counters.
+func (a *setArray) Stats() Stats { return a.stats }
+
+// TraceCache is the primary trace cache. Insert takes ownership of one
+// reference to the inserted trace, which must be interned in the
+// cache's store.
+type TraceCache struct {
+	setArray
+}
+
+// New builds a trace cache whose lines hold references in store.
+func New(cfg Config, store *trace.Store) (*TraceCache, error) {
+	a, err := newSetArray(cfg, store)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceCache{a}, nil
+}
 
 // Lookup searches for the trace with the given ID, updating LRU state and
 // statistics.
@@ -132,18 +162,6 @@ func (tc *TraceCache) Lookup(id trace.ID) (*trace.Trace, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Contains reports residency without perturbing LRU or statistics. The
-// preconstruction engine uses this to avoid buffering traces already in
-// the trace cache.
-func (tc *TraceCache) Contains(id trace.ID) bool {
-	for _, l := range tc.set(id) {
-		if l.valid && l.id == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Peek returns the resident trace without perturbing LRU state or
@@ -172,9 +190,9 @@ func (tc *TraceCache) Fill(tr *trace.Trace) { tc.Insert(tr) }
 
 // Insert places a trace, evicting the LRU way if the set is full. If the
 // trace is already present its LRU stamp is refreshed instead. Insert
-// takes ownership of the caller's reference to tr (see SetStore): the
-// displaced trace's reference — the old copy on a refresh, the victim
-// on an eviction — is released.
+// takes ownership of the caller's reference to tr: the displaced
+// trace's reference — the old copy on a refresh, the victim on an
+// eviction — is released.
 func (tc *TraceCache) Insert(tr *trace.Trace) {
 	id := tr.ID()
 	tc.clock++
@@ -186,7 +204,7 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 			old := s[i].tr
 			s[i].tr = tr
 			s[i].lru = tc.clock
-			tc.release(old)
+			tc.store.Release(old)
 			return
 		}
 		if !s[i].valid {
@@ -196,39 +214,10 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 		}
 	}
 	if s[victim].valid {
-		tc.release(s[victim].tr)
+		tc.store.Release(s[victim].tr)
 	}
 	s[victim] = line{id: id, tr: tr, valid: true, lru: tc.clock}
 }
-
-// Drain invalidates every line, releasing the cache's references. The
-// geometry and statistics are preserved.
-func (tc *TraceCache) Drain() {
-	for _, s := range tc.sets {
-		for i := range s {
-			if s[i].valid {
-				tc.release(s[i].tr)
-				s[i] = line{}
-			}
-		}
-	}
-}
-
-// Occupancy returns the number of valid entries (for tests and reports).
-func (tc *TraceCache) Occupancy() int {
-	n := 0
-	for _, s := range tc.sets {
-		for _, l := range s {
-			if l.valid {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Stats returns a copy of the counters.
-func (tc *TraceCache) Stats() Stats { return tc.stats }
 
 // ResetStats clears counters, keeping contents.
 func (tc *TraceCache) ResetStats() { tc.stats = Stats{} }
@@ -239,62 +228,29 @@ func (tc *TraceCache) ResetStats() { tc.stats = Stats{} }
 // a trace never displaces a trace from its own region. A buffered trace
 // is consumed (invalidated) when the processor uses it.
 type Buffers struct {
-	cfg     Config
-	sets    [][]line
-	setMask uint32
-	clock   uint64
-	stats   Stats
-	store   *trace.Store
+	setArray
 	// Promotions counts buffer hits that moved a trace into the trace
 	// cache (all hits do; kept separate for reporting clarity).
 	promotions uint64
 }
 
-// SetStore attaches an intern store; see TraceCache.SetStore. Insert
-// takes ownership of one reference per inserted trace; Take transfers
-// the resident reference to the caller.
-func (b *Buffers) SetStore(s *trace.Store) { b.store = s }
-
-func (b *Buffers) release(t *trace.Trace) {
-	if b.store != nil {
-		b.store.Release(t)
-	}
-}
-
-// NewBuffers builds the preconstruction buffer array.
-func NewBuffers(cfg Config) (*Buffers, error) {
-	if err := cfg.Validate(); err != nil {
+// NewBuffers builds the preconstruction buffer array whose lines hold
+// references in store. Insert takes ownership of one reference per
+// inserted trace; Take transfers the resident reference to the caller.
+func NewBuffers(cfg Config, store *trace.Store) (*Buffers, error) {
+	a, err := newSetArray(cfg, store)
+	if err != nil {
 		return nil, err
 	}
-	return &Buffers{
-		cfg:     cfg,
-		sets:    makeSets(cfg),
-		setMask: uint32(cfg.Entries/cfg.Assoc - 1),
-	}, nil
+	return &Buffers{setArray: a}, nil
 }
-
-// MustNewBuffers builds buffers, panicking on config error.
-func MustNewBuffers(cfg Config) *Buffers {
-	b, err := NewBuffers(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-func (b *Buffers) set(id trace.ID) []line {
-	return b.sets[id.Hash()&b.setMask]
-}
-
-// Config returns the geometry.
-func (b *Buffers) Config() Config { return b.cfg }
 
 // Take searches for the trace; on a hit the buffer entry is invalidated
 // (the caller copies the trace into the trace cache, per §3.1: "after a
 // trace is copied from a preconstruction buffer to the trace cache, the
-// buffer is invalidated"). When a store is attached, the buffer's
-// reference transfers to the caller, who must release it or hand it to
-// a consumer that takes ownership (typically TraceCache.Insert).
+// buffer is invalidated"). The buffer's reference transfers to the
+// caller, who must release it or hand it to a consumer that takes
+// ownership (typically TraceCache.Insert).
 func (b *Buffers) Take(id trace.ID) (*trace.Trace, bool) {
 	b.stats.Lookups++
 	s := b.set(id)
@@ -320,16 +276,6 @@ func (b *Buffers) Probe(id trace.ID) (tr *trace.Trace, hit, promote bool) {
 	return tr, hit, hit
 }
 
-// Contains reports residency without consuming the entry.
-func (b *Buffers) Contains(id trace.ID) bool {
-	for _, l := range b.set(id) {
-		if l.valid && l.id == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Insert places a preconstructed trace tagged with its region sequence
 // number (monotonically increasing; larger = more recent = higher
 // priority). It returns false when the replacement policy refuses the
@@ -350,7 +296,7 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 			s[i].tr = tr
 			s[i].region = region
 			s[i].lru = b.clock
-			b.release(old)
+			b.store.Release(old)
 			b.stats.Inserts++
 			return true
 		}
@@ -377,32 +323,16 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 	}
 	if victim == -1 {
 		b.stats.Rejected++
-		b.release(tr)
+		b.store.Release(tr)
 		return false
 	}
 	if s[victim].valid {
-		b.release(s[victim].tr)
+		b.store.Release(s[victim].tr)
 	}
 	s[victim] = line{id: id, tr: tr, valid: true, lru: b.clock, region: region}
 	b.stats.Inserts++
 	return true
 }
-
-// Drain invalidates every line, releasing the buffers' references. The
-// geometry and statistics are preserved.
-func (b *Buffers) Drain() {
-	for _, s := range b.sets {
-		for i := range s {
-			if s[i].valid {
-				b.release(s[i].tr)
-				s[i] = line{}
-			}
-		}
-	}
-}
-
-// Stats returns a copy of the counters.
-func (b *Buffers) Stats() Stats { return b.stats }
 
 // Promotions returns the number of traces consumed into the trace cache.
 func (b *Buffers) Promotions() uint64 { return b.promotions }
@@ -411,17 +341,4 @@ func (b *Buffers) Promotions() uint64 { return b.promotions }
 func (b *Buffers) ResetStats() {
 	b.stats = Stats{}
 	b.promotions = 0
-}
-
-// Occupancy returns the number of valid entries (for tests and reports).
-func (b *Buffers) Occupancy() int {
-	n := 0
-	for _, s := range b.sets {
-		for _, l := range s {
-			if l.valid {
-				n++
-			}
-		}
-	}
-	return n
 }

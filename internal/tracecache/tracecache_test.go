@@ -9,13 +9,43 @@ import (
 	"tracepre/internal/trace"
 )
 
-// mkTrace builds a minimal trace whose ID is (start, 0, 0).
+// mkTrace builds a minimal borrowed trace whose ID is (start, 0, 0).
 func mkTrace(start uint32) *trace.Trace {
 	return &trace.Trace{
 		PCs:   []uint32{start},
 		Insts: []isa.Inst{{Op: isa.OpAdd, Rd: 1, Ra: 1, Rb: 1}},
 		Succ:  start + 4,
 	}
+}
+
+// newTC, newBuffers and newAdaptive build a container over a fresh
+// intern store, failing the test on a config error. Tests insert
+// traces interned in that store (c.store.Intern), as the frontend does.
+func newTC(t testing.TB, cfg Config) *TraceCache {
+	t.Helper()
+	tc, err := New(cfg, trace.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tc
+}
+
+func newBuffers(t testing.TB, cfg Config) *Buffers {
+	t.Helper()
+	b, err := NewBuffers(cfg, trace.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newAdaptive(t testing.TB, cfg Config) *Adaptive {
+	t.Helper()
+	a, err := NewAdaptive(cfg, trace.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -30,10 +60,10 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil", c)
 		}
-		if _, err := New(c); err == nil {
+		if _, err := New(c, trace.NewStore()); err == nil {
 			t.Errorf("New(%+v) succeeded", c)
 		}
-		if _, err := NewBuffers(c); err == nil {
+		if _, err := NewBuffers(c, trace.NewStore()); err == nil {
 			t.Errorf("NewBuffers(%+v) succeeded", c)
 		}
 	}
@@ -42,18 +72,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{})
-}
-
 func TestTraceCacheInsertLookup(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	tr := tc.store.Intern(mkTrace(0x1000))
 	if _, hit := tc.Lookup(tr.ID()); hit {
 		t.Error("cold lookup hit")
 	}
@@ -69,8 +90,8 @@ func TestTraceCacheInsertLookup(t *testing.T) {
 }
 
 func TestTraceCacheContainsNoPerturb(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	tr := tc.store.Intern(mkTrace(0x1000))
 	tc.Insert(tr)
 	if !tc.Contains(tr.ID()) {
 		t.Error("Contains = false")
@@ -84,36 +105,43 @@ func TestTraceCacheContainsNoPerturb(t *testing.T) {
 }
 
 func TestTraceCacheDuplicateInsert(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	a := mkTrace(0x1000)
-	b := mkTrace(0x1000) // same ID, different object
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	a := tc.store.Intern(mkTrace(0x1000))
+	other := mkTrace(0x1000)
+	other.Insts[0].Rd = 2 // same ID, different content: a different object
+	b := tc.store.Intern(other)
 	tc.Insert(a)
 	tc.Insert(b)
 	got, _ := tc.Lookup(a.ID())
 	if got != b {
 		t.Error("duplicate insert did not replace the object")
 	}
+	if tc.store.Refs(a) != 0 || tc.store.Refs(b) != 1 {
+		t.Errorf("refs a/b = %d/%d, want 0/1 (displaced reference released)",
+			tc.store.Refs(a), tc.store.Refs(b))
+	}
 	// Set must not hold two copies: inserting two more same-set traces
 	// evicts at most the older entries, never leaves duplicates.
 }
 
-// sameSetTraces finds n traces mapping to the same set.
-func sameSetTraces(tc *TraceCache, n int) []*trace.Trace {
+// sameSetTraces finds n traces mapping to the same set of a, interned
+// in a's store.
+func sameSetTraces(a *setArray, n int) []*trace.Trace {
 	want := mkTrace(0x1000)
-	set0 := want.ID().Hash() & tc.setMask
-	out := []*trace.Trace{want}
+	set0 := want.ID().Hash() & a.setMask
+	out := []*trace.Trace{a.store.Intern(want)}
 	for start := uint32(0x2000); len(out) < n; start += 4 {
 		tr := mkTrace(start)
-		if tr.ID().Hash()&tc.setMask == set0 {
-			out = append(out, tr)
+		if tr.ID().Hash()&a.setMask == set0 {
+			out = append(out, a.store.Intern(tr))
 		}
 	}
 	return out
 }
 
 func TestTraceCacheLRUEviction(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	ts := sameSetTraces(tc, 3)
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	ts := sameSetTraces(&tc.setArray, 3)
 	tc.Insert(ts[0])
 	tc.Insert(ts[1])
 	tc.Lookup(ts[0].ID()) // refresh ts[0]
@@ -130,8 +158,8 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 }
 
 func TestBuffersTakeConsumes(t *testing.T) {
-	b := MustNewBuffers(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
+	tr := b.store.Intern(mkTrace(0x1000))
 	if !b.Insert(tr, 1) {
 		t.Fatal("insert refused")
 	}
@@ -153,25 +181,16 @@ func TestBuffersTakeConsumes(t *testing.T) {
 	}
 }
 
-func buffersSameSet(b *Buffers, n int) []*trace.Trace {
-	want := mkTrace(0x1000)
-	set0 := want.ID().Hash() & b.setMask
-	out := []*trace.Trace{want}
-	for start := uint32(0x2000); len(out) < n; start += 4 {
-		tr := mkTrace(start)
-		if tr.ID().Hash()&b.setMask == set0 {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
 // TestBuffersRegionPriority: a newer region displaces the oldest region's
 // trace; an equal-or-older region is refused when the set is full of
 // same-or-newer entries.
 func TestBuffersRegionPriority(t *testing.T) {
-	b := MustNewBuffers(Config{Entries: 8, Assoc: 2})
-	ts := buffersSameSet(b, 4)
+	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
+	ts := sameSetTraces(&b.setArray, 4)
+	// Every insert takes one reference, refused or not, and ts[3] is
+	// offered three times.
+	b.store.Retain(ts[3])
+	b.store.Retain(ts[3])
 
 	if !b.Insert(ts[0], 5) || !b.Insert(ts[1], 6) {
 		t.Fatal("initial inserts refused")
@@ -201,10 +220,12 @@ func TestBuffersRegionPriority(t *testing.T) {
 }
 
 func TestBuffersDuplicateInsertRefreshes(t *testing.T) {
-	b := MustNewBuffers(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
+	tr := b.store.Intern(mkTrace(0x1000))
 	b.Insert(tr, 1)
-	tr2 := mkTrace(0x1000)
+	other := mkTrace(0x1000)
+	other.Insts[0].Rd = 2 // same ID, different content: a different object
+	tr2 := b.store.Intern(other)
 	if !b.Insert(tr2, 2) {
 		t.Fatal("duplicate insert refused")
 	}
@@ -218,9 +239,9 @@ func TestBuffersDuplicateInsertRefreshes(t *testing.T) {
 }
 
 func TestBuffersOccupancyAndReset(t *testing.T) {
-	b := MustNewBuffers(Config{Entries: 8, Assoc: 2})
+	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
 	for i := uint32(0); i < 4; i++ {
-		b.Insert(mkTrace(0x1000+i*4), uint64(i))
+		b.Insert(b.store.Intern(mkTrace(0x1000+i*4)), uint64(i))
 	}
 	if b.Occupancy() == 0 {
 		t.Error("occupancy 0 after inserts")
@@ -233,8 +254,8 @@ func TestBuffersOccupancyAndReset(t *testing.T) {
 }
 
 func TestTraceCacheResetStats(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	tc.Insert(mkTrace(0x1000))
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	tc.Insert(tc.store.Intern(mkTrace(0x1000)))
 	tc.Lookup(mkTrace(0x1000).ID())
 	tc.ResetStats()
 	if s := tc.Stats(); s.Lookups != 0 || s.Hits != 0 || s.Inserts != 0 {
@@ -250,12 +271,12 @@ func TestTraceCacheResetStats(t *testing.T) {
 func TestQuickBuffersNeverDisplaceNewer(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := MustNewBuffers(Config{Entries: 16, Assoc: 2})
+		b := newBuffers(t, Config{Entries: 16, Assoc: 2})
 		live := make(map[trace.ID]uint64) // resident id -> region
 		for i := 0; i < 300; i++ {
 			start := uint32(0x1000 + r.Intn(64)*4)
 			region := uint64(r.Intn(8))
-			tr := mkTrace(start)
+			tr := b.store.Intern(mkTrace(start))
 			before := make(map[trace.ID]uint64, len(live))
 			for k, v := range live {
 				before[k] = v
@@ -283,10 +304,10 @@ func TestQuickBuffersNeverDisplaceNewer(t *testing.T) {
 }
 
 func BenchmarkTraceCacheLookup(b *testing.B) {
-	tc := MustNew(Config{Entries: 512, Assoc: 2})
+	tc := newTC(b, Config{Entries: 512, Assoc: 2})
 	ids := make([]trace.ID, 256)
 	for i := range ids {
-		tr := mkTrace(uint32(0x1000 + i*4))
+		tr := tc.store.Intern(mkTrace(uint32(0x1000 + i*4)))
 		tc.Insert(tr)
 		ids[i] = tr.ID()
 	}
@@ -297,8 +318,8 @@ func BenchmarkTraceCacheLookup(b *testing.B) {
 }
 
 func TestTraceCachePeek(t *testing.T) {
-	tc := MustNew(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	tc := newTC(t, Config{Entries: 8, Assoc: 2})
+	tr := tc.store.Intern(mkTrace(0x1000))
 	if _, ok := tc.Peek(tr.ID()); ok {
 		t.Error("Peek hit on empty cache")
 	}
@@ -310,8 +331,8 @@ func TestTraceCachePeek(t *testing.T) {
 	// Peek must not perturb LRU: insert two same-set traces, peek the
 	// older repeatedly, insert a third; the peeked one must still be
 	// the eviction victim.
-	tc2 := MustNew(Config{Entries: 8, Assoc: 2})
-	ts := sameSetTraces(tc2, 3)
+	tc2 := newTC(t, Config{Entries: 8, Assoc: 2})
+	ts := sameSetTraces(&tc2.setArray, 3)
 	tc2.Insert(ts[0])
 	tc2.Insert(ts[1])
 	for i := 0; i < 5; i++ {
@@ -327,8 +348,8 @@ func TestTraceCachePeek(t *testing.T) {
 }
 
 func TestAdaptivePeek(t *testing.T) {
-	a := MustNewAdaptive(Config{Entries: 8, Assoc: 2})
-	tr := mkTrace(0x1000)
+	a := newAdaptive(t, Config{Entries: 8, Assoc: 2})
+	tr := a.store.Intern(mkTrace(0x1000))
 	a.InsertPrecon(tr, 1)
 	if _, ok := a.Peek(tr.ID()); ok {
 		t.Error("Peek saw a buffer-role entry")
@@ -341,10 +362,10 @@ func TestAdaptivePeek(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	cfg := Config{Entries: 8, Assoc: 2}
-	if MustNew(cfg).Config() != cfg {
+	if newTC(t, cfg).Config() != cfg {
 		t.Error("TraceCache.Config mismatch")
 	}
-	if MustNewBuffers(cfg).Config() != cfg {
+	if newBuffers(t, cfg).Config() != cfg {
 		t.Error("Buffers.Config mismatch")
 	}
 }

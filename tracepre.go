@@ -17,10 +17,9 @@
 //	im, _ := tracepre.Assemble(".org 0x1000\nmain: addi r1, r0, 3\n...")
 //
 // The paper's experiments (Figure 5, Tables 1-3, Figures 6 and 8) plus
-// the extension and ablation studies are available through
-// Experiments / ExperimentByID, or individually via Figure5, Tables123,
-// Figure6, Figure8, AdaptivePartitionStudy, PreconAblations,
-// PredictorAblations, Sensitivity and MultiSeed.
+// the extension and ablation studies are available through Experiments
+// and ExperimentByID; each Experiment runs at a chosen budget over
+// chosen benchmarks.
 package tracepre
 
 import (
