@@ -57,13 +57,15 @@ bench:
 # One iteration of the hot-path microbenchmarks: not a measurement, a
 # CI canary that the benchmarks build and run (real numbers come from
 # `bash perfbench/run.sh`, which BENCHMARK.json declares). The
-# steady-state allocation contracts run here too — the trace store's
-# intern/release round, the chunked replay loop, a whole decode pass,
-# the cost of one more group member over shared predictor tables, the
-# backend's dispatch and the fill unit's preprocessing — plus the
-# group driver's correctness gates: decode-once counting, full-Result
-# equivalence against each cell run alone (shared predictors included),
-# and stream-cache accounting untouched by decoded chunks.
+# allocation contracts run here too — the trace store's intern/release
+# round and its growth (headers carved from slabs, not one per trace),
+# the chunked replay loop, a whole decode pass, the cost of one more
+# group member over shared predictor tables, the backend's dispatch and
+# the fill unit's preprocessing — as does the bound on what one
+# generated program image retains, plus the group driver's correctness
+# gates: decode-once counting, full-Result equivalence against each
+# cell run alone (shared predictors included), and stream-cache
+# accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -73,7 +75,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure5Broadcast' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'SimulateFullTiming' -benchtime 1x -benchmem .
-	$(GO) test -run TestInternSteadyStateAllocs -count 1 ./internal/trace/
+	$(GO) test -run 'TestInternSteadyStateAllocs|TestStoreGrowthAllocs' -count 1 ./internal/trace/
+	$(GO) test -run 'TestImageFootprint' -count 1 ./internal/workload/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestDispatchSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/

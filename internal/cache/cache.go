@@ -201,9 +201,6 @@ func (c *Cache) Invalidate(addr uint32) bool {
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears the counters but keeps cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Reset invalidates all lines and clears the counters.
 func (c *Cache) Reset() {
 	for _, s := range c.sets {

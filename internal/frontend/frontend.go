@@ -524,9 +524,6 @@ func (f *Frontend) AdaptiveStats() (share float64, adjusts uint64, ok bool) {
 // Engine exposes the preconstruction engine (nil when disabled).
 func (f *Frontend) Engine() *precon.Engine { return f.eng }
 
-// Store exposes the intern store backing every supplier.
-func (f *Frontend) Store() *trace.Store { return f.store }
-
 // Drain empties every supplier, returning interned references to the
 // store (the leak invariant: after Drain the store holds zero live
 // traces).

@@ -448,10 +448,6 @@ func (s *Simulator) fold() Result {
 // single-use, so there is nothing to drain twice.
 func (s *Simulator) ReleaseStorage() { s.fe.Drain() }
 
-// InternStore exposes the simulator's trace store for tests and
-// diagnostics.
-func (s *Simulator) InternStore() *trace.Store { return s.fe.Store() }
-
 // onTrace processes one demanded trace — supplied by the frontend's
 // arbitration loop — and charges its timing. tr is borrowed from the
 // segmenter (valid only for this call); the frontend's miss path

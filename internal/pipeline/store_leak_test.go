@@ -64,10 +64,11 @@ func TestStoreLeakInvariant(t *testing.T) {
 				t.Fatalf("intern stats idle: %+v", res.Intern)
 			}
 			sim.ReleaseStorage()
-			if n := sim.InternStore().Live(); n != 0 {
-				t.Fatalf("%d live interned traces after ReleaseStorage, want 0", n)
+			after := sim.fe.StoreStats()
+			if after.Live != 0 {
+				t.Fatalf("%d live interned traces after ReleaseStorage, want 0", after.Live)
 			}
-			if after := sim.InternStore().Stats(); after.SlabBytes != res.Intern.SlabBytes {
+			if after.SlabBytes != res.Intern.SlabBytes {
 				t.Fatalf("draining changed slab footprint: %d -> %d",
 					res.Intern.SlabBytes, after.SlabBytes)
 			}

@@ -140,6 +140,7 @@ func (c *constructor) direction(pc uint32) bool {
 func (c *constructor) walk(n int) {
 	e := c.e
 	b := c.b
+	insts, base := e.im.Insts(), e.im.Base
 	pc := c.pc
 	for i := 0; i < n; i++ {
 		if line := e.icLineAddr(pc); !c.lineOK || line != c.lastLine {
@@ -154,11 +155,14 @@ func (c *constructor) walk(n int) {
 			}
 			c.lastLine, c.lineOK = line, true
 		}
-		in, ok := e.im.At(pc)
-		if !ok {
+		// Image.Contains' rule, on the image's slice in place: a pc
+		// below base wraps to an offset past the end.
+		off := pc - base
+		if off%isa.WordSize != 0 || off/isa.WordSize >= uint32(len(insts)) {
 			c.abandonStart()
 			return
 		}
+		in := &insts[off/isa.WordSize]
 
 		taken := false
 		next := pc + isa.WordSize

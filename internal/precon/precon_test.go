@@ -504,27 +504,52 @@ func TestPreWalkCapAborts(t *testing.T) {
 	}
 }
 
-// TestWalkAbandonsOnBadPC: a construction walk that leaves the image
-// drops its partial trace and frees the constructor.
+// TestWalkAbandonsOnBadPC: a construction walk that reaches a pc
+// outside the image — past its end, below its base, or between two
+// instructions — drops its partial trace and frees the constructor.
 func TestWalkAbandonsOnBadPC(t *testing.T) {
+	// The image ends after two instructions: a walk falls off the end
+	// mid-trace.
 	b := program.NewBuilder(0x1000)
-	b.Label("start")
 	b.ALUI(isa.OpAddI, 1, 1, 1)
 	b.ALUI(isa.OpAddI, 1, 1, 1)
-	// Image ends here: the walk falls off the end mid-trace.
-	im, err := b.Build()
+	open, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, im, DefaultConfig())
-	start, _ := im.Lookup("start")
-	r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
-	r.eng.Step(30)
-	if got := r.eng.Stats().TracesBuilt; got != 0 {
-		t.Errorf("built %d traces from a walk that left the image", got)
+	// Two instructions and a return: a walk from its first instruction
+	// builds one trace.
+	b = program.NewBuilder(0x1000)
+	b.ALUI(isa.OpAddI, 1, 1, 1)
+	b.ALUI(isa.OpAddI, 1, 1, 1)
+	b.Ret()
+	closed, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !r.eng.Idle() {
-		t.Error("engine stuck after abandoning the walk")
+	for _, tc := range []struct {
+		name   string
+		im     *program.Image
+		start  uint32
+		traces uint64
+	}{
+		{"in image", closed, 0x1000, 1},
+		{"past end", open, 0x1000, 0},
+		{"below base", closed, 0x0ffc, 0},
+		{"misaligned", closed, 0x1002, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, tc.im, DefaultConfig())
+			// A call just before start pushes start as a region start.
+			r.eng.Observe(emulator.Dyn{PC: tc.start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+			r.eng.Step(30)
+			if got := r.eng.Stats().TracesBuilt; got != tc.traces {
+				t.Errorf("built %d traces from a walk starting at 0x%x, want %d", got, tc.start, tc.traces)
+			}
+			if !r.eng.Idle() {
+				t.Error("engine stuck after the walk")
+			}
+		})
 	}
 }
 

@@ -1,58 +1,39 @@
-// Package program represents static programs: an image of encoded
+// Package program represents static programs: an image of decoded
 // instructions at a base address, an optional initialized data section,
-// and a symbol table. A Builder assembles images with labels and forward
-// references, and CFG reports basic-block structure for workload
-// statistics and tests.
+// and the exported labels. A Builder assembles images with labels and
+// forward references, and CFG reports basic-block structure for
+// workload statistics and tests.
 package program
 
 import (
 	"fmt"
-	"sort"
 
 	"tracepre/internal/isa"
 )
 
-// Image is a loaded program: code, data, entry point and symbols.
-// Instruction addresses run from Base to Base+4*len(Code).
+// Image is a loaded program: code, data, entry point and exported
+// labels. Instruction addresses run from Base to Base+4*NumInstrs().
 type Image struct {
 	// Base is the byte address of the first instruction.
 	Base uint32
-	// Code holds the encoded instruction words in address order.
-	Code []uint32
 	// Entry is the byte address execution starts at.
 	Entry uint32
 	// DataBase is the byte address of the first initialized data word.
 	DataBase uint32
 	// Data holds initialized data words starting at DataBase.
 	Data []uint32
-	// Symbols maps label names to byte addresses.
+	// Symbols maps exported label names to byte addresses. Local labels
+	// (Builder.LocalLabel) resolve references at Build and are not kept.
 	Symbols map[string]uint32
 
-	decoded []isa.Inst // decoded copy of Code, same indexing
+	insts []isa.Inst // decoded instructions in address order
 }
-
-// decode populates the decoded instruction cache. The Builder calls this;
-// images constructed by hand can call Reindex.
-func (im *Image) decode() error {
-	im.decoded = make([]isa.Inst, len(im.Code))
-	for k, w := range im.Code {
-		in, err := isa.Decode(w)
-		if err != nil {
-			return fmt.Errorf("program: word %d at 0x%x: %w", k, im.Base+uint32(k)*isa.WordSize, err)
-		}
-		im.decoded[k] = in
-	}
-	return nil
-}
-
-// Reindex rebuilds the decoded-instruction cache after Code is modified.
-func (im *Image) Reindex() error { return im.decode() }
 
 // NumInstrs returns the static instruction count.
-func (im *Image) NumInstrs() int { return len(im.Code) }
+func (im *Image) NumInstrs() int { return len(im.insts) }
 
 // End returns the first byte address past the code.
-func (im *Image) End() uint32 { return im.Base + uint32(len(im.Code))*isa.WordSize }
+func (im *Image) End() uint32 { return im.Base + uint32(len(im.insts))*isa.WordSize }
 
 // Contains reports whether pc addresses an instruction in the image.
 func (im *Image) Contains(pc uint32) bool {
@@ -65,21 +46,14 @@ func (im *Image) At(pc uint32) (isa.Inst, bool) {
 	if !im.Contains(pc) {
 		return isa.Inst{}, false
 	}
-	return im.decoded[(pc-im.Base)/isa.WordSize], true
+	return im.insts[(pc-im.Base)/isa.WordSize], true
 }
 
 // Insts returns the decoded instructions in address order, indexed by
 // (pc-Base)/WordSize. The slice is shared and must not be mutated; hot
-// decode loops use it to skip At's per-call bounds arithmetic.
-func (im *Image) Insts() []isa.Inst { return im.decoded }
-
-// WordAt returns the encoded instruction word at pc.
-func (im *Image) WordAt(pc uint32) (uint32, bool) {
-	if !im.Contains(pc) {
-		return 0, false
-	}
-	return im.Code[(pc-im.Base)/isa.WordSize], true
-}
+// loops (stream replay, the preconstruction walk) index it in place
+// instead of copying each instruction out of At.
+func (im *Image) Insts() []isa.Inst { return im.insts }
 
 // Lookup returns the address of a symbol.
 func (im *Image) Lookup(name string) (uint32, bool) {
@@ -122,12 +96,19 @@ type dataFixup struct {
 	label string
 }
 
+// symbol is one label definition. Local labels resolve references at
+// Build but stay out of Image.Symbols.
+type symbol struct {
+	addr  uint32
+	local bool
+}
+
 // Builder assembles an Image incrementally. The zero value is not usable;
 // call NewBuilder.
 type Builder struct {
 	base       uint32
 	code       []isa.Inst
-	symbols    map[string]uint32
+	symbols    map[string]symbol
 	fixups     []fixup
 	data       []uint32
 	dataFixups []dataFixup
@@ -138,7 +119,7 @@ type Builder struct {
 
 // NewBuilder returns a Builder emitting code at the given base address.
 func NewBuilder(base uint32) *Builder {
-	return &Builder{base: base, symbols: make(map[string]uint32)}
+	return &Builder{base: base, symbols: make(map[string]symbol)}
 }
 
 // PC returns the address the next emitted instruction will have.
@@ -154,19 +135,25 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Label defines name at the current PC.
-func (b *Builder) Label(name string) {
-	b.LabelAt(name, b.PC())
-}
+// Label defines an exported name at the current PC.
+func (b *Builder) Label(name string) { b.define(name, b.PC(), false) }
 
-// LabelAt defines name at an arbitrary address (e.g. a data-section
-// position).
-func (b *Builder) LabelAt(name string, addr uint32) {
+// LabelAt defines an exported name at an arbitrary address (e.g. a
+// data-section position).
+func (b *Builder) LabelAt(name string, addr uint32) { b.define(name, addr, false) }
+
+// LocalLabel defines name at the current PC for this build only:
+// branches, jumps, address loads and data words resolve against it, but
+// the image does not export it. Local and exported labels share one
+// namespace, so a name can be defined once either way.
+func (b *Builder) LocalLabel(name string) { b.define(name, b.PC(), true) }
+
+func (b *Builder) define(name string, addr uint32, local bool) {
 	if _, dup := b.symbols[name]; dup {
 		b.fail(fmt.Errorf("program: duplicate label %q", name))
 		return
 	}
-	b.symbols[name] = addr
+	b.symbols[name] = symbol{addr: addr, local: local}
 }
 
 // DataAddr returns the byte address the next data word will occupy.
@@ -275,16 +262,19 @@ func (b *Builder) AddDataLabel(label string) uint32 {
 	return b.AddDataWord(0)
 }
 
-// Build resolves all references and encodes the program.
+// Build resolves all references, then encodes every instruction and
+// decodes the word back: the round trip rejects instructions the
+// encoding cannot carry, and the image keeps only the decoded result.
 func (b *Builder) Build() (*Image, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	for _, f := range b.fixups {
-		addr, ok := b.symbols[f.label]
+		sym, ok := b.symbols[f.label]
 		if !ok {
 			return nil, fmt.Errorf("program: undefined label %q", f.label)
 		}
+		addr := sym.addr
 		switch f.kind {
 		case fixJump:
 			b.code[f.index].Target = addr
@@ -301,59 +291,42 @@ func (b *Builder) Build() (*Image, error) {
 		}
 	}
 	for _, f := range b.dataFixups {
-		addr, ok := b.symbols[f.label]
+		sym, ok := b.symbols[f.label]
 		if !ok {
 			return nil, fmt.Errorf("program: undefined label %q in data", f.label)
 		}
-		b.data[f.index] = addr
+		b.data[f.index] = sym.addr
 	}
-	words := make([]uint32, len(b.code))
+	insts := make([]isa.Inst, len(b.code))
 	for k, in := range b.code {
 		w, err := isa.Encode(in)
 		if err != nil {
 			return nil, fmt.Errorf("program: instruction %d (%v): %w", k, in, err)
 		}
-		words[k] = w
+		if insts[k], err = isa.Decode(w); err != nil {
+			return nil, fmt.Errorf("program: word %d at 0x%x: %w", k, b.base+uint32(k)*isa.WordSize, err)
+		}
 	}
 	entry := b.base
 	if b.entry != "" {
-		a, ok := b.symbols[b.entry]
+		sym, ok := b.symbols[b.entry]
 		if !ok {
 			return nil, fmt.Errorf("program: undefined entry label %q", b.entry)
 		}
-		entry = a
+		entry = sym.addr
 	}
-	syms := make(map[string]uint32, len(b.symbols))
-	for k, v := range b.symbols {
-		syms[k] = v
+	syms := make(map[string]uint32)
+	for name, sym := range b.symbols {
+		if !sym.local {
+			syms[name] = sym.addr
+		}
 	}
-	im := &Image{
+	return &Image{
 		Base:     b.base,
-		Code:     words,
 		Entry:    entry,
 		DataBase: b.dbase,
 		Data:     append([]uint32(nil), b.data...),
 		Symbols:  syms,
-	}
-	if err := im.decode(); err != nil {
-		return nil, err
-	}
-	return im, nil
-}
-
-// SortedSymbols returns symbol names ordered by address (ties by name),
-// useful for deterministic listings.
-func (im *Image) SortedSymbols() []string {
-	names := make([]string, 0, len(im.Symbols))
-	for n := range im.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ai, aj := im.Symbols[names[i]], im.Symbols[names[j]]
-		if ai != aj {
-			return ai < aj
-		}
-		return names[i] < names[j]
-	})
-	return names
+		insts:    insts,
+	}, nil
 }

@@ -82,12 +82,6 @@ func TestImageBounds(t *testing.T) {
 	if _, ok := im.At(im.End()); ok {
 		t.Error("At past end succeeded")
 	}
-	if w, ok := im.WordAt(im.Base); !ok || w != isa.MustEncode(isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 3}) {
-		t.Errorf("WordAt(base) = 0x%x,%v", w, ok)
-	}
-	if _, ok := im.WordAt(im.Base + 1); ok {
-		t.Error("WordAt misaligned succeeded")
-	}
 }
 
 func TestBuilderEntry(t *testing.T) {
@@ -193,15 +187,59 @@ func TestDisassemble(t *testing.T) {
 	}
 }
 
-func TestSortedSymbols(t *testing.T) {
-	im := buildLoop(t)
-	syms := im.SortedSymbols()
-	if len(syms) != 3 {
-		t.Fatalf("symbols = %v", syms)
+// TestLocalLabels: a local label resolves branches, jumps, address
+// loads and data words like an exported one, but the image does not
+// export it, and both kinds share one namespace.
+func TestLocalLabels(t *testing.T) {
+	b := NewBuilder(0x1000)
+	b.Label("entry")
+	b.ALUI(isa.OpAddI, 1, 0, 3)
+	b.LocalLabel("top")
+	b.ALUI(isa.OpAddI, 1, 1, -1)
+	b.Branch(isa.OpBne, 1, 0, "top")
+	b.LoadAddr(2, "top")
+	b.Jmp("top")
+	b.SetDataBase(0x10000)
+	b.AddDataLabel("top")
+	im, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// entry and loop share ordering by address; entry(0x1000) < loop(0x1004) < sub.
-	if syms[0] != "entry" || syms[1] != "loop" || syms[2] != "sub" {
-		t.Errorf("sorted symbols = %v", syms)
+	if len(im.Symbols) != 1 || im.Symbols["entry"] != 0x1000 {
+		t.Errorf("Symbols = %v, want only entry", im.Symbols)
+	}
+	if _, ok := im.Lookup("top"); ok {
+		t.Error("local label exported")
+	}
+	const top = 0x1004
+	if br, _ := im.At(0x1008); br.BranchTarget(0x1008) != top {
+		t.Errorf("branch target = 0x%x, want 0x%x", br.BranchTarget(0x1008), top)
+	}
+	lui, _ := im.At(0x100c)
+	ori, _ := im.At(0x1010)
+	if got := uint32(lui.Imm)<<16 | uint32(ori.Imm); got != top {
+		t.Errorf("LoadAddr materialized 0x%x, want 0x%x", got, top)
+	}
+	if j, _ := im.At(0x1014); j.Target != top {
+		t.Errorf("jump target = 0x%x, want 0x%x", j.Target, top)
+	}
+	if im.Data[0] != top {
+		t.Errorf("data label = 0x%x, want 0x%x", im.Data[0], top)
+	}
+
+	for _, localFirst := range []bool{false, true} {
+		b := NewBuilder(0)
+		if localFirst {
+			b.LocalLabel("x")
+			b.Label("x")
+		} else {
+			b.Label("x")
+			b.LocalLabel("x")
+		}
+		b.Halt()
+		if _, err := b.Build(); err == nil {
+			t.Errorf("local first %v: expected duplicate label error", localFirst)
+		}
 	}
 }
 
@@ -274,21 +312,5 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.AvgBlockSize <= 0 {
 		t.Errorf("AvgBlockSize = %f", s.AvgBlockSize)
-	}
-}
-
-func TestReindex(t *testing.T) {
-	im := buildLoop(t)
-	im.Code[0] = isa.MustEncode(isa.Inst{Op: isa.OpNop})
-	if err := im.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	in, _ := im.At(im.Base)
-	if in.Op != isa.OpNop {
-		t.Errorf("after Reindex At(base) = %v", in)
-	}
-	im.Code[0] = 0xFFFFFFFF
-	if err := im.Reindex(); err == nil {
-		t.Error("Reindex with invalid word should fail")
 	}
 }

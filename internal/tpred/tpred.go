@@ -159,15 +159,6 @@ type Predictor struct {
 	havePred  bool
 }
 
-// New builds a predictor over private tables.
-func New(cfg Config) (*Predictor, error) {
-	t, err := NewTables(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return t.View(), nil
-}
-
 func fold(h uint64) uint32 {
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD

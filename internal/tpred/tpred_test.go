@@ -52,8 +52,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil", c)
 		}
 	}
-	if _, err := New(Config{}); err == nil {
-		t.Error("New accepted the zero config")
+	if _, err := NewTables(Config{}); err == nil {
+		t.Error("NewTables accepted the zero config")
 	}
 }
 
@@ -61,11 +61,11 @@ func TestConfigValidate(t *testing.T) {
 // on a config error.
 func newPredictor(t testing.TB, cfg Config) *Predictor {
 	t.Helper()
-	p, err := New(cfg)
+	tables, err := NewTables(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return tables.View()
 }
 
 func TestColdNoPrediction(t *testing.T) {

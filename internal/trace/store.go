@@ -7,9 +7,10 @@
 // cache or preconstruction buffers — the dominant allocation source of
 // whole sweeps. The Store replaces that copy with interning:
 //
-//   - trace headers and their PCs/Insts arrays live in slab-backed
-//     storage carved into fixed MaxLen-capacity chunks, recycled through
-//     free lists, so steady-state interning allocates nothing;
+//   - traces live in slab-backed storage carved into fixed
+//     MaxLen-capacity chunks: each chunk is a trace header plus its
+//     PCs/Insts arrays, and the three are recycled together, so
+//     interning allocates only when a slab is carved;
 //   - every interned trace is reference counted (Intern/Retain give the
 //     caller a reference, Release drops one), and consumers — the trace
 //     cache, the preconstruction buffers, the adaptive store — hold one
@@ -40,11 +41,13 @@ const (
 	// every configuration.
 	chunkInsts = 16
 	// chunksPerSlab sizes one slab allocation (16 KiB of PCs + 64 KiB
-	// of Insts per slab at 16 instructions per chunk).
+	// of Insts per slab at 16 instructions per chunk, plus 256 trace
+	// headers).
 	chunksPerSlab = 256
 )
 
-// chunkBytes is the slab storage footprint of one chunk.
+// chunkBytes is the PC and instruction storage of one chunk (headers
+// are not counted).
 var chunkBytes = chunkInsts * (int(unsafe.Sizeof(uint32(0))) + int(unsafe.Sizeof(isa.Inst{})))
 
 // StoreStats is a snapshot of store activity and residency.
@@ -56,7 +59,7 @@ type StoreStats struct {
 	Scavenged uint64 // zero-ref traces whose storage was reclaimed
 	Live      int    // traces with refcount > 0
 	Limbo     int    // zero-ref traces still resident for revival
-	SlabBytes int64  // bytes held in PC/Inst slabs
+	SlabBytes int64  // bytes held in PC/Inst slabs (headers excluded)
 }
 
 // HitRate returns Hits/Interns (0 when idle).
@@ -79,10 +82,13 @@ type Store struct {
 	mask  uint32
 	count int
 
+	// Chunk c is the header hdrSlabs[c/chunksPerSlab][c%chunksPerSlab]
+	// with the PCs and Insts at offset (c%chunksPerSlab)*chunkInsts in
+	// the same slab's arrays.
 	pcSlabs   [][]uint32
 	instSlabs [][]isa.Inst
+	hdrSlabs  [][]Trace
 	next      int32    // first never-carved chunk
-	headers   []*Trace // recycled trace headers
 	limbo     []*Trace // zero-ref traces, oldest-released first-ish
 
 	live                   int
@@ -286,23 +292,18 @@ func (s *Store) removeLimbo(t *Trace) {
 	t.limboIdx = -1
 }
 
-// alloc produces a cleared trace header bound to a free chunk,
-// scavenging the oldest limbo resident when no chunk is free and
-// growing a new slab only when limbo is empty — so slab footprint
-// tracks peak live residency, not total distinct traces.
+// alloc returns the cleared header of a free chunk, scavenging the
+// oldest limbo resident when no chunk is free and growing a new slab
+// only when limbo is empty — so slab footprint tracks peak live
+// residency, not total distinct traces.
 func (s *Store) alloc() *Trace {
-	var t *Trace
-	if n := len(s.headers); n > 0 {
-		t = s.headers[n-1]
-		s.headers = s.headers[:n-1]
-	} else {
-		t = &Trace{limboIdx: -1}
-	}
 	c, ok := s.takeChunk()
 	if !ok {
 		c = s.scavenge()
 	}
-	slab, off := int(c)/chunksPerSlab, (int(c)%chunksPerSlab)*chunkInsts
+	slab, k := int(c)/chunksPerSlab, int(c)%chunksPerSlab
+	off := k * chunkInsts
+	t := &s.hdrSlabs[slab][k]
 	*t = Trace{
 		PCs:      s.pcSlabs[slab][off : off : off+chunkInsts],
 		Insts:    s.instSlabs[slab][off : off : off+chunkInsts],
@@ -326,13 +327,14 @@ func (s *Store) takeChunk() (int32, bool) {
 	}
 	s.pcSlabs = append(s.pcSlabs, make([]uint32, chunksPerSlab*chunkInsts))
 	s.instSlabs = append(s.instSlabs, make([]isa.Inst, chunksPerSlab*chunkInsts))
+	s.hdrSlabs = append(s.hdrSlabs, make([]Trace, chunksPerSlab))
 	c := s.next
 	s.next++
 	return c, true
 }
 
-// scavenge reclaims the storage of one limbo trace: unindex it, recycle
-// its header, return its chunk.
+// scavenge reclaims one limbo trace: unindex it and return its chunk,
+// header included.
 func (s *Store) scavenge() int32 {
 	// Index 0 approximates the oldest release (swap-removal perturbs
 	// order); hot recently-evicted traces tend to survive for revival.
@@ -340,10 +342,7 @@ func (s *Store) scavenge() int32 {
 	s.removeLimbo(t)
 	s.scavenged++
 	s.indexDel(t)
-	c := t.chunk
-	*t = Trace{limboIdx: -1}
-	s.headers = append(s.headers, t)
-	return c
+	return t.chunk
 }
 
 // Stats returns a snapshot of the store counters and residency.

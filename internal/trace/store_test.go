@@ -235,6 +235,33 @@ func TestInternSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreGrowthAllocs is the growth half of the allocation contract
+// bench-smoke enforces: a fresh store carves its headers from slabs
+// beside the PCs and instructions, so interning 1,024 distinct traces
+// allocates per slab (four of them) and per index doubling, not per
+// trace.
+func TestStoreGrowthAllocs(t *testing.T) {
+	borrowed := make([]*Trace, 1024)
+	for i := range borrowed {
+		borrowed[i] = storeTrace(uint32(0x10000+i*64), 1+i%16)
+	}
+	var s *Store
+	avg := testing.AllocsPerRun(10, func() {
+		s = NewStore()
+		for _, b := range borrowed {
+			s.Intern(b)
+		}
+	})
+	if s.Live() != len(borrowed) {
+		t.Fatalf("%d live traces, want %d distinct", s.Live(), len(borrowed))
+	}
+	t.Logf("%v allocations for %d distinct traces", avg, len(borrowed))
+	if avg > 32 {
+		t.Fatalf("interning %d distinct traces into a fresh store makes %v allocations, want at most 32",
+			len(borrowed), avg)
+	}
+}
+
 func TestStoreMisusePanics(t *testing.T) {
 	s := NewStore()
 	a := s.Intern(storeTrace(0x5000, 4))

@@ -207,19 +207,21 @@ func (b *Builder) Len() int { return b.k }
 // direction and reports whether the trace is now complete. Appending to
 // a complete trace is a caller bug and panics.
 func (b *Builder) Append(pc uint32, in isa.Inst, taken bool) (done bool) {
-	return b.AppendClassified(pc, in, in.Classify(), taken)
+	return b.AppendClassified(pc, &in, in.Classify(), taken)
 }
 
 // AppendClassified is Append for callers that already classified the
 // instruction (the preconstruction walk classifies to resolve the next
-// PC); class must equal in.Classify().
-func (b *Builder) AppendClassified(pc uint32, in isa.Inst, class isa.Class, taken bool) (done bool) {
+// PC); class must equal in.Classify(). The instruction is copied, and
+// passing it by pointer lets the walk hand over the image's own slot
+// instead of spreading the instruction across argument registers.
+func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, taken bool) (done bool) {
 	k := b.k
 	if uint(k) >= uint(len(b.insts)) || k >= b.cfg.MaxLen {
 		panic("trace: Append past MaxLen")
 	}
 	b.pcs[k] = pc
-	b.insts[k] = in
+	b.insts[k] = *in
 	b.k = k + 1
 	if b.sinceBwd >= 0 {
 		b.sinceBwd++

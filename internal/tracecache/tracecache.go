@@ -219,9 +219,6 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 	s[victim] = line{id: id, tr: tr, valid: true, lru: tc.clock}
 }
 
-// ResetStats clears counters, keeping contents.
-func (tc *TraceCache) ResetStats() { tc.stats = Stats{} }
-
 // Buffers is the preconstruction buffer array: same lookup geometry as
 // the trace cache, but replacement is governed by region priority
 // (§3.1): newer regions may displace older ones, never the reverse, and
@@ -229,9 +226,6 @@ func (tc *TraceCache) ResetStats() { tc.stats = Stats{} }
 // is consumed (invalidated) when the processor uses it.
 type Buffers struct {
 	setArray
-	// Promotions counts buffer hits that moved a trace into the trace
-	// cache (all hits do; kept separate for reporting clarity).
-	promotions uint64
 }
 
 // NewBuffers builds the preconstruction buffer array whose lines hold
@@ -257,7 +251,6 @@ func (b *Buffers) Take(id trace.ID) (*trace.Trace, bool) {
 	for i := range s {
 		if s[i].valid && s[i].id == id {
 			b.stats.Hits++
-			b.promotions++
 			tr := s[i].tr
 			s[i].tr = nil
 			s[i].valid = false
@@ -332,13 +325,4 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 	s[victim] = line{id: id, tr: tr, valid: true, lru: b.clock, region: region}
 	b.stats.Inserts++
 	return true
-}
-
-// Promotions returns the number of traces consumed into the trace cache.
-func (b *Buffers) Promotions() uint64 { return b.promotions }
-
-// ResetStats clears counters, keeping contents.
-func (b *Buffers) ResetStats() {
-	b.stats = Stats{}
-	b.promotions = 0
 }

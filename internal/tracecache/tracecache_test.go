@@ -176,8 +176,8 @@ func TestBuffersTakeConsumes(t *testing.T) {
 	if _, hit := b.Take(tr.ID()); hit {
 		t.Error("second Take hit")
 	}
-	if b.Promotions() != 1 {
-		t.Errorf("promotions = %d", b.Promotions())
+	if s := b.Stats(); s.Lookups != 2 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 2 lookups and 1 hit", s)
 	}
 }
 
@@ -246,23 +246,12 @@ func TestBuffersOccupancyAndReset(t *testing.T) {
 	if b.Occupancy() == 0 {
 		t.Error("occupancy 0 after inserts")
 	}
-	b.ResetStats()
-	s := b.Stats()
-	if s.Inserts != 0 || s.Lookups != 0 || b.Promotions() != 0 {
-		t.Errorf("stats after reset = %+v", s)
+	b.Drain()
+	if n := b.Occupancy(); n != 0 {
+		t.Errorf("occupancy %d after Drain", n)
 	}
-}
-
-func TestTraceCacheResetStats(t *testing.T) {
-	tc := newTC(t, Config{Entries: 8, Assoc: 2})
-	tc.Insert(tc.store.Intern(mkTrace(0x1000)))
-	tc.Lookup(mkTrace(0x1000).ID())
-	tc.ResetStats()
-	if s := tc.Stats(); s.Lookups != 0 || s.Hits != 0 || s.Inserts != 0 {
-		t.Errorf("stats = %+v", s)
-	}
-	if !tc.Contains(mkTrace(0x1000).ID()) {
-		t.Error("ResetStats dropped contents")
+	if n := b.store.Live(); n != 0 {
+		t.Errorf("%d live traces after Drain", n)
 	}
 }
 

@@ -557,6 +557,9 @@ type emitter struct {
 	labels int
 }
 
+// fresh returns a new block-level label name. Block labels are defined
+// with LocalLabel: they resolve branches and jump tables at Build, and
+// only function-level labels (main, driver_top, fnN) are exported.
 func (em *emitter) fresh(prefix string) string {
 	em.labels++
 	return fmt.Sprintf("%s_%d", prefix, em.labels)
@@ -575,7 +578,7 @@ func (em *emitter) emitMain() {
 	for phase, r := range em.pl.ranges {
 		lbl := fmt.Sprintf("phase_%d", phase)
 		b.ALUI(isa.OpAddI, regDriver, 0, int32(p.PhaseLen))
-		b.Label(lbl)
+		b.LocalLabel(lbl)
 		for _, fi := range em.pl.entriesOf(r) {
 			b.Call(fnLabel(fi))
 		}
@@ -667,9 +670,9 @@ func (em *emitter) emitIf(s segIf) {
 	b.Branch(isa.OpBlt, regCond, regCondThr, thenLbl)
 	em.emitSegments(s.els)
 	b.Jmp(joinLbl)
-	b.Label(thenLbl)
+	b.LocalLabel(thenLbl)
 	em.emitSegments(s.then)
-	b.Label(joinLbl)
+	b.LocalLabel(joinLbl)
 }
 
 func (em *emitter) emitLoop(s segLoop) {
@@ -677,7 +680,7 @@ func (em *emitter) emitLoop(s segLoop) {
 	reg := uint8(regLoopBase + s.depth)
 	head := em.fresh("loop")
 	b.ALUI(isa.OpAddI, reg, 0, int32(s.trips))
-	b.Label(head)
+	b.LocalLabel(head)
 	em.emitSegments(s.body)
 	b.ALUI(isa.OpAddI, reg, reg, -1)
 	b.Branch(isa.OpBne, reg, 0, head)
@@ -729,11 +732,11 @@ func (em *emitter) emitSwitch(s segSwitch) {
 	b.Load(regCond, regCond, 0)
 	b.JumpReg(regCond)
 	for w, lbl := range caseLbls {
-		b.Label(lbl)
+		b.LocalLabel(lbl)
 		em.emitSegments(s.cases[w])
 		if w != s.ways-1 {
 			b.Jmp(joinLbl)
 		}
 	}
-	b.Label(joinLbl)
+	b.LocalLabel(joinLbl)
 }

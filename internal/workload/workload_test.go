@@ -73,11 +73,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Code) != len(b.Code) {
-		t.Fatalf("sizes differ: %d vs %d", len(a.Code), len(b.Code))
+	ai, bi := a.Insts(), b.Insts()
+	if len(ai) != len(bi) {
+		t.Fatalf("sizes differ: %d vs %d", len(ai), len(bi))
 	}
-	for i := range a.Code {
-		if a.Code[i] != b.Code[i] {
+	for i := range ai {
+		if ai[i] != bi[i] {
 			t.Fatalf("code differs at %d", i)
 		}
 	}
@@ -94,10 +95,11 @@ func TestGenerateSeedChangesProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Code) == len(b.Code) {
+	ai, bi := a.Insts(), b.Insts()
+	if len(ai) == len(bi) {
 		same := true
-		for i := range a.Code {
-			if a.Code[i] != b.Code[i] {
+		for i := range ai {
+			if ai[i] != bi[i] {
 				same = false
 				break
 			}
