@@ -61,11 +61,15 @@ bench:
 # round and its growth (headers carved from slabs, not one per trace),
 # the chunked replay loop, a whole decode pass, the cost of one more
 # group member over shared predictor tables, the backend's dispatch and
-# the fill unit's preprocessing — as does the bound on what one
-# generated program image retains, plus the group driver's correctness
-# gates: decode-once counting, full-Result equivalence against each
-# cell run alone (shared predictors included), and stream-cache
-# accounting untouched by decoded chunks.
+# the fill unit's preprocessing — as do the bounds on what one
+# generated program image retains and on the bytes of one per-trace
+# analysis entry, the backend's per-trace analysis table checks (two
+# traces sharing an ID but not their instructions each dispatch as the
+# reference does; a four-member full-timing group analyzes each
+# distinct trace once), plus the group driver's correctness gates:
+# decode-once counting, full-Result equivalence against each cell run
+# alone (shared predictors and Figure 8's full-timing points
+# included), and stream-cache accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -78,7 +82,7 @@ bench-smoke:
 	$(GO) test -run 'TestInternSteadyStateAllocs|TestStoreGrowthAllocs' -count 1 ./internal/trace/
 	$(GO) test -run 'TestImageFootprint' -count 1 ./internal/workload/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
-	$(GO) test -run 'TestDispatchSteadyStateAllocs' -count 1 ./internal/pipeline/
+	$(GO) test -run 'TestDispatchSteadyStateAllocs|TestAnalysis' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
 	$(GO) test -run 'TestDecodeChunksAllocs' -count 1 ./internal/emulator/
 	$(GO) test -run 'TestGroupMemberAllocs' -count 1 ./internal/pipeline/

@@ -20,7 +20,6 @@ import (
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
 	"tracepre/internal/precon"
-	"tracepre/internal/preproc"
 	"tracepre/internal/program"
 	"tracepre/internal/tpred"
 	"tracepre/internal/trace"
@@ -90,7 +89,6 @@ type Config struct {
 	// demand path).
 	Precon precon.Config
 
-	PreprocEnabled   bool
 	ObserveWrongPath bool
 }
 
@@ -329,9 +327,6 @@ func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supp
 			continue
 		}
 		f.stats.Suppliers[i].Hits++
-		if f.cfg.PreprocEnabled && got.Opt == nil {
-			got.Opt = preproc.Optimize(got)
-		}
 		if promote {
 			// §3.1: a buffer hit is copied into the trace cache (the
 			// supplier consumed its entry; ownership moves with Fill).
@@ -348,9 +343,6 @@ func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supp
 	// primary supplier retains it.
 	sup.FetchLat, sup.SlowBusy = f.slowPath(tr, dyns, now)
 	tr = f.store.Intern(tr)
-	if f.cfg.PreprocEnabled && tr.Opt == nil {
-		tr.Opt = preproc.Optimize(tr)
-	}
 	f.primary.Fill(tr)
 	sup.Trace = tr
 	return sup

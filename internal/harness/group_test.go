@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tracepre/internal/mem"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 	"tracepre/internal/tpred"
@@ -151,6 +152,35 @@ func TestFigure5MembersPredictAlike(t *testing.T) {
 			t.Fatalf("timing=%v: tc64/pb64 made no predictions", timing)
 		}
 	}
+}
+
+// fullTimingMatrix is Figure 8's four points, full timing with and
+// without preconstruction and preprocessing, behind the ext-memory
+// modeled L2 on one gcc stream: one group whose members share
+// next-trace predictor tables and one per-trace analysis table.
+func fullTimingMatrix(budget uint64) Matrix {
+	timing := func(cfg pipeline.Config, preprocess bool) pipeline.Config {
+		cfg.FullTiming, cfg.PreprocEnabled = true, preprocess
+		return cfg.WithModeledL2(mem.DefaultModeledL2())
+	}
+	return Matrix{
+		Name:    "full-timing",
+		Benches: []string{"gcc"},
+		Budget:  budget,
+		Points: []ConfigPoint{
+			{Name: "base", Cfg: timing(baseline(256), false)},
+			{Name: "precon", Cfg: timing(precon(128, 128), false)},
+			{Name: "preproc", Cfg: timing(baseline(256), true)},
+			{Name: "both", Cfg: timing(precon(128, 128), true)},
+		},
+	}
+}
+
+// TestBroadcastFullTiming requires each of Figure 8's four points, run
+// as one group, to equal the same cell run alone over private
+// predictor and analysis tables.
+func TestBroadcastFullTiming(t *testing.T) {
+	checkAgainstAlone(t, fullTimingMatrix(40_000))
 }
 
 // TestBroadcastMixedSelect covers points whose SelectConfigs differ:

@@ -108,33 +108,37 @@ func checkSampledAgainstAlone(t *testing.T, m Matrix, plan sample.Plan) {
 }
 
 // TestGridIndependentOfWorkers asserts results do not depend on the
-// fan-out: full-detail and sampled grids come out identical under one
-// worker and under four.
+// fan-out: full-detail and sampled grids, of the drain-rate machine and
+// of Figure 8's full-timing points, come out identical under one worker
+// and under four.
 func TestGridIndependentOfWorkers(t *testing.T) {
-	m := samplingTestMatrix(60_000)
-	m.Seeds = []int64{0, 1}
-	for _, plan := range []*sample.Plan{nil, {Detail: 2_000, Warm: 3_000, Skip: 8_000, WarmModel: true}} {
-		run := func(workers int) *Grid {
-			opts := []Option{WithWorkers(workers)}
-			if plan != nil {
-				opts = append(opts, WithSampling(*plan))
+	drain := samplingTestMatrix(60_000)
+	timing := fullTimingMatrix(40_000)
+	for _, m := range []Matrix{drain, timing} {
+		m.Seeds = []int64{0, 1}
+		for _, plan := range []*sample.Plan{nil, {Detail: 2_000, Warm: 3_000, Skip: 8_000, WarmModel: true}} {
+			run := func(workers int) *Grid {
+				opts := []Option{WithWorkers(workers)}
+				if plan != nil {
+					opts = append(opts, WithSampling(*plan))
+				}
+				g, err := Run(context.Background(), m, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
 			}
-			g, err := Run(context.Background(), m, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		}
-		one, four := run(1), run(4)
-		for i := range one.Cells {
-			a, b := &one.Cells[i], &four.Cells[i]
-			if !reflect.DeepEqual(a.Result, b.Result) {
-				t.Errorf("sampled=%v %s/%d/%s: Result differs between 1 and 4 workers",
-					plan != nil, a.Bench, a.Seed, a.Point.Name)
-			}
-			if plan != nil && !reflect.DeepEqual(a.Sample.Intervals, b.Sample.Intervals) {
-				t.Errorf("%s/%d/%s: interval stats differ between 1 and 4 workers",
-					a.Bench, a.Seed, a.Point.Name)
+			one, four := run(1), run(4)
+			for i := range one.Cells {
+				a, b := &one.Cells[i], &four.Cells[i]
+				if !reflect.DeepEqual(a.Result, b.Result) {
+					t.Errorf("%s sampled=%v %s/%d/%s: Result differs between 1 and 4 workers",
+						m.Name, plan != nil, a.Bench, a.Seed, a.Point.Name)
+				}
+				if plan != nil && !reflect.DeepEqual(a.Sample.Intervals, b.Sample.Intervals) {
+					t.Errorf("%s %s/%d/%s: interval stats differ between 1 and 4 workers",
+						m.Name, a.Bench, a.Seed, a.Point.Name)
+				}
 			}
 		}
 	}

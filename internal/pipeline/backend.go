@@ -1,11 +1,12 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
-	"tracepre/internal/preproc"
 	"tracepre/internal/trace"
 )
 
@@ -15,8 +16,8 @@ import (
 // buses adding XferLat cycles to cross-PE register communication.
 // Traces dispatch to PEs round-robin and retire in order.
 //
-// Issue is cycle-driven within a PE. An unpreprocessed trace issues with
-// a small scoreboard lookahead (the simple PE can pick ready
+// Issue is cycle-accurate within a PE. An unpreprocessed trace issues
+// with a small scoreboard lookahead (the simple PE can pick ready
 // instructions only a few entries past the oldest unissued one).
 // A preprocessed trace issues in the dependence-height schedule the fill
 // unit precomputed with the whole window visible, its constant-folded
@@ -27,17 +28,21 @@ type backend struct {
 	cfg    BackendConfig
 	dcache *cache.Cache
 	mem    *mem.Hierarchy // D-side of the shared level behind the L1s
+	table  *analysisTable // per-trace analysis, shared by the group
 
 	regReady [isa.NumRegs]regStamp
 	peFree   []uint64
 	k        uint64 // dispatch counter for PE rotation
 	retired  uint64 // in-order retirement horizon
 
-	// arb models the Address Resolution Buffer enforcing memory
-	// dependences (Franklin & Sohi, referenced in §4.1): a load to a
-	// word with an in-flight store waits for the store's completion
-	// (store-to-load forwarding through the ARB).
-	arb     [arbEntries]arbEntry
+	// The Address Resolution Buffer enforcing memory dependences
+	// (Franklin & Sohi, referenced in §4.1): a load to a word with an
+	// in-flight store waits for the store's completion (store-to-load
+	// forwarding through the ARB). Entry i is the word address
+	// arbAddr[i], stored to until cycle arbDone[i]; the addresses sit
+	// apart so a lookup scans 256 bytes, not the whole buffer.
+	arbAddr [arbEntries]uint32
+	arbDone [arbEntries]uint64
 	arbNext int
 
 	// Stats.
@@ -49,30 +54,27 @@ type backend struct {
 }
 
 // dispatchScratch is per-trace working state, reused across dispatches
-// so the hot path does not allocate. Trace selection caps traces at 16
-// instructions (trace.SelectConfig.Validate), so fixed arrays suffice.
+// so the hot path does not allocate.
 type dispatchScratch struct {
-	order     [16]int
-	fusedOf   [16]int
-	prevStore [16]int
-	loadFloor [16]uint64
-	doneOf    [16]uint64
-	issued    [16]bool
-	writer    [isa.NumRegs]int8 // reg -> producing slot in this trace, -1 none
-	// src[i] holds the in-trace producer of each source register of
-	// slot i (-1 none); regFloor[i] is the cycle at which its sources
-	// produced by earlier traces are ready.
-	src      [16][2]int8
-	regFloor [16]uint64
-	// Latest in-trace store per word address; with <= 16 entries a
-	// linear scan beats a map.
-	storeAddr [16]uint32
-	storeSlot [16]int
+	// rdy[i] is the earliest cycle slot i may issue given what has
+	// issued so far; wait[i] marks its unissued in-trace producers, and
+	// users[p] the slots waiting on p.
+	rdy         [maxSlots]uint64
+	wait, users [maxSlots]uint16
+	done        [maxSlots]uint64 // completion cycle of each issued slot
+	storeWords
+}
+
+// storeWords lists one trace's stores by word address; with <= 16
+// entries a linear scan beats a map.
+type storeWords struct {
+	storeAddr [maxSlots]uint32
+	storeSlot [maxSlots]int
 	storeN    int
 }
 
 // lastStoreTo returns the latest in-trace store slot to a word address.
-func (s *dispatchScratch) lastStoreTo(addr uint32) (int, bool) {
+func (s *storeWords) lastStoreTo(addr uint32) (int, bool) {
 	for i := s.storeN - 1; i >= 0; i-- {
 		if s.storeAddr[i] == addr {
 			return s.storeSlot[i], true
@@ -82,7 +84,7 @@ func (s *dispatchScratch) lastStoreTo(addr uint32) (int, bool) {
 }
 
 // noteStore records a store slot for a word address.
-func (s *dispatchScratch) noteStore(addr uint32, slot int) {
+func (s *storeWords) noteStore(addr uint32, slot int) {
 	s.storeAddr[s.storeN] = addr
 	s.storeSlot[s.storeN] = slot
 	s.storeN++
@@ -91,14 +93,10 @@ func (s *dispatchScratch) noteStore(addr uint32, slot int) {
 // arbEntries is the ARB capacity; older stores age out.
 const arbEntries = 64
 
-type arbEntry struct {
-	addr uint32 // word-aligned
-	done uint64 // store completion cycle
-}
-
 // arbRecord notes a store's address and completion time.
 func (b *backend) arbRecord(addr uint32, done uint64) {
-	b.arb[b.arbNext] = arbEntry{addr: addr &^ 3, done: done}
+	b.arbAddr[b.arbNext] = addr &^ 3
+	b.arbDone[b.arbNext] = done
 	b.arbNext = (b.arbNext + 1) % arbEntries
 }
 
@@ -107,9 +105,9 @@ func (b *backend) arbRecord(addr uint32, done uint64) {
 func (b *backend) arbReady(addr uint32) uint64 {
 	addr &^= 3
 	var latest uint64
-	for _, e := range b.arb {
-		if e.addr == addr && e.done > latest {
-			latest = e.done
+	for i, a := range &b.arbAddr {
+		if a == addr && b.arbDone[i] > latest {
+			latest = b.arbDone[i]
 		}
 	}
 	return latest
@@ -120,17 +118,17 @@ type regStamp struct {
 	pe    int
 }
 
-// newBackend wires the execution engine to its data cache and the
-// shared memory level behind it.
-func newBackend(cfg BackendConfig, dc *cache.Cache, h *mem.Hierarchy) *backend {
-	return &backend{cfg: cfg, dcache: dc, mem: h, peFree: make([]uint64, cfg.NumPEs)}
+// newBackend wires the execution engine to its data cache, the shared
+// memory level behind it and its group's trace analysis table.
+func newBackend(cfg BackendConfig, dc *cache.Cache, h *mem.Hierarchy, t *analysisTable) *backend {
+	return &backend{cfg: cfg, dcache: dc, mem: h, table: t, peFree: make([]uint64, cfg.NumPEs)}
 }
 
 // latency returns the execution latency of an instruction issued at
-// cycle now; loads consult the data cache and, on a miss, ask the
-// hierarchy's D-side when the line is back.
-func (b *backend) latency(in isa.Inst, d emulator.Dyn, now uint64) uint64 {
-	switch in.Op {
+// cycle now; loads and stores access the data cache at addr and, on a
+// load miss, ask the hierarchy's D-side when the line is back.
+func (b *backend) latency(op isa.Op, addr uint32, now uint64) uint64 {
+	switch op {
 	case isa.OpMul:
 		return uint64(b.cfg.MulLat)
 	case isa.OpDiv:
@@ -138,9 +136,9 @@ func (b *backend) latency(in isa.Inst, d emulator.Dyn, now uint64) uint64 {
 	case isa.OpLoad:
 		b.loads++
 		lat := uint64(b.cfg.LoadLat)
-		if !b.dcache.Access(d.MemAddr) {
+		if !b.dcache.Access(addr) {
 			b.dcacheMisses++
-			lat += b.mem.Latency(mem.Data, d.MemAddr, now)
+			lat += b.mem.Latency(mem.Data, addr, now)
 		}
 		return lat
 	case isa.OpStore:
@@ -148,9 +146,9 @@ func (b *backend) latency(in isa.Inst, d emulator.Dyn, now uint64) uint64 {
 		// dependents; access the cache for state/statistics. A store
 		// miss still fills through the shared level (occupying an MSHR
 		// when one is modeled) without adding to the store's latency.
-		if !b.dcache.Access(d.MemAddr) {
+		if !b.dcache.Access(addr) {
 			b.dcacheMisses++
-			b.mem.Lookup(mem.Data, d.MemAddr, now)
+			b.mem.Lookup(mem.Data, addr, now)
 		}
 		return 1
 	default:
@@ -158,9 +156,22 @@ func (b *backend) latency(in isa.Inst, d emulator.Dyn, now uint64) uint64 {
 	}
 }
 
+// inOrder is the issue priority of an unpreprocessed trace: program
+// order.
+var inOrder = [maxSlots]uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
 // dispatch executes one trace and returns its retirement cycle and the
 // completion cycle of its last control-flow instruction (which gates
 // mispredict redirects).
+//
+// Issue runs in event time. Each slot carries the earliest cycle it may
+// issue and the set of its in-trace producers still unissued; a
+// producer that issues clears itself from its consumers' sets and
+// raises their ready cycles to its completion. Each cycle scans the
+// priority order as the PE does, within the lookahead window and up to
+// IssuePerPE slots. A cycle that issues nothing leaves the window and
+// every ready cycle as they were, so the scan jumps to the window's
+// earliest ready cycle instead of stepping through the idle ones.
 func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, preprocessed bool) (retire, resolve uint64) {
 	pe := int(b.k) % b.cfg.NumPEs
 	b.k++
@@ -169,199 +180,142 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 		start = b.peFree[pe]
 	}
 
-	var opt *preproc.Info
+	a := b.table.lookup(tr)
+	n := int(a.n)
+	order, lookahead := inOrder[:n], b.cfg.Lookahead
+	var folded uint16
 	if preprocessed {
-		opt, _ = tr.Opt.(*preproc.Info)
+		if !a.pre {
+			b.table.preprocess(a, tr)
+		}
+		// The fill unit's schedule already saw the whole window, so
+		// the lookahead never binds, and a fused consumer is never
+		// scanned: it issues with its producer.
+		order, lookahead, folded = a.order[:a.heads], n, a.folded
 	}
 
-	n := tr.Len()
-	scr := &b.scr
-	// Priority order: program order, or the fill unit's schedule.
-	order := scr.order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	lookahead := b.cfg.Lookahead
-	if opt != nil {
-		for i, idx := range opt.Order {
-			order[i] = int(idx)
-		}
-		lookahead = n // the schedule already sees the whole window
-	}
-
-	// fusedOf[i] = consumer fused onto producer i, or -1.
-	fusedOf := scr.fusedOf[:n]
-	for i := range fusedOf {
-		fusedOf[i] = -1
-	}
-	if opt != nil {
-		for j, p := range opt.FusedWith {
-			if p >= 0 {
-				fusedOf[p] = j
-			}
-		}
-	}
-
-	// Register dependences, resolved once for the trace. Before slot i
-	// notes its own write, writer[r] is the last earlier slot writing r:
-	// the in-trace producer of i's read of r. A source with no in-trace
-	// producer comes from an earlier trace, whose published result (plus
-	// XferLat across PEs) stays fixed until this trace publishes, so
-	// regFloor[i] folds those sources into one cycle. After the pass,
-	// writer[r] is the last slot in this trace writing r, -1 none.
-	writer := &scr.writer
-	for r := range writer {
-		writer[r] = -1
-	}
-	src := scr.src[:n]
-	regFloor := scr.regFloor[:n]
-	for i, in := range tr.Insts {
-		src[i] = [2]int8{-1, -1}
-		regFloor[i] = 0
-		var regs [2]uint8
-		for k, r := range in.ReadsRegs(regs[:0]) {
-			if r == isa.RegZero {
-				continue
-			}
-			if p := writer[r]; p >= 0 {
-				src[i][k] = p
-				continue
-			}
-			st := b.regReady[r]
-			c := st.cycle
-			if st.pe != pe && c > start {
-				c += uint64(b.cfg.XferLat)
-			}
-			if c > regFloor[i] {
-				regFloor[i] = c
-			}
-		}
-		if rd, w := in.WritesReg(); w {
-			writer[rd] = int8(i)
-		}
-	}
-
-	// Memory dependences: prevStore[i] is the slot of the latest
-	// earlier in-trace store to the same word as load i (-1 if none);
-	// loadFloor[i] is the completion cycle of the youngest in-flight
-	// store from earlier traces to that word (the ARB state is fixed
-	// for the duration of this trace — stores publish at the end).
-	prevStore := scr.prevStore[:n]
-	loadFloor := scr.loadFloor[:n]
-	scr.storeN = 0
-	for i, in := range tr.Insts {
-		prevStore[i] = -1
-		loadFloor[i] = 0
-		switch in.Op {
-		case isa.OpLoad:
-			if j, ok := scr.lastStoreTo(dyns[i].MemAddr &^ 3); ok {
-				prevStore[i] = j
-				b.arbForwards++
-			} else if ar := b.arbReady(dyns[i].MemAddr); ar > start {
-				loadFloor[i] = ar
-				b.arbForwards++
-			}
-		case isa.OpStore:
-			scr.noteStore(dyns[i].MemAddr&^3, i)
-		}
-	}
-
-	doneOf := scr.doneOf[:n]
-	issued := scr.issued[:n]
+	// A source produced by an earlier trace is ready at its published
+	// completion, plus XferLat across PEs; that stays fixed until this
+	// trace publishes its own results. Constant-folded slots read no
+	// registers. Producers precede their consumers, so users[p] is
+	// cleared before any consumer marks it.
+	s := &b.scr
+	xfer := uint64(b.cfg.XferLat)
 	for i := 0; i < n; i++ {
-		doneOf[i] = 0
-		issued[i] = false
+		s.rdy[i], s.wait[i], s.users[i] = start, 0, 0
+		if folded&(1<<i) != 0 {
+			continue
+		}
+		for _, v := range a.src[i] {
+			switch {
+			case v == 0:
+			case v&inTrace != 0:
+				p := v &^ inTrace
+				s.wait[i] |= 1 << p
+				s.users[p] |= 1 << i
+			default:
+				st := &b.regReady[v]
+				c := st.cycle
+				if st.pe != pe && c > start {
+					c += xfer
+				}
+				if c > s.rdy[i] {
+					s.rdy[i] = c
+				}
+			}
+		}
 	}
-	remaining := n
 
-	readyAt := func(i int) (uint64, bool) {
-		in := tr.Insts[i]
-		rdy := start
-		// Memory dependences through the ARB apply even to
-		// constant-folded address computations.
-		if in.Op == isa.OpLoad {
-			if j := prevStore[i]; j >= 0 {
-				if !issued[j] {
-					return 0, false
-				}
-				if doneOf[j] > rdy {
-					rdy = doneOf[j]
-				}
-			} else if loadFloor[i] > rdy {
-				rdy = loadFloor[i]
+	// Memory dependences, constant-folded address computations
+	// included: a load waits for the latest earlier in-trace store to
+	// its word, or else for the youngest in-flight store to it from an
+	// earlier trace (the ARB, fixed until this trace publishes its
+	// stores).
+	s.storeN = 0
+	for m := a.loads | a.stores; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		addr := dyns[i].MemAddr &^ 3
+		if a.stores&(1<<i) != 0 {
+			s.noteStore(addr, i)
+		} else if j, ok := s.lastStoreTo(addr); ok {
+			s.wait[i] |= 1 << j
+			s.users[j] |= 1 << i
+			b.arbForwards++
+		} else if ar := b.arbReady(addr); ar > start {
+			if ar > s.rdy[i] {
+				s.rdy[i] = ar
 			}
+			b.arbForwards++
 		}
-		if opt != nil && opt.Folded&(1<<uint(i)) != 0 {
-			return rdy, true
-		}
-		if regFloor[i] > rdy {
-			rdy = regFloor[i]
-		}
-		// A fused consumer never gets here: it issues with its producer.
-		for _, p := range src[i] {
-			if p < 0 {
-				continue
-			}
-			if !issued[p] {
-				return 0, false
-			}
-			if doneOf[p] > rdy {
-				rdy = doneOf[p]
-			}
-		}
-		return rdy, true
 	}
 
 	lastDone := start
 	resolve = start
-	for c := start; remaining > 0; c++ {
-		slots := b.cfg.IssuePerPE
-		unissuedSeen := 0
-		for _, idx := range order {
-			if issued[idx] {
-				continue
-			}
-			unissuedSeen++
-			if unissuedSeen > lookahead || slots == 0 {
-				break
-			}
-			if opt == nil || opt.FusedWith[idx] < 0 {
-				// Fused consumers issue with their producer below.
-				rdy, ok := readyAt(idx)
-				if !ok || rdy > c {
-					continue
-				}
-				issued[idx] = true
-				doneOf[idx] = c + b.latency(tr.Insts[idx], dyns[idx], c)
-				remaining--
-				slots--
-				if f := fusedOf[idx]; f >= 0 && !issued[f] {
-					issued[f] = true
-					doneOf[f] = c + b.latency(tr.Insts[f], dyns[f], c)
-					remaining--
-				}
+	// issue starts slot i at cycle c and wakes the slots that read its
+	// result.
+	issue := func(i int, c uint64) {
+		done := c + b.latency(tr.Insts[i].Op, dyns[i].MemAddr, c)
+		s.done[i] = done
+		if done > lastDone {
+			lastDone = done
+		}
+		if a.control&(1<<i) != 0 && done > resolve {
+			resolve = done
+		}
+		for m := s.users[i]; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros16(m)
+			s.wait[j] &^= 1 << i
+			if done > s.rdy[j] {
+				s.rdy[j] = done
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if doneOf[i] > lastDone {
-			lastDone = doneOf[i]
+	// unissued marks the positions in the priority order still to issue.
+	for c, unissued := start, uint16(1)<<len(order)-1; unissued != 0; {
+		slots := b.cfg.IssuePerPE
+		seen := 0
+		next := ^uint64(0)
+		for m := unissued; m != 0; m &= m - 1 {
+			seen++
+			if seen > lookahead || slots == 0 {
+				break
+			}
+			k := bits.TrailingZeros16(m)
+			i := int(order[k])
+			if s.wait[i] != 0 {
+				continue
+			}
+			if r := s.rdy[i]; r > c {
+				next = min(next, r)
+				continue
+			}
+			unissued &^= 1 << k
+			slots--
+			issue(i, c)
+			if preprocessed {
+				if f := a.fusedOf[i]; f >= 0 {
+					issue(int(f), c)
+				}
+			}
 		}
-		if tr.Insts[i].IsControl() && doneOf[i] > resolve {
-			resolve = doneOf[i]
+		switch {
+		case slots < b.cfg.IssuePerPE:
+			c++
+		case next == ^uint64(0):
+			panic("pipeline: dispatch window holds no slot that can issue")
+		default:
+			c = next
 		}
 	}
 
 	// Publish register results and store completions for later traces.
-	for r, idx := range writer {
-		if idx >= 0 {
-			b.regReady[r] = regStamp{cycle: doneOf[idx], pe: pe}
-		}
+	for m := a.lastWrites; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		b.regReady[a.written(i)] = regStamp{cycle: s.done[i], pe: pe}
 	}
-	for i, in := range tr.Insts {
-		if in.Op == isa.OpStore {
-			b.arbRecord(dyns[i].MemAddr, doneOf[i])
-		}
+	for m := a.stores; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		b.arbRecord(dyns[i].MemAddr, s.done[i])
 	}
 
 	retire = lastDone

@@ -133,9 +133,6 @@ func TestQuickBackendInvariants(t *testing.T) {
 		for k := 0; k < 40; k++ {
 			tr, dyns := randCtlTrace(r, uint32(0x1000+k*0x100))
 			preprocessed := r.Intn(2) == 0
-			if preprocessed {
-				tr.Opt = preproc.Optimize(tr)
-			}
 			ready := clock + uint64(r.Intn(5))
 			retire, resolve := be.dispatch(tr, dyns, ready, preprocessed)
 			if retire < prevRetire {
@@ -150,8 +147,8 @@ func TestQuickBackendInvariants(t *testing.T) {
 			// Lower bound: the trace's own issue-width constraint
 			// (fused pairs share a slot, so discount them).
 			fused := uint64(0)
-			if opt, ok := tr.Opt.(*preproc.Info); ok && opt != nil {
-				for _, fw := range opt.FusedWith {
+			if preprocessed {
+				for _, fw := range preproc.Optimize(tr).FusedWith {
 					if fw >= 0 {
 						fused++
 					}
@@ -191,11 +188,7 @@ func TestPreprocessedFasterInAggregate(t *testing.T) {
 					be.dcache.Access(d.MemAddr)
 				}
 			}
-			cp := *tr
-			if pre {
-				cp.Opt = preproc.Optimize(tr)
-			}
-			retire, _ := be.dispatch(&cp, dyns, 0, pre)
+			retire, _ := be.dispatch(tr, dyns, 0, pre)
 			return retire
 		}
 		plain := run(false)

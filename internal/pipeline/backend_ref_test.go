@@ -13,15 +13,28 @@ import (
 	"tracepre/internal/trace"
 )
 
+// refScratch is dispatchReference's per-trace working state.
+type refScratch struct {
+	order     [16]int
+	fusedOf   [16]int
+	prevStore [16]int
+	loadFloor [16]uint64
+	doneOf    [16]uint64
+	issued    [16]bool
+	writer    [isa.NumRegs]int8 // reg -> producing slot in this trace, -1 none
+	storeWords
+}
+
 // dispatchReference is the issue model as a plain cycle-by-cycle scan:
 // on every cycle, every issue candidate rescans the earlier slots of its
-// trace (producerOf) to find the producer of each source register. It
-// is the oracle for dispatch, which resolves those dependences once per
-// trace; TestDispatchMatchesReference requires the two to agree exactly.
-// The body is the earlier dispatch, except that issue cycles live in a
-// local array: dispatch dropped them, since only the fused-operand case
-// of readyAt read them and fused consumers issue with their producer
-// without calling readyAt.
+// trace (producerOf) to find the producer of each source register, and
+// a preprocessed trace is preprocessed again on every dispatch. It is
+// the oracle for dispatch, which issues in event time from its group's
+// per-trace analysis; TestDispatchMatchesReference requires the two to
+// agree exactly. The issue logic is the dispatch of the original
+// model, except that issue cycles live in a local array: only the
+// fused-operand case of readyAt read them, and fused consumers issue
+// with their producer without calling readyAt.
 func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, preprocessed bool) (retire, resolve uint64) {
 	pe := int(b.k) % b.cfg.NumPEs
 	b.k++
@@ -32,11 +45,11 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 
 	var opt *preproc.Info
 	if preprocessed {
-		opt, _ = tr.Opt.(*preproc.Info)
+		opt = preproc.Optimize(tr)
 	}
 
 	n := tr.Len()
-	scr := &b.scr
+	scr := new(refScratch)
 	// Priority order: program order, or the fill unit's schedule.
 	order := scr.order[:n]
 	for i := range order {
@@ -196,13 +209,13 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 				}
 				issued[idx] = true
 				issuedAt[idx] = c
-				doneOf[idx] = c + b.latency(tr.Insts[idx], dyns[idx], c)
+				doneOf[idx] = c + b.latency(tr.Insts[idx].Op, dyns[idx].MemAddr, c)
 				remaining--
 				slots--
 				if f := fusedOf[idx]; f >= 0 && !issued[f] {
 					issued[f] = true
 					issuedAt[f] = c
-					doneOf[f] = c + b.latency(tr.Insts[f], dyns[f], c)
+					doneOf[f] = c + b.latency(tr.Insts[f].Op, dyns[f].MemAddr, c)
 					remaining--
 				}
 			}
@@ -244,7 +257,10 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 // TestDispatchMatchesReference sends random trace streams, control flow
 // and r0 operands included, plain and preprocessed, through dispatch and
 // through dispatchReference on two backends with identical configs,
-// each with its own D-cache and memory level. Every trace must retire
+// each with its own D-cache and memory level. Half the traces recur, so
+// dispatch also runs from analyses built earlier, under other register,
+// ARB and cache states, and preprocessed traces reach entries first
+// built unpreprocessed and the reverse. Every trace must retire
 // and resolve in the same cycle on both, and at the end the register
 // stamps, the ARB, the load, miss and forwarding counters and the
 // shared level's statistics must be equal. The grid covers every
@@ -313,12 +329,20 @@ func matchesReference(t *testing.T, r *rand.Rand, cfg BackendConfig, level mem.C
 	}
 	got, want := pair(), pair()
 	clock := uint64(10)
+	var drawn []*trace.Trace
+	var drawnDyns [][]emulator.Dyn
 	for k := 0; k < traces; k++ {
-		tr, dyns := randCtlTrace(r, uint32(0x1000+k*0x100))
-		// A trace may carry preprocessing metadata and still run
-		// unpreprocessed, and the reverse: dispatch honours the flag.
-		if r.Intn(3) > 0 {
-			tr.Opt = preproc.Optimize(tr)
+		var tr *trace.Trace
+		var dyns []emulator.Dyn
+		j := len(drawn)
+		if j > 0 {
+			j = r.Intn(2 * j)
+		}
+		if j < len(drawn) {
+			tr, dyns = drawn[j], drawnDyns[j]
+		} else {
+			tr, dyns = randCtlTrace(r, uint32(0x1000+k*0x100))
+			drawn, drawnDyns = append(drawn, tr), append(drawnDyns, dyns)
 		}
 		pre := r.Intn(2) == 0
 		ready := clock + uint64(r.Intn(5))
@@ -337,7 +361,7 @@ func matchesReference(t *testing.T, r *rand.Rand, cfg BackendConfig, level mem.C
 	switch {
 	case got.regReady != want.regReady:
 		t.Logf("regReady %v, reference %v", got.regReady, want.regReady)
-	case got.arb != want.arb || got.arbNext != want.arbNext:
+	case got.arbAddr != want.arbAddr || got.arbDone != want.arbDone || got.arbNext != want.arbNext:
 		t.Logf("ARB differs from the reference")
 	case got.loads != want.loads || got.dcacheMisses != want.dcacheMisses || got.arbForwards != want.arbForwards:
 		t.Logf("loads/misses/forwards %d/%d/%d, reference %d/%d/%d",

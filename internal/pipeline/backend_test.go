@@ -8,7 +8,6 @@ import (
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
-	"tracepre/internal/preproc"
 	"tracepre/internal/trace"
 )
 
@@ -27,7 +26,7 @@ func testBackendWith(t testing.TB, cfg BackendConfig, dcfg cache.Config, level m
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBackend(cfg, dc, h)
+	return newBackend(cfg, dc, h, newAnalysisTable())
 }
 
 // testBackend is the default backend over the paper's data cache and
@@ -210,9 +209,6 @@ func TestBackendPreprocessedFusionAndFolding(t *testing.T) {
 		for i := range dyns {
 			dyns[i].MemAddr = 0x20000
 		}
-		if preprocessed {
-			tr.Opt = preproc.Optimize(tr)
-		}
 		r, _ := be.dispatch(tr, dyns, 0, preprocessed)
 		return r
 	}
@@ -320,7 +316,6 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 	jobs := make([]job, 64)
 	for k := range jobs {
 		tr, dyns := randCtlTrace(r, uint32(0x1000+k*0x100))
-		tr.Opt = preproc.Optimize(tr)
 		jobs[k] = job{tr, dyns}
 	}
 	for _, pre := range []bool{false, true} {

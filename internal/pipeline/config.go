@@ -207,7 +207,6 @@ func (c Config) frontendConfig() frontend.Config {
 		RASDepth:          c.RASDepth,
 		TargetEntries:     c.TargetEntries,
 		Precon:            pcfg,
-		PreprocEnabled:    c.PreprocEnabled,
 		ObserveWrongPath:  c.ObserveWrongPath,
 	}
 }

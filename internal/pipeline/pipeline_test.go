@@ -436,7 +436,7 @@ func TestGroupMemberAllocs(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	s, err := newMember(im, cfg, tables)
+	s, err := newMember(im, cfg, tables, nil)
 	runtime.ReadMemStats(&ms)
 	if err != nil {
 		t.Fatal(err)

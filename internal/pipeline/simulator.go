@@ -225,9 +225,13 @@ func New(im *program.Image, cfg Config) (*Simulator, error) {
 // own predictor counters (Result.Pred) and everything else, including
 // the bimodal table and the indirect target buffer, which it reads
 // before its own retirement trains them. Feeding members out of
-// lockstep panics in the predictor.
+// lockstep panics in the predictor. The full-timing members share one
+// per-trace analysis table: each distinct trace they dispatch is
+// analyzed, and preprocessed, once for the group. Members run on one
+// goroutine, as the shared tables require.
 func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 	tables := map[tpred.Config]*tpred.Tables{}
+	var analyses *analysisTable
 	sims := make([]*Simulator, len(cfgs))
 	var err error
 	for i, cfg := range cfgs {
@@ -241,7 +245,10 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 			}
 			tables[cfg.Pred] = t
 		}
-		if sims[i], err = newMember(im, cfg, t); err != nil {
+		if cfg.FullTiming && analyses == nil {
+			analyses = newAnalysisTable()
+		}
+		if sims[i], err = newMember(im, cfg, t, analyses); err != nil {
 			return nil, err
 		}
 	}
@@ -249,8 +256,9 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 }
 
 // newMember builds one validated simulator whose frontend predicts
-// through the given predictor tables.
-func newMember(im *program.Image, cfg Config, tables *tpred.Tables) (*Simulator, error) {
+// through the given predictor tables and whose backend, under full
+// timing, analyzes traces through the given table.
+func newMember(im *program.Image, cfg Config, tables *tpred.Tables, analyses *analysisTable) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, im: im}
 	h, err := mem.New(cfg.Mem, cfg.Backend.L2Lat)
 	if err != nil {
@@ -269,7 +277,7 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables) (*Simulator,
 		if s.dc, err = cache.New(cfg.DCache); err != nil {
 			return nil, err
 		}
-		s.be = newBackend(cfg.Backend, s.dc, h)
+		s.be = newBackend(cfg.Backend, s.dc, h, analyses)
 	}
 	return s, nil
 }

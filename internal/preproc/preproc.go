@@ -51,10 +51,19 @@ type Info struct {
 	order [16]uint8
 }
 
-// Optimize preprocesses a trace.
+// Optimize preprocesses a trace into a new Info.
 func Optimize(tr *trace.Trace) *Info {
-	n := tr.Len()
 	info := &Info{}
+	info.Compute(tr)
+	return info
+}
+
+// Compute overwrites info with the preprocessing of tr, reusing its
+// storage, so a caller that keeps only what it needs of each trace's
+// Info preprocesses without allocating.
+func (info *Info) Compute(tr *trace.Trace) {
+	n := tr.Len()
+	*info = Info{}
 	info.FusedWith = info.fused[:n]
 	info.Order = info.order[:n]
 	for i := range info.FusedWith {
@@ -64,7 +73,6 @@ func Optimize(tr *trace.Trace) *Info {
 	foldConstants(tr, info)
 	fusePairs(tr, info)
 	schedule(tr, info)
-	return info
 }
 
 // foldConstants runs constant propagation across the trace. A register

@@ -19,8 +19,7 @@
 //     stay resident in the ID index with storage intact (a "limbo" set)
 //     until their chunk is actually needed, so re-interning a recently
 //     evicted trace revives it — a refcount bump and a content check
-//     instead of a copy, preserving derived metadata (preprocessing Opt)
-//     across evictions.
+//     instead of a copy.
 //
 // The Store is single-goroutine, like the simulator that owns it: one
 // Store per pipeline.Simulator, shared by that simulator's trace cache,
@@ -203,10 +202,9 @@ func (s *Store) growIndex() {
 // Release (directly, or by handing it to a consumer whose protocol
 // takes ownership, like the trace stores' Insert).
 //
-// Succ and Opt are sticky: a hit keeps the resident trace's successor
-// and preprocessing metadata rather than the borrower's. Nothing reads
-// a retained trace's Succ (it only steers preconstruction, which reads
-// the borrowed original), and Opt is a pure function of the content.
+// Succ is sticky: a hit keeps the resident trace's successor rather
+// than the borrower's. Nothing reads a retained trace's Succ (it only
+// steers preconstruction, which reads the borrowed original).
 func (s *Store) Intern(b *Trace) *Trace {
 	s.interns++
 	id := b.ID()
@@ -229,7 +227,6 @@ func (s *Store) Intern(b *Trace) *Trace {
 	t.EndsInIndirect = b.EndsInIndirect
 	t.EndsInHalt = b.EndsInHalt
 	t.Succ = b.Succ
-	t.Opt = b.Opt
 	t.refs = 1
 	// A content-unequal trace under the same ID (possible only across
 	// different program images, which a store never mixes) loses its
@@ -380,7 +377,7 @@ func (s *Store) Refs(t *Trace) int {
 
 // contentEqual reports whether the interned trace t and the borrowed
 // trace b describe the same instruction sequence with the same selection
-// outcome. Succ and Opt are excluded (see Intern).
+// outcome. Succ is excluded (see Intern).
 func (t *Trace) contentEqual(b *Trace) bool {
 	if len(t.PCs) != len(b.PCs) || t.BrMask != b.BrMask || t.NumBr != b.NumBr ||
 		t.Flags != b.Flags || t.EndsInReturn != b.EndsInReturn ||

@@ -71,22 +71,18 @@ func TestStoreInternBasics(t *testing.T) {
 	}
 }
 
-func TestStoreReviveKeepsOpt(t *testing.T) {
+func TestStoreReviveKeepsTrace(t *testing.T) {
 	s := NewStore()
 	a := s.Intern(storeTrace(0x2000, 6))
-	a.Opt = "preprocessed"
 	s.Release(a)
 	if s.Live() != 0 {
 		t.Fatalf("Live = %d, want 0", s.Live())
 	}
-	// Re-interning identical content revives the limbo trace with its
-	// derived metadata intact.
+	// Re-interning identical content revives the limbo trace itself:
+	// no copy is made.
 	b := s.Intern(storeTrace(0x2000, 6))
 	if b != a {
 		t.Fatal("revival returned a different trace")
-	}
-	if b.Opt != "preprocessed" {
-		t.Fatalf("Opt lost across release/revive: %v", b.Opt)
 	}
 	if st := s.Stats(); st.Revived != 1 || st.Limbo != 0 {
 		t.Fatalf("stats = %+v, want 1 revived, 0 limbo", st)

@@ -107,11 +107,6 @@ type Trace struct {
 	// ending at an unresolved indirect jump during preconstruction).
 	Succ uint32
 
-	// Opt carries fill-unit preprocessing metadata when the extended
-	// pipeline's preprocessing stage is enabled (see internal/preproc).
-	// It is opaque to this package.
-	Opt interface{}
-
 	// Intern bookkeeping, managed by Store. Zero for unmanaged traces.
 	store    *Store
 	refs     int32
