@@ -6,13 +6,17 @@ GO ?= go
 
 all: build vet test
 
-# What CI runs (.github/workflows/ci.yml): the tier-1 gate plus a
-# race-detector pass over the short suite, the benchmark module (its
-# own Go module, so ./... above never compiles it), the examples and
-# the lint job.
-ci: build lint test examples
+# What CI runs (.github/workflows/ci.yml): the build, the examples, the
+# shuffled test suite, a race-detector pass over the short suite, the
+# benchmark module (its own Go module, so ./... above never compiles
+# it), the bench smoke run, and the lint job with its race pass over
+# the trace store's lifecycle.
+ci: build lint examples
+	$(GO) test -shuffle=on ./...
 	$(GO) test -race -short ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) bench-smoke
+	$(GO) test -race ./internal/trace ./internal/tracecache
 
 build:
 	$(GO) build ./...
@@ -102,6 +106,8 @@ fuzz:
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReplayer -fuzztime 30s ./internal/emulator/
 	$(GO) test -fuzz FuzzConfig -fuzztime 30s ./internal/pipeline/
+	$(GO) test -fuzz FuzzU32Set -fuzztime 30s ./internal/precon/
+	$(GO) test -fuzz FuzzLineSet -fuzztime 30s ./internal/precon/
 
 clean:
 	$(GO) clean ./...

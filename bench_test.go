@@ -15,6 +15,7 @@ import (
 	"tracepre/internal/core"
 	"tracepre/internal/emulator"
 	"tracepre/internal/harness"
+	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 )
 
@@ -24,7 +25,7 @@ const benchBudget = core.SmallBudget
 
 func BenchmarkFigure5Gcc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure5(benchBudget, []string{"gcc"}); err != nil {
+		if _, err := core.Figure5(context.Background(), benchBudget, []string{"gcc"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,7 +33,7 @@ func BenchmarkFigure5Gcc(b *testing.B) {
 
 func BenchmarkFigure5Go(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure5(benchBudget, []string{"go"}); err != nil {
+		if _, err := core.Figure5(context.Background(), benchBudget, []string{"go"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +41,7 @@ func BenchmarkFigure5Go(b *testing.B) {
 
 func BenchmarkFigure5SmallWorkingSets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure5(benchBudget, []string{"compress", "ijpeg"}); err != nil {
+		if _, err := core.Figure5(context.Background(), benchBudget, []string{"compress", "ijpeg"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func BenchmarkFigure5SmallWorkingSets(b *testing.B) {
 
 func BenchmarkTables123(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Tables123(benchBudget, []string{"gcc", "go"}); err != nil {
+		if _, err := core.Tables123(context.Background(), benchBudget, []string{"gcc", "go"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +57,7 @@ func BenchmarkTables123(b *testing.B) {
 
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure6(benchBudget, core.TimingBenchmarks()); err != nil {
+		if _, err := core.Figure6(context.Background(), benchBudget, core.TimingBenchmarks()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +65,7 @@ func BenchmarkFigure6(b *testing.B) {
 
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure8(benchBudget, core.TimingBenchmarks()); err != nil {
+		if _, err := core.Figure8(context.Background(), benchBudget, core.TimingBenchmarks()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,12 +78,12 @@ func BenchmarkSimulate(b *testing.B) {
 		b.Run(bench, func(b *testing.B) {
 			cfg := core.PreconConfig(256, 256)
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunBenchmark(bench, cfg, benchBudget)
+				res, err := core.RunBenchmark(context.Background(), bench, cfg, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(res.TCMissPerKI(), "miss/KI")
+					b.ReportMetric(res.Result.TCMissPerKI(), "miss/KI")
 				}
 			}
 			b.SetBytes(int64(benchBudget))
@@ -93,7 +94,7 @@ func BenchmarkSimulate(b *testing.B) {
 func BenchmarkSimulateFullTiming(b *testing.B) {
 	cfg := core.TimingConfig(core.PreconConfig(128, 128), true)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunBenchmark("gcc", cfg, benchBudget); err != nil {
+		if _, err := core.RunBenchmark(context.Background(), "gcc", cfg, benchBudget); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,13 +120,13 @@ func TestBenchCoverageMatchesExperiments(t *testing.T) {
 // budget: the adaptive partition and the ablation sweeps.
 func BenchmarkExtensions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AdaptivePartitionStudy(benchBudget, []string{"gcc"}); err != nil {
+		if _, err := core.AdaptivePartitionStudy(context.Background(), benchBudget, []string{"gcc"}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.PreconAblations(benchBudget, []string{"vortex"}); err != nil {
+		if _, err := core.PreconAblations(context.Background(), benchBudget, []string{"vortex"}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.PredictorAblations(benchBudget, []string{"perl"}); err != nil {
+		if _, err := core.PredictorAblations(context.Background(), benchBudget, []string{"perl"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +136,7 @@ func BenchmarkExtensions(b *testing.B) {
 // allocation-free replay of the same committed instruction stream.
 // bytes/s here means committed instructions per second.
 func BenchmarkStreamEmulate(b *testing.B) {
-	im, err := core.Image("gcc")
+	im, err := harness.ImageSeed("gcc", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func BenchmarkStreamEmulate(b *testing.B) {
 }
 
 func BenchmarkStreamRecord(b *testing.B) {
-	im, err := core.Image("gcc")
+	im, err := harness.ImageSeed("gcc", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func BenchmarkStreamRecord(b *testing.B) {
 }
 
 func BenchmarkStreamReplay(b *testing.B) {
-	im, err := core.Image("gcc")
+	im, err := harness.ImageSeed("gcc", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 // and go.
 func BenchmarkFigure5Mode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure5(benchBudget, []string{"gcc", "go"}); err != nil {
+		if _, err := core.Figure5(context.Background(), benchBudget, []string{"gcc", "go"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,10 +208,10 @@ func BenchmarkFigure5Mode(b *testing.B) {
 func BenchmarkSweepTCBaseline(b *testing.B) {
 	benches := []string{"gcc", "go"}
 	for i := 0; i < b.N; i++ {
-		core.ResetStreamCache()
+		harness.ResetStreamCache()
 		for _, bench := range benches {
 			for _, tc := range core.Figure5TCSizes {
-				if _, err := core.RunBenchmark(bench, core.BaselineConfig(tc), benchBudget); err != nil {
+				if _, err := core.RunBenchmark(context.Background(), bench, core.BaselineConfig(tc), benchBudget); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,14 +243,25 @@ func BenchmarkFigure5Harness(b *testing.B) {
 			}
 		}
 	}
-	// Warm the stream cache once so neither side measures recording.
-	if _, err := core.Figure5(benchBudget, benches); err != nil {
+	// Warm the stream cache once, and record the legacy side's streams,
+	// so neither side measures recording.
+	if _, err := core.Figure5(context.Background(), benchBudget, benches); err != nil {
 		b.Fatal(err)
+	}
+	streams := map[string]*emulator.Stream{}
+	for _, bench := range benches {
+		im, err := harness.ImageSeed(bench, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if streams[bench], err = emulator.Record(im, benchBudget); err != nil {
+			b.Fatal(err)
+		}
 	}
 
 	b.Run("harness", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Figure5(benchBudget, benches); err != nil {
+			if _, err := core.Figure5(context.Background(), benchBudget, benches); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -273,7 +285,12 @@ func BenchmarkFigure5Harness(b *testing.B) {
 						if c.pb > 0 {
 							cfg = core.PreconConfig(c.tc, c.pb)
 						}
-						if _, err := core.RunBenchmark(c.bench, cfg, benchBudget); err != nil {
+						st := streams[c.bench]
+						sim, err := pipeline.New(st.Image(), cfg)
+						if err == nil {
+							_, err = sim.RunStream(st, benchBudget)
+						}
+						if err != nil {
 							errMu.Lock()
 							if firstErr == nil {
 								firstErr = err
@@ -323,7 +340,7 @@ func BenchmarkFigure5Precon(b *testing.B) {
 	}
 	// Warm the stream cache once so the sweep never records.
 	for _, bench := range benches {
-		if _, err := core.RunBenchmark(bench, core.PreconConfig(256, 256), benchBudget); err != nil {
+		if _, err := core.RunBenchmark(context.Background(), bench, core.PreconConfig(256, 256), benchBudget); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,7 +349,7 @@ func BenchmarkFigure5Precon(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
-			if _, err := core.RunBenchmark(c.bench, core.PreconConfig(c.tc, c.pb), benchBudget); err != nil {
+			if _, err := core.RunBenchmark(context.Background(), c.bench, core.PreconConfig(c.tc, c.pb), benchBudget); err != nil {
 				b.Fatal(err)
 			}
 		}

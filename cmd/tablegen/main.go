@@ -27,7 +27,8 @@
 // from the budget; -sample-detail, -sample-warm and -sample-target-ci
 // override the unit length, detailed warm-up length, and adaptive
 // stopping target. This is what makes paper-scale 200M-instruction
-// sweeps affordable.
+// sweeps affordable. ext-sampling checks the plan -sample selects
+// against its own full-detail reference run.
 package main
 
 import (
@@ -98,31 +99,19 @@ func main() {
 	if *n == 0 {
 		fail(errors.New("-n 0: nothing to simulate"))
 	}
-	var plan sample.Plan
-	if *doSample {
-		var err error
-		if plan, err = sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI); err != nil {
-			fail(err)
-		}
-	}
-
-	// A signal cancels the context; the sweep engine stops dispatching
-	// cells and every in-flight experiment returns promptly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *jobs < 0 {
 		fail(fmt.Errorf("-j %d: worker count cannot be negative", *jobs))
 	}
-	if *jobs > 0 {
-		ctx = harness.ContextWithWorkers(ctx, *jobs)
-	}
+	opts := []harness.Option{harness.WithWorkers(*jobs)}
 	if *doSample {
-		ctx = harness.ContextWithSampling(ctx, plan)
+		plan, err := sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI)
+		if err != nil {
+			fail(err)
+		}
+		opts = append(opts, harness.WithSampling(plan))
 	}
-
 	if *progress {
-		ctx = harness.ContextWithProgress(ctx, func(p harness.Progress) {
+		opts = append(opts, harness.WithProgress(func(p harness.Progress) {
 			eta := ""
 			if p.ETA > 0 {
 				eta = fmt.Sprintf("  eta %s", p.ETA.Round(100_000_000)) // 0.1s
@@ -132,8 +121,13 @@ func main() {
 			if p.Done == p.Total {
 				fmt.Fprintln(os.Stderr)
 			}
-		})
+		}))
 	}
+
+	// A signal cancels the context; the sweep engine stops dispatching
+	// cells and every in-flight experiment returns promptly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -182,7 +176,7 @@ func main() {
 	if *format == "json" && *outDir == "" {
 		out := map[string]any{}
 		for _, e := range exps {
-			v, err := e.Structured(ctx, *n, benches)
+			v, err := e.Run(ctx, *n, benches, opts...)
 			if err != nil {
 				fail(interrupted(ctx, err))
 			}
@@ -197,7 +191,7 @@ func main() {
 	}
 
 	for _, e := range exps {
-		data, err := render(ctx, e, *format, *n, benches)
+		data, err := render(ctx, e, *format, *n, benches, opts)
 		if err != nil {
 			fail(interrupted(ctx, err))
 		}
@@ -218,22 +212,18 @@ func main() {
 }
 
 // render produces one experiment's output in the chosen format.
-func render(ctx context.Context, e core.Experiment, format string, n uint64, benches []string) ([]byte, error) {
-	if format == "json" {
-		v, err := e.Structured(ctx, n, benches)
-		if err != nil {
-			return nil, err
-		}
-		return json.MarshalIndent(v, "", "  ")
-	}
-	specs, err := e.Tables(ctx, n, benches)
+func render(ctx context.Context, e core.Experiment, format string, n uint64, benches []string, opts []harness.Option) ([]byte, error) {
+	r, err := e.Run(ctx, n, benches, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if format == "csv" {
-		return []byte(harness.RenderCSV(specs)), nil
+	switch format {
+	case "json":
+		return json.MarshalIndent(r, "", "  ")
+	case "csv":
+		return []byte(harness.RenderCSV(r.TableSpecs())), nil
 	}
-	return []byte(harness.RenderASCII(specs)), nil
+	return []byte(harness.RenderASCII(r.TableSpecs())), nil
 }
 
 // ext maps a format to its file extension for -out.

@@ -17,12 +17,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"tracepre/internal/core"
+	"tracepre/internal/harness"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 	"tracepre/internal/stats"
@@ -60,12 +62,13 @@ func main() {
 		fail(errors.New("-n 0: nothing to simulate"))
 	}
 
-	var plan sample.Plan
+	var opts []harness.Option
 	if *doSample {
-		var err error
-		if plan, err = sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI); err != nil {
+		plan, err := sample.PlanFromFlags(*n, *sampleDetail, *sampleWarm, *sampleCI)
+		if err != nil {
 			fail(err)
 		}
+		opts = append(opts, harness.WithSampling(plan))
 	}
 
 	cfg := core.BaselineConfig(*tc)
@@ -77,21 +80,11 @@ func main() {
 	}
 	cfg.WindowInstrs = *timeline
 
-	var res pipeline.Result
-	var sampled *sample.Stats
-	if *doSample {
-		st, err := core.RunBenchmarkSampled(*bench, cfg, *n, plan)
-		if err != nil {
-			fail(err)
-		}
-		sampled = st
-		res = st.Aggregate
-	} else {
-		var err error
-		if res, err = core.RunBenchmark(*bench, cfg, *n); err != nil {
-			fail(err)
-		}
+	c, err := core.RunBenchmark(context.Background(), *bench, cfg, *n, opts...)
+	if err != nil {
+		fail(err)
 	}
+	res, sampled := c.Result, c.Sample
 
 	t := stats.NewTable(fmt.Sprintf("tracesim %s: TC=%d PB=%d budget=%d", *bench, *tc, *pb, *n),
 		"metric", "value")

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,7 +32,8 @@ func main() {
 	}
 	const budget = 500_000
 
-	res, err := core.Figure8(budget, []string{bench})
+	ctx := context.Background()
+	res, err := core.Figure8(ctx, budget, []string{bench})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,11 +72,11 @@ func main() {
 	// frontend's own accounting — the supplier probe chain and the
 	// arbitrated slow-path port (Result.Frontend).
 	cfg := core.TimingConfig(core.PreconConfig(128, 128), true)
-	res2, err := core.RunBenchmark(bench, cfg, budget)
+	c2, err := core.RunBenchmark(ctx, bench, cfg, budget)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fe := res2.Frontend
+	fe := c2.Result.Frontend
 	fmt.Println("\ncombined machine, frontend composition (Result.Frontend):")
 	for _, sup := range fe.Suppliers {
 		fmt.Printf("  supplier %-15s probes %7d  hits %7d  (%.1f%%)  fills %6d\n",
@@ -93,13 +95,13 @@ func main() {
 	// flat 10-cycle constant. Result.Memory breaks the level's traffic
 	// down by port — demand i-fetch, data, and the precon engine.
 	mcfg := cfg.WithModeledL2(mem.DefaultModeledL2())
-	res3, err := core.RunBenchmark(bench, mcfg, budget)
+	c3, err := core.RunBenchmark(ctx, bench, mcfg, budget)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res3.Memory
+	m := c3.Result.Memory
 	fmt.Println("\nsame machine with a modeled shared L2 (256KiB 8-way, 8 MSHRs):")
-	fmt.Printf("  IPC %.3f (flat-L2 machine: %.3f)\n", res3.IPC(), res2.IPC())
+	fmt.Printf("  IPC %.3f (flat-L2 machine: %.3f)\n", c3.Result.IPC(), c2.Result.IPC())
 	fmt.Printf("  L2: %d accesses, %d misses (rate %.3f), %d evictions\n",
 		m.Accesses, m.Misses, m.MissRate(), m.Evictions)
 	fmt.Printf("    i-fetch %6d accesses / %6d misses\n", m.IAccesses, m.IMisses)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	}
 	const budget = 1_000_000
 
-	res, err := core.Figure5(budget, []string{bench})
+	res, err := core.Figure5(context.Background(), budget, []string{bench})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,17 +19,19 @@ func main() {
 	const budget = 1_000_000
 
 	// A 512-entry trace cache, no preconstruction.
-	base, err := core.RunBenchmark(bench, core.BaselineConfig(512), budget)
+	ctx := context.Background()
+	bc, err := core.RunBenchmark(ctx, bench, core.BaselineConfig(512), budget)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The same total storage split: 256 trace cache entries plus 256
 	// preconstruction buffers.
-	pre, err := core.RunBenchmark(bench, core.PreconConfig(256, 256), budget)
+	pc, err := core.RunBenchmark(ctx, bench, core.PreconConfig(256, 256), budget)
 	if err != nil {
 		log.Fatal(err)
 	}
+	base, pre := bc.Result, pc.Result
 
 	t := stats.NewTable(fmt.Sprintf("%s, %d instructions", bench, budget),
 		"configuration", "miss/1000 instr", "supplied by precon", "i-cache instr/KI")

@@ -1,30 +1,31 @@
 // Package core is the library facade: it wires the synthetic SPECint95
 // workloads to the trace processor model and exposes the paper's
 // experiments (Figure 5, Tables 1-3, Figure 6, Figure 8) as runnable
-// functions returning both structured data and formatted tables.
+// functions returning typed results that render as tables.
 //
 // Quick start:
 //
-//	res, err := core.RunBenchmark("gcc", core.BaselineConfig(512), 2_000_000)
-//	fmt.Println(res.TCMissPerKI())
+//	c, err := core.RunBenchmark(ctx, "gcc", core.BaselineConfig(512), 2_000_000)
+//	fmt.Println(c.Result.TCMissPerKI())
 //
 // or run a whole experiment:
 //
-//	out, err := core.Figure5(core.SmallBudget, []string{"gcc", "go"})
-//	fmt.Println(out.Table())
+//	out, err := core.Figure5(ctx, core.SmallBudget, []string{"gcc", "go"})
+//	fmt.Print(harness.RenderASCII(out.TableSpecs()))
 //
 // Every experiment is a declarative harness.Matrix — see
 // internal/harness for the sweep engine (fan-out, stream reuse,
-// cancellation, progress) and the Metric/renderer model.
+// cancellation, progress) and the Metric/renderer model. Each takes
+// the harness.Options (workers, progress, sampling plan) its sweeps
+// run under.
 package core
 
 import (
-	"fmt"
+	"context"
 
 	"tracepre/internal/harness"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/program"
-	"tracepre/internal/sample"
 	"tracepre/internal/workload"
 )
 
@@ -62,41 +63,24 @@ func TimingConfig(cfg pipeline.Config, preprocess bool) pipeline.Config {
 // order.
 func Benchmarks() []string { return workload.Names() }
 
-// LargeWorkingSet lists the benchmarks the paper singles out for their
-// instruction working sets (gcc, go, vortex); perl joins them in the
-// timing figures.
-func LargeWorkingSet() []string { return []string{"gcc", "go", "vortex"} }
-
 // TimingBenchmarks returns the benchmarks of Figures 6 and 8.
 func TimingBenchmarks() []string { return []string{"gcc", "go", "perl", "vortex"} }
 
-// Image returns the (cached) program image for a benchmark. Images are
-// immutable after generation and safe to share across simulators.
-func Image(name string) (*program.Image, error) { return harness.Image(name) }
-
 // RunBenchmark simulates a benchmark under the configuration for the
-// given committed-instruction budget. The benchmark's dynamic stream is
-// recorded once into the shared stream cache, and this and every later
-// run of the same (benchmark, budget) replays it instead of
-// re-emulating.
-func RunBenchmark(name string, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
-	res, err := harness.RunBenchmark(name, 0, cfg, budget)
+// given committed-instruction budget: a one-cell harness sweep, so opts
+// apply as they do to any sweep (WithSampling runs it sampled). The
+// benchmark's dynamic stream is recorded once into the shared stream
+// cache, and this and every later run of the same (benchmark, budget)
+// replays it instead of re-emulating.
+func RunBenchmark(ctx context.Context, name string, cfg pipeline.Config, budget uint64, opts ...harness.Option) (*harness.Cell, error) {
+	g, err := harness.Run(ctx, harness.Matrix{
+		Name: "RunBenchmark", Benches: []string{name}, Budget: budget,
+		Points: []harness.ConfigPoint{{Name: "cell", Cfg: cfg}},
+	}, opts...)
 	if err != nil {
-		return pipeline.Result{}, fmt.Errorf("core: %s: %w", name, err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// RunBenchmarkSampled simulates a benchmark under statistically sampled
-// simulation: fast-forward between short full-detail measurement units
-// per the plan, returning per-interval statistics with confidence
-// intervals (see internal/sample).
-func RunBenchmarkSampled(name string, cfg pipeline.Config, budget uint64, plan sample.Plan) (*sample.Stats, error) {
-	st, err := harness.RunBenchmarkSampled(name, 0, cfg, budget, plan)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	return st, nil
+	return &g.Cells[0], nil
 }
 
 // RunImage simulates an arbitrary image (for custom workloads). Ad-hoc
@@ -110,10 +94,3 @@ func RunImage(im *program.Image, cfg pipeline.Config, budget uint64) (pipeline.R
 	}
 	return sim.Run(budget)
 }
-
-// StreamCacheStats reports the cached stream count and encoded bytes.
-func StreamCacheStats() (entries int, bytes int64) { return harness.StreamCacheStats() }
-
-// ResetStreamCache drops every cached stream (tests and long-lived
-// servers switching workloads).
-func ResetStreamCache() { harness.ResetStreamCache() }

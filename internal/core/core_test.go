@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"tracepre/internal/harness"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -10,7 +13,7 @@ func TestBenchmarksList(t *testing.T) {
 	if len(bs) != 8 {
 		t.Fatalf("benchmarks = %v", bs)
 	}
-	for _, b := range LargeWorkingSet() {
+	for _, b := range []string{"gcc", "go", "vortex"} {
 		found := false
 		for _, x := range bs {
 			if x == b {
@@ -26,35 +29,19 @@ func TestBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestImageCaching(t *testing.T) {
-	a, err := Image("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Image("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("image not cached")
-	}
-	if _, err := Image("nonesuch"); err == nil {
-		t.Error("unknown benchmark succeeded")
-	}
-}
-
 func TestRunBenchmark(t *testing.T) {
-	res, err := RunBenchmark("compress", BaselineConfig(64), SmallBudget)
+	ctx := context.Background()
+	c, err := RunBenchmark(ctx, "compress", BaselineConfig(64), SmallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Instructions == 0 || res.Traces == 0 {
-		t.Errorf("empty result %+v", res)
+	if res := c.Result; res.Instructions == 0 || res.Traces == 0 || c.Sample != nil {
+		t.Errorf("empty or sampled result %+v", c)
 	}
-	if _, err := RunBenchmark("nonesuch", BaselineConfig(64), SmallBudget); err == nil {
+	if _, err := RunBenchmark(ctx, "nonesuch", BaselineConfig(64), SmallBudget); err == nil {
 		t.Error("unknown benchmark succeeded")
 	}
-	if _, err := RunBenchmark("compress", PreconConfig(0, 0), SmallBudget); err == nil {
+	if _, err := RunBenchmark(ctx, "compress", PreconConfig(0, 0), SmallBudget); err == nil {
 		t.Error("invalid config succeeded")
 	}
 }
@@ -71,7 +58,7 @@ func TestConfigHelpers(t *testing.T) {
 }
 
 func TestFigure5Small(t *testing.T) {
-	r, err := Figure5(SmallBudget, []string{"compress"})
+	r, err := Figure5(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +77,21 @@ func TestFigure5Small(t *testing.T) {
 		}
 		prev = p.MissPerKI
 	}
-	text := r.Table()
+	text := render(r)
 	if !strings.Contains(text, "Figure 5 [compress]") {
 		t.Errorf("table missing header:\n%s", text)
 	}
 }
 
 func TestTables123Small(t *testing.T) {
-	r, err := Tables123(SmallBudget, []string{"compress"})
+	r, err := Tables123(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 1 || r.Rows[0].Bench != "compress" {
 		t.Fatalf("rows = %+v", r.Rows)
 	}
-	text := r.Table()
+	text := render(r)
 	for _, want := range []string{"Table 1", "Table 2", "Table 3"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %s in:\n%s", want, text)
@@ -113,7 +100,7 @@ func TestTables123Small(t *testing.T) {
 }
 
 func TestFigure6Small(t *testing.T) {
-	r, err := Figure6(SmallBudget, []string{"compress"})
+	r, err := Figure6(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +112,13 @@ func TestFigure6Small(t *testing.T) {
 			t.Errorf("bad IPC in %+v", p)
 		}
 	}
-	if !strings.Contains(r.Table(), "Figure 6") {
+	if !strings.Contains(render(r), "Figure 6") {
 		t.Error("table missing header")
 	}
 }
 
 func TestFigure8Small(t *testing.T) {
-	r, err := Figure8(SmallBudget, []string{"compress"})
+	r, err := Figure8(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +129,7 @@ func TestFigure8Small(t *testing.T) {
 	if row.SumPct != row.PreconPct+row.PreprocPct {
 		t.Error("sum of parts wrong")
 	}
-	if !strings.Contains(r.Table(), "Figure 8") {
+	if !strings.Contains(render(r), "Figure 8") {
 		t.Error("table missing header")
 	}
 }
@@ -153,7 +140,7 @@ func TestExperimentsRegistry(t *testing.T) {
 		t.Fatalf("experiments = %d", len(exps))
 	}
 	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Result == nil || e.DefaultBenches == nil {
+		if e.ID == "" || e.Title == "" || e.driver == nil || e.DefaultBenches == nil {
 			t.Errorf("incomplete experiment %s", e.ID)
 		}
 		if got, err := ExperimentByID(e.ID); err != nil || got.ID != e.ID {
@@ -163,14 +150,25 @@ func TestExperimentsRegistry(t *testing.T) {
 	if _, err := ExperimentByID("nonesuch"); err == nil {
 		t.Error("unknown experiment found")
 	}
-	// Each experiment runs on a tiny budget and one small benchmark.
+	// Each experiment runs on a tiny budget and one small benchmark, and
+	// hands its options to every sweep: one that drops them would
+	// silently ignore -j, -sample and -progress.
 	for _, e := range exps {
-		text, err := e.Run(SmallBudget, []string{"compress"})
+		calls := 0
+		r, err := e.Run(context.Background(), SmallBudget, []string{"compress"},
+			harness.WithProgress(func(harness.Progress) { calls++ }))
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
+			continue
 		}
-		if text == "" {
+		if render(r) == "" {
 			t.Errorf("%s: empty output", e.ID)
+		}
+		if calls == 0 {
+			t.Errorf("%s: reported no progress: its sweeps ignore their options", e.ID)
 		}
 	}
 }
+
+// render is the ASCII form of an experiment result.
+func render(r harness.Tabler) string { return harness.RenderASCII(r.TableSpecs()) }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"tracepre/internal/core"
@@ -10,16 +11,17 @@ import (
 // then the same storage split with preconstruction buffers — and
 // compares trace supply.
 func ExampleRunBenchmark() {
-	base, err := core.RunBenchmark("gcc", core.BaselineConfig(512), core.SmallBudget)
+	ctx := context.Background()
+	base, err := core.RunBenchmark(ctx, "gcc", core.BaselineConfig(512), core.SmallBudget)
 	if err != nil {
 		panic(err)
 	}
-	pre, err := core.RunBenchmark("gcc", core.PreconConfig(256, 256), core.SmallBudget)
+	pre, err := core.RunBenchmark(ctx, "gcc", core.PreconConfig(256, 256), core.SmallBudget)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("preconstruction supplied traces:", pre.PreconSupplied > 0)
-	fmt.Println("equal-storage miss rate reduced:", pre.TCMissPerKI() < base.TCMissPerKI())
+	fmt.Println("preconstruction supplied traces:", pre.Result.PreconSupplied > 0)
+	fmt.Println("equal-storage miss rate reduced:", pre.Result.TCMissPerKI() < base.Result.TCMissPerKI())
 	// Output:
 	// preconstruction supplied traces: true
 	// equal-storage miss rate reduced: true
@@ -28,10 +30,11 @@ func ExampleRunBenchmark() {
 // ExampleTimingConfig enables the full backend model and measures IPC.
 func ExampleTimingConfig() {
 	cfg := core.TimingConfig(core.PreconConfig(128, 128), true)
-	res, err := core.RunBenchmark("vortex", cfg, core.SmallBudget)
+	c, err := core.RunBenchmark(context.Background(), "vortex", cfg, core.SmallBudget)
 	if err != nil {
 		panic(err)
 	}
+	res := c.Result
 	fmt.Println("cycles charged:", res.Cycles > 0)
 	fmt.Println("IPC within machine limits:", res.IPC() > 0 && res.IPC() <= 8)
 	// Output:
@@ -45,11 +48,11 @@ func ExampleExperimentByID() {
 	if err != nil {
 		panic(err)
 	}
-	out, err := exp.Run(core.SmallBudget, []string{"compress"})
+	out, err := exp.Run(context.Background(), core.SmallBudget, []string{"compress"})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(out) > 0)
+	fmt.Println(len(out.TableSpecs()), "tables")
 	// Output:
-	// true
+	// 3 tables
 }

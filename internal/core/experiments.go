@@ -54,15 +54,10 @@ func fig5Points() []harness.ConfigPoint {
 // Figure5 reproduces the paper's Figure 5: trace cache miss rates as a
 // function of combined trace cache + preconstruction buffer size, one
 // curve per buffer size, for each benchmark.
-func Figure5(budget uint64, benches []string) (*Fig5Result, error) {
-	return Figure5Ctx(context.Background(), budget, benches)
-}
-
-// Figure5Ctx is Figure5 with sweep cancellation and progress via ctx.
-func Figure5Ctx(ctx context.Context, budget uint64, benches []string) (*Fig5Result, error) {
+func Figure5(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*Fig5Result, error) {
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "fig5", Benches: benches, Budget: budget, Points: fig5Points(),
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +96,6 @@ func (r *Fig5Result) TableSpecs() []harness.TableSpec {
 	return specs
 }
 
-// Table renders the sweep as ASCII text.
-func (r *Fig5Result) Table() string { return harness.RenderASCII(r.TableSpecs()) }
-
 // SupplyRow is one benchmark's Table 1/2/3 measurements for the paper's
 // two configurations: a 512-entry trace cache versus a 256-entry trace
 // cache plus 256 preconstruction buffers.
@@ -126,19 +118,14 @@ type SupplyResult struct {
 
 // Tables123 reproduces Tables 1, 2 and 3: instruction cache supply and
 // miss behaviour with and without preconstruction for gcc and go.
-func Tables123(budget uint64, benches []string) (*SupplyResult, error) {
-	return Tables123Ctx(context.Background(), budget, benches)
-}
-
-// Tables123Ctx is Tables123 with sweep cancellation and progress via ctx.
-func Tables123Ctx(ctx context.Context, budget uint64, benches []string) (*SupplyResult, error) {
+func Tables123(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*SupplyResult, error) {
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "tables123", Benches: benches, Budget: budget,
 		Points: []harness.ConfigPoint{
 			{Name: "base", Cfg: BaselineConfig(512)},
 			{Name: "precon", Cfg: PreconConfig(256, 256)},
 		},
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +163,6 @@ func (r *SupplyResult) TableSpecs() []harness.TableSpec {
 	return specs
 }
 
-// Table renders Tables 1-3 as ASCII text.
-func (r *SupplyResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }
-
 // Fig6Point is one bar of Figure 6: the percent speedup from replacing
 // half of a trace cache with preconstruction buffers.
 type Fig6Point struct {
@@ -201,12 +185,7 @@ var Figure6TCSizes = []int{256, 512}
 // Figure6 reproduces Figure 6: overall performance improvement from
 // preconstruction under the full timing model (paper: 3-10% for gcc,
 // go, perl and vortex).
-func Figure6(budget uint64, benches []string) (*Fig6Result, error) {
-	return Figure6Ctx(context.Background(), budget, benches)
-}
-
-// Figure6Ctx is Figure6 with sweep cancellation and progress via ctx.
-func Figure6Ctx(ctx context.Context, budget uint64, benches []string) (*Fig6Result, error) {
+func Figure6(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*Fig6Result, error) {
 	var pts []harness.ConfigPoint
 	for _, tc := range Figure6TCSizes {
 		pts = append(pts,
@@ -215,7 +194,7 @@ func Figure6Ctx(ctx context.Context, budget uint64, benches []string) (*Fig6Resu
 	}
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "fig6", Benches: benches, Budget: budget, Points: pts,
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +227,6 @@ func (r *Fig6Result) TableSpecs() []harness.TableSpec {
 	return []harness.TableSpec{spec}
 }
 
-// Table renders Figure 6 as ASCII text.
-func (r *Fig6Result) Table() string { return harness.RenderASCII(r.TableSpecs()) }
-
 // Fig8Row is one benchmark of Figure 8: speedups from preconstruction,
 // preprocessing, their combination, and the sum of the parts.
 type Fig8Row struct {
@@ -273,12 +249,7 @@ type Fig8Result struct {
 // preprocessing, and (c) 128 TC + 128 PB with preprocessing. The paper
 // reports 2-8% (a), 8-12% (b), and 12-20% (c), with (c) exceeding the
 // sum of (a) and (b).
-func Figure8(budget uint64, benches []string) (*Fig8Result, error) {
-	return Figure8Ctx(context.Background(), budget, benches)
-}
-
-// Figure8Ctx is Figure8 with sweep cancellation and progress via ctx.
-func Figure8Ctx(ctx context.Context, budget uint64, benches []string) (*Fig8Result, error) {
+func Figure8(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*Fig8Result, error) {
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "fig8", Benches: benches, Budget: budget,
 		Points: []harness.ConfigPoint{
@@ -287,7 +258,7 @@ func Figure8Ctx(ctx context.Context, budget uint64, benches []string) (*Fig8Resu
 			{Name: "preproc", Cfg: TimingConfig(BaselineConfig(256), true)},
 			{Name: "both", Cfg: TimingConfig(PreconConfig(128, 128), true)},
 		},
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -320,9 +291,6 @@ func (r *Fig8Result) TableSpecs() []harness.TableSpec {
 	return []harness.TableSpec{spec}
 }
 
-// Table renders Figure 8 as ASCII text.
-func (r *Fig8Result) Table() string { return harness.RenderASCII(r.TableSpecs()) }
-
 // Experiment identifies one reproducible artifact from the paper: an
 // ID, a title, the benchmark set it defaults to, and the harness-backed
 // driver producing its typed, renderable result.
@@ -332,48 +300,34 @@ type Experiment struct {
 	// DefaultBenches returns the benchmark set used when the caller
 	// passes nil benchmarks.
 	DefaultBenches func() []string
-	// Result executes the experiment over the benchmarks and returns
-	// its typed result (which renders via TableSpecs).
-	Result func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error)
+
+	driver driverFunc
 }
 
-// pick resolves the benchmark set.
-func (e Experiment) pick(benches []string) []string {
+// driverFunc runs an experiment's sweeps over benches, handing opts to
+// each, and returns its typed result.
+type driverFunc func(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (harness.Tabler, error)
+
+// Run executes the experiment over benches (nil: its default set),
+// handing opts to every sweep it runs, and returns its typed result:
+// render its TableSpecs with harness.RenderASCII or RenderCSV, or
+// marshal it as JSON.
+func (e Experiment) Run(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (harness.Tabler, error) {
 	if benches == nil {
-		return e.DefaultBenches()
+		benches = e.DefaultBenches()
 	}
-	return benches
+	return e.driver(ctx, budget, benches, opts...)
 }
 
-// Run executes the experiment and renders its tables as ASCII text
-// (nil benches = the experiment's default set).
-func (e Experiment) Run(budget uint64, benches []string) (string, error) {
-	return e.RunCtx(context.Background(), budget, benches)
-}
-
-// RunCtx is Run with cancellation and progress via ctx.
-func (e Experiment) RunCtx(ctx context.Context, budget uint64, benches []string) (string, error) {
-	specs, err := e.Tables(ctx, budget, benches)
-	if err != nil {
-		return "", err
+// tabler adapts an experiment function to a driverFunc.
+func tabler[R harness.Tabler](run func(context.Context, uint64, []string, ...harness.Option) (R, error)) driverFunc {
+	return func(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (harness.Tabler, error) {
+		r, err := run(ctx, budget, benches, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
 	}
-	return harness.RenderASCII(specs), nil
-}
-
-// Tables executes the experiment and returns its renderer-independent
-// tables, for the CSV and JSON-table output formats.
-func (e Experiment) Tables(ctx context.Context, budget uint64, benches []string) ([]harness.TableSpec, error) {
-	r, err := e.Result(ctx, budget, e.pick(benches))
-	if err != nil {
-		return nil, err
-	}
-	return r.TableSpecs(), nil
-}
-
-// Structured executes the experiment and returns its typed result for
-// JSON serialization.
-func (e Experiment) Structured(ctx context.Context, budget uint64, benches []string) (any, error) {
-	return e.Result(ctx, budget, e.pick(benches))
 }
 
 // Experiments lists every table and figure of the paper's evaluation,
@@ -391,33 +345,25 @@ func PaperExperiments() []Experiment {
 			ID:             "fig5",
 			Title:          "Figure 5: trace cache miss rates across TC/PB configurations",
 			DefaultBenches: Benchmarks,
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return Figure5Ctx(ctx, budget, benches)
-			},
+			driver:         tabler(Figure5),
 		},
 		{
 			ID:             "tables123",
 			Title:          "Tables 1-3: instruction cache supply with and without preconstruction",
 			DefaultBenches: func() []string { return []string{"gcc", "go"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return Tables123Ctx(ctx, budget, benches)
-			},
+			driver:         tabler(Tables123),
 		},
 		{
 			ID:             "fig6",
 			Title:          "Figure 6: performance improvement from preconstruction",
 			DefaultBenches: TimingBenchmarks,
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return Figure6Ctx(ctx, budget, benches)
-			},
+			driver:         tabler(Figure6),
 		},
 		{
 			ID:             "fig8",
 			Title:          "Figure 8: extended pipeline (preconstruction x preprocessing)",
 			DefaultBenches: TimingBenchmarks,
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return Figure8Ctx(ctx, budget, benches)
-			},
+			driver:         tabler(Figure8),
 		},
 	}
 }

@@ -28,13 +28,7 @@ type AdaptiveResult struct {
 // storage, static 50/50 split versus the feedback-partitioned unified
 // store. The paper's motivation: gcc does best with a small buffer and
 // go with a large one, so no single static split serves both.
-func AdaptivePartitionStudy(budget uint64, benches []string) (*AdaptiveResult, error) {
-	return AdaptivePartitionStudyCtx(context.Background(), budget, benches)
-}
-
-// AdaptivePartitionStudyCtx is AdaptivePartitionStudy with sweep
-// cancellation and progress via ctx.
-func AdaptivePartitionStudyCtx(ctx context.Context, budget uint64, benches []string) (*AdaptiveResult, error) {
+func AdaptivePartitionStudy(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*AdaptiveResult, error) {
 	adaptCfg := PreconConfig(256, 256)
 	adaptCfg.AdaptivePartition = true
 	g, err := harness.Run(ctx, harness.Matrix{
@@ -43,7 +37,7 @@ func AdaptivePartitionStudyCtx(ctx context.Context, budget uint64, benches []str
 			{Name: "fixed", Cfg: PreconConfig(256, 256)},
 			{Name: "adaptive", Cfg: adaptCfg},
 		},
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +67,6 @@ func (r *AdaptiveResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the study as ASCII text.
-func (r *AdaptiveResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }
 
 // AblationRow is one engine variant's effect on one benchmark.
 type AblationRow struct {
@@ -135,13 +126,7 @@ func variantPoints(base func() pipeline.Config, names []string, muts []func(*pip
 
 // PreconAblations measures how each §3 mechanism contributes: every
 // variant runs the 256 TC + 256 PB configuration with one knob changed.
-func PreconAblations(budget uint64, benches []string) (*AblationResult, error) {
-	return PreconAblationsCtx(context.Background(), budget, benches)
-}
-
-// PreconAblationsCtx is PreconAblations with sweep cancellation and
-// progress via ctx.
-func PreconAblationsCtx(ctx context.Context, budget uint64, benches []string) (*AblationResult, error) {
+func PreconAblations(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*AblationResult, error) {
 	variants := preconVariants()
 	names := make([]string, len(variants))
 	muts := make([]func(*pipeline.Config), len(variants))
@@ -151,7 +136,7 @@ func PreconAblationsCtx(ctx context.Context, budget uint64, benches []string) (*
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "ablation-precon", Benches: benches, Budget: budget,
 		Points: variantPoints(func() pipeline.Config { return PreconConfig(256, 256) }, names, muts),
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +168,6 @@ func (r *AblationResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the ablation sweep as ASCII text.
-func (r *AblationResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }
 
 // PredictorRow is one next-trace-predictor variant's accuracy.
 type PredictorRow struct {
@@ -224,18 +206,12 @@ var predictorVariantMuts = []func(*pipeline.Config){
 // PredictorAblations measures the §6 predictor enhancements: the full
 // hybrid with return history stack, the hybrid without the RHS, and
 // the bare path table without the last-trace fallback.
-func PredictorAblations(budget uint64, benches []string) (*PredictorResult, error) {
-	return PredictorAblationsCtx(context.Background(), budget, benches)
-}
-
-// PredictorAblationsCtx is PredictorAblations with sweep cancellation
-// and progress via ctx.
-func PredictorAblationsCtx(ctx context.Context, budget uint64, benches []string) (*PredictorResult, error) {
+func PredictorAblations(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*PredictorResult, error) {
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "ablation-tpred", Benches: benches, Budget: budget,
 		Points: variantPoints(func() pipeline.Config { return BaselineConfig(512) },
 			predictorVariantNames, predictorVariantMuts),
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +239,6 @@ func (r *PredictorResult) TableSpecs() []harness.TableSpec {
 	return []harness.TableSpec{spec}
 }
 
-// Table renders the predictor ablation as ASCII text.
-func (r *PredictorResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }
-
 // extensionExperiments registers the beyond-the-paper studies.
 func extensionExperiments() []Experiment {
 	return []Experiment{
@@ -273,65 +246,51 @@ func extensionExperiments() []Experiment {
 			ID:             "ext-adaptive",
 			Title:          "Extension: dynamic TC/PB partitioning (paper's suggested future work)",
 			DefaultBenches: TimingBenchmarks,
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return AdaptivePartitionStudyCtx(ctx, budget, benches)
-			},
+			driver:         tabler(AdaptivePartitionStudy),
 		},
 		{
 			ID:             "ablation-precon",
 			Title:          "Ablation: preconstruction engine mechanisms",
 			DefaultBenches: func() []string { return []string{"gcc", "vortex"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return PreconAblationsCtx(ctx, budget, benches)
-			},
+			driver:         tabler(PreconAblations),
 		},
 		{
 			ID:             "sensitivity",
 			Title:          "Sensitivity: does the iso-area preconstruction win survive model-parameter changes?",
 			DefaultBenches: func() []string { return []string{"gcc"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return SensitivityCtx(ctx, budget, benches)
-			},
+			driver:         tabler(Sensitivity),
 		},
 		{
 			ID:             "seeds",
 			Title:          "Across program seeds: is the result a property of the workload class?",
 			DefaultBenches: func() []string { return []string{"gcc", "vortex"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return MultiSeedCtx(ctx, budget, benches, 5)
-			},
+			driver: tabler(func(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*MultiSeedResult, error) {
+				return MultiSeed(ctx, budget, benches, 5, opts...)
+			}),
 		},
 		{
 			ID:             "ablation-tpred",
 			Title:          "Ablation: next-trace predictor (hybrid, secondary table, RHS)",
 			DefaultBenches: func() []string { return []string{"gcc", "go", "perl"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return PredictorAblationsCtx(ctx, budget, benches)
-			},
+			driver:         tabler(PredictorAblations),
 		},
 		{
 			ID:             "ext-frontend",
 			Title:          "Extension: frontend supplier hit rates and slow-path port arbitration",
 			DefaultBenches: func() []string { return []string{"gcc", "vortex"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return FrontendStudyCtx(ctx, budget, benches)
-			},
+			driver:         tabler(FrontendStudy),
 		},
 		{
 			ID:             "ext-sampling",
 			Title:          "Extension: statistically sampled simulation — confidence intervals vs full detail",
 			DefaultBenches: func() []string { return []string{"gcc", "go"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return SamplingStudyCtx(ctx, budget, benches)
-			},
+			driver:         tabler(SamplingStudy),
 		},
 		{
 			ID:             "ext-memory",
 			Title:          "Extension: memory sensitivity — modeled shared L2, MSHRs, precon interference",
 			DefaultBenches: func() []string { return []string{"gcc"} },
-			Result: func(ctx context.Context, budget uint64, benches []string) (harness.Tabler, error) {
-				return MemoryStudyCtx(ctx, budget, benches)
-			},
+			driver:         tabler(MemoryStudy),
 		},
 	}
 }

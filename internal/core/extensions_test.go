@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestAdaptivePartitionStudy(t *testing.T) {
-	r, err := AdaptivePartitionStudy(SmallBudget, []string{"compress"})
+	r, err := AdaptivePartitionStudy(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,13 +18,13 @@ func TestAdaptivePartitionStudy(t *testing.T) {
 	if row.FinalPBShare <= 0 || row.FinalPBShare > 0.5 {
 		t.Errorf("final share %f out of range", row.FinalPBShare)
 	}
-	if !strings.Contains(r.Table(), "dynamic TC/PB partitioning") {
+	if !strings.Contains(render(r), "dynamic TC/PB partitioning") {
 		t.Error("table missing header")
 	}
 }
 
 func TestPreconAblations(t *testing.T) {
-	r, err := PreconAblations(SmallBudget, []string{"compress"})
+	r, err := PreconAblations(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,13 @@ func TestPreconAblations(t *testing.T) {
 			t.Errorf("missing variant %q", want)
 		}
 	}
-	if !strings.Contains(r.Table(), "Ablation") {
+	if !strings.Contains(render(r), "Ablation") {
 		t.Error("table missing header")
 	}
 }
 
 func TestPredictorAblations(t *testing.T) {
-	r, err := PredictorAblations(SmallBudget, []string{"compress"})
+	r, err := PredictorAblations(context.Background(), SmallBudget, []string{"compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +71,13 @@ func TestPredictorAblations(t *testing.T) {
 	if full < bare-0.02 {
 		t.Errorf("full hybrid (%.3f) materially worse than bare table (%.3f)", full, bare)
 	}
-	if !strings.Contains(r.Table(), "next-trace predictor") {
+	if !strings.Contains(render(r), "next-trace predictor") {
 		t.Error("table missing header")
 	}
 }
 
 func TestMultiSeed(t *testing.T) {
-	r, err := MultiSeed(SmallBudget, []string{"li"}, 3)
+	r, err := MultiSeed(context.Background(), SmallBudget, []string{"li"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +95,16 @@ func TestMultiSeed(t *testing.T) {
 	if row.StdReduction < 0 {
 		t.Errorf("stddev = %f", row.StdReduction)
 	}
-	if !strings.Contains(r.Table(), "seeds") {
+	if !strings.Contains(render(r), "seeds") {
 		t.Error("table missing header")
 	}
-	if _, err := MultiSeed(SmallBudget, []string{"li"}, 1); err == nil {
+	if _, err := MultiSeed(context.Background(), SmallBudget, []string{"li"}, 1); err == nil {
 		t.Error("MultiSeed with 1 seed succeeded")
 	}
 }
 
 func TestSensitivity(t *testing.T) {
-	r, err := Sensitivity(SmallBudget, []string{"li"})
+	r, err := Sensitivity(context.Background(), SmallBudget, []string{"li"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSensitivity(t *testing.T) {
 			t.Errorf("%s: zero baseline misses", row.Variant)
 		}
 	}
-	if !strings.Contains(r.Table(), "Sensitivity") {
+	if !strings.Contains(render(r), "Sensitivity") {
 		t.Error("table missing header")
 	}
 	// HoldsEverywhere is consistent with the rows.
@@ -137,7 +138,7 @@ func TestAblationMechanismsMatter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a bigger budget")
 	}
-	r, err := PreconAblations(500_000, []string{"vortex"})
+	r, err := PreconAblations(context.Background(), 500_000, []string{"vortex"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,14 +26,14 @@ type FrontendResult struct {
 	Budget uint64
 }
 
-// FrontendStudyCtx measures the composed frontend's per-supplier hit
+// FrontendStudy measures the composed frontend's per-supplier hit
 // rates and the slow-path port arbitration across the split and
-// adaptive designs at equal total storage, with sweep cancellation and
-// progress via ctx. The port columns quantify the paper's "the engine
-// uses only otherwise-idle i-cache port cycles" assumption: contention
+// adaptive designs at equal total storage. The port columns quantify
+// the paper's "the engine uses only otherwise-idle i-cache port
+// cycles" assumption: contention
 // is the fraction of engine fetch requests the arbiter denied because
 // the per-cycle budget was spent.
-func FrontendStudyCtx(ctx context.Context, budget uint64, benches []string) (*FrontendResult, error) {
+func FrontendStudy(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*FrontendResult, error) {
 	adaptCfg := PreconConfig(256, 256)
 	adaptCfg.AdaptivePartition = true
 	designs := []string{"split", "adaptive"}
@@ -43,7 +43,7 @@ func FrontendStudyCtx(ctx context.Context, budget uint64, benches []string) (*Fr
 			{Name: "split", Cfg: PreconConfig(256, 256)},
 			{Name: "adaptive", Cfg: adaptCfg},
 		},
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -79,6 +79,3 @@ func (r *FrontendResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the study as ASCII text.
-func (r *FrontendResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }

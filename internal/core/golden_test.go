@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -42,10 +43,11 @@ func TestGoldenTables(t *testing.T) {
 		}
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			got, err := e.Run(SmallBudget, benches)
+			r, err := e.Run(context.Background(), SmallBudget, benches)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := render(r)
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -1,8 +1,21 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"tracepre/internal/pipeline"
 )
+
+// result runs one benchmark in full detail, failing the test on error.
+func result(t *testing.T, bench string, cfg pipeline.Config, budget uint64) pipeline.Result {
+	t.Helper()
+	c, err := RunBenchmark(context.Background(), bench, cfg, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Result
+}
 
 // TestWorkingSetOrdering: the paper's benchmark characterization must
 // hold end to end: gcc/go/vortex stress the trace cache, compress and
@@ -10,11 +23,7 @@ import (
 func TestWorkingSetOrdering(t *testing.T) {
 	miss := map[string]float64{}
 	for _, b := range []string{"gcc", "go", "vortex", "compress", "ijpeg"} {
-		res, err := RunBenchmark(b, BaselineConfig(256), SmallBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miss[b] = res.TCMissPerKI()
+		miss[b] = result(t, b, BaselineConfig(256), SmallBudget).TCMissPerKI()
 	}
 	for _, big := range []string{"gcc", "go", "vortex"} {
 		for _, small := range []string{"compress", "ijpeg"} {
@@ -30,14 +39,8 @@ func TestWorkingSetOrdering(t *testing.T) {
 // benchmark (the buffers only add supply).
 func TestPreconNeverHurtsAtSameTC(t *testing.T) {
 	for _, b := range Benchmarks() {
-		base, err := RunBenchmark(b, BaselineConfig(128), SmallBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pre, err := RunBenchmark(b, PreconConfig(128, 128), SmallBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := result(t, b, BaselineConfig(128), SmallBudget)
+		pre := result(t, b, PreconConfig(128, 128), SmallBudget)
 		// Allow a hair of slack: promoted traces perturb trace-cache
 		// LRU order, which can cost the odd conflict miss.
 		if pre.TCMissPerKI() > base.TCMissPerKI()*1.02+0.05 {
@@ -51,11 +54,11 @@ func TestPreconNeverHurtsAtSameTC(t *testing.T) {
 // byte-identical tables, including under the concurrent runner.
 func TestExperimentDeterminism(t *testing.T) {
 	run := func() string {
-		r, err := Figure5(SmallBudget, []string{"li", "m88ksim"})
+		r, err := Figure5(context.Background(), SmallBudget, []string{"li", "m88ksim"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Table()
+		return render(r)
 	}
 	if run() != run() {
 		t.Error("Figure 5 not deterministic across runs")
@@ -65,14 +68,8 @@ func TestExperimentDeterminism(t *testing.T) {
 // TestTimingConsistency: full timing must agree with the frontend-only
 // model on instruction supply metrics (the frontend is shared).
 func TestTimingConsistency(t *testing.T) {
-	fast, err := RunBenchmark("perl", PreconConfig(128, 128), SmallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := RunBenchmark("perl", TimingConfig(PreconConfig(128, 128), false), SmallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := result(t, "perl", PreconConfig(128, 128), SmallBudget)
+	full := result(t, "perl", TimingConfig(PreconConfig(128, 128), false), SmallBudget)
 	if fast.Instructions != full.Instructions || fast.Traces != full.Traces {
 		t.Errorf("instruction accounting differs: %d/%d vs %d/%d",
 			fast.Instructions, fast.Traces, full.Instructions, full.Traces)
@@ -91,7 +88,7 @@ func TestTimingConsistency(t *testing.T) {
 // TestSpeedupsPositiveOnLargeBenches: at a modest budget, both headline
 // mechanisms speed up the frontend-bound benchmarks.
 func TestSpeedupsPositiveOnLargeBenches(t *testing.T) {
-	r, err := Figure8(500_000, []string{"gcc"})
+	r, err := Figure8(context.Background(), 500_000, []string{"gcc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,14 @@ func memoryLevels() []struct {
 	}
 }
 
-// MemoryStudyCtx measures memory sensitivity on the full-timing
-// machine with preconstruction, with sweep cancellation and progress
-// via ctx: each benchmark's recorded stream runs against the paper's
+// MemoryStudy measures memory sensitivity on the full-timing machine
+// with preconstruction: each benchmark's recorded stream runs against
+// the paper's
 // flat 10-cycle level and a grid of modeled shared L2s (capacity ×
 // MSHR count). The precon columns quantify what the flat model hides —
 // the engine's stolen fetches land in the same L2 and the same MSHRs
 // as demand traffic.
-func MemoryStudyCtx(ctx context.Context, budget uint64, benches []string) (*MemoryResult, error) {
+func MemoryStudy(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*MemoryResult, error) {
 	levels := memoryLevels()
 	points := make([]harness.ConfigPoint, len(levels))
 	for i, l := range levels {
@@ -81,7 +81,7 @@ func MemoryStudyCtx(ctx context.Context, budget uint64, benches []string) (*Memo
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "ext-memory", Benches: benches, Budget: budget,
 		Points: points,
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -117,6 +117,3 @@ func (r *MemoryResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the study as ASCII text.
-func (r *MemoryResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }

@@ -29,16 +29,10 @@ type MultiSeedResult struct {
 // MultiSeed regenerates each benchmark with perturbed generator seeds
 // and measures the 512-TC vs 256+256 miss-rate reduction for every
 // instance. The paper's conclusion should be a property of the
-// workload *class*, not of one sampled program.
-func MultiSeed(budget uint64, benches []string, seeds int) (*MultiSeedResult, error) {
-	return MultiSeedCtx(context.Background(), budget, benches, seeds)
-}
-
-// MultiSeedCtx is MultiSeed with sweep cancellation and progress via
-// ctx. The seed axis of the matrix carries the perturbations; one
-// recording per (benchmark, seed) serves both machine configurations
-// via the keyed stream cache.
-func MultiSeedCtx(ctx context.Context, budget uint64, benches []string, seeds int) (*MultiSeedResult, error) {
+// workload *class*, not of one sampled program. The seed axis of the
+// matrix carries the perturbations; one recording per (benchmark,
+// seed) serves both machine configurations via the keyed stream cache.
+func MultiSeed(ctx context.Context, budget uint64, benches []string, seeds int, opts ...harness.Option) (*MultiSeedResult, error) {
 	if seeds < 2 {
 		return nil, fmt.Errorf("core: MultiSeed needs >= 2 seeds, got %d", seeds)
 	}
@@ -52,7 +46,7 @@ func MultiSeedCtx(ctx context.Context, budget uint64, benches []string, seeds in
 			{Name: "base", Cfg: BaselineConfig(512)},
 			{Name: "precon", Cfg: PreconConfig(256, 256)},
 		},
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -85,6 +79,3 @@ func (r *MultiSeedResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the study as ASCII text.
-func (r *MultiSeedResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }

@@ -68,24 +68,35 @@ func samplingMetrics() []harness.Metric {
 // metric's sampled confidence interval is checked against the
 // full-detail value. This is the trust anchor for the paper-scale
 // (200M-instruction) sampled runs, which have no affordable full-detail
-// reference.
-func SamplingStudy(budget uint64, benches []string) (*SamplingResult, error) {
-	return SamplingStudyCtx(context.Background(), budget, benches)
-}
-
-// SamplingStudyCtx is SamplingStudy with sweep cancellation and
-// progress via ctx.
-func SamplingStudyCtx(ctx context.Context, budget uint64, benches []string) (*SamplingResult, error) {
+// reference. The plan under test is the one opts carry (WithSampling),
+// or PlanForBudget when they carry none; the reference runs in full
+// detail either way, under the rest of opts.
+func SamplingStudy(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*SamplingResult, error) {
+	var set harness.Settings
+	for _, opt := range opts {
+		opt(&set)
+	}
 	plan := sample.PlanForBudget(budget)
+	if set.Sampling != nil {
+		plan = *set.Sampling
+	}
 	m := harness.Matrix{
 		Name: "ext-sampling", Benches: benches, Budget: budget,
 		Points: []harness.ConfigPoint{{Name: "pb256", Cfg: PreconConfig(256, 256)}},
 	}
-	full, err := harness.Run(ctx, m)
+	run := func(p *sample.Plan) (*harness.Grid, error) {
+		return harness.Run(ctx, m, func(o *harness.Settings) {
+			*o = set
+			o.Sampling = p
+		})
+	}
+	// The plan under test runs first, so an invalid one fails before
+	// the reference costs anything.
+	sampled, err := run(&plan)
 	if err != nil {
 		return nil, err
 	}
-	sampled, err := harness.Run(ctx, m, harness.WithSampling(plan))
+	full, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +152,3 @@ func (r *SamplingResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{cmp, sum}
 }
-
-// Table renders the study as ASCII text.
-func (r *SamplingResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }

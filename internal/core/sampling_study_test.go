@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"tracepre/internal/harness"
+	"tracepre/internal/sample"
 )
 
 // TestSampledCoversFullRunCI is the sampled-simulation acceptance gate:
@@ -24,7 +28,7 @@ func TestSampledCoversFullRunCI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2M-instruction full-detail reference run")
 	}
-	r, err := SamplingStudy(DefaultBudget, []string{"gcc", "go"})
+	r, err := SamplingStudy(context.Background(), DefaultBudget, []string{"gcc", "go"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,5 +48,44 @@ func TestSampledCoversFullRunCI(t *testing.T) {
 		if b.DetailPct > 12 {
 			t.Errorf("%s: %.1f%% of the stream ran in detail, want ~10%%", b.Bench, b.DetailPct)
 		}
+	}
+}
+
+// TestSamplingStudyValidatesGivenPlan: the study validates the plan its
+// options carry, PlanForBudget when they carry none, and its reference
+// always runs in full detail. A sampling option that reached the
+// reference would compare the plan with itself and report zero error.
+func TestSamplingStudyValidatesGivenPlan(t *testing.T) {
+	ctx := context.Background()
+	benches := []string{"compress"}
+	def, err := SamplingStudy(ctx, SmallBudget, benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sample.PlanForBudget(SmallBudget); def.Plan != want {
+		t.Errorf("default plan %+v, want PlanForBudget's %+v", def.Plan, want)
+	}
+	p := sample.Plan{Detail: 2_000, Warm: 3_000, Skip: 18_000, WarmModel: true}
+	got, err := SamplingStudy(ctx, SmallBudget, benches, harness.WithSampling(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Plan != p {
+		t.Errorf("plan %+v, want the given %+v", got.Plan, p)
+	}
+	if n, want := got.Benchs[0].Intervals, p.Intervals(SmallBudget); n != want && n != want-1 {
+		t.Errorf("%d intervals, want the given plan's %d (or one fewer)", n, want)
+	}
+	if len(got.Rows) != len(def.Rows) {
+		t.Fatalf("%d rows, want %d", len(got.Rows), len(def.Rows))
+	}
+	for i, row := range got.Rows {
+		if row.Full != def.Rows[i].Full {
+			t.Errorf("%s/%s: full-detail %v under a sampling option, %v without",
+				row.Bench, row.Metric, row.Full, def.Rows[i].Full)
+		}
+	}
+	if _, err := SamplingStudy(ctx, SmallBudget, benches, harness.WithSampling(sample.Plan{})); err == nil {
+		t.Error("an invalid given plan was accepted")
 	}
 }

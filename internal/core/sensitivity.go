@@ -64,13 +64,7 @@ func sensitivityVariants() []struct {
 
 // Sensitivity measures the headline iso-area comparison under each
 // model-parameter variant.
-func Sensitivity(budget uint64, benches []string) (*SensitivityResult, error) {
-	return SensitivityCtx(context.Background(), budget, benches)
-}
-
-// SensitivityCtx is Sensitivity with sweep cancellation and progress
-// via ctx.
-func SensitivityCtx(ctx context.Context, budget uint64, benches []string) (*SensitivityResult, error) {
+func Sensitivity(ctx context.Context, budget uint64, benches []string, opts ...harness.Option) (*SensitivityResult, error) {
 	variants := sensitivityVariants()
 	var pts []harness.ConfigPoint
 	for _, v := range variants {
@@ -85,7 +79,7 @@ func SensitivityCtx(ctx context.Context, budget uint64, benches []string) (*Sens
 	}
 	g, err := harness.Run(ctx, harness.Matrix{
 		Name: "sensitivity", Benches: benches, Budget: budget, Points: pts,
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +115,6 @@ func (r *SensitivityResult) TableSpecs() []harness.TableSpec {
 	}
 	return []harness.TableSpec{spec}
 }
-
-// Table renders the study (including the verdict) as ASCII text.
-func (r *SensitivityResult) Table() string { return harness.RenderASCII(r.TableSpecs()) }
 
 // HoldsEverywhere reports whether preconstruction won under every
 // variant (used by tests and the experiment summary).

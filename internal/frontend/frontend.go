@@ -88,8 +88,6 @@ type Config struct {
 	// (Precon.Select is the trace-selection rule set shared with the
 	// demand path).
 	Precon precon.Config
-
-	ObserveWrongPath bool
 }
 
 // PreconEnabled reports whether the preconstruction engine is wired.
@@ -425,7 +423,7 @@ func (f *Frontend) SupplyFast(tr *trace.Trace, dyns []emulator.Dyn, now uint64, 
 // caller invokes this only on a next-trace misprediction (PredOK and
 // not PredHit).
 func (f *Frontend) ReplayWrongPath(predID, actual trace.ID) {
-	if f.eng == nil || !f.cfg.ObserveWrongPath {
+	if f.eng == nil {
 		return
 	}
 	wrong, ok := f.primary.Peek(predID)

@@ -42,7 +42,6 @@ func testConfig(t testing.TB) Config {
 		TargetEntries:     1 << 10,
 		Pred:              tables,
 		Precon:            precon.DefaultConfig(),
-		ObserveWrongPath:  true,
 	}
 }
 

@@ -22,35 +22,6 @@ var decodePasses atomic.Uint64
 // process-wide.
 func DecodePasses() uint64 { return decodePasses.Load() }
 
-// RunBenchmark simulates one benchmark (with an optional generator
-// seed perturbation) under the configuration for the given
-// committed-instruction budget, sharing recordings through the stream
-// cache. It runs the cell as a group of one, exactly as Run would.
-func RunBenchmark(name string, seed int64, cfg pipeline.Config, budget uint64) (pipeline.Result, error) {
-	c, err := runAlone(name, seed, cfg, budget, nil)
-	return c.Result, err
-}
-
-// RunBenchmarkSampled is the sampled form of RunBenchmark: one
-// benchmark, one configuration, sampled under the plan.
-func RunBenchmarkSampled(name string, seed int64, cfg pipeline.Config, budget uint64, plan sample.Plan) (*sample.Stats, error) {
-	c, err := runAlone(name, seed, cfg, budget, &plan)
-	return c.Sample, err
-}
-
-// runAlone runs a single cell as a group of one.
-func runAlone(name string, seed int64, cfg pipeline.Config, budget uint64, plan *sample.Plan) (Cell, error) {
-	c := Cell{Bench: name, Seed: seed, Point: ConfigPoint{Name: "cell", Cfg: cfg}}
-	st, err := stream(name, seed, budget)
-	if err != nil {
-		return c, fmt.Errorf("harness: %s: %w", name, err)
-	}
-	if err := runGroup(context.Background(), st, budget, []*Cell{&c}, plan); err != nil {
-		return c, fmt.Errorf("harness: %w", err)
-	}
-	return c, nil
-}
-
 // runGroups partitions the grid's cells into groups that can share one
 // decode and one segmentation: the same recorded stream (bench and
 // seed; the budget is matrix-wide) and the same SelectConfig. Groups

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tracepre/internal/emulator"
 	"tracepre/internal/mem"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
@@ -51,9 +52,23 @@ func mixedSelectMatrix() Matrix {
 	}
 }
 
+// cellAlone runs the cell's (bench, seed, point) as a one-cell sweep,
+// a group of one.
+func cellAlone(t *testing.T, c *Cell, budget uint64, opts ...Option) *Cell {
+	t.Helper()
+	g, err := Run(context.Background(), Matrix{
+		Name: "alone", Benches: []string{c.Bench}, Seeds: []int64{c.Seed},
+		Budget: budget, Points: []ConfigPoint{c.Point},
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &g.Cells[0]
+}
+
 // checkAgainstAlone runs the matrix and requires every cell's full
 // Result — counters, cycles, nested component stats — to equal the
-// same cell run alone through RunBenchmark, a group of one.
+// same cell run alone, a group of one.
 func checkAgainstAlone(t *testing.T, m Matrix) {
 	t.Helper()
 	g, err := Run(context.Background(), m)
@@ -62,10 +77,7 @@ func checkAgainstAlone(t *testing.T, m Matrix) {
 	}
 	for i := range g.Cells {
 		c := &g.Cells[i]
-		alone, err := RunBenchmark(c.Bench, c.Seed, c.Point.Cfg, m.Budget)
-		if err != nil {
-			t.Fatal(err)
-		}
+		alone := cellAlone(t, c, m.Budget).Result
 		if !reflect.DeepEqual(c.Result, alone) {
 			t.Errorf("%s/%s: grid Result differs from the cell run alone:\ngrid  %+v\nalone %+v",
 				c.Bench, c.Point.Name, c.Result, alone)
@@ -137,10 +149,7 @@ func TestFigure5MembersPredictAlike(t *testing.T) {
 		var first tpred.Stats
 		for i, cfg := range cfgs {
 			cfg.FullTiming = timing
-			r, err := RunBenchmark("gcc", 0, cfg, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := cellAlone(t, &Cell{Bench: "gcc", Point: ConfigPoint{Name: "cell", Cfg: cfg}}, budget).Result
 			if i == 0 {
 				first = r.Pred
 			} else if r.Pred != first {
@@ -315,7 +324,11 @@ func (c *countdownCtx) Err() error {
 // sampled, and reports no results.
 func TestGroupCancelled(t *testing.T) {
 	const budget = 100_000 // ~100 chunks
-	st, err := stream("compress", 0, budget)
+	im, err := ImageSeed("compress", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := emulator.Record(im, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

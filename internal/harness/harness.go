@@ -5,8 +5,9 @@
 // with bounded parallelism, shared stream recordings, per-cell error
 // propagation, context cancellation and progress callbacks. The
 // resulting Grid holds one pipeline.Result per cell; named Metric
-// extractors and the TableSpec renderers (ASCII, JSON, CSV) turn a
-// Grid into the paper's tables.
+// extractors and the TableSpec renderers (ASCII, CSV) turn a Grid into
+// the paper's tables. Run's Options are the only way to set a sweep's
+// workers, progress callback and sampling plan.
 //
 // An experiment is then a ~20-line declaration:
 //
@@ -162,49 +163,31 @@ type Progress struct {
 type ProgressFunc func(Progress)
 
 // Option configures Run.
-type Option func(*runOptions)
+type Option func(*Settings)
 
-type runOptions struct {
-	progress ProgressFunc
-	workers  int
-	sampling *sample.Plan
+// Settings are a sweep's run-time settings: how it reports progress,
+// how wide it fans out and whether its cells run sampled. Progress and
+// Workers never change a cell's result.
+type Settings struct {
+	// Progress receives progress snapshots; nil reports nothing.
+	Progress ProgressFunc
+	// Workers bounds the fan-out; <= 0 means one worker per CPU.
+	Workers int
+	// Sampling runs every cell under the plan; nil runs full detail.
+	Sampling *sample.Plan
 }
 
 // WithProgress registers a progress callback: one call after stream
 // warming (Done == 0) and one per completed cell.
 func WithProgress(fn ProgressFunc) Option {
-	return func(o *runOptions) { o.progress = fn }
+	return func(o *Settings) { o.Progress = fn }
 }
 
 // WithWorkers bounds the sweep fan-out to n concurrent cells (and n
 // concurrent stream recordings during warming). n <= 0 restores the
 // default, one worker per CPU (runtime.GOMAXPROCS).
 func WithWorkers(n int) Option {
-	return func(o *runOptions) { o.workers = n }
-}
-
-// progressCtxKey carries a ProgressFunc through a context, so callers
-// several layers above an experiment driver (cmd/tablegen's -progress)
-// can observe sweeps without threading an option through every
-// signature.
-type progressCtxKey struct{}
-
-// ContextWithProgress returns a context that delivers sweep progress
-// to fn for every harness.Run executed under it.
-func ContextWithProgress(ctx context.Context, fn ProgressFunc) context.Context {
-	return context.WithValue(ctx, progressCtxKey{}, fn)
-}
-
-// workersCtxKey carries a worker bound through a context, mirroring
-// progressCtxKey: drivers like cmd/tablegen's -j flag set it once and
-// every sweep they execute inherits it.
-type workersCtxKey struct{}
-
-// ContextWithWorkers returns a context under which every harness.Run
-// bounds its fan-out to n workers (n <= 0: one per CPU). An explicit
-// WithWorkers option wins over the context value.
-func ContextWithWorkers(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, workersCtxKey{}, n)
+	return func(o *Settings) { o.Workers = n }
 }
 
 // Run executes the matrix: it records (or reuses) each benchmark's
@@ -217,27 +200,12 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	var o runOptions
+	var o Settings
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.progress == nil {
-		if fn, ok := ctx.Value(progressCtxKey{}).(ProgressFunc); ok {
-			o.progress = fn
-		}
-	}
-	if o.workers <= 0 {
-		if n, ok := ctx.Value(workersCtxKey{}).(int); ok {
-			o.workers = n
-		}
-	}
-	if o.sampling == nil {
-		if p, ok := ctx.Value(samplingCtxKey{}).(sample.Plan); ok {
-			o.sampling = &p
-		}
-	}
-	if o.sampling != nil {
-		if err := o.sampling.Validate(); err != nil {
+	if o.Sampling != nil {
+		if err := o.Sampling.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, err)
 		}
 	}
@@ -262,7 +230,7 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 		done       int
 	)
 	report := func() {
-		if o.progress == nil {
+		if o.Progress == nil {
 			return
 		}
 		progressMu.Lock()
@@ -271,10 +239,10 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 		if done > 0 && done < p.Total {
 			p.ETA = time.Duration(float64(p.Elapsed) / float64(done) * float64(p.Total-done))
 		}
-		o.progress(p)
+		o.Progress(p)
 	}
 
-	sts, err := warmStreams(ctx, m, o.workers)
+	sts, err := warmStreams(ctx, m, o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -284,9 +252,9 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	// group share one decode and one segmentation of their stream and
 	// step in lockstep (runGroup). Workers bound concurrent groups.
 	groups := runGroups(g)
-	err = forEach(ctx, len(groups), o.workers, func(gi int) error {
+	err = forEach(ctx, len(groups), o.Workers, func(gi int) error {
 		c := groups[gi][0]
-		if err := runGroup(ctx, sts[imageKey{c.Bench, c.Seed}], m.Budget, groups[gi], o.sampling); err != nil {
+		if err := runGroup(ctx, sts[imageKey{c.Bench, c.Seed}], m.Budget, groups[gi], o.Sampling); err != nil {
 			return fmt.Errorf("harness: %s: %w", m.Name, err)
 		}
 		for range groups[gi] {

@@ -175,17 +175,6 @@ func TestRunProgress(t *testing.T) {
 	}
 }
 
-func TestContextWithProgress(t *testing.T) {
-	var calls int
-	ctx := ContextWithProgress(context.Background(), func(Progress) { calls++ })
-	if _, err := Run(ctx, smallMatrix()); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("context-carried progress callback never invoked")
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	g, err := Run(context.Background(), smallMatrix())
 	if err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -13,7 +12,7 @@ import (
 // TableSpec is one renderer-independent table: a title, column
 // headers and rows of raw values. Experiment results produce
 // TableSpecs; the renderers below turn them into ASCII (byte-identical
-// to the paper tables the repo has always emitted), CSV or JSON.
+// to the paper tables the repo has always emitted) or CSV.
 type TableSpec struct {
 	Title   string
 	Headers []string
@@ -23,8 +22,8 @@ type TableSpec struct {
 	// Tables 1, 2 and 3).
 	BlankAfter bool
 	// Footer is appended verbatim after the table (and separator) in
-	// ASCII output — the sensitivity study's verdict line. JSON carries
-	// it as a field; CSV omits it.
+	// ASCII output — the sensitivity study's verdict line. CSV omits
+	// it.
 	Footer string
 }
 
@@ -89,24 +88,4 @@ func csvCell(v any) string {
 		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return fmt.Sprint(v)
-}
-
-// jsonTable is the JSON shape of one TableSpec.
-type jsonTable struct {
-	Title   string   `json:"title"`
-	Headers []string `json:"headers"`
-	Rows    [][]any  `json:"rows"`
-	Footer  string   `json:"footer,omitempty"`
-}
-
-// RenderJSON renders the specs as an indented JSON array of tables.
-func RenderJSON(specs []TableSpec) ([]byte, error) {
-	out := make([]jsonTable, len(specs))
-	for i, s := range specs {
-		out[i] = jsonTable{Title: s.Title, Headers: s.Headers, Rows: s.Rows, Footer: s.Footer}
-		if out[i].Rows == nil {
-			out[i].Rows = [][]any{}
-		}
-	}
-	return json.MarshalIndent(out, "", "  ")
 }

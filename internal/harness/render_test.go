@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -52,35 +51,5 @@ func TestRenderCSV(t *testing.T) {
 		if !strings.Contains(got, w) {
 			t.Errorf("CSV output missing %q:\n%s", w, got)
 		}
-	}
-}
-
-func TestRenderJSON(t *testing.T) {
-	data, err := RenderJSON(sampleSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		Title   string   `json:"title"`
-		Headers []string `json:"headers"`
-		Rows    [][]any  `json:"rows"`
-		Footer  string   `json:"footer"`
-	}
-	if err := json.Unmarshal(data, &tables); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, data)
-	}
-	if len(tables) != 2 || tables[0].Title != "first" || tables[1].Footer != "VERDICT\n" {
-		t.Errorf("decoded %+v", tables)
-	}
-	if len(tables[0].Rows) != 2 || tables[0].Rows[0][1].(float64) != 12.345678 {
-		t.Errorf("rows lost precision: %+v", tables[0].Rows)
-	}
-	// Empty specs still produce a valid array with empty rows.
-	data, err = RenderJSON([]TableSpec{{Title: "empty"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"rows": []`) {
-		t.Errorf("nil rows not normalized: %s", data)
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"math"
 
 	"tracepre/internal/sample"
@@ -14,19 +13,7 @@ import (
 // unchanged) and Cell.Sample carries the per-interval statistics and
 // confidence intervals.
 func WithSampling(plan sample.Plan) Option {
-	return func(o *runOptions) { p := plan; o.sampling = &p }
-}
-
-// samplingCtxKey carries a sampling plan through a context, mirroring
-// progressCtxKey: cmd/tablegen's -sample flags set it once and every
-// sweep executed under the context runs sampled.
-type samplingCtxKey struct{}
-
-// ContextWithSampling returns a context under which every harness.Run
-// executes sampled with the plan. An explicit WithSampling option wins
-// over the context value.
-func ContextWithSampling(ctx context.Context, plan sample.Plan) context.Context {
-	return context.WithValue(ctx, samplingCtxKey{}, plan)
+	return func(o *Settings) { p := plan; o.Sampling = &p }
 }
 
 // MetricCI returns the metric's Student-t 95% confidence interval over

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"tracepre/internal/pipeline"
@@ -78,14 +77,14 @@ func TestSampledSweep(t *testing.T) {
 // TestSampledBroadcastMatchesPerCell runs a sampled matrix, whose
 // groups share one decode and one segmentation, and requires every
 // cell's interval statistics and aggregate to equal the same cell
-// sampled alone through RunBenchmarkSampled.
+// sampled alone.
 func TestSampledBroadcastMatchesPerCell(t *testing.T) {
 	checkSampledAgainstAlone(t, samplingTestMatrix(100_000), testPlan())
 }
 
 // checkSampledAgainstAlone runs the matrix under the plan and requires
 // every cell's interval statistics and aggregate to equal the same cell
-// sampled alone through RunBenchmarkSampled, a group of one.
+// sampled alone, a group of one.
 func checkSampledAgainstAlone(t *testing.T, m Matrix, plan sample.Plan) {
 	t.Helper()
 	g, err := Run(context.Background(), m, WithSampling(plan))
@@ -94,10 +93,7 @@ func checkSampledAgainstAlone(t *testing.T, m Matrix, plan sample.Plan) {
 	}
 	for i := range g.Cells {
 		c := &g.Cells[i]
-		alone, err := RunBenchmarkSampled(c.Bench, c.Seed, c.Point.Cfg, m.Budget, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		alone := cellAlone(t, c, m.Budget, WithSampling(plan)).Sample
 		if !reflect.DeepEqual(c.Sample.Intervals, alone.Intervals) {
 			t.Errorf("%s/%s: grid and lone-cell interval stats differ", c.Bench, c.Point.Name)
 		}
@@ -165,20 +161,6 @@ func TestSampledRawSkipBroadcast(t *testing.T) {
 	}
 }
 
-func TestContextWithSampling(t *testing.T) {
-	const budget = 50_000
-	m := Matrix{Name: "ctx-sampling", Benches: []string{"compress"}, Budget: budget,
-		Points: []ConfigPoint{{Name: "base", Cfg: pipeline.DefaultConfig()}}}
-	ctx := ContextWithSampling(context.Background(), testPlan())
-	g, err := Run(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MustCell("compress", "base").Sample == nil {
-		t.Fatal("context-carried plan was not applied")
-	}
-}
-
 func TestSampledErrorPct(t *testing.T) {
 	full := &Cell{Result: pipeline.Result{Instructions: 1000, Cycles: 500}}    // IPC 2
 	sampled := &Cell{Result: pipeline.Result{Instructions: 1000, Cycles: 525}} // IPC ~1.9048
@@ -192,9 +174,8 @@ func TestSampledErrorPct(t *testing.T) {
 	}
 }
 
-// TestRenderCITables pins the ±half-width cell rendering across all
-// three renderers: stats.CI cells format as "mean ±half" in ASCII and
-// CSV and as a {mean, half, n} object in JSON.
+// TestRenderCITables pins the ±half-width cell rendering: stats.CI
+// cells format as "mean ±half" in ASCII and CSV.
 func TestRenderCITables(t *testing.T) {
 	specs := []TableSpec{{
 		Title:   "sampled",
@@ -224,15 +205,5 @@ func TestRenderCITables(t *testing.T) {
 		"go,2.50 ±0.00\n"
 	if csv != wantCSV {
 		t.Errorf("CSV rendering changed:\n got %q\nwant %q", csv, wantCSV)
-	}
-
-	js, err := RenderJSON(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"Mean": 1.2345`, `"Half": 0.056`, `"N": 9`} {
-		if !strings.Contains(string(js), want) {
-			t.Errorf("JSON rendering missing %s:\n%s", want, js)
-		}
 	}
 }

@@ -26,14 +26,10 @@ var (
 	images   = map[imageKey]*program.Image{}
 )
 
-// Image returns the (cached) unperturbed program image for a
-// benchmark. Images are immutable after generation and safe to share
-// across simulators.
-func Image(name string) (*program.Image, error) { return ImageSeed(name, 0) }
-
 // ImageSeed returns the (cached) program image for a benchmark with
 // the given generator-seed perturbation added to its profile seed
-// (0 = the profile default).
+// (0 = the profile default). Images are immutable after generation and
+// safe to share across simulators.
 func ImageSeed(name string, seed int64) (*program.Image, error) {
 	key := imageKey{name, seed}
 	imagesMu.Lock()
@@ -166,16 +162,6 @@ func (c *streamCache) get(key streamKey, im *program.Image) (*emulator.Stream, e
 	return e.s, nil
 }
 
-// stream returns the recorded stream of a benchmark (with a generator
-// seed perturbation) at a budget, from the cache or by recording it.
-func stream(name string, seed int64, budget uint64) (*emulator.Stream, error) {
-	im, err := ImageSeed(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return streams.get(streamKey{name: name, seed: seed, budget: budget}, im)
-}
-
 // warmStreams records (or finds in the cache) each (benchmark, seed)
 // stream of the matrix up front, in parallel, so the sweep fan-out
 // replays from the start instead of serializing behind the first
@@ -196,11 +182,14 @@ func warmStreams(ctx context.Context, m Matrix, workers int) (map[imageKey]*emul
 	}
 	sts := make([]*emulator.Stream, len(units))
 	err := forEach(ctx, len(units), workers, func(i int) error {
-		st, err := stream(units[i].name, units[i].seed, m.Budget)
-		if err != nil {
-			return fmt.Errorf("harness: %s: %s: %w", m.Name, units[i].name, err)
+		u := units[i]
+		im, err := ImageSeed(u.name, u.seed)
+		if err == nil {
+			sts[i], err = streams.get(streamKey{name: u.name, seed: u.seed, budget: m.Budget}, im)
 		}
-		sts[i] = st
+		if err != nil {
+			return fmt.Errorf("harness: %s: %s: %w", m.Name, u.name, err)
+		}
 		return nil
 	})
 	if err != nil {

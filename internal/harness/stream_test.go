@@ -37,7 +37,7 @@ func TestReplayEquivalence(t *testing.T) {
 		for _, c := range configs {
 			t.Run(bench+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
-				im, err := Image(bench)
+				im, err := ImageSeed(bench, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,10 +49,7 @@ func TestReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shared, err := RunBenchmark(bench, 0, c.cfg, testBudget)
-				if err != nil {
-					t.Fatal(err)
-				}
+				shared := cellAlone(t, &Cell{Bench: bench, Point: ConfigPoint{Name: c.name, Cfg: c.cfg}}, testBudget).Result
 				if !reflect.DeepEqual(direct, shared) {
 					t.Errorf("group-driver Result differs from Simulator.Run:\nrun   %+v\ngroup %+v",
 						direct, shared)
@@ -65,7 +62,7 @@ func TestReplayEquivalence(t *testing.T) {
 func TestStreamCacheLRU(t *testing.T) {
 	c := newStreamCache(1) // absurdly small: at most one resident stream
 	for _, name := range []string{"compress", "li"} {
-		im, err := Image(name)
+		im, err := ImageSeed(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +78,7 @@ func TestStreamCacheLRU(t *testing.T) {
 		t.Errorf("resident stream is %q, want li", e.key.name)
 	}
 	// Re-demanding the evicted stream re-records it.
-	im, err := Image("compress")
+	im, err := ImageSeed("compress", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +94,8 @@ func TestStreamCacheLRU(t *testing.T) {
 func TestStreamCacheSharesRecordings(t *testing.T) {
 	ResetStreamCache()
 	defer ResetStreamCache()
-	if _, err := RunBenchmark("li", 0, baseline(64), 20_000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunBenchmark("li", 0, precon(64, 64), 20_000); err != nil {
-		t.Fatal(err)
-	}
+	cellAlone(t, &Cell{Bench: "li", Point: ConfigPoint{Name: "base", Cfg: baseline(64)}}, 20_000)
+	cellAlone(t, &Cell{Bench: "li", Point: ConfigPoint{Name: "pb64", Cfg: precon(64, 64)}}, 20_000)
 	entries, bytes := StreamCacheStats()
 	if entries != 1 {
 		t.Errorf("two configs recorded %d streams, want 1 shared", entries)
@@ -146,12 +139,12 @@ func TestImageSeedCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Image("compress")
+	b, err := ImageSeed("compress", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("seed-0 image not shared with Image")
+		t.Error("seed-0 image not cached")
 	}
 	p, err := ImageSeed("compress", 7919)
 	if err != nil {

@@ -103,14 +103,6 @@ type Config struct {
 	// instructions. Used by cmd/tracesim's timeline view.
 	WindowInstrs uint64
 
-	// ObserveWrongPath feeds wrong-path dispatch to the preconstruction
-	// engine's start-point stack: when the next-trace prediction is
-	// wrong and the (wrong) predicted trace is cache-resident, the
-	// machine dispatches its instructions before the mispredict
-	// resolves; the stack sees those events and drops them at recovery
-	// (§3.2's misspeculation removal).
-	ObserveWrongPath bool
-
 	// AdaptivePartition replaces the static trace-cache/buffer split
 	// with a unified store of TraceCache.Entries + Buffers.Entries
 	// entries whose partition adapts at run time — the dynamic
@@ -155,7 +147,6 @@ func DefaultConfig() Config {
 		Pred:              tpred.DefaultConfig(),
 		Precon:            precon.DefaultConfig(),
 		PreprocEnabled:    false,
-		ObserveWrongPath:  true,
 		FullTiming:        false,
 		FrontendIPC:       2.5,
 		Backend:           DefaultBackendConfig(),
@@ -207,7 +198,6 @@ func (c Config) frontendConfig() frontend.Config {
 		RASDepth:          c.RASDepth,
 		TargetEntries:     c.TargetEntries,
 		Precon:            pcfg,
-		ObserveWrongPath:  c.ObserveWrongPath,
 	}
 }
 

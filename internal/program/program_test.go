@@ -243,58 +243,6 @@ func TestLocalLabels(t *testing.T) {
 	}
 }
 
-func TestBuildCFG(t *testing.T) {
-	im := buildLoop(t)
-	g := BuildCFG(im)
-	// Expected leaders: 0x1000 (entry), 0x1004 (loop, branch target & after-call),
-	// 0x1008 (after call), 0x1010 (after branch), 0x1014 (sub), and the block
-	// after halt boundary handling.
-	if len(g.Blocks) < 4 {
-		t.Fatalf("blocks = %d: %+v", len(g.Blocks), g.Blocks)
-	}
-	first, ok := g.BlockAt(0x1000)
-	if !ok || first.NumInstrs() != 1 {
-		t.Errorf("entry block = %+v, ok=%v", first, ok)
-	}
-	// Block starting at the loop label ends at the call and its successor is sub.
-	loop, ok := g.BlockAt(0x1004)
-	if !ok {
-		t.Fatal("no block at loop label")
-	}
-	sub, _ := im.Lookup("sub")
-	if len(loop.Succs) != 1 || loop.Succs[0] != sub {
-		t.Errorf("loop block succs = %v, want [0x%x]", loop.Succs, sub)
-	}
-	// Branch block has two successors: loop target and fall-through.
-	brBlock, ok := g.BlockContaining(0x100c)
-	if !ok {
-		t.Fatal("no block containing branch")
-	}
-	if len(brBlock.Succs) != 2 {
-		t.Errorf("branch block succs = %v", brBlock.Succs)
-	}
-	// Return block has no static successors.
-	retBlock, ok := g.BlockContaining(sub + 4)
-	if !ok {
-		t.Fatal("no block containing ret")
-	}
-	if len(retBlock.Succs) != 0 {
-		t.Errorf("return block succs = %v", retBlock.Succs)
-	}
-}
-
-func TestBlockContaining(t *testing.T) {
-	im := buildLoop(t)
-	g := BuildCFG(im)
-	if _, ok := g.BlockContaining(0x0); ok {
-		t.Error("BlockContaining below image succeeded")
-	}
-	bb, ok := g.BlockContaining(0x1008)
-	if !ok || bb.Start > 0x1008 || bb.End <= 0x1008 {
-		t.Errorf("BlockContaining(0x1008) = %+v,%v", bb, ok)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	im := buildLoop(t)
 	s := ComputeStats(im)
@@ -310,7 +258,9 @@ func TestComputeStats(t *testing.T) {
 	if s.IndJumps != 0 {
 		t.Errorf("indirect jumps = %d", s.IndJumps)
 	}
-	if s.AvgBlockSize <= 0 {
-		t.Errorf("AvgBlockSize = %f", s.AvgBlockSize)
+	// Blocks: the entry add, the call at loop, the decrement and
+	// branch, the halt, and sub.
+	if s.Blocks != 5 || s.AvgBlockSize != 7.0/5 {
+		t.Errorf("Blocks = %d, AvgBlockSize = %f, want 5 and 1.4", s.Blocks, s.AvgBlockSize)
 	}
 }

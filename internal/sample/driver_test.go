@@ -5,13 +5,25 @@ package sample_test
 // recorded stream and feeds the runner (a lone cell is a group of one).
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"tracepre/internal/core"
 	"tracepre/internal/harness"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 )
+
+// sampled runs one benchmark under the plan, failing the test on error.
+func sampled(t *testing.T, bench string, cfg pipeline.Config, budget uint64, plan sample.Plan) *sample.Stats {
+	t.Helper()
+	c, err := core.RunBenchmark(context.Background(), bench, cfg, budget, harness.WithSampling(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Sample
+}
 
 func TestSampledRunInvariants(t *testing.T) {
 	const budget = 200_000
@@ -19,10 +31,7 @@ func TestSampledRunInvariants(t *testing.T) {
 
 	for _, warmModel := range []bool{true, false} {
 		plan := sample.Plan{Detail: 5_000, Warm: 5_000, Skip: 20_000, WarmModel: warmModel}
-		st, err := harness.RunBenchmarkSampled("gcc", 0, cfg, budget, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := sampled(t, "gcc", cfg, budget, plan)
 		want := plan.Intervals(budget)
 		// Trace-boundary jitter can push the final unit past the stream
 		// end, dropping it — but never more than one.
@@ -78,14 +87,12 @@ func TestSampledTracksFullDetail(t *testing.T) {
 	const budget = 200_000
 	cfg := pipeline.DefaultConfig().WithPrecon(64)
 
-	full, err := harness.RunBenchmark("gcc", 0, cfg, budget)
+	fc, err := core.RunBenchmark(context.Background(), "gcc", cfg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := harness.RunBenchmarkSampled("gcc", 0, cfg, budget, sample.PlanForBudget(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := fc.Result
+	st := sampled(t, "gcc", cfg, budget, sample.PlanForBudget(budget))
 	checks := []struct {
 		name string
 		f    func(pipeline.Result) float64
@@ -111,10 +118,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 
 	plan := sample.Plan{Detail: 2_000, Warm: 2_000, Skip: 8_000, WarmModel: true,
 		TargetRelCI: 0.5, MinIntervals: 4}
-	st, err := harness.RunBenchmarkSampled("compress", 0, cfg, budget, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := sampled(t, "compress", cfg, budget, plan)
 	if st.Streamed >= budget {
 		t.Fatalf("adaptive run consumed the whole budget (%d intervals, CI %s)",
 			len(st.Intervals), st.IPCCI())

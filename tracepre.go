@@ -18,13 +18,17 @@
 //
 // The paper's experiments (Figure 5, Tables 1-3, Figures 6 and 8) plus
 // the extension and ablation studies are available through Experiments
-// and ExperimentByID; each Experiment runs at a chosen budget over
-// chosen benchmarks.
+// and ExperimentByID; an Experiment's Run executes it at a chosen
+// budget over chosen benchmarks and returns a typed result whose
+// TableSpecs render as the paper's tables.
 package tracepre
 
 import (
+	"context"
+
 	"tracepre/internal/asm"
 	"tracepre/internal/core"
+	"tracepre/internal/harness"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/program"
 	"tracepre/internal/workload"
@@ -62,7 +66,7 @@ func Benchmarks() []string { return core.Benchmarks() }
 func BenchmarkProfiles() []Profile { return workload.SPECint95() }
 
 // Workload returns the (cached) program image for a named benchmark.
-func Workload(name string) (*Image, error) { return core.Image(name) }
+func Workload(name string) (*Image, error) { return harness.ImageSeed(name, 0) }
 
 // GenerateWorkload builds a program from a (possibly customized)
 // generator profile.
@@ -91,7 +95,11 @@ func TimingConfig(cfg Config, preprocess bool) Config {
 // RunBenchmark simulates a named benchmark under the configuration for
 // the given committed-instruction budget.
 func RunBenchmark(name string, cfg Config, budget uint64) (Result, error) {
-	return core.RunBenchmark(name, cfg, budget)
+	c, err := core.RunBenchmark(context.Background(), name, cfg, budget)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.Result, nil
 }
 
 // RunImage simulates an arbitrary program image.

@@ -1,6 +1,9 @@
 package tracepre
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The root package is the public API surface; these tests exercise it
 // end to end the way an importing project would.
@@ -76,8 +79,11 @@ func TestPublicExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(SmallBudget, []string{"compress"})
-	if err != nil || out == "" {
-		t.Errorf("experiment run: %q, %v", out, err)
+	out, err := e.Run(context.Background(), SmallBudget, []string{"compress"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.TableSpecs()) == 0 {
+		t.Error("experiment produced no tables")
 	}
 }
