@@ -63,7 +63,8 @@ bench:
 # `bash perfbench/run.sh`, which BENCHMARK.json declares). The
 # allocation contracts run here too — the trace store's intern/release
 # round and its growth (headers carved from slabs, not one per trace),
-# the chunked replay loop, a whole decode pass, the cost of one more
+# the chunked replay loop, a whole decode pass, a recording (slice
+# growth only, nothing per instruction), the cost of one more
 # group member over shared predictor tables, the backend's dispatch and
 # the fill unit's preprocessing — as do the bounds on what one
 # generated program image retains and on the bytes of one per-trace
@@ -80,6 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'InternHit|InternChurn|Clone' \
 		-benchtime 1x -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'Optimize' -benchtime 1x -benchmem ./internal/preproc/
+	$(GO) test -run '^$$' -bench 'Record' -benchtime 1x -benchmem ./internal/emulator/
 	$(GO) test -run '^$$' -bench 'Figure5Broadcast' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'SimulateFullTiming' -benchtime 1x -benchmem .
@@ -88,7 +90,7 @@ bench-smoke:
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestDispatchSteadyStateAllocs|TestAnalysis' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
-	$(GO) test -run 'TestDecodeChunksAllocs' -count 1 ./internal/emulator/
+	$(GO) test -run 'TestDecodeChunksAllocs|TestRecordAllocs' -count 1 ./internal/emulator/
 	$(GO) test -run 'TestGroupMemberAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestBroadcast' -count 1 ./internal/harness/
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/
@@ -105,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReplayer -fuzztime 30s ./internal/emulator/
+	$(GO) test -fuzz FuzzRecord -fuzztime 30s ./internal/emulator/
 	$(GO) test -fuzz FuzzConfig -fuzztime 30s ./internal/pipeline/
 	$(GO) test -fuzz FuzzU32Set -fuzztime 30s ./internal/precon/
 	$(GO) test -fuzz FuzzLineSet -fuzztime 30s ./internal/precon/

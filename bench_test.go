@@ -132,22 +132,10 @@ func BenchmarkExtensions(b *testing.B) {
 	}
 }
 
-// Stream-layer throughput: functional emulation versus recording versus
-// allocation-free replay of the same committed instruction stream.
-// bytes/s here means committed instructions per second.
-func BenchmarkStreamEmulate(b *testing.B) {
-	im, err := harness.ImageSeed("gcc", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(benchBudget))
-	for i := 0; i < b.N; i++ {
-		if _, err := emulator.New(im).Run(benchBudget, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// Stream-layer throughput: recording (functional emulation and
+// encoding in one loop) versus allocation-free replay of the same
+// committed instruction stream. bytes/s here means committed
+// instructions per second.
 func BenchmarkStreamRecord(b *testing.B) {
 	im, err := harness.ImageSeed("gcc", 0)
 	if err != nil {

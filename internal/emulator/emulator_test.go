@@ -216,10 +216,7 @@ func TestDynRecords(t *testing.T) {
 	})
 	e := New(im)
 	var recs []Dyn
-	if _, err := e.Run(100, func(d Dyn) bool {
-		recs = append(recs, d)
-		return true
-	}); err != nil {
+	if _, err := e.Run(100, func(d Dyn) { recs = append(recs, d) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 4 {
@@ -248,16 +245,17 @@ func TestDynRecords(t *testing.T) {
 func TestHaltBehaviour(t *testing.T) {
 	im := build(t, func(b *program.Builder) { b.Halt() })
 	e := New(im)
-	if _, err := e.Step(); err != nil {
-		t.Fatalf("first step: %v", err)
+	if n, err := e.Run(1, nil); n != 1 || err != nil {
+		t.Fatalf("first instruction: %d, %v", n, err)
 	}
 	if !e.Halted() {
 		t.Error("not halted")
 	}
-	if _, err := e.Step(); !errors.Is(err, ErrHalted) {
-		t.Errorf("step after halt: %v", err)
+	// Recording after halt commits nothing, without error.
+	st, err := e.Record(10)
+	if st.Len() != 0 || err != nil {
+		t.Errorf("Record after halt = %d instructions, %v", st.Len(), err)
 	}
-	// Run after halt reports 0 without error.
 	n, err := e.Run(10, nil)
 	if n != 0 || err != nil {
 		t.Errorf("Run after halt = %d, %v", n, err)
@@ -284,18 +282,22 @@ func TestRunBudgetAndCallback(t *testing.T) {
 		b.Jmp("loop")
 	})
 	e := New(im)
-	n, err := e.Run(1000, nil)
-	if err != nil || n != 1000 {
-		t.Errorf("Run = %d, %v", n, err)
+	var calls uint64
+	n, err := e.Run(1000, func(d Dyn) {
+		if d.Seq != calls {
+			t.Fatalf("callback %d saw Seq %d", calls, d.Seq)
+		}
+		calls++
+	})
+	if err != nil || n != 1000 || calls != 1000 {
+		t.Errorf("Run = %d, %v with %d callbacks", n, err, calls)
 	}
 	if e.Committed() != 1000 {
 		t.Errorf("Committed = %d", e.Committed())
 	}
-	// Early stop via callback.
-	e2 := New(im)
-	n, _ = e2.Run(1000, func(d Dyn) bool { return d.Seq < 9 })
-	if n != 10 {
-		t.Errorf("early stop after %d", n)
+	// A second Run resumes where the first stopped.
+	if n, err = e.Run(500, nil); err != nil || n != 500 || e.Committed() != 1500 || e.Regs[1] != 750 {
+		t.Errorf("resumed Run = %d, %v: Committed %d, r1 %d", n, err, e.Committed(), e.Regs[1])
 	}
 }
 

@@ -50,67 +50,15 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Recorder captures a committed instruction stream into a Stream. Feed
-// it every Dyn in commit order via Observe, then call Stream to seal.
-type Recorder struct {
-	s       Stream
-	lastMem uint32
-	started bool
-}
-
-// NewRecorder returns a Recorder for a program image.
-func NewRecorder(im *program.Image) *Recorder {
-	return &Recorder{s: Stream{im: im}}
-}
-
-// Observe appends one committed instruction to the recording. Records
-// must arrive in commit order starting from the first instruction.
-func (r *Recorder) Observe(d Dyn) {
-	if !r.started {
-		r.s.entry = d.PC
-		r.started = true
-	}
-	switch d.Inst.Op {
-	case isa.OpLoad, isa.OpStore:
-		delta := int64(d.MemAddr) - int64(r.lastMem)
-		r.s.aux = binary.AppendUvarint(r.s.aux, zigzag(delta))
-		r.lastMem = d.MemAddr
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if r.s.nbits%8 == 0 {
-			r.s.taken = append(r.s.taken, 0)
-		}
-		if d.Taken {
-			r.s.taken[r.s.nbits/8] |= 1 << (r.s.nbits % 8)
-		}
-		r.s.nbits++
-	case isa.OpJr, isa.OpJalr:
-		delta := int64(d.NextPC) - int64(d.PC+isa.WordSize)
-		r.s.aux = binary.AppendUvarint(r.s.aux, zigzag(delta))
-	}
-	r.s.n++
-}
-
-// Stream seals and returns the recording. The Recorder must not be used
-// afterwards.
-func (r *Recorder) Stream() *Stream {
-	s := r.s
-	return &s
-}
-
 // Record runs a fresh emulator for up to budget committed instructions
 // and returns the sealed recording. The recording ends early on a clean
 // halt; any other emulation error is returned.
 func Record(im *program.Image, budget uint64) (*Stream, error) {
-	e := New(im)
-	r := NewRecorder(im)
-	_, err := e.Run(budget, func(d Dyn) bool {
-		r.Observe(d)
-		return true
-	})
+	s, err := New(im).Record(budget)
 	if err != nil {
 		return nil, err
 	}
-	return r.Stream(), nil
+	return s, nil
 }
 
 // Replayer re-emits a recorded Stream as Dyn records. Replay is

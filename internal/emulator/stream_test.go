@@ -6,8 +6,9 @@ import (
 	"tracepre/internal/workload"
 )
 
-// recordedAndDirect runs a benchmark image both ways and returns the
-// two Dyn sequences.
+// recordedAndDirect runs a benchmark image through the reference
+// interpreter and through Record then replay, and returns the two Dyn
+// sequences.
 func recordedAndDirect(t *testing.T, name string, budget uint64) (direct, replayed []Dyn) {
 	t.Helper()
 	p, err := workload.ByName(name)
@@ -18,8 +19,7 @@ func recordedAndDirect(t *testing.T, name string, budget uint64) (direct, replay
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(im)
-	if _, err := e.Run(budget, func(d Dyn) bool {
+	if _, err := newRef(im).Run(budget, func(d Dyn) bool {
 		direct = append(direct, d)
 		return true
 	}); err != nil {

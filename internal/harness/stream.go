@@ -18,36 +18,51 @@ type imageKey struct {
 	seed int64
 }
 
+// imageEntry is one memoized program. once guards the generation, so
+// concurrent demands for one image share a single generator run while
+// different images generate at the same time.
+type imageEntry struct {
+	once sync.Once
+	im   *program.Image
+	err  error
+}
+
 // images memoizes generated benchmark programs: one image per
 // (benchmark, seed perturbation) serves every experiment. The mutex
-// makes ImageSeed safe for the concurrent sweep workers.
+// guards the map only, never a generation.
 var (
 	imagesMu sync.Mutex
-	images   = map[imageKey]*program.Image{}
+	images   = map[imageKey]*imageEntry{}
 )
 
 // ImageSeed returns the (cached) program image for a benchmark with
 // the given generator-seed perturbation added to its profile seed
 // (0 = the profile default). Images are immutable after generation and
-// safe to share across simulators.
+// safe to share across simulators. A failed generation is not cached:
+// the next call tries again.
 func ImageSeed(name string, seed int64) (*program.Image, error) {
 	key := imageKey{name, seed}
 	imagesMu.Lock()
-	defer imagesMu.Unlock()
-	if im, ok := images[key]; ok {
-		return im, nil
+	e, ok := images[key]
+	if !ok {
+		e = &imageEntry{}
+		images[key] = e
 	}
-	p, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p.Seed += seed
-	im, err := workload.Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	images[key] = im
-	return im, nil
+	imagesMu.Unlock()
+
+	e.once.Do(func() {
+		p, err := workload.ByName(name)
+		if err == nil {
+			p.Seed += seed
+			e.im, err = workload.Generate(p)
+		}
+		if e.err = err; err != nil {
+			imagesMu.Lock()
+			delete(images, key)
+			imagesMu.Unlock()
+		}
+	})
+	return e.im, e.err
 }
 
 // DefaultStreamCacheCap bounds the stream cache's encoded bytes. At

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"tracepre/internal/emulator"
 	"tracepre/internal/pipeline"
+	"tracepre/internal/workload"
 )
 
 const testBudget uint64 = 200_000
@@ -155,5 +157,67 @@ func TestImageSeedCaching(t *testing.T) {
 	}
 	if _, err := ImageSeed("nonesuch", 0); err == nil {
 		t.Error("unknown benchmark succeeded")
+	}
+	imagesMu.Lock()
+	_, cached := images[imageKey{"nonesuch", 0}]
+	imagesMu.Unlock()
+	if cached {
+		t.Error("a failed generation stayed cached")
+	}
+}
+
+// TestParallelSetUpMatchesSerial warms six (benchmark, seed) units with
+// four workers, as harness.Run's set-up does under WithWorkers(4), and
+// checks each image and stream against one generated and recorded
+// alone, outside the memo and the cache. The test first forgets its
+// units, so every one is generated and recorded during the warm-up;
+// run under the race detector it covers concurrent generation and
+// recording.
+func TestParallelSetUpMatchesSerial(t *testing.T) {
+	const budget = 50_000
+	m := Matrix{Name: "set-up", Benches: []string{"gcc", "go", "li"}, Seeds: []int64{4201, 4202}, Budget: budget}
+	imagesMu.Lock()
+	for _, b := range m.Benches {
+		for _, s := range m.Seeds {
+			delete(images, imageKey{b, s})
+		}
+	}
+	imagesMu.Unlock()
+	ResetStreamCache()
+	defer ResetStreamCache()
+	sts, err := warmStreams(context.Background(), m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sts) != 6 {
+		t.Fatalf("warmed %d units, want 6", len(sts))
+	}
+	for u, st := range sts {
+		p, err := workload.ByName(u.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seed += u.seed
+		want, err := workload.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := ImageSeed(u.name, u.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Image() != im {
+			t.Errorf("%s/%d: stream recorded from another image than the memo's", u.name, u.seed)
+		}
+		if !reflect.DeepEqual(im, want) {
+			t.Errorf("%s/%d: image generated in parallel differs from one generated alone", u.name, u.seed)
+		}
+		wantSt, err := emulator.Record(want, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, wantSt) {
+			t.Errorf("%s/%d: stream recorded in parallel differs from one recorded alone", u.name, u.seed)
+		}
 	}
 }

@@ -40,10 +40,13 @@ type backend struct {
 	// in-flight store waits for the store's completion (store-to-load
 	// forwarding through the ARB). Entry i is the word address
 	// arbAddr[i], stored to until cycle arbDone[i]; the addresses sit
-	// apart so a lookup scans 256 bytes, not the whole buffer.
+	// apart so a lookup scans 256 bytes, not the whole buffer. arbMax
+	// is the latest completion ever recorded: a trace starting at or
+	// after it finds every entry complete and skips the scan.
 	arbAddr [arbEntries]uint32
 	arbDone [arbEntries]uint64
 	arbNext int
+	arbMax  uint64
 
 	// Stats.
 	dcacheMisses uint64
@@ -98,6 +101,7 @@ func (b *backend) arbRecord(addr uint32, done uint64) {
 	b.arbAddr[b.arbNext] = addr &^ 3
 	b.arbDone[b.arbNext] = done
 	b.arbNext = (b.arbNext + 1) % arbEntries
+	b.arbMax = max(b.arbMax, done)
 }
 
 // arbReady returns the cycle at which a load from addr may execute:
@@ -241,11 +245,13 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 			s.wait[i] |= 1 << j
 			s.users[j] |= 1 << i
 			b.arbForwards++
-		} else if ar := b.arbReady(addr); ar > start {
-			if ar > s.rdy[i] {
-				s.rdy[i] = ar
+		} else if b.arbMax > start { // else every ARB store completed before the trace starts
+			if ar := b.arbReady(addr); ar > start {
+				if ar > s.rdy[i] {
+					s.rdy[i] = ar
+				}
+				b.arbForwards++
 			}
-			b.arbForwards++
 		}
 	}
 

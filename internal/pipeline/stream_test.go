@@ -85,27 +85,32 @@ func TestRunMatchesRunStream(t *testing.T) {
 }
 
 // TestRunStreamCorruptStream runs a recording whose records disagree
-// with the image: it ends at a conditional branch recorded as an ALU
-// op, so replay finds no outcome bit for the branch. RunStream must
-// return the decode error, wrapped, rather than panic or report a
-// short run as a success.
+// with the image: the recording ends at an ALU op that the test then
+// rewrites, in the image, into a conditional branch, so replay finds no
+// outcome bit for the branch. RunStream must return the decode error,
+// wrapped, rather than panic or report a short run as a success.
 func TestRunStreamCorruptStream(t *testing.T) {
 	im := memLoopImage(t, 50)
-	e := emulator.New(im)
-	rec := emulator.NewRecorder(im)
-	for {
-		d, err := e.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Inst.IsBranch() {
-			d.Inst = isa.Inst{Op: isa.OpAdd, Rd: d.Inst.Rd, Ra: d.Inst.Ra, Rb: d.Inst.Rb}
-			rec.Observe(d)
-			break
-		}
-		rec.Observe(d)
+	full, err := emulator.Record(im, 10_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := newSim(t, im, DefaultConfig()).RunStream(rec.Stream(), 10_000)
+	// Find the last instruction before the first conditional branch.
+	var n uint64
+	var last emulator.Dyn
+	rp := full.Replay()
+	for d, ok := rp.Next(); ok && !d.Inst.IsBranch(); d, ok = rp.Next() {
+		n, last = n+1, d
+	}
+	if last.Inst.Op != isa.OpAddI {
+		t.Fatalf("the loop's branch follows %v, want an addi", last.Inst)
+	}
+	st, err := emulator.Record(im, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.Insts()[(last.PC-im.Base)/isa.WordSize] = isa.Inst{Op: isa.OpBne, Ra: last.Inst.Rd, Imm: 8}
+	_, err = newSim(t, im, DefaultConfig()).RunStream(st, 10_000)
 	if !errors.Is(err, emulator.ErrCorruptStream) {
 		t.Fatalf("RunStream over a corrupt recording = %v, want an ErrCorruptStream", err)
 	}

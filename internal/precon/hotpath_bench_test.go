@@ -36,9 +36,8 @@ func benchStream(tb testing.TB) ([]emulator.Dyn, *program.Image) {
 		tb.Fatal(err)
 	}
 	var dyns []emulator.Dyn
-	if _, err := emulator.New(im).Run(100000, func(d emulator.Dyn) bool {
+	if _, err := emulator.New(im).Run(100000, func(d emulator.Dyn) {
 		dyns = append(dyns, d)
-		return true
 	}); err != nil {
 		tb.Fatal(err)
 	}

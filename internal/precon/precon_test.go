@@ -95,7 +95,7 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 		res.demanded = append(res.demanded, tr)
 		r.eng.Step(unitsPerTrace)
 	}
-	_, err := e.Run(budget, func(d emulator.Dyn) bool {
+	_, err := e.Run(budget, func(d emulator.Dyn) {
 		// Train the shared bimodal as the slow path would.
 		if d.Inst.IsBranch() {
 			r.bim.Update(d.PC, d.Taken)
@@ -105,7 +105,6 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 			handle(b.Finish(d.NextPC))
 			b.Reset(false)
 		}
-		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,9 +161,8 @@ func FuzzChunkSegmenter(f *testing.F) {
 			splits = []byte{255}
 		}
 		var all []emulator.Dyn
-		if _, err := emulator.New(randomProgram(seed)).Run(3_000, func(d emulator.Dyn) bool {
+		if _, err := emulator.New(randomProgram(seed)).Run(3_000, func(d emulator.Dyn) {
 			all = append(all, d)
-			return true
 		}); err != nil {
 			t.Fatal(err)
 		}

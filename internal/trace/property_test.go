@@ -65,9 +65,8 @@ func TestQuickSuffixClosure(t *testing.T) {
 		im := randomProgram(seed)
 		var dyns []emulator.Dyn
 		e := emulator.New(im)
-		e.Run(2000, func(d emulator.Dyn) bool {
+		e.Run(2000, func(d emulator.Dyn) {
 			dyns = append(dyns, d)
-			return true
 		})
 		full := segmentDyns(dyns)
 		if len(full) < 4 {
@@ -127,9 +126,8 @@ func TestQuickSegmentationInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dyns []emulator.Dyn
-	if _, err := emulator.New(im).Run(100_000, func(d emulator.Dyn) bool {
+	if _, err := emulator.New(im).Run(100_000, func(d emulator.Dyn) {
 		dyns = append(dyns, d)
-		return true
 	}); err != nil {
 		t.Fatal(err)
 	}

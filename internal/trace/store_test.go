@@ -157,9 +157,8 @@ func TestQuickInternMatchesClone(t *testing.T) {
 		im := randomProgram(seed)
 		var dyns []emulator.Dyn
 		e := emulator.New(im)
-		e.Run(4000, func(d emulator.Dyn) bool {
+		e.Run(4000, func(d emulator.Dyn) {
 			dyns = append(dyns, d)
-			return true
 		})
 		traces := segmentDyns(dyns)
 		s := NewStore()

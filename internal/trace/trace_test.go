@@ -380,9 +380,8 @@ func mustImage() *program.Image {
 
 func segmentImage(im *program.Image, budget uint64) []*Trace {
 	var dyns []emulator.Dyn
-	emulator.New(im).Run(budget, func(d emulator.Dyn) bool {
+	emulator.New(im).Run(budget, func(d emulator.Dyn) {
 		dyns = append(dyns, d)
-		return true
 	})
 	return segmentDyns(dyns)
 }
@@ -421,9 +420,8 @@ func BenchmarkSegmenter(b *testing.B) {
 	im := mustImage()
 	e := emulator.New(im)
 	var dyns []emulator.Dyn
-	e.Run(5000, func(d emulator.Dyn) bool {
+	e.Run(5000, func(d emulator.Dyn) {
 		dyns = append(dyns, d)
-		return true
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -92,14 +92,13 @@ func TestIndirectCallsLandOnFunctions(t *testing.T) {
 	}
 	e := emulator.New(im)
 	jalrs := 0
-	_, err = e.Run(300_000, func(d emulator.Dyn) bool {
+	_, err = e.Run(300_000, func(d emulator.Dyn) {
 		if d.Inst.Op == isa.OpJalr {
 			jalrs++
 			if !entries[d.NextPC] {
 				t.Fatalf("jalr at 0x%x landed at 0x%x: not a function entry", d.PC, d.NextPC)
 			}
 		}
-		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,7 @@ func TestReturnsBalanceCalls(t *testing.T) {
 	}
 	e := emulator.New(im)
 	var calls, rets int64
-	_, err = e.Run(400_000, func(d emulator.Dyn) bool {
+	_, err = e.Run(400_000, func(d emulator.Dyn) {
 		switch d.Inst.Classify() {
 		case isa.ClassCall:
 			calls++
@@ -130,7 +129,6 @@ func TestReturnsBalanceCalls(t *testing.T) {
 		case isa.ClassReturn:
 			rets++
 		}
-		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +163,10 @@ func TestPhaseBehaviourChangesWorkingSet(t *testing.T) {
 	}
 	window := func(e *emulator.Emulator, n uint64) map[int]bool {
 		set := map[int]bool{}
-		e.Run(n, func(d emulator.Dyn) bool {
+		e.Run(n, func(d emulator.Dyn) {
 			if f := funcOf(d.PC); f >= 0 {
 				set[f] = true
 			}
-			return true
 		})
 		return set
 	}

@@ -123,7 +123,7 @@ func TestGenerateAllRunnable(t *testing.T) {
 			}
 			e := emulator.New(im)
 			var calls, rets, takenBr, notTakenBr, ind uint64
-			n, err := e.Run(200_000, func(d emulator.Dyn) bool {
+			n, err := e.Run(200_000, func(d emulator.Dyn) {
 				switch d.Inst.Classify() {
 				case isa.ClassCall:
 					calls++
@@ -138,7 +138,6 @@ func TestGenerateAllRunnable(t *testing.T) {
 				case isa.ClassJumpInd:
 					ind++
 				}
-				return true
 			})
 			if err != nil {
 				t.Fatalf("run failed after %d: %v", n, err)
@@ -172,20 +171,21 @@ func TestStackBalance(t *testing.T) {
 	if !ok {
 		t.Fatal("no driver_top symbol")
 	}
+	// Run one instruction at a time so the registers are read live at
+	// each arrival at driver_top.
 	e := emulator.New(im)
 	initial := e.Regs[isa.RegSP]
 	checked := 0
-	_, err = e.Run(500_000, func(d emulator.Dyn) bool {
-		if d.PC == main {
+	for e.Committed() < 500_000 && !e.Halted() {
+		if e.PC == main {
 			checked++
 			if e.Regs[isa.RegSP] != initial {
 				t.Fatalf("sp drifted: 0x%x vs 0x%x", e.Regs[isa.RegSP], initial)
 			}
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+		if _, err := e.Run(1, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if checked == 0 {
 		t.Error("driver_top never revisited")
@@ -229,7 +229,7 @@ func TestBranchBiasOrdering(t *testing.T) {
 		}
 		e := emulator.New(im)
 		taken := map[uint32][2]uint64{} // pc -> {taken, total}
-		e.Run(300_000, func(d emulator.Dyn) bool {
+		e.Run(300_000, func(d emulator.Dyn) {
 			if d.Inst.IsBranch() {
 				c := taken[d.PC]
 				if d.Taken {
@@ -238,7 +238,6 @@ func TestBranchBiasOrdering(t *testing.T) {
 				c[1]++
 				taken[d.PC] = c
 			}
-			return true
 		})
 		var biased, total uint64
 		for _, c := range taken {
