@@ -67,18 +67,19 @@ bench:
 # growth only, nothing per instruction), the cost of one more
 # group member over shared predictor tables, the backend's dispatch and
 # the fill unit's preprocessing — as do the bounds on what one
-# generated program image retains and on the bytes of one per-trace
-# analysis entry, the backend's per-trace analysis table checks (two
-# traces sharing an ID but not their instructions each dispatch as the
-# reference does; a four-member full-timing group analyzes each
-# distinct trace once), plus the group driver's correctness gates:
+# generated program image retains, on what generating it allocates and
+# on the bytes of one per-trace analysis entry, the backend's
+# per-trace analysis table checks (two traces sharing an ID but not
+# their instructions each dispatch as the reference does; a
+# four-member full-timing group analyzes each distinct trace once),
+# plus the group driver's correctness gates:
 # decode-once counting, full-Result equivalence against each cell run
 # alone (shared predictors and Figure 8's full-timing points
 # included), and stream-cache accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
-	$(GO) test -run '^$$' -bench 'InternHit|InternChurn|Clone' \
+	$(GO) test -run '^$$' -bench 'InternHit|InternChurn|Clone|Segmenter' \
 		-benchtime 1x -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'Optimize' -benchtime 1x -benchmem ./internal/preproc/
 	$(GO) test -run '^$$' -bench 'Record' -benchtime 1x -benchmem ./internal/emulator/
@@ -86,7 +87,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'SimulateFullTiming' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestInternSteadyStateAllocs|TestStoreGrowthAllocs' -count 1 ./internal/trace/
-	$(GO) test -run 'TestImageFootprint' -count 1 ./internal/workload/
+	$(GO) test -run 'TestImageFootprint|TestGenerateAllocs' -count 1 ./internal/workload/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestDispatchSteadyStateAllocs|TestAnalysis' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/

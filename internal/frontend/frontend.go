@@ -53,10 +53,21 @@ type PrimarySupplier interface {
 	Peek(id trace.ID) (*trace.Trace, bool)
 }
 
+// The slow path's predictor sizes, which no experiment varies.
+const (
+	BimodalEntries = 1 << 14 // bimodal branch predictor counters
+	RASDepth       = 16      // return address stack entries
+	TargetEntries  = 1 << 10 // indirect target buffer entries
+)
+
 // Config selects and sizes the frontend's components. It is the
 // fetch-side slice of pipeline.Config; pipeline wires it so the nine
 // experiment drivers need no knowledge of the decomposition.
 type Config struct {
+	// Select is the trace-selection rule set: the demand path's, which
+	// the preconstruction engine builds its traces under.
+	Select trace.SelectConfig
+
 	TraceCache tracecache.Config
 	Buffers    tracecache.Config // Entries == 0 disables preconstruction
 	// AdaptivePartition replaces the split trace cache + buffers with
@@ -74,19 +85,12 @@ type Config struct {
 	// stolen fetches both route through its I-side. Required.
 	Mem *mem.Hierarchy
 
-	// Slow-path predictor sizes.
-	BimodalEntries int
-	RASDepth       int
-	TargetEntries  int
-
 	// Pred holds the next-trace predictor tables the frontend predicts
 	// through, with a view of its own. Frontends fed the same traces in
 	// lockstep may share one set (see tpred.Tables). Required.
 	Pred *tpred.Tables
 
-	// Precon configures the engine; Select must already be merged in
-	// (Precon.Select is the trace-selection rule set shared with the
-	// demand path).
+	// Precon configures the engine.
 	Precon precon.Config
 }
 
@@ -213,13 +217,13 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		return nil, err
 	}
 	f.port = precon.NewSlowPathPort(f.ic, cfg.Mem)
-	if f.bim, err = bpred.NewBimodal(cfg.BimodalEntries); err != nil {
+	if f.bim, err = bpred.NewBimodal(BimodalEntries); err != nil {
 		return nil, err
 	}
-	if f.ras, err = bpred.NewRAS(cfg.RASDepth); err != nil {
+	if f.ras, err = bpred.NewRAS(RASDepth); err != nil {
 		return nil, err
 	}
-	if f.itb, err = bpred.NewTargetBuffer(cfg.TargetEntries); err != nil {
+	if f.itb, err = bpred.NewTargetBuffer(TargetEntries); err != nil {
 		return nil, err
 	}
 	f.pred = cfg.Pred.View()
@@ -287,7 +291,7 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		}
 	}
 	if cfg.PreconEnabled() {
-		f.eng, err = precon.New(cfg.Precon, im, f.bim, f.itb, f.port, engTC, engBuf, f.store)
+		f.eng, err = precon.New(cfg.Precon, cfg.Select, im, f.bim, f.itb, f.port, engTC, engBuf, f.store)
 		if err != nil {
 			return nil, err
 		}

@@ -26,21 +26,15 @@ func testConfig(t testing.TB) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := tpred.NewTables(tpred.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Config{
+		Select:            trace.DefaultSelectConfig(),
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
 		Buffers:           tracecache.Config{Entries: 0, Assoc: 2},
 		ICache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
 		SlowFetchWidth:    4,
 		MispredictPenalty: 5,
 		Mem:               h,
-		BimodalEntries:    1 << 14,
-		RASDepth:          16,
-		TargetEntries:     1 << 10,
-		Pred:              tables,
+		Pred:              tpred.NewTables(tpred.Config{}),
 		Precon:            precon.DefaultConfig(),
 	}
 }

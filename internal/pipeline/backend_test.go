@@ -11,9 +11,6 @@ import (
 	"tracepre/internal/trace"
 )
 
-// testDCache is the paper's 64 KiB data cache.
-var testDCache = cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4}
-
 // testBackendWith wires a backend to a fresh data cache of geometry
 // dcfg and the memory level selected by level.
 func testBackendWith(t testing.TB, cfg BackendConfig, dcfg cache.Config, level mem.Config) *backend {
@@ -32,7 +29,7 @@ func testBackendWith(t testing.TB, cfg BackendConfig, dcfg cache.Config, level m
 // testBackend is the default backend over the paper's data cache and
 // fixed-latency L2.
 func testBackend(t testing.TB) *backend {
-	return testBackendWith(t, DefaultBackendConfig(), testDCache, mem.Config{})
+	return testBackendWith(t, DefaultBackendConfig(), DCache, mem.Config{})
 }
 
 // mkTrace builds a trace and matching dyn records at sequential PCs.
@@ -111,7 +108,7 @@ func TestBackendCrossPETransfer(t *testing.T) {
 func TestBackendSamePENoTransfer(t *testing.T) {
 	cfg := DefaultBackendConfig()
 	cfg.NumPEs = 1
-	be := testBackendWith(t, cfg, testDCache, mem.Config{})
+	be := testBackendWith(t, cfg, DCache, mem.Config{})
 	t1, d1 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 5})
 	be.dispatch(t1, d1, 100, false)
 	t2, d2 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 2, Ra: 1, Imm: 1})
@@ -170,7 +167,7 @@ func TestBackendLookaheadLimits(t *testing.T) {
 	mk := func(lookahead int) uint64 {
 		cfg := DefaultBackendConfig()
 		cfg.Lookahead = lookahead
-		be := testBackendWith(t, cfg, testDCache, mem.Config{})
+		be := testBackendWith(t, cfg, DCache, mem.Config{})
 		// Producer trace on PE0 making r1 available late.
 		prod, dProd := mkTrace(
 			isa.Inst{Op: isa.OpDiv, Rd: 1, Ra: 2, Rb: 3},

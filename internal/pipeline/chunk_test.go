@@ -48,14 +48,14 @@ func TestChunkedRunMatchesRunStream(t *testing.T) {
 			if err := sim.StartChunked(budget); err != nil {
 				t.Fatal(err)
 			}
-			b := trace.NewBuilder(cfg.Select, false)
+			b := trace.NewBuilder(cfg.Select)
 			start := 0
 			for i, d := range all[:min(budget, uint64(len(all)))] {
 				if b.Append(d.PC, d.Inst, d.Taken) {
 					if _, err := sim.RunTrace(b.Seal(d.NextPC), all[start:i+1]); err != nil {
 						t.Fatal(err)
 					}
-					b.Reset(false)
+					b.Reset()
 					start = i + 1
 				}
 			}

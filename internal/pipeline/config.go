@@ -64,6 +64,10 @@ func (c BackendConfig) Validate() error {
 	return nil
 }
 
+// DCache is the backend's data cache (§4.1: 64 KiB, 4-way, 64-byte
+// lines), which no experiment varies.
+var DCache = cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4}
+
 // Config is the full simulator configuration.
 type Config struct {
 	Select trace.SelectConfig
@@ -74,7 +78,6 @@ type Config struct {
 	Buffers tracecache.Config
 
 	ICache cache.Config
-	DCache cache.Config
 
 	// Mem selects the memory level behind the L1s, shared by demand
 	// i-fetch, the backend's loads/stores, and the preconstruction
@@ -86,9 +89,6 @@ type Config struct {
 
 	SlowFetchWidth    int // instructions per cycle from the i-cache (4)
 	MispredictPenalty int // frontend redirect penalty, cycles
-	BimodalEntries    int // slow-path branch predictor
-	RASDepth          int // slow-path return address stack
-	TargetEntries     int // slow-path indirect target buffer
 
 	Pred   tpred.Config
 	Precon precon.Config
@@ -123,7 +123,9 @@ type Config struct {
 	// FullTiming selects the detailed backend model. When false, the
 	// backend is approximated by a fixed drain rate (FrontendIPC),
 	// which is much faster and sufficient for the miss-rate and
-	// instruction-supply experiments (Figure 5, Tables 1-3).
+	// instruction-supply experiments (Figure 5, Tables 1-3). The
+	// fast-forward phase of a sampled run drains at FrontendIPC in
+	// either mode.
 	FullTiming  bool
 	FrontendIPC float64
 
@@ -138,13 +140,8 @@ func DefaultConfig() Config {
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
 		Buffers:           tracecache.Config{Entries: 0, Assoc: 2},
 		ICache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
-		DCache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
 		SlowFetchWidth:    4,
 		MispredictPenalty: 5,
-		BimodalEntries:    1 << 14,
-		RASDepth:          16,
-		TargetEntries:     1 << 10,
-		Pred:              tpred.DefaultConfig(),
 		Precon:            precon.DefaultConfig(),
 		PreprocEnabled:    false,
 		FullTiming:        false,
@@ -178,26 +175,21 @@ func (c Config) WithModeledL2(mc mem.Config) Config {
 }
 
 // frontendConfig slices the fetch-side configuration out for the
-// frontend composition root (trace selection rules are merged into the
-// precon config). The shared memory hierarchy and the next-trace
-// predictor tables are not part of the slice: the simulator's
-// constructor binds them into the returned Config's Mem and Pred
-// fields, so I-side and D-side misses meet in one level and group
-// members can share predictor tables.
+// frontend composition root. The shared memory hierarchy and the
+// next-trace predictor tables are not part of the slice: the
+// simulator's constructor binds them into the returned Config's Mem
+// and Pred fields, so I-side and D-side misses meet in one level and
+// group members can share predictor tables.
 func (c Config) frontendConfig() frontend.Config {
-	pcfg := c.Precon
-	pcfg.Select = c.Select
 	return frontend.Config{
+		Select:            c.Select,
 		TraceCache:        c.TraceCache,
 		Buffers:           c.Buffers,
 		AdaptivePartition: c.AdaptivePartition,
 		ICache:            c.ICache,
 		SlowFetchWidth:    c.SlowFetchWidth,
 		MispredictPenalty: c.MispredictPenalty,
-		BimodalEntries:    c.BimodalEntries,
-		RASDepth:          c.RASDepth,
-		TargetEntries:     c.TargetEntries,
-		Precon:            pcfg,
+		Precon:            c.Precon,
 	}
 }
 
@@ -219,7 +211,7 @@ func (c Config) Validate() error {
 		if err := c.Precon.Validate(); err != nil {
 			return err
 		}
-		if _, _, err := c.Precon.ResolveLine(c.ICache.LineBytes); err != nil {
+		if _, err := c.Precon.PrefetchLines(c.ICache.LineBytes); err != nil {
 			return err
 		}
 	}
@@ -238,30 +230,13 @@ func (c Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
-	if c.FullTiming {
-		if err := c.DCache.Validate(); err != nil {
-			return err
-		}
-	}
 	if c.SlowFetchWidth <= 0 {
 		return fmt.Errorf("pipeline: SlowFetchWidth %d", c.SlowFetchWidth)
 	}
 	if c.MispredictPenalty < 0 {
 		return fmt.Errorf("pipeline: MispredictPenalty %d", c.MispredictPenalty)
 	}
-	if c.BimodalEntries <= 0 || c.BimodalEntries&(c.BimodalEntries-1) != 0 {
-		return fmt.Errorf("pipeline: BimodalEntries %d", c.BimodalEntries)
-	}
-	if c.RASDepth <= 0 {
-		return fmt.Errorf("pipeline: RASDepth %d", c.RASDepth)
-	}
-	if c.TargetEntries <= 0 || c.TargetEntries&(c.TargetEntries-1) != 0 {
-		return fmt.Errorf("pipeline: TargetEntries %d not a power of two", c.TargetEntries)
-	}
-	if err := c.Pred.Validate(); err != nil {
-		return err
-	}
-	if !c.FullTiming && c.FrontendIPC <= 0 {
+	if c.FrontendIPC <= 0 {
 		return fmt.Errorf("pipeline: FrontendIPC %f", c.FrontendIPC)
 	}
 	return c.Backend.Validate()

@@ -57,14 +57,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ICache.SizeBytes = 0 },
 		func(c *Config) { c.SlowFetchWidth = 0 },
 		func(c *Config) { c.MispredictPenalty = -1 },
-		func(c *Config) { c.BimodalEntries = 3 },
-		func(c *Config) { c.RASDepth = 0 },
-		func(c *Config) { c.TargetEntries = 0 },
-		func(c *Config) { c.Pred.PrimaryEntries = 0 },
 		func(c *Config) { c.FrontendIPC = 0 },
+		// Fast-forward drains at FrontendIPC under full timing too.
+		func(c *Config) { c.FullTiming = true; c.FrontendIPC = 0 },
 		func(c *Config) { c.Backend.NumPEs = 0 },
 		func(c *Config) { c.Backend.Lookahead = 0 },
-		func(c *Config) { c.FullTiming = true; c.DCache.SizeBytes = 0 },
 		func(c *Config) { c.Buffers.Entries = 64; c.Precon.StackDepth = 0 },
 		// Adaptive partition: requires precon; the unified store must
 		// itself be a valid trace-cache geometry.
@@ -428,10 +425,7 @@ func TestWindowedStats(t *testing.T) {
 func TestGroupMemberAllocs(t *testing.T) {
 	im := loopImage(t, 5)
 	cfg := DefaultConfig().WithTraceCache(1024).WithPrecon(64)
-	tables, err := tpred.NewTables(cfg.Pred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tpred.NewTables(cfg.Pred)
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)

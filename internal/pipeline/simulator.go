@@ -240,9 +240,7 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 		}
 		t := tables[cfg.Pred]
 		if t == nil {
-			if t, err = tpred.NewTables(cfg.Pred); err != nil {
-				return nil, err
-			}
+			t = tpred.NewTables(cfg.Pred)
 			tables[cfg.Pred] = t
 		}
 		if cfg.FullTiming && analyses == nil {
@@ -274,7 +272,7 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables, analyses *an
 	}
 	s.fe = fe
 	if cfg.FullTiming {
-		if s.dc, err = cache.New(cfg.DCache); err != nil {
+		if s.dc, err = cache.New(DCache); err != nil {
 			return nil, err
 		}
 		s.be = newBackend(cfg.Backend, s.dc, h, analyses)
@@ -549,11 +547,7 @@ func (s *Simulator) onTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 // backwards. The remaining timing-dependent state (backend occupancy,
 // slow-path transients) is deliberately left for the warm phase.
 func (s *Simulator) fastTrace(tr *trace.Trace, dyns []emulator.Dyn) {
-	ipc := s.cfg.FrontendIPC
-	if ipc <= 0 {
-		ipc = 2
-	}
-	drain := uint64(float64(len(dyns))/ipc + 0.5)
+	drain := uint64(float64(len(dyns))/s.cfg.FrontendIPC + 0.5)
 	if drain == 0 {
 		drain = 1
 	}

@@ -47,7 +47,7 @@ type constructor struct {
 }
 
 func newConstructor(e *Engine) *constructor {
-	return &constructor{e: e, b: trace.NewBuilder(e.cfg.Select, false)}
+	return &constructor{e: e, b: trace.NewBuilder(e.sel)}
 }
 
 // reset returns the constructor to idle.
@@ -65,7 +65,7 @@ func (c *constructor) reset() {
 	c.brIdx = 0
 	c.built = 0
 	c.lineOK = false
-	c.b.Reset(false)
+	c.b.Reset()
 }
 
 // beginStart points the constructor at a trace start point.
@@ -143,7 +143,7 @@ func (c *constructor) walk(n int) {
 	insts, base := e.im.Insts(), e.im.Base
 	pc := c.pc
 	for i := 0; i < n; i++ {
-		if line := e.icLineAddr(pc); !c.lineOK || line != c.lastLine {
+		if line := e.lineAddr(pc); !c.lineOK || line != c.lastLine {
 			if !e.fetchLine(c.reg, line) {
 				// Region completed (prefetch cache full; reset by
 				// engine), or this unit's fetch budget is spent — either
@@ -176,7 +176,7 @@ func (c *constructor) walk(n int) {
 		case isa.ClassJump:
 			next = in.Target
 		case isa.ClassCall:
-			if len(c.callStack) < e.cfg.CallStackDepth {
+			if len(c.callStack) < CallStackDepth {
 				c.callStack = append(c.callStack, pc+isa.WordSize)
 			}
 			next = in.Target
@@ -225,7 +225,7 @@ func (c *constructor) walk(n int) {
 // point when the tree is exhausted.
 func (c *constructor) nextTraceFromStart() {
 	c.built++
-	if c.built >= c.e.cfg.MaxTracesPerStart {
+	if c.built >= MaxTracesPerStart {
 		c.reset()
 		return
 	}
@@ -238,7 +238,7 @@ func (c *constructor) nextTraceFromStart() {
 	}
 	c.decisions[len(c.decisions)-1] = decision{dir: true, flipped: true}
 	// Replay from the start with the flipped decision prefix.
-	c.b.Reset(false)
+	c.b.Reset()
 	c.brIdx = 0
 	c.callStack = c.callStack[:0]
 	c.pc = c.start
@@ -252,7 +252,7 @@ func (c *constructor) nextTraceFromStart() {
 // first trace start point.
 func (c *constructor) preWalkStep() {
 	r := c.reg
-	if line := c.e.icLineAddr(c.pc); !c.lineOK || line != c.lastLine {
+	if line := c.e.lineAddr(c.pc); !c.lineOK || line != c.lastLine {
 		if !c.e.fetchLine(r, line) {
 			return
 		}
@@ -280,7 +280,7 @@ func (c *constructor) preWalkStep() {
 	case isa.ClassJump:
 		next = in.Target
 	case isa.ClassCall:
-		if len(c.callStack) < c.e.cfg.CallStackDepth {
+		if len(c.callStack) < CallStackDepth {
 			c.callStack = append(c.callStack, c.pc+isa.WordSize)
 		}
 		next = in.Target
@@ -302,7 +302,7 @@ func (c *constructor) preWalkStep() {
 	if c.pwSince < 0 {
 		c.pwSince = 0
 	}
-	if c.pwSince > 0 && c.pwSince%c.e.cfg.Select.AlignMod == 0 {
+	if c.pwSince > 0 && c.pwSince%c.e.sel.AlignMod == 0 {
 		boundary = true
 	}
 	if boundary {
@@ -310,7 +310,7 @@ func (c *constructor) preWalkStep() {
 		c.reset()
 		return
 	}
-	if c.pwCount >= c.e.cfg.PreWalkCap {
+	if c.pwCount >= PreWalkCap {
 		c.abortPreWalk()
 		return
 	}

@@ -51,44 +51,19 @@ func exhaustLines(t *testing.T, r *rig) uint64 {
 	return st.LinesFetched
 }
 
-// TestLineBytesTracksICache: with LineBytes unset, the prefetch-cache
-// line size follows the shared i-cache, so the same PrefetchInstrs
-// budget holds twice as many 32B lines as 64B lines.
+// TestLineBytesTracksICache: the prefetch caches' line is the shared
+// i-cache's, so the same PrefetchInstrs budget holds twice as many 32B
+// lines as 64B lines.
 func TestLineBytesTracksICache(t *testing.T) {
 	im := straightLine(t)
 	cfg := DefaultConfig()
 	cfg.PrefetchInstrs = 32
 
-	r64 := newRigLines(t, im, cfg, 64)
-	if r64.eng.LineBytes() != 64 {
-		t.Fatalf("LineBytes() = %d with a 64B i-cache", r64.eng.LineBytes())
-	}
-	if got := exhaustLines(t, r64); got != 2 {
+	if got := exhaustLines(t, newRigLines(t, im, cfg, 64)); got != 2 {
 		t.Errorf("64B lines: fetched %d, want 2 (32 instrs / 16 per line)", got)
 	}
-
-	r32 := newRigLines(t, im, cfg, 32)
-	if r32.eng.LineBytes() != 32 {
-		t.Fatalf("LineBytes() = %d with a 32B i-cache", r32.eng.LineBytes())
-	}
-	if got := exhaustLines(t, r32); got != 4 {
+	if got := exhaustLines(t, newRigLines(t, im, cfg, 32)); got != 4 {
 		t.Errorf("32B lines: fetched %d, want 4 (32 instrs / 8 per line)", got)
-	}
-}
-
-// TestLineBytesOverride: an explicit Config.LineBytes wins over the
-// i-cache's line size.
-func TestLineBytesOverride(t *testing.T) {
-	im := straightLine(t)
-	cfg := DefaultConfig()
-	cfg.PrefetchInstrs = 32
-	cfg.LineBytes = 128
-	r := newRigLines(t, im, cfg, 64)
-	if r.eng.LineBytes() != 128 {
-		t.Fatalf("LineBytes() = %d, want configured 128", r.eng.LineBytes())
-	}
-	if got := exhaustLines(t, r); got != 1 {
-		t.Errorf("128B lines: fetched %d, want 1", got)
 	}
 }
 
@@ -97,9 +72,8 @@ func TestLineBytesOverride(t *testing.T) {
 func TestLineBytesTooLargeForPrefetch(t *testing.T) {
 	im := straightLine(t)
 	cfg := DefaultConfig()
-	cfg.PrefetchInstrs = 16
-	cfg.LineBytes = 128 // 16 instrs = 64 bytes < one line
-	_, err := buildRig(t, im, cfg, 64, 64)
+	cfg.PrefetchInstrs = 16 // 64 bytes < one 128B i-cache line
+	_, err := buildRig(t, im, cfg, 128, 64)
 	if err == nil || !strings.Contains(err.Error(), "smaller than one") {
 		t.Fatalf("New = %v, want prefetch-smaller-than-line error", err)
 	}

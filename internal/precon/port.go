@@ -77,9 +77,8 @@ func (p *SlowPathPort) SetClock(now uint64) { p.now = now }
 // Now returns the port clock.
 func (p *SlowPathPort) Now() uint64 { return p.now }
 
-// LineBytes is the line size of the instruction cache behind the port
-// (used to derive prefetch-cache geometry when Config.LineBytes is
-// zero, and for line-address arithmetic).
+// LineBytes is the line size of the instruction cache behind the port,
+// which is also the prefetch caches' line.
 func (p *SlowPathPort) LineBytes() int { return p.ic.Config().LineBytes }
 
 // DemandAccess performs a demand-fetch line access at cycle now. Demand

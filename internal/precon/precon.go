@@ -40,7 +40,9 @@
 package precon
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"tracepre/internal/bpred"
@@ -68,27 +70,28 @@ type BufferStore interface {
 	Insert(tr *trace.Trace, region uint64) bool
 }
 
-// Config parameterizes the engine. Defaults follow §3 and §4.1.
-type Config struct {
-	StackDepth         int // region start-point stack depth (16)
-	CompletedSlots     int // recently-completed region memory (4)
-	NumRegions         int // prefetch caches / concurrent regions (4)
-	PrefetchInstrs     int // instructions per prefetch cache (256)
-	NumConstructors    int // parallel trace constructors (4)
-	WorklistCap        int // trace start points queued per region
-	DecisionDepth      int // weak branches forked per start point
-	MaxTracesPerStart  int // DFS bound per start point
-	MaxTracesPerRegion int // safety bound per region
-	StepInstrs         int // instructions a constructor advances per work unit
-	PreWalkCap         int // instruction budget for loop-exit boundary walk
-	CallStackDepth     int // constructor-internal call stack
+// The engine's fixed structure, which no experiment varies. The first
+// two are the paper's (§3.2, §3.3.1); the rest bound the model's work
+// where the paper gives no figure.
+const (
+	CompletedSlots     = 4  // recently completed regions remembered (§3.2)
+	NumRegions         = 4  // prefetch caches, one per active region (§3.3.1)
+	WorklistCap        = 8  // trace start points queued per region
+	MaxTracesPerStart  = 8  // traces enumerated per start point
+	MaxTracesPerRegion = 64 // safety bound per region
+	StepInstrs         = 4  // instructions a constructor advances per work unit
+	PreWalkCap         = 16 // instruction budget for loop-exit boundary walk
+	CallStackDepth     = 16 // constructor-internal call stack
+)
 
-	// LineBytes is the prefetch-cache line size, which sets how many
-	// distinct lines a PrefetchInstrs-instruction prefetch cache holds.
-	// 0 (the default) derives it from the shared instruction cache the
-	// engine fetches through, so prefetch-cache capacity tracks
-	// non-64B-line experiments automatically.
-	LineBytes int
+// Config parameterizes what the sensitivity and ablation studies vary.
+// Defaults follow §3 and §4.1. The prefetch caches' line is the shared
+// instruction cache's line.
+type Config struct {
+	StackDepth      int // region start-point stack depth (16)
+	PrefetchInstrs  int // instructions per prefetch cache (256)
+	NumConstructors int // parallel trace constructors (4)
+	DecisionDepth   int // weak branches forked per start point (4)
 
 	// MeasureOverhead times the engine's ObserveBatch and Step calls
 	// into Stats.ObserveNs/StepNs, letting sweeps report per-cell
@@ -104,67 +107,39 @@ type Config struct {
 	// at the indirect jump — only the successor start point becomes
 	// known.
 	ResolveIndirects bool
-
-	Select trace.SelectConfig
 }
 
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
 	return Config{
-		StackDepth:         16,
-		CompletedSlots:     4,
-		NumRegions:         4,
-		PrefetchInstrs:     256,
-		NumConstructors:    4,
-		WorklistCap:        8,
-		DecisionDepth:      4,
-		MaxTracesPerStart:  8,
-		MaxTracesPerRegion: 64,
-		StepInstrs:         4,
-		PreWalkCap:         16,
-		CallStackDepth:     16,
-		Select:             trace.DefaultSelectConfig(),
+		StackDepth:      16,
+		PrefetchInstrs:  256,
+		NumConstructors: 4,
+		DecisionDepth:   4,
 	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.StackDepth <= 0 || c.CompletedSlots < 0 {
-		return fmt.Errorf("precon: stack %d/%d", c.StackDepth, c.CompletedSlots)
+	if c.StackDepth <= 0 || c.NumConstructors <= 0 {
+		return fmt.Errorf("precon: stack %d constructors %d", c.StackDepth, c.NumConstructors)
 	}
-	if c.NumRegions <= 0 || c.NumConstructors <= 0 {
-		return fmt.Errorf("precon: regions %d constructors %d", c.NumRegions, c.NumConstructors)
+	if c.PrefetchInstrs <= 0 || c.DecisionDepth < 0 {
+		return fmt.Errorf("precon: prefetch %d decisions %d", c.PrefetchInstrs, c.DecisionDepth)
 	}
-	if c.PrefetchInstrs <= 0 || c.WorklistCap <= 0 {
-		return fmt.Errorf("precon: prefetch %d worklist %d", c.PrefetchInstrs, c.WorklistCap)
-	}
-	if c.DecisionDepth < 0 || c.MaxTracesPerStart <= 0 || c.MaxTracesPerRegion <= 0 {
-		return fmt.Errorf("precon: decision/trace bounds")
-	}
-	if c.StepInstrs <= 0 || c.PreWalkCap <= 0 || c.CallStackDepth <= 0 {
-		return fmt.Errorf("precon: step/prewalk/callstack bounds")
-	}
-	if c.LineBytes < 0 || (c.LineBytes > 0 && c.LineBytes&(c.LineBytes-1) != 0) {
-		return fmt.Errorf("precon: LineBytes %d not a power of two", c.LineBytes)
-	}
-	return c.Select.Validate()
+	return nil
 }
 
-// ResolveLine returns the prefetch-cache line size, LineBytes or the
-// instruction cache's line size icacheLine when LineBytes is 0, and how
-// many such lines the prefetch cache holds. A prefetch cache smaller
-// than one line is an error. icacheLine must be positive.
-func (c Config) ResolveLine(icacheLine int) (lineBytes, lineCap int, err error) {
-	lineBytes = c.LineBytes
-	if lineBytes == 0 {
-		lineBytes = icacheLine
-	}
-	lineCap = c.PrefetchInstrs * isa.WordSize / lineBytes
+// PrefetchLines returns how many lineBytes-byte lines — the shared
+// instruction cache's — a prefetch cache holds. A prefetch cache
+// smaller than one line is an error. lineBytes must be positive.
+func (c Config) PrefetchLines(lineBytes int) (int, error) {
+	lineCap := c.PrefetchInstrs * isa.WordSize / lineBytes
 	if lineCap <= 0 {
-		return 0, 0, fmt.Errorf("precon: prefetch cache (%d instrs) smaller than one %dB line",
+		return 0, fmt.Errorf("precon: prefetch cache (%d instrs) smaller than one %dB line",
 			c.PrefetchInstrs, lineBytes)
 	}
-	return lineBytes, lineCap, nil
+	return lineCap, nil
 }
 
 // Kind distinguishes the two region start-point constructs of §3.2.
@@ -238,16 +213,19 @@ func (s Stats) EngineNs() uint64 { return s.ObserveNs + s.StepNs }
 // Engine is the trace preconstruction unit.
 type Engine struct {
 	cfg  Config
+	sel  trace.SelectConfig
 	im   *program.Image
 	bim  *bpred.Bimodal
 	port *SlowPathPort
 	tc   TraceStore
 	buf  BufferStore
 
-	// icLineMask aligns addresses to the slow-path i-cache's line
-	// granularity (port.LineBytes()-1), resolved once so the walk loop
-	// does plain address arithmetic with no port call.
-	icLineMask uint32
+	// lineMask aligns addresses to the slow-path i-cache's line, which
+	// is also the prefetch caches' line (port.LineBytes()-1), resolved
+	// once so the walk loop does plain address arithmetic with no port
+	// call. lineCap is how many lines one prefetch cache holds.
+	lineMask uint32
+	lineCap  int
 
 	// stack holds start points newest-last; entries retire by
 	// tombstone. stackLive counts non-dead entries and stackIdx
@@ -257,7 +235,7 @@ type Engine struct {
 	stackLive int
 	stackIdx  addrIndex
 
-	completed []uint32 // ring of recently completed region starts
+	completed [CompletedSlots]uint32 // ring of recently completed region starts
 	compNext  int
 
 	regions     []*region
@@ -266,12 +244,6 @@ type Engine struct {
 	ctors       []*constructor
 	regionSeq   uint64
 	stats       Stats
-
-	// lineBytes/lineShift/lineCap resolve Config.LineBytes (or the
-	// shared i-cache's line size) once, for the prefetch-line hot path.
-	lineBytes int
-	lineShift uint
-	lineCap   int
 
 	// retireCheck is set when a region's walker count drops to zero —
 	// the only transition that can leave a region quiescent — so step
@@ -334,8 +306,9 @@ func (r *region) popWork() uint32 {
 	return v
 }
 
-// New builds an engine sharing the image, the slow path's bimodal
-// predictor and indirect target buffer (read only under
+// New builds an engine that constructs traces under the selection
+// rules sel, the demand path's, sharing the image, the slow path's
+// bimodal predictor and indirect target buffer (read only under
 // ResolveIndirects), the slow-path i-cache port, the trace cache, the
 // preconstruction buffers and the intern store with the frontend. The
 // port is the engine's only route to instruction lines; demand fetch
@@ -343,32 +316,29 @@ func (r *region) popWork() uint32 {
 // refcount bump and content check when an identical trace is resident —
 // and the buffers' Insert takes ownership of that reference, so they
 // must hold references in the same store.
-func New(cfg Config, im *program.Image, bim *bpred.Bimodal, itb *bpred.TargetBuffer,
+func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimodal, itb *bpred.TargetBuffer,
 	port *SlowPathPort, tc TraceStore, buf BufferStore, store *trace.Store) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := errors.Join(cfg.Validate(), sel.Validate()); err != nil {
 		return nil, err
 	}
-	lineBytes, lineCap, err := cfg.ResolveLine(port.LineBytes())
+	lineCap, err := cfg.PrefetchLines(port.LineBytes())
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:        cfg,
-		im:         im,
-		bim:        bim,
-		itb:        itb,
-		port:       port,
-		tc:         tc,
-		buf:        buf,
-		store:      store,
-		icLineMask: uint32(port.LineBytes() - 1),
-		completed:  make([]uint32, cfg.CompletedSlots),
-		regions:    make([]*region, cfg.NumRegions),
-		ctors:      make([]*constructor, cfg.NumConstructors),
-		lineBytes:  lineBytes,
-		lineCap:    lineCap,
-	}
-	for e.lineShift = 0; 1<<e.lineShift < lineBytes; e.lineShift++ {
+		cfg:      cfg,
+		sel:      sel,
+		im:       im,
+		bim:      bim,
+		itb:      itb,
+		port:     port,
+		tc:       tc,
+		buf:      buf,
+		store:    store,
+		lineMask: uint32(port.LineBytes() - 1),
+		lineCap:  lineCap,
+		regions:  make([]*region, NumRegions),
+		ctors:    make([]*constructor, cfg.NumConstructors),
 	}
 	for i := range e.ctors {
 		e.ctors[i] = newConstructor(e)
@@ -376,11 +346,8 @@ func New(cfg Config, im *program.Image, bim *bpred.Bimodal, itb *bpred.TargetBuf
 	return e, nil
 }
 
-// LineBytes returns the resolved prefetch-cache line size.
-func (e *Engine) LineBytes() int { return e.lineBytes }
-
-// icLineAddr aligns pc to the slow-path i-cache's line granularity.
-func (e *Engine) icLineAddr(pc uint32) uint32 { return pc &^ e.icLineMask }
+// lineAddr aligns pc to the slow-path i-cache's line.
+func (e *Engine) lineAddr(pc uint32) uint32 { return pc &^ e.lineMask }
 
 // Observe monitors one dispatched-and-retiring instruction for region
 // start-point events: calls push their return address, taken backward
@@ -569,10 +536,8 @@ func (e *Engine) completeRegion(r *region, reason *uint64) {
 	if reason != nil {
 		*reason++
 	}
-	if e.cfg.CompletedSlots > 0 {
-		e.completed[e.compNext] = r.start.Addr
-		e.compNext = (e.compNext + 1) % e.cfg.CompletedSlots
-	}
+	e.completed[e.compNext] = r.start.Addr
+	e.compNext = (e.compNext + 1) % CompletedSlots
 	for _, c := range e.ctors {
 		if c.reg == r {
 			c.reset()
@@ -591,7 +556,7 @@ func (e *Engine) completeRegion(r *region, reason *uint64) {
 }
 
 func (e *Engine) recentlyCompleted(addr uint32) bool {
-	for _, a := range e.completed {
+	for _, a := range &e.completed {
 		if a != 0 && a == addr {
 			return true
 		}
@@ -607,9 +572,9 @@ func (e *Engine) newRegion() *region {
 		e.freeList = e.freeList[:n-1]
 		return r
 	}
-	r := &region{worklist: make([]uint32, 0, e.cfg.WorklistCap)}
-	r.seen.init(e.cfg.WorklistCap * 2)
-	r.lines.initLines(e.icLineAddr(e.im.Base), e.im.End(), e.lineShift)
+	r := &region{worklist: make([]uint32, 0, WorklistCap)}
+	r.seen.init(WorklistCap * 2)
+	r.lines.initLines(e.lineAddr(e.im.Base), e.im.End(), uint(bits.OnesCount32(e.lineMask)))
 	return r
 }
 
@@ -711,10 +676,10 @@ func (e *Engine) deliver(r *region, tr *trace.Trace) {
 			return
 		}
 	}
-	if tr.Succ != 0 && !r.seen.has(tr.Succ) && r.pending() < e.cfg.WorklistCap {
+	if tr.Succ != 0 && !r.seen.has(tr.Succ) && r.pending() < WorklistCap {
 		r.pushWork(tr.Succ)
 	}
-	if r.built >= e.cfg.MaxTracesPerRegion {
+	if r.built >= MaxTracesPerRegion {
 		e.completeRegion(r, nil)
 	}
 }
@@ -774,7 +739,7 @@ func (e *Engine) step(units int) {
 					c.beginStart(r, r.popWork())
 				}
 			}
-			c.advance(e.cfg.StepInstrs)
+			c.advance(StepInstrs)
 		}
 		if e.retireCheck {
 			e.retireCheck = false

@@ -45,7 +45,7 @@ func buildRig(tb testing.TB, im *program.Image, cfg Config, icLine, entries int)
 		tb.Fatal(err)
 	}
 	var err error
-	r.eng, err = New(cfg, im, r.bim, r.itb, NewSlowPathPort(r.ic, h), r.tc, r.buf, r.store)
+	r.eng, err = New(cfg, trace.DefaultSelectConfig(), im, r.bim, r.itb, NewSlowPathPort(r.ic, h), r.tc, r.buf, r.store)
 	return r, err
 }
 
@@ -69,7 +69,7 @@ type driveResult struct {
 func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 	t.Helper()
 	e := emulator.New(r.im)
-	b := trace.NewBuilder(trace.DefaultSelectConfig(), false)
+	b := trace.NewBuilder(trace.DefaultSelectConfig())
 	res := driveResult{hitAt: make(map[int]bool)}
 	handle := func(tr *trace.Trace) {
 		id := tr.ID()
@@ -103,7 +103,7 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 		r.eng.Observe(d)
 		if b.Append(d.PC, d.Inst, d.Taken) {
 			handle(b.Finish(d.NextPC))
-			b.Reset(false)
+			b.Reset()
 		}
 	})
 	if err != nil {
@@ -118,20 +118,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	mutate := []func(*Config){
 		func(c *Config) { c.StackDepth = 0 },
-		func(c *Config) { c.CompletedSlots = -1 },
-		func(c *Config) { c.NumRegions = 0 },
 		func(c *Config) { c.NumConstructors = 0 },
 		func(c *Config) { c.PrefetchInstrs = 0 },
-		func(c *Config) { c.WorklistCap = 0 },
 		func(c *Config) { c.DecisionDepth = -1 },
-		func(c *Config) { c.MaxTracesPerStart = 0 },
-		func(c *Config) { c.MaxTracesPerRegion = 0 },
-		func(c *Config) { c.StepInstrs = 0 },
-		func(c *Config) { c.PreWalkCap = 0 },
-		func(c *Config) { c.CallStackDepth = 0 },
-		func(c *Config) { c.LineBytes = 3 },
-		func(c *Config) { c.LineBytes = -64 },
-		func(c *Config) { c.Select.MaxLen = 0 },
 	}
 	for i, m := range mutate {
 		c := DefaultConfig()
@@ -482,9 +471,7 @@ func TestPreWalkCapAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.PreWalkCap = 8
-	r := newRig(t, im, cfg)
+	r := newRig(t, im, DefaultConfig())
 	// Train the branches not-taken AND backward so they reset the
 	// counter: they are backward (target exit is above). Train each
 	// site strongly not-taken so the pre-walk follows fall-through.

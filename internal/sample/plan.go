@@ -65,14 +65,15 @@ type Plan struct {
 	// ModelWarm bounds WarmModel to the tail of each fast-forward
 	// stretch: only the last ModelWarm instructions before the next
 	// detailed warm-up run through the warm model; the rest of the skip
-	// is raw — decoded but never segmented or fed to the simulator, so
-	// a group pays for it once, not once per member (0 runs the warm
-	// model over the whole skip). Trainable state re-converges
-	// quickly — saturating predictor counters, cache tags and trace
-	// cache contents churn at working-set speed — so a tail a few times
-	// the detailed warm-up long recovers the warm-model fidelity at a
-	// small fraction of its cost. As with WarmModel=false, no trace
-	// stitches across the unsegmented gap.
+	// is raw — decoded and segmented, but its traces are withheld from
+	// the simulator (Runner.SkipRaw), so a group pays for it once, not
+	// once per member (0 runs the warm model over the whole skip).
+	// Segmenting the raw stretch keeps every later trace aligned with
+	// the full run's, which WarmModel=false's reset cannot. Trainable
+	// state re-converges quickly — saturating predictor counters, cache
+	// tags and trace cache contents churn at working-set speed — so a
+	// tail a few times the detailed warm-up long recovers the
+	// warm-model fidelity at a small fraction of its cost.
 	ModelWarm uint64
 
 	// ObservePrecon forwards to pipeline.Config.FFObservePrecon: the

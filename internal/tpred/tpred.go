@@ -19,46 +19,27 @@ import (
 	"tracepre/internal/trace"
 )
 
-// Config sizes the predictor.
-type Config struct {
-	PrimaryEntries   int // tagged path table (power of two)
-	SecondaryEntries int // last-trace table (power of two)
-	HistoryTraces    int // trace IDs folded into the path history (>=1)
-	RHSDepth         int // return history stack depth
+// The predictor's sizes, which no experiment varies.
+const (
+	PrimaryEntries   = 1 << 15 // tagged path table (power of two)
+	SecondaryEntries = 1 << 13 // last-trace table (power of two)
+	HistoryTraces    = 4       // trace IDs folded into the path history
+	RHSDepth         = 16      // return history stack depth
 
+	// histBits is how far the path history shifts per trace, so it
+	// holds HistoryTraces traces.
+	histBits = 64 / HistoryTraces
+)
+
+// Config selects the predictor's ablations. The zero value is the
+// hybrid the experiments use.
+type Config struct {
 	// DisableSecondary removes the hybrid's last-trace fallback table
 	// (ablation: cold starts and aliasing go unserved).
 	DisableSecondary bool
 	// DisableRHS removes the return history stack (ablation: path
 	// history is clobbered across calls).
 	DisableRHS bool
-}
-
-// DefaultConfig returns the configuration used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		PrimaryEntries:   1 << 15,
-		SecondaryEntries: 1 << 13,
-		HistoryTraces:    4,
-		RHSDepth:         16,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.PrimaryEntries <= 0 || c.PrimaryEntries&(c.PrimaryEntries-1) != 0 {
-		return fmt.Errorf("tpred: primary entries %d not a power of two", c.PrimaryEntries)
-	}
-	if c.SecondaryEntries <= 0 || c.SecondaryEntries&(c.SecondaryEntries-1) != 0 {
-		return fmt.Errorf("tpred: secondary entries %d not a power of two", c.SecondaryEntries)
-	}
-	if c.HistoryTraces < 1 || c.HistoryTraces > 8 {
-		return fmt.Errorf("tpred: history length %d out of range", c.HistoryTraces)
-	}
-	if c.RHSDepth <= 0 {
-		return fmt.Errorf("tpred: RHS depth %d", c.RHSDepth)
-	}
-	return nil
 }
 
 type entry struct {
@@ -104,8 +85,7 @@ type Tables struct {
 	primary   []entry
 	secondary []entry
 	hist      uint64
-	histBits  uint // shift per trace id
-	rhs       []uint64
+	rhs       [RHSDepth]uint64
 	rhsTop    int
 	rhsSize   int
 	lastID    trace.ID
@@ -128,19 +108,14 @@ type lookup struct {
 }
 
 // NewTables builds one set of predictor tables.
-func NewTables(cfg Config) (*Tables, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func NewTables(cfg Config) *Tables {
 	t := &Tables{
 		cfg:       cfg,
-		primary:   make([]entry, cfg.PrimaryEntries),
-		secondary: make([]entry, cfg.SecondaryEntries),
-		histBits:  uint(64 / cfg.HistoryTraces),
-		rhs:       make([]uint64, cfg.RHSDepth),
+		primary:   make([]entry, PrimaryEntries),
+		secondary: make([]entry, SecondaryEntries),
 	}
 	t.look.trace = ^uint64(0) // none yet
-	return t, nil
+	return t
 }
 
 // View returns a new predictor over the tables, positioned at the next
@@ -180,9 +155,9 @@ func (t *Tables) lookupAt(i uint64) *lookup {
 	}
 	f := fold(t.hist)
 	l.trace = i
-	l.pIdx = int(f) & (t.cfg.PrimaryEntries - 1)
+	l.pIdx = int(f) & (PrimaryEntries - 1)
 	l.pTag = uint16(f >> 16)
-	l.sIdx = int(t.lastID.Hash()) & (t.cfg.SecondaryEntries - 1)
+	l.sIdx = int(t.lastID.Hash()) & (SecondaryEntries - 1)
 	l.id, l.ok, l.primary = trace.ID{}, false, false
 	if e := &t.primary[l.pIdx]; e.valid && e.tag == l.pTag {
 		l.id, l.ok, l.primary = e.id, true, true
@@ -285,7 +260,7 @@ func (t *Tables) train(i uint64, actual *trace.Trace) {
 	}
 
 	// Advance path history with the actual trace.
-	t.hist = t.hist<<t.histBits ^ uint64(id.Hash())
+	t.hist = t.hist<<histBits ^ uint64(id.Hash())
 	t.lastID = id
 	t.haveLast = true
 
@@ -297,7 +272,7 @@ func (t *Tables) train(i uint64, actual *trace.Trace) {
 		if h, ok := t.rhsPop(); ok {
 			// Restore the pre-call history, then fold in the
 			// returning trace so the post-return path is distinct.
-			t.hist = h<<t.histBits ^ uint64(id.Hash())
+			t.hist = h<<histBits ^ uint64(id.Hash())
 		}
 	}
 	t.n++

@@ -8,10 +8,6 @@ import (
 	"tracepre/internal/trace"
 )
 
-func smallCfg() Config {
-	return Config{PrimaryEntries: 1 << 10, SecondaryEntries: 1 << 8, HistoryTraces: 4, RHSDepth: 4}
-}
-
 // mkTrace builds a trivial trace starting at start. Flags control the
 // RHS-relevant character.
 func mkTrace(start uint32, call, ret bool) *trace.Trace {
@@ -35,41 +31,12 @@ func mkTrace(start uint32, call, ret bool) *trace.Trace {
 	return &trace.Trace{PCs: pcs, Insts: insts, Flags: flags, EndsInReturn: ret}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config: %v", err)
-	}
-	bad := []Config{
-		{PrimaryEntries: 0, SecondaryEntries: 8, HistoryTraces: 4, RHSDepth: 4},
-		{PrimaryEntries: 10, SecondaryEntries: 8, HistoryTraces: 4, RHSDepth: 4},
-		{PrimaryEntries: 8, SecondaryEntries: 7, HistoryTraces: 4, RHSDepth: 4},
-		{PrimaryEntries: 8, SecondaryEntries: 8, HistoryTraces: 0, RHSDepth: 4},
-		{PrimaryEntries: 8, SecondaryEntries: 8, HistoryTraces: 9, RHSDepth: 4},
-		{PrimaryEntries: 8, SecondaryEntries: 8, HistoryTraces: 4, RHSDepth: 0},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil", c)
-		}
-	}
-	if _, err := NewTables(Config{}); err == nil {
-		t.Error("NewTables accepted the zero config")
-	}
-}
-
-// newPredictor builds a predictor over private tables, failing the test
-// on a config error.
-func newPredictor(t testing.TB, cfg Config) *Predictor {
-	t.Helper()
-	tables, err := NewTables(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tables.View()
-}
+// newPredictor builds a predictor over private tables of the full
+// hybrid.
+func newPredictor() *Predictor { return NewTables(Config{}).View() }
 
 func TestColdNoPrediction(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	if _, ok := p.Predict(); ok {
 		t.Error("cold predictor produced a prediction")
 	}
@@ -82,7 +49,7 @@ func TestColdNoPrediction(t *testing.T) {
 // TestLearnsRepeatingSequence: after one pass over a repeating trace
 // sequence, the predictor should predict the second pass correctly.
 func TestLearnsRepeatingSequence(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	seq := []*trace.Trace{
 		mkTrace(0x1000, false, false),
 		mkTrace(0x2000, false, false),
@@ -116,7 +83,7 @@ func TestLearnsRepeatingSequence(t *testing.T) {
 // depending on the preceding path is predictable only with path history;
 // verify the primary table disambiguates.
 func TestPathCorrelation(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	a := mkTrace(0xA000, false, false)
 	b := mkTrace(0xB000, false, false)
 	x := mkTrace(0x1000, false, false)
@@ -152,7 +119,7 @@ func TestPathCorrelation(t *testing.T) {
 // prediction from the secondary last-trace table once the pair has been
 // seen under some other history.
 func TestSecondaryFallback(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	x := mkTrace(0x1000, false, false)
 	y := mkTrace(0x2000, false, false)
 	fillers := []*trace.Trace{
@@ -186,7 +153,7 @@ func TestSecondaryFallback(t *testing.T) {
 // TestRHSRestoresHistory: a call/return wrapping a variable-length callee
 // must not destroy the caller-side correlation.
 func TestRHSRestoresHistory(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	pre := mkTrace(0x1000, true, false) // caller trace containing the call
 	c1 := mkTrace(0x9000, false, true)  // callee variant 1 (ends in return)
 	c2 := mkTrace(0x9800, false, true)  // callee variant 2
@@ -216,7 +183,7 @@ func TestRHSRestoresHistory(t *testing.T) {
 }
 
 func TestUpdateTrainsReplacement(t *testing.T) {
-	p := newPredictor(t, smallCfg())
+	p := newPredictor()
 	x := mkTrace(0x1000, false, false)
 	y := mkTrace(0x2000, false, false)
 	z := mkTrace(0x3000, false, false)
@@ -270,12 +237,9 @@ func lockstepSeq() []*trace.Trace {
 // and which view reaches a trace first alternates. Every prediction
 // and every counter of a view must equal its private twin's.
 func TestSharedTablesMatchPrivate(t *testing.T) {
-	tables, err := NewTables(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := NewTables(Config{})
 	shared := []*Predictor{tables.View(), tables.View()}
-	private := []*Predictor{newPredictor(t, smallCfg()), newPredictor(t, smallCfg())}
+	private := []*Predictor{newPredictor(), newPredictor()}
 	rng := rand.New(rand.NewSource(5))
 	for n, tr := range lockstepSeq() {
 		order := []int{0, 1}
@@ -311,10 +275,7 @@ func TestSharedTablesMatchPrivate(t *testing.T) {
 // no longer be served, and panics rather than predict from the wrong
 // state. One trace behind is the lockstep norm.
 func TestViewOutOfLockstepPanics(t *testing.T) {
-	tables, err := NewTables(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := NewTables(Config{})
 	lead, lag := tables.View(), tables.View()
 	x := mkTrace(0x1000, false, false)
 	lead.Predict()
@@ -349,7 +310,7 @@ func TestAccuracyEmpty(t *testing.T) {
 }
 
 func BenchmarkPredictUpdate(b *testing.B) {
-	p := newPredictor(b, DefaultConfig())
+	p := newPredictor()
 	seq := make([]*trace.Trace, 64)
 	for i := range seq {
 		seq[i] = mkTrace(uint32(0x1000+i*64), i%7 == 0, i%11 == 0)

@@ -80,13 +80,13 @@ func decodeAll(t testing.TB, st *emulator.Stream) []emulator.Dyn {
 // trace with the span of the stream it covers; a trailing partial trace
 // is dropped, as the simulator drops it.
 func builderTraces(all []emulator.Dyn, cfg SelectConfig) (traces []*Trace, dyns [][]emulator.Dyn) {
-	b := NewBuilder(cfg, false)
+	b := NewBuilder(cfg)
 	start := 0
 	for i, d := range all {
 		if b.Append(d.PC, d.Inst, d.Taken) {
 			traces = append(traces, b.Finish(d.NextPC))
 			dyns = append(dyns, all[start:i+1])
-			b.Reset(false)
+			b.Reset()
 			start = i + 1
 		}
 	}

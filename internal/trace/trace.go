@@ -7,9 +7,9 @@
 // where a trace the processor needs starts. Both the fill unit (which
 // builds traces from the committed stream) and the preconstruction
 // engine (which builds traces from a static walk) therefore apply the
-// same termination rules — the engine through Builder, the fill unit
-// through ChunkSegmenter, which restates Builder's rules and is tested
-// against it:
+// same termination rules. Builder states them once; the engine appends
+// its walks to a Builder, and the fill unit's ChunkSegmenter appends
+// the committed stream to one:
 //
 //   - a trace never exceeds MaxLen instructions;
 //   - a trace ends at a return instruction (so traces following returns
@@ -155,14 +155,13 @@ func (c SelectConfig) Validate() error {
 	return nil
 }
 
-// Builder accumulates instructions into a trace, applying the selection
-// rules identically for the fill unit and the preconstructor.
-//
-// Anchored mode treats the trace start as if a backward branch
-// immediately preceded it. The preconstructor uses this for regions
-// rooted at loop exits: the region start point is the backward branch's
-// fall-through, so counting from the region start reproduces the
-// machine's count past the branch, and the trace boundaries coincide.
+// Builder accumulates instructions into a trace and applies the
+// selection rules: it is their one statement, used by the
+// preconstruction engine's walks and by ChunkSegmenter for the
+// committed stream. A trace's alignment count starts at its first
+// backward branch; the engine's loop-exit pre-walk counts past the
+// region's closing branch on its own, so the trace it starts at the
+// boundary needs no head start.
 type Builder struct {
 	cfg SelectConfig
 	t   Trace
@@ -175,24 +174,16 @@ type Builder struct {
 	sinceBwd int // instructions appended since last backward branch; -1 = none seen
 }
 
-// NewBuilder returns a Builder for one trace. If anchored, the
-// alignment counter is active from the first instruction.
-func NewBuilder(cfg SelectConfig, anchored bool) *Builder {
-	b := &Builder{cfg: cfg, sinceBwd: -1}
-	if anchored {
-		b.sinceBwd = 0
-	}
-	return b
+// NewBuilder returns a Builder for one trace.
+func NewBuilder(cfg SelectConfig) *Builder {
+	return &Builder{cfg: cfg, sinceBwd: -1}
 }
 
 // Reset clears the builder for a new trace with the same configuration.
-func (b *Builder) Reset(anchored bool) {
+func (b *Builder) Reset() {
 	b.t = Trace{}
 	b.k = 0
 	b.sinceBwd = -1
-	if anchored {
-		b.sinceBwd = 0
-	}
 }
 
 // Len returns the number of instructions appended so far.
@@ -228,7 +219,7 @@ func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, tak
 			b.t.BrMask |= 1 << b.t.NumBr
 		}
 		b.t.NumBr++
-		if in.IsBackwardBranch() {
+		if in.Imm < 0 { // a backward branch, without classifying again
 			b.sinceBwd = 0
 			b.t.Flags |= FlagContainsBackward
 		}
@@ -250,7 +241,10 @@ func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, tak
 	if b.k == b.cfg.MaxLen {
 		return true
 	}
-	if b.sinceBwd > 0 && b.sinceBwd%b.cfg.AlignMod == 0 {
+	// The first positive multiple of AlignMod past the last backward
+	// branch ends the trace, so the count never passes AlignMod and
+	// equality is the whole test.
+	if b.sinceBwd == b.cfg.AlignMod {
 		return true
 	}
 	// Traces that have used all 16 branch-mask bits must end: the ID

@@ -46,7 +46,7 @@ func TestIDHashAndString(t *testing.T) {
 }
 
 func TestBuilderMaxLen(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	in := isa.Inst{Op: isa.OpAdd, Rd: 1, Ra: 2, Rb: 3}
 	for i := 0; i < 15; i++ {
 		if b.Append(uint32(i*4), in, false) {
@@ -66,7 +66,7 @@ func TestBuilderMaxLen(t *testing.T) {
 }
 
 func TestBuilderEndsAtReturn(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	b.Append(0, isa.Inst{Op: isa.OpAdd}, false)
 	if !b.Append(4, isa.Inst{Op: isa.OpJr, Ra: isa.RegLink}, false) {
 		t.Error("trace did not end at return")
@@ -78,21 +78,21 @@ func TestBuilderEndsAtReturn(t *testing.T) {
 }
 
 func TestBuilderEndsAtIndirect(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	if !b.Append(0, isa.Inst{Op: isa.OpJr, Ra: 5}, false) {
 		t.Error("trace did not end at indirect jump")
 	}
 	if tr := b.Finish(0); !tr.EndsInIndirect {
 		t.Error("EndsInIndirect not set")
 	}
-	b2 := NewBuilder(cfg(), false)
+	b2 := NewBuilder(cfg())
 	if !b2.Append(0, isa.Inst{Op: isa.OpJalr, Ra: 5}, false) {
 		t.Error("trace did not end at indirect call")
 	}
 }
 
 func TestBuilderEndsAtHalt(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	if !b.Append(0, isa.Inst{Op: isa.OpHalt}, false) {
 		t.Error("trace did not end at halt")
 	}
@@ -102,7 +102,7 @@ func TestBuilderEndsAtHalt(t *testing.T) {
 }
 
 func TestBuilderBranchMask(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	br := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 2, Imm: 32} // forward branch
 	b.Append(0, br, true)
 	b.Append(32, isa.Inst{Op: isa.OpAdd}, false)
@@ -124,7 +124,7 @@ func TestBuilderBranchMask(t *testing.T) {
 // TestAlignmentRule: a trace containing a backward branch ends when the
 // instruction count past that branch reaches a multiple of AlignMod.
 func TestAlignmentRule(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	add := isa.Inst{Op: isa.OpAdd}
 	back := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 0, Imm: -16}
 	b.Append(0, add, false)
@@ -146,24 +146,9 @@ func TestAlignmentRule(t *testing.T) {
 	}
 }
 
-// TestAlignmentAnchored: in anchored mode the counter runs from the first
-// instruction, emulating a region start right after a backward branch.
-func TestAlignmentAnchored(t *testing.T) {
-	b := NewBuilder(cfg(), true)
-	add := isa.Inst{Op: isa.OpAdd}
-	for i := 0; i < 3; i++ {
-		if b.Append(uint32(i*4), add, false) {
-			t.Fatalf("anchored trace ended at %d", i+1)
-		}
-	}
-	if !b.Append(12, add, false) {
-		t.Error("anchored trace did not end at 4 instructions")
-	}
-}
-
 // TestAlignmentCounterResets: a second backward branch restarts the count.
 func TestAlignmentCounterResets(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	add := isa.Inst{Op: isa.OpAdd}
 	back := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 0, Imm: -8}
 	b.Append(0, back, true)  // taken back edge
@@ -182,7 +167,7 @@ func TestAlignmentCounterResets(t *testing.T) {
 
 func TestForwardBranchNoAlign(t *testing.T) {
 	// Forward branches must not arm the alignment counter.
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	fwd := isa.Inst{Op: isa.OpBeq, Ra: 1, Rb: 2, Imm: 64}
 	add := isa.Inst{Op: isa.OpAdd}
 	b.Append(0, fwd, false)
@@ -194,7 +179,7 @@ func TestForwardBranchNoAlign(t *testing.T) {
 }
 
 func TestAppendPastEndPanics(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	for i := 0; i < 16; i++ {
 		b.Append(uint32(i*4), isa.Inst{Op: isa.OpAdd}, false)
 	}
@@ -207,17 +192,17 @@ func TestAppendPastEndPanics(t *testing.T) {
 }
 
 func TestFinishEmpty(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	if b.Finish(0) != nil {
 		t.Error("Finish on empty builder returned a trace")
 	}
 }
 
 func TestResetReuse(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	b.Append(0, isa.Inst{Op: isa.OpHalt}, false)
 	t1 := b.Finish(0)
-	b.Reset(false)
+	b.Reset()
 	if b.Len() != 0 {
 		t.Error("Reset did not clear")
 	}
@@ -234,7 +219,7 @@ func TestResetReuse(t *testing.T) {
 }
 
 func TestTraceStringAndPending(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	b.Append(0x100, isa.Inst{Op: isa.OpAdd}, false)
 	tr := b.Finish(0x104)
 	if s := tr.String(); s == "" {
@@ -254,14 +239,14 @@ func TestTraceStringAndPending(t *testing.T) {
 }
 
 func TestContainsCall(t *testing.T) {
-	b := NewBuilder(cfg(), false)
+	b := NewBuilder(cfg())
 	b.Append(0, isa.Inst{Op: isa.OpAdd}, false)
 	b.Append(4, isa.Inst{Op: isa.OpJal, Target: 0x100}, false)
 	b.Append(0x100, isa.Inst{Op: isa.OpHalt}, false)
 	if !b.Finish(0).ContainsCall() {
 		t.Error("ContainsCall = false")
 	}
-	b2 := NewBuilder(cfg(), false)
+	b2 := NewBuilder(cfg())
 	b2.Append(0, isa.Inst{Op: isa.OpHalt}, false)
 	if b2.Finish(0).ContainsCall() {
 		t.Error("ContainsCall = true for plain trace")
@@ -413,25 +398,5 @@ func TestQuickIDHashSpread(t *testing.T) {
 	}
 	if collisions > n/100 {
 		t.Errorf("%d/%d hash collisions", collisions, n)
-	}
-}
-
-func BenchmarkSegmenter(b *testing.B) {
-	im := mustImage()
-	e := emulator.New(im)
-	var dyns []emulator.Dyn
-	e.Run(5000, func(d emulator.Dyn) {
-		dyns = append(dyns, d)
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewChunkSegmenter(DefaultSelectConfig())
-		for rest := dyns; len(rest) > 0; {
-			used, tr, _ := s.Feed(rest)
-			if tr == nil {
-				break
-			}
-			rest = rest[used:]
-		}
 	}
 }

@@ -164,13 +164,14 @@ func (pl *planner) entriesOf(r [2]int) []int {
 // calleesOf returns the candidate callees of function i in two groups:
 // local candidates (the forward window within i's phase range, plus a
 // few far-forward functions that give call chains reach across the
-// whole range) and the shared utility pool callable from every phase.
-func (pl *planner) calleesOf(i int) (local, shared []int) {
+// whole range) and the size of the shared utility pool callable from
+// every phase, functions pl.shared[0] onward.
+func (pl *planner) calleesOf(i int) (local []int, nShared int) {
 	if i >= pl.shared[0] {
 		for j := i + 1; j <= i+pl.p.CalleeWindow && j < pl.shared[1]; j++ {
 			local = append(local, j)
 		}
-		return local, nil
+		return local, 0
 	}
 	var hi int
 	for _, r := range pl.ranges {
@@ -193,22 +194,19 @@ func (pl *planner) calleesOf(i int) (local, shared []int) {
 			}
 		}
 	}
-	for j := pl.shared[0]; j < pl.shared[1]; j++ {
-		shared = append(shared, j)
-	}
-	return local, shared
+	return local, pl.shared[1] - pl.shared[0]
 }
 
 // pickCallee chooses a callee, favouring the local range (which drives
 // phase working sets) over the shared utility pool.
 func (pl *planner) pickCallee(i int) (int, bool) {
-	local, shared := pl.calleesOf(i)
-	if len(local) == 0 && len(shared) == 0 {
+	local, nShared := pl.calleesOf(i)
+	if len(local) == 0 && nShared == 0 {
 		return 0, false
 	}
-	useShared := len(local) == 0 || (len(shared) > 0 && pl.rng.Float64() < 0.25)
+	useShared := len(local) == 0 || (nShared > 0 && pl.rng.Float64() < 0.25)
 	if useShared {
-		return shared[pl.rng.Intn(len(shared))], true
+		return pl.shared[0] + pl.rng.Intn(nShared), true
 	}
 	return local[pl.rng.Intn(len(local))], true
 }

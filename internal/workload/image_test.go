@@ -111,3 +111,29 @@ func TestImageFootprint(t *testing.T) {
 		t.Errorf("gcc image retains %d KiB, want at most %d KiB", retained>>10, limit>>10)
 	}
 }
+
+// TestGenerateAllocs bounds the garbage one generation makes: building
+// the gcc image must allocate at most 10 MiB in at most 85k objects.
+// Set-up generates images in parallel, so what one generation
+// allocates shows in a sweep's peak RSS. Listing the shared pool's
+// candidates at every call site, rather than picking one by index,
+// pushes it past the bound (12.4 MiB in 105k objects).
+func TestGenerateAllocs(t *testing.T) {
+	p, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Generate(p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("Generate(gcc) allocates %d KiB in %d objects", bytes>>10, objects)
+	if bytes > 10<<20 || objects > 85_000 {
+		t.Errorf("Generate(gcc) allocates %d KiB in %d objects, want at most %d KiB in %d",
+			bytes>>10, objects, 10<<10, 85_000)
+	}
+}
