@@ -75,7 +75,10 @@ bench:
 # plus the group driver's correctness gates:
 # decode-once counting, full-Result equivalence against each cell run
 # alone (shared predictors and Figure 8's full-timing points
-# included), and stream-cache accounting untouched by decoded chunks.
+# included), and stream-cache accounting untouched by decoded chunks,
+# and the engine's differential test against its reference at the
+# short size, with the equivalence of the walk's straight-line runs to
+# per-instruction appends.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -97,6 +100,8 @@ bench-smoke:
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestSampledCoversFullRunCI' -count 1 ./internal/core/
 	$(GO) test -run 'TestSampled' -count 1 ./internal/harness/ ./internal/sample/
+	$(GO) test -short -run 'TestEngineMatchesReference' -count 1 ./internal/precon/
+	$(GO) test -run 'TestAppendRunMatchesAppendClassified' -count 1 ./internal/trace/
 
 # Regenerate every paper table/figure plus the extension studies at the
 # full default budget (writes to stdout; takes a few minutes).
@@ -112,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz FuzzConfig -fuzztime 30s ./internal/pipeline/
 	$(GO) test -fuzz FuzzU32Set -fuzztime 30s ./internal/precon/
 	$(GO) test -fuzz FuzzLineSet -fuzztime 30s ./internal/precon/
+	$(GO) test -fuzz FuzzEngine -fuzztime 30s ./internal/precon/
 
 clean:
 	$(GO) clean ./...

@@ -29,9 +29,6 @@ const (
 type Bimodal struct {
 	table []uint8
 	mask  uint32
-
-	lookups     uint64
-	mispredicts uint64
 }
 
 // NewBimodal creates a predictor with the given number of entries, which
@@ -51,16 +48,7 @@ func NewBimodal(entries int) (*Bimodal, error) {
 
 func (b *Bimodal) idx(pc uint32) uint32 { return (pc / isa.WordSize) & b.mask }
 
-// Predict returns the predicted direction for the branch at pc and counts
-// a lookup.
-func (b *Bimodal) Predict(pc uint32) bool {
-	b.lookups++
-	return b.table[b.idx(pc)] >= takenAt
-}
-
-// Peek returns the predicted direction without counting a lookup (used by
-// the preconstruction engine, which shares the table but not the port
-// statistics).
+// Peek returns the predicted direction for the branch at pc.
 func (b *Bimodal) Peek(pc uint32) bool { return b.table[b.idx(pc)] >= takenAt }
 
 // Bias reports the preconstruction view of the branch at pc: its
@@ -70,14 +58,10 @@ func (b *Bimodal) Bias(pc uint32) (taken, strong bool) {
 	return c >= takenAt, c == strongTaken || c == strongNotTkn
 }
 
-// Update trains the counter with the resolved direction and counts a
-// misprediction if the pre-update prediction disagreed.
+// Update trains the counter with the resolved direction.
 func (b *Bimodal) Update(pc uint32, taken bool) {
 	i := b.idx(pc)
 	c := b.table[i]
-	if (c >= takenAt) != taken {
-		b.mispredicts++
-	}
 	if taken {
 		if c < counterMax {
 			b.table[i] = c + 1
@@ -85,19 +69,6 @@ func (b *Bimodal) Update(pc uint32, taken bool) {
 	} else if c > 0 {
 		b.table[i] = c - 1
 	}
-}
-
-// Stats returns (lookups, mispredictions among updated lookups).
-func (b *Bimodal) Stats() (lookups, mispredicts uint64) {
-	return b.lookups, b.mispredicts
-}
-
-// Reset clears counters to the weakly-taken state and zeroes statistics.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = takenAt
-	}
-	b.lookups, b.mispredicts = 0, 0
 }
 
 // RAS is a fixed-depth return address stack with wraparound overwrite
@@ -140,9 +111,6 @@ func (r *RAS) Pop() (addr uint32, ok bool) {
 // Depth returns the number of live entries.
 func (r *RAS) Depth() int { return r.size }
 
-// Reset empties the stack.
-func (r *RAS) Reset() { r.top, r.size = 0, 0 }
-
 // TargetBuffer predicts indirect-jump targets by remembering the last
 // resolved target per (direct-mapped) table entry.
 type TargetBuffer struct {
@@ -177,11 +145,4 @@ func (t *TargetBuffer) Update(pc, target uint32) {
 	i := (pc / isa.WordSize) & t.mask
 	t.pcs[i] = pc
 	t.targets[i] = target
-}
-
-// Reset clears the buffer.
-func (t *TargetBuffer) Reset() {
-	for i := range t.pcs {
-		t.pcs[i], t.targets[i] = 0, 0
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"tracepre/internal/bpred"
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
-	"tracepre/internal/isa"
 	"tracepre/internal/mem"
 	"tracepre/internal/precon"
 	"tracepre/internal/program"
@@ -89,6 +88,11 @@ type Config struct {
 	// through, with a view of its own. Frontends fed the same traces in
 	// lockstep may share one set (see tpred.Tables). Required.
 	Pred *tpred.Tables
+
+	// Slow holds the slow path's bimodal counters and indirect target
+	// buffer, which the engine reads too. Frontends fed the same traces
+	// in lockstep may share one set (see SlowTables). Required.
+	Slow *SlowTables
 
 	// Precon configures the engine.
 	Precon precon.Config
@@ -180,9 +184,10 @@ type Supply struct {
 // Frontend is the composition root: it owns the supplier probe order,
 // routes fills, runs the slow path on misses, and hosts the shared
 // fetch-side state (predictors, intern store, precon engine, port). Its
-// next-trace predictor is a view: the tables behind it may be shared
-// with other frontends (Config.Pred); the bimodal table and the
-// indirect target buffer are always its own.
+// next-trace predictor is a view, and the tables behind it, like the
+// slow path's bimodal table and indirect target buffer, may be shared
+// with other frontends (Config.Pred, Config.Slow); the return address
+// stack is always its own.
 type Frontend struct {
 	cfg   Config
 	im    *program.Image
@@ -191,13 +196,13 @@ type Frontend struct {
 	suppliers []supplierSlot
 	primary   PrimarySupplier
 
-	ic   *cache.Cache
-	port *precon.SlowPathPort
-	bim  *bpred.Bimodal
-	ras  *bpred.RAS
-	itb  *bpred.TargetBuffer
-	pred *tpred.Predictor // view over private or shared tables
-	eng  *precon.Engine
+	ic    *cache.Cache
+	port  *precon.SlowPathPort
+	slow  *SlowTables // private or shared
+	slowN uint64      // traces this frontend has consumed from slow
+	ras   *bpred.RAS
+	pred  *tpred.Predictor // view over private or shared tables
+	eng   *precon.Engine
 
 	// partition reports the adaptive store's feedback state; nil for
 	// split designs.
@@ -211,19 +216,13 @@ type Frontend struct {
 // and (when buffers are configured) the preconstruction engine behind
 // the port.
 func New(im *program.Image, cfg Config) (*Frontend, error) {
-	f := &Frontend{cfg: cfg, im: im, store: trace.NewStore()}
+	f := &Frontend{cfg: cfg, im: im, store: trace.NewStore(), slow: cfg.Slow, slowN: cfg.Slow.n}
 	var err error
 	if f.ic, err = cache.New(cfg.ICache); err != nil {
 		return nil, err
 	}
 	f.port = precon.NewSlowPathPort(f.ic, cfg.Mem)
-	if f.bim, err = bpred.NewBimodal(BimodalEntries); err != nil {
-		return nil, err
-	}
 	if f.ras, err = bpred.NewRAS(RASDepth); err != nil {
-		return nil, err
-	}
-	if f.itb, err = bpred.NewTargetBuffer(TargetEntries); err != nil {
 		return nil, err
 	}
 	f.pred = cfg.Pred.View()
@@ -291,7 +290,7 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 		}
 	}
 	if cfg.PreconEnabled() {
-		f.eng, err = precon.New(cfg.Precon, cfg.Select, im, f.bim, f.itb, f.port, engTC, engBuf, f.store)
+		f.eng, err = precon.New(cfg.Precon, cfg.Select, im, f.slow.bim, f.slow.itb, f.port, engTC, engBuf, f.store)
 		if err != nil {
 			return nil, err
 		}
@@ -313,6 +312,7 @@ func (f *Frontend) addSupplier(s supplierSlot) {
 // an approximation the hierarchy tolerates, see mem.Level); the slow
 // path stamps its memory-level requests relative to it.
 func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supply {
+	f.slow.sync(f.slowN)
 	id := tr.ID()
 	sup := Supply{Trace: tr, ID: id, Supplier: -1}
 	sup.PredID, sup.PredOK = f.pred.Predict()
@@ -398,25 +398,19 @@ func (f *Frontend) SupplyFast(tr *trace.Trace, dyns []emulator.Dyn, now uint64, 
 				last = la
 			}
 		}
-		tr = f.store.Intern(tr)
-		f.primary.Fill(tr)
+		// tr stays the caller's borrowed trace: the engine's inserts
+		// below may evict the interned copy and let the store reuse it.
+		f.primary.Fill(f.store.Intern(tr))
 	}
-	for i := range dyns {
-		d := &dyns[i]
-		switch d.Inst.Classify() {
-		case isa.ClassBranch:
-			f.bim.Update(d.PC, d.Taken)
-		case isa.ClassJumpInd:
-			f.itb.Update(d.PC, d.NextPC)
-		}
-	}
+	f.slow.train(f.slowN, dyns)
+	f.slowN++
 	f.pred.Train(tr)
 	if f.eng != nil && observePrecon {
 		f.port.SetClock(now)
 		if idle > 0 {
 			f.eng.Step(idle)
 		}
-		f.eng.ObserveBatch(dyns)
+		f.eng.Observe(tr)
 	}
 }
 
@@ -425,54 +419,42 @@ func (f *Frontend) SupplyFast(tr *trace.Trace, dyns []emulator.Dyn, now uint64, 
 // machine dispatched the wrong trace before the mispredicted branch
 // resolved, and the engine's start-point stack observed that path. The
 // caller invokes this only on a next-trace misprediction (PredOK and
-// not PredHit).
+// not PredHit). A wrong trace that marks no start point pushes nothing,
+// and a flush with nothing speculative stacked changes nothing the
+// stack rules read, so both are skipped.
 func (f *Frontend) ReplayWrongPath(predID, actual trace.ID) {
 	if f.eng == nil {
 		return
 	}
 	wrong, ok := f.primary.Peek(predID)
-	if !ok || predID == actual {
+	if !ok || predID == actual || wrong.Starts == 0 {
 		return
 	}
-	br := 0
-	for k, in := range wrong.Insts {
-		d := emulator.Dyn{PC: wrong.PCs[k], Inst: in}
-		if in.IsBranch() {
-			d.Taken = wrong.BrMask&(1<<br) != 0
-			br++
-		}
-		f.eng.ObserveSpeculative(d)
-	}
+	f.eng.ObserveSpeculative(wrong)
 	f.eng.FlushSpeculation()
 }
 
 // Retire closes one demanded trace's slot: grant the engine the cycles
-// the slow path left the port idle, let it observe the retiring
-// dispatch stream, train the slow-path predictors from the resolved
-// stream, and train the next-trace predictor with the actual trace.
-// demand is the caller's borrowed trace, not a stored copy: the engine
-// steps first, and its inserts may evict the copy Supply filled and let
-// the intern store reuse its slot. now is the cycle the idle interval
-// starts (the previous trace's retirement); the port clock walks
-// forward from it as units are granted, timestamping the engine's
-// memory-level requests.
+// the slow path left the port idle, let it observe the retiring trace,
+// record the resolved stream's outcomes for the slow-path predictors
+// (SlowTables trains them before the next trace), and train the
+// next-trace predictor with the actual trace. demand is the caller's
+// borrowed trace, not a stored copy: the engine steps first, and its
+// inserts may evict the copy Supply filled and let the intern store
+// reuse its slot. now is the cycle the idle interval starts (the
+// previous trace's retirement); the port clock walks forward from it as
+// units are granted, timestamping the engine's memory-level requests.
 func (f *Frontend) Retire(demand *trace.Trace, idle int64, dyns []emulator.Dyn, now uint64) {
+	f.slow.sync(f.slowN)
 	if f.eng != nil {
 		f.port.SetClock(now)
 		if idle > 0 {
 			f.eng.Step(int(idle))
 		}
-		f.eng.ObserveBatch(dyns)
+		f.eng.Observe(demand)
 	}
-	for i := range dyns {
-		d := &dyns[i]
-		switch d.Inst.Classify() {
-		case isa.ClassBranch:
-			f.bim.Update(d.PC, d.Taken)
-		case isa.ClassJumpInd:
-			f.itb.Update(d.PC, d.NextPC)
-		}
-	}
+	f.slow.record(dyns)
+	f.slowN++
 	f.pred.Update(demand)
 }
 

@@ -61,7 +61,7 @@ func (f *Frontend) slowPath(tr *trace.Trace, dyns []emulator.Dyn, now uint64) (f
 		d := &dyns[i]
 		switch in.Classify() {
 		case isa.ClassBranch:
-			if f.bim.Predict(pc) != d.Taken {
+			if f.slow.bim.Peek(pc) != d.Taken {
 				fetchLat += uint64(f.cfg.MispredictPenalty)
 				f.stats.Slow.BranchMisp++
 			}
@@ -78,7 +78,7 @@ func (f *Frontend) slowPath(tr *trace.Trace, dyns []emulator.Dyn, now uint64) (f
 			}
 			// Training happens at retirement (Retire) for all paths;
 			// here only the penalty is charged.
-			if target, ok := f.itb.Predict(pc); !ok || target != d.NextPC {
+			if target, ok := f.slow.itb.Predict(pc); !ok || target != d.NextPC {
 				fetchLat += uint64(f.cfg.MispredictPenalty)
 				f.stats.Slow.BranchMisp++
 			}

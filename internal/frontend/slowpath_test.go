@@ -26,6 +26,10 @@ func testConfig(t testing.TB) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slow, err := NewSlowTables()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Config{
 		Select:            trace.DefaultSelectConfig(),
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
@@ -35,6 +39,7 @@ func testConfig(t testing.TB) Config {
 		MispredictPenalty: 5,
 		Mem:               h,
 		Pred:              tpred.NewTables(tpred.Config{}),
+		Slow:              slow,
 		Precon:            precon.DefaultConfig(),
 	}
 }

@@ -51,7 +51,7 @@ func TestChunkedRunMatchesRunStream(t *testing.T) {
 			b := trace.NewBuilder(cfg.Select)
 			start := 0
 			for i, d := range all[:min(budget, uint64(len(all)))] {
-				if b.Append(d.PC, d.Inst, d.Taken) {
+				if b.AppendClassified(d.PC, &d.Inst, d.Inst.Classify(), d.Taken) {
 					if _, err := sim.RunTrace(b.Seal(d.NextPC), all[start:i+1]); err != nil {
 						t.Fatal(err)
 					}

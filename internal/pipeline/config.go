@@ -176,10 +176,10 @@ func (c Config) WithModeledL2(mc mem.Config) Config {
 
 // frontendConfig slices the fetch-side configuration out for the
 // frontend composition root. The shared memory hierarchy and the
-// next-trace predictor tables are not part of the slice: the
-// simulator's constructor binds them into the returned Config's Mem
-// and Pred fields, so I-side and D-side misses meet in one level and
-// group members can share predictor tables.
+// predictor tables are not part of the slice: the simulator's
+// constructor binds them into the returned Config's Mem, Pred and Slow
+// fields, so I-side and D-side misses meet in one level and group
+// members can share predictor tables.
 func (c Config) frontendConfig() frontend.Config {
 	return frontend.Config{
 		Select:            c.Select,

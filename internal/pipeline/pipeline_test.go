@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tracepre/internal/frontend"
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
 	"tracepre/internal/program"
@@ -418,19 +419,22 @@ func TestWindowedStats(t *testing.T) {
 }
 
 // TestGroupMemberAllocs bounds what building one more member of a group
-// costs once the group's next-trace predictor tables exist: a
-// tc1024/pb64 member must allocate under 256 KiB. Built with private
-// tables, as New does, it allocates about 758 KiB, 640 KiB of which are
-// predictor tables.
+// costs once the group's predictor tables exist: a tc1024/pb64 member
+// must allocate under 256 KiB. Built with private tables, as New does,
+// it allocates about 757 KiB, 664 KiB of which are predictor tables.
 func TestGroupMemberAllocs(t *testing.T) {
 	im := loopImage(t, 5)
 	cfg := DefaultConfig().WithTraceCache(1024).WithPrecon(64)
 	tables := tpred.NewTables(cfg.Pred)
+	slow, err := frontend.NewSlowTables()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	s, err := newMember(im, cfg, tables, nil)
+	s, err := newMember(im, cfg, tables, slow, nil)
 	runtime.ReadMemStats(&ms)
 	if err != nil {
 		t.Fatal(err)

@@ -222,18 +222,22 @@ func New(im *program.Image, cfg Config) (*Simulator, error) {
 // gets the next. The next-trace predictor learns from that trace
 // sequence alone, so members with equal Pred configs share one set of
 // predictor tables, which train once per trace; each member keeps its
-// own predictor counters (Result.Pred) and everything else, including
-// the bimodal table and the indirect target buffer, which it reads
-// before its own retirement trains them. Feeding members out of
-// lockstep panics in the predictor. The full-timing members share one
-// per-trace analysis table: each distinct trace they dispatch is
+// own predictor counters (Result.Pred). The slow path's bimodal table
+// and indirect target buffer learn from the same committed stream, so
+// all members share one set, and each reads it in the state its own
+// copy would hold (frontend.SlowTables). Feeding members out of
+// lockstep panics in the shared tables. The full-timing members share
+// one per-trace analysis table: each distinct trace they dispatch is
 // analyzed, and preprocessed, once for the group. Members run on one
 // goroutine, as the shared tables require.
 func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 	tables := map[tpred.Config]*tpred.Tables{}
+	slow, err := frontend.NewSlowTables()
+	if err != nil {
+		return nil, err
+	}
 	var analyses *analysisTable
 	sims := make([]*Simulator, len(cfgs))
-	var err error
 	for i, cfg := range cfgs {
 		if err = cfg.Validate(); err != nil {
 			return nil, err
@@ -246,7 +250,7 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 		if cfg.FullTiming && analyses == nil {
 			analyses = newAnalysisTable()
 		}
-		if sims[i], err = newMember(im, cfg, t, analyses); err != nil {
+		if sims[i], err = newMember(im, cfg, t, slow, analyses); err != nil {
 			return nil, err
 		}
 	}
@@ -254,9 +258,9 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 }
 
 // newMember builds one validated simulator whose frontend predicts
-// through the given predictor tables and whose backend, under full
-// timing, analyzes traces through the given table.
-func newMember(im *program.Image, cfg Config, tables *tpred.Tables, analyses *analysisTable) (*Simulator, error) {
+// through the given next-trace and slow-path tables and whose backend,
+// under full timing, analyzes traces through the given table.
+func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *frontend.SlowTables, analyses *analysisTable) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, im: im}
 	h, err := mem.New(cfg.Mem, cfg.Backend.L2Lat)
 	if err != nil {
@@ -266,6 +270,7 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables, analyses *an
 	fcfg := cfg.frontendConfig()
 	fcfg.Mem = h
 	fcfg.Pred = tables
+	fcfg.Slow = slow
 	fe, err := frontend.New(im, fcfg)
 	if err != nil {
 		return nil, err

@@ -136,13 +136,16 @@ func (c *constructor) direction(pc uint32) bool {
 // walk executes up to n instructions of a construction walk. The loop
 // lives here rather than in advance so the program counter stays in a
 // register across instructions; a work unit's whole instruction budget
-// runs in one call.
+// runs in one call. A straight-line run (program.Image.Runs) is
+// appended in one step, as far as the unit's budget, the current
+// i-cache line and the trace's Room allow; a control transfer takes
+// one step of its own.
 func (c *constructor) walk(n int) {
 	e := c.e
 	b := c.b
-	insts, base := e.im.Insts(), e.im.Base
+	insts, runs, base := e.im.Insts(), e.im.Runs(), e.im.Base
 	pc := c.pc
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		if line := e.lineAddr(pc); !c.lineOK || line != c.lastLine {
 			if !e.fetchLine(c.reg, line) {
 				// Region completed (prefetch cache full; reset by
@@ -162,50 +165,60 @@ func (c *constructor) walk(n int) {
 			c.abandonStart()
 			return
 		}
-		in := &insts[off/isa.WordSize]
+		idx := off / isa.WordSize
 
-		taken := false
+		var done bool
 		next := pc + isa.WordSize
-		class := in.Classify()
-		switch class {
-		case isa.ClassBranch:
-			taken = c.direction(pc)
-			if taken {
-				next = in.BranchTarget(pc)
-			}
-		case isa.ClassJump:
-			next = in.Target
-		case isa.ClassCall:
-			if len(c.callStack) < CallStackDepth {
-				c.callStack = append(c.callStack, pc+isa.WordSize)
-			}
-			next = in.Target
-		case isa.ClassReturn:
-			if len(c.callStack) > 0 {
-				next = c.callStack[len(c.callStack)-1]
-				c.callStack = c.callStack[:len(c.callStack)-1]
-			} else {
-				next = 0 // successor unknown beyond this trace
-			}
-		case isa.ClassJumpInd:
-			next = 0
-			if e.cfg.ResolveIndirects {
-				if target, ok := e.itb.Predict(pc); ok {
-					next = target
+		if run := int(runs[idx]); run > 0 {
+			inLine := int(e.lineMask+1-pc&e.lineMask) / isa.WordSize
+			m := min(run, n-i, inLine, b.Room())
+			done = b.AppendRun(pc, insts[idx:idx+uint32(m)])
+			next = pc + uint32(m)*isa.WordSize
+			i += m
+		} else {
+			in := &insts[idx]
+			taken := false
+			class := in.Classify()
+			switch class {
+			case isa.ClassBranch:
+				taken = c.direction(pc)
+				if taken {
+					next = in.BranchTarget(pc)
 				}
+			case isa.ClassJump:
+				next = in.Target
+			case isa.ClassCall:
+				if len(c.callStack) < CallStackDepth {
+					c.callStack = append(c.callStack, pc+isa.WordSize)
+				}
+				next = in.Target
+			case isa.ClassReturn:
+				if len(c.callStack) > 0 {
+					next = c.callStack[len(c.callStack)-1]
+					c.callStack = c.callStack[:len(c.callStack)-1]
+				} else {
+					next = 0 // successor unknown beyond this trace
+				}
+			case isa.ClassJumpInd:
+				next = 0
+				if e.cfg.ResolveIndirects {
+					if target, ok := e.itb.Predict(pc); ok {
+						next = target
+					}
+				}
+			case isa.ClassHalt:
+				next = 0
 			}
-		case isa.ClassHalt:
-			next = 0
+			done = b.AppendClassified(pc, in, class, taken)
+			i++
 		}
-
-		done := b.AppendClassified(pc, in, class, taken)
 		pc = next
 		if !done {
 			continue
 		}
-		// Seal, not Finish: the builder's trace is delivered borrowed,
-		// and deliver interns it only if it actually enters the buffers
-		// — most constructed traces are duplicates and never escape.
+		// The builder's trace is delivered borrowed, and deliver interns
+		// it only if it actually enters the buffers — most constructed
+		// traces are duplicates and never escape.
 		tr := b.Seal(next)
 		e.deliver(c.reg, tr)
 		if c.reg == nil {

@@ -6,6 +6,7 @@ import (
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
+	"tracepre/internal/trace"
 )
 
 // Microbenchmarks for the engine's per-instruction hot path. bytes/s
@@ -13,9 +14,10 @@ import (
 // Run with -benchmem: the steady state must report 0 allocs/op (also
 // pinned by TestHotPathSteadyStateAllocs).
 
-// benchStream records a committed Dyn stream from the call+loop program
-// so the Observe benchmarks replay realistic event ratios.
-func benchStream(tb testing.TB) ([]emulator.Dyn, *program.Image) {
+// benchStream records the committed stream of the call+loop program
+// and cuts it into its demanded traces, so the Observe benchmarks
+// replay realistic event ratios.
+func benchStream(tb testing.TB) ([]*trace.Trace, *program.Image) {
 	tb.Helper()
 	bb := program.NewBuilder(0x1000)
 	bb.Label("entry")
@@ -41,7 +43,26 @@ func benchStream(tb testing.TB) ([]emulator.Dyn, *program.Image) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	return dyns, im
+	var traces []*trace.Trace
+	seg := trace.NewChunkSegmenter(trace.DefaultSelectConfig())
+	for len(dyns) > 0 {
+		used, tr, _ := seg.Feed(dyns)
+		if tr == nil {
+			break
+		}
+		dyns = dyns[used:]
+		traces = append(traces, tr.Clone())
+	}
+	return traces, im
+}
+
+// instrs counts the instructions of traces.
+func instrs(traces []*trace.Trace) int64 {
+	n := 0
+	for _, tr := range traces {
+		n += tr.Len()
+	}
+	return int64(n)
 }
 
 func benchEngine(tb testing.TB, im *program.Image, cfg Config) *Engine {
@@ -54,47 +75,52 @@ func benchEngine(tb testing.TB, im *program.Image, cfg Config) *Engine {
 }
 
 // BenchmarkObserve measures the per-instruction monitoring cost alone
-// (no Step work): the retire probe plus start-point event detection.
+// (no Step work), one instruction per Observe call: the retire probe
+// plus pushes at the marked instructions.
 func BenchmarkObserve(b *testing.B) {
-	dyns, im := benchStream(b)
+	traces, im := benchStream(b)
 	eng := benchEngine(b, im, DefaultConfig())
-	b.SetBytes(int64(len(dyns)))
+	var single []*trace.Trace
+	for _, tr := range traces {
+		for k := range tr.PCs {
+			single = append(single, &trace.Trace{PCs: tr.PCs[k : k+1], Insts: tr.Insts[k : k+1], Starts: tr.Starts >> k & 1})
+		}
+	}
+	b.SetBytes(int64(len(single)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, d := range dyns {
-			eng.Observe(d)
+		for _, tr := range single {
+			eng.Observe(tr)
 		}
 	}
 }
 
-// BenchmarkObserveBatch measures the same stream through the batched
-// entry point the pipeline uses.
+// BenchmarkObserveBatch measures the same stream a demanded trace per
+// Observe call, as the pipeline hands it over.
 func BenchmarkObserveBatch(b *testing.B) {
-	dyns, im := benchStream(b)
+	traces, im := benchStream(b)
 	eng := benchEngine(b, im, DefaultConfig())
-	b.SetBytes(int64(len(dyns)))
+	b.SetBytes(instrs(traces))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ObserveBatch(dyns)
+		for _, tr := range traces {
+			eng.Observe(tr)
+		}
 	}
 }
 
-// BenchmarkObserveStep is the full engine loop: observe the stream in
-// trace-sized batches and grant idle work units after each, the shape
-// of the pipeline's dispatch handoff.
+// BenchmarkObserveStep is the full engine loop: grant idle work units
+// and then observe each demanded trace, the shape of the pipeline's
+// retirement handoff.
 func BenchmarkObserveStep(b *testing.B) {
-	dyns, im := benchStream(b)
+	traces, im := benchStream(b)
 	eng := benchEngine(b, im, DefaultConfig())
-	b.SetBytes(int64(len(dyns)))
+	b.SetBytes(instrs(traces))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for off := 0; off < len(dyns); off += 16 {
-			end := off + 16
-			if end > len(dyns) {
-				end = len(dyns)
-			}
+		for _, tr := range traces {
 			eng.Step(8)
-			eng.ObserveBatch(dyns[off:end])
+			eng.Observe(tr)
 		}
 	}
 }
@@ -107,10 +133,10 @@ func BenchmarkRegionChurn(b *testing.B) {
 	eng := benchEngine(b, im, DefaultConfig())
 	// Cycle more start addresses than the completed-region ring holds,
 	// so every iteration activates (and pools) a real region.
-	starts := make([]emulator.Dyn, 8)
+	starts := make([]*trace.Trace, 8)
 	for i := range starts {
 		addr := im.Base + uint32(4+i)*isa.WordSize
-		starts[i] = emulator.Dyn{PC: addr - 4, Inst: isa.Inst{Op: isa.OpJal, Target: addr}}
+		starts[i] = &trace.Trace{PCs: []uint32{addr - 4}, Insts: []isa.Inst{{Op: isa.OpJal, Target: addr}}, Starts: 1}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,16 +197,12 @@ func BenchmarkAddrIndex(b *testing.B) {
 // constructed traces duplicates of buffered ones), a full
 // observe-and-step round allocates nothing.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
-	dyns, im := benchStream(t)
+	traces, im := benchStream(t)
 	eng := benchEngine(t, im, DefaultConfig())
 	round := func() {
-		for off := 0; off < len(dyns); off += 16 {
-			end := off + 16
-			if end > len(dyns) {
-				end = len(dyns)
-			}
+		for _, tr := range traces {
 			eng.Step(8)
-			eng.ObserveBatch(dyns[off:end])
+			eng.Observe(tr)
 		}
 		for !eng.Idle() {
 			eng.Step(64)

@@ -42,7 +42,7 @@ func straightLine(t *testing.T) *program.Image {
 func exhaustLines(t *testing.T, r *rig) uint64 {
 	t.Helper()
 	start, _ := r.im.Lookup("start")
-	r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(400)
 	st := r.eng.Stats()
 	if st.RegionsExhausted != 1 {

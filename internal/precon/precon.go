@@ -35,8 +35,10 @@
 // state: the start-point stack is backed by an address index so the
 // per-instruction membership probe is O(1), regions (with their
 // open-addressed start-point sets and prefetch-line bitsets) are pooled
-// and reset rather than reallocated, and the dispatch stream arrives in
-// batches (ObserveBatch) rather than one call per instruction.
+// and reset rather than reallocated, and the dispatch stream arrives a
+// trace at a time (Observe) with its start-point events marked when the
+// trace was built (trace.Trace.Starts). Walks append straight-line runs
+// of the image (program.Image.Runs) in one step.
 package precon
 
 import (
@@ -46,7 +48,6 @@ import (
 	"time"
 
 	"tracepre/internal/bpred"
-	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
 	"tracepre/internal/trace"
@@ -93,7 +94,7 @@ type Config struct {
 	NumConstructors int // parallel trace constructors (4)
 	DecisionDepth   int // weak branches forked per start point (4)
 
-	// MeasureOverhead times the engine's ObserveBatch and Step calls
+	// MeasureOverhead times the engine's Observe and Step calls
 	// into Stats.ObserveNs/StepNs, letting sweeps report per-cell
 	// engine overhead without a profiler. Off by default: the clock
 	// reads cost a few percent of engine time.
@@ -201,7 +202,7 @@ type Stats struct {
 	WorkUnits        uint64
 
 	// ObserveNs and StepNs accumulate wall-clock time spent in
-	// ObserveBatch and Step when Config.MeasureOverhead is set (0
+	// Observe and Step when Config.MeasureOverhead is set (0
 	// otherwise) — the engine's share of a cell's simulation cost.
 	ObserveNs uint64
 	StepNs    uint64
@@ -349,40 +350,43 @@ func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimod
 // lineAddr aligns pc to the slow-path i-cache's line.
 func (e *Engine) lineAddr(pc uint32) uint32 { return pc &^ e.lineMask }
 
-// Observe monitors one dispatched-and-retiring instruction for region
-// start-point events: calls push their return address, taken backward
-// branches push their fall-through (the loop exit). Reaching a stacked
-// start point removes it.
-func (e *Engine) Observe(d emulator.Dyn) {
-	e.observeOne(&d)
-}
-
-// ObserveBatch monitors a batch of dispatched-and-retiring
-// instructions, equivalent to calling Observe on each in order but
-// without the per-instruction call and copy overhead. The slice is the
-// natural dispatch unit (one demanded trace).
-func (e *Engine) ObserveBatch(dyns []emulator.Dyn) {
+// Observe monitors a dispatched-and-retiring trace for region
+// start-point events, instruction by instruction in order: execution
+// arriving at a stacked start point retires it, and the instructions
+// marked in tr.Starts push theirs (calls their return address, taken
+// backward branches their fall-through, the loop exit).
+func (e *Engine) Observe(tr *trace.Trace) {
 	if e.cfg.MeasureOverhead {
 		t0 := time.Now()
-		for i := range dyns {
-			e.observeOne(&dyns[i])
-		}
+		e.observe(tr)
 		e.stats.ObserveNs += uint64(time.Since(t0))
 		return
 	}
-	for i := range dyns {
-		e.observeOne(&dyns[i])
+	e.observe(tr)
+}
+
+func (e *Engine) observe(tr *trace.Trace) {
+	marks := tr.Starts
+	for k, pc := range tr.PCs {
+		// The address index rejects the no-match case — almost every
+		// instruction — with one probe.
+		if e.stackLive != 0 && e.stackIdx.contains(pc) {
+			e.retireStacked(pc)
+		}
+		if marks&1 != 0 {
+			e.pushMark(tr, k, false)
+		}
+		marks >>= 1
 	}
 }
 
-func (e *Engine) observeOne(d *emulator.Dyn) {
-	// Execution arriving at a stacked start point retires it. The
-	// address index rejects the no-match case — almost every
-	// instruction — with one probe.
-	if e.stackLive != 0 && e.stackIdx.contains(d.PC) {
-		e.retireStacked(d.PC)
+// pushMark pushes the start point of tr's marked instruction k.
+func (e *Engine) pushMark(tr *trace.Trace, k int, spec bool) {
+	kind := LoopExit
+	if tr.Insts[k].IsCall() {
+		kind = ReturnPoint
 	}
-	e.observeEvents(d, false)
+	e.push(StartPoint{Addr: tr.PCs[k] + isa.WordSize, Kind: kind}, spec)
 }
 
 // retireStacked tombstones the newest live stack entry at addr.
@@ -416,12 +420,14 @@ func (e *Engine) compactStack() {
 	e.stack = kept
 }
 
-// ObserveSpeculative monitors a wrong-path dispatched instruction: its
-// start points enter the stack (and may displace older entries) but are
-// marked and removed when FlushSpeculation reports the misprediction
-// resolved. Wrong-path instructions never retire entries.
-func (e *Engine) ObserveSpeculative(d emulator.Dyn) {
-	e.observeEvents(&d, true)
+// ObserveSpeculative monitors a wrong-path dispatched trace: the start
+// points it marks enter the stack (and may displace older entries) but
+// are marked speculative and removed when FlushSpeculation reports the
+// misprediction resolved. Wrong-path instructions never retire entries.
+func (e *Engine) ObserveSpeculative(tr *trace.Trace) {
+	for m := uint(tr.Starts); m != 0; m &= m - 1 {
+		e.pushMark(tr, bits.TrailingZeros(m), true)
+	}
 }
 
 // FlushSpeculation removes every speculative entry (mispredict
@@ -441,19 +447,6 @@ func (e *Engine) FlushSpeculation() {
 		kept = append(kept, en)
 	}
 	e.stack = kept
-}
-
-func (e *Engine) observeEvents(d *emulator.Dyn, spec bool) {
-	// One opcode switch instead of IsCall + IsBackwardBranch predicate
-	// chains: this runs for every dispatched instruction.
-	switch d.Inst.Op {
-	case isa.OpJal, isa.OpJalr:
-		e.push(StartPoint{Addr: d.PC + isa.WordSize, Kind: ReturnPoint}, spec)
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if d.Taken && d.Inst.Imm < 0 {
-			e.push(StartPoint{Addr: d.PC + isa.WordSize, Kind: LoopExit}, spec)
-		}
-	}
 }
 
 // push adds a start point, deduplicating against the top of the stack

@@ -54,6 +54,31 @@ func newRig(t *testing.T, im *program.Image, cfg Config) *rig {
 	return newRigLines(t, im, cfg, 64)
 }
 
+// observe hands dyns to the engine's Observe as the traces a
+// trace.Builder cuts them into, the unfinished rest included; the
+// engine sees the same instructions, in order, with the start points
+// the builder marked.
+func observe(e *Engine, dyns ...emulator.Dyn) { sealEach(dyns, e.Observe) }
+
+// observeSpec is observe for wrong-path dispatch (ObserveSpeculative).
+func observeSpec(e *Engine, dyns ...emulator.Dyn) { sealEach(dyns, e.ObserveSpeculative) }
+
+// sealEach appends dyns to a trace.Builder in order and passes each
+// trace it seals, the unfinished rest last, to fn.
+func sealEach(dyns []emulator.Dyn, fn func(*trace.Trace)) {
+	b := trace.NewBuilder(trace.DefaultSelectConfig())
+	for i := range dyns {
+		d := &dyns[i]
+		if b.AppendClassified(d.PC, &d.Inst, d.Inst.Classify(), d.Taken) {
+			fn(b.Seal(d.NextPC))
+			b.Reset()
+		}
+	}
+	if tr := b.Seal(0); tr != nil {
+		fn(tr)
+	}
+}
+
 // driveResult summarizes a run of the mini-frontend in drive.
 type driveResult struct {
 	demanded   []*trace.Trace
@@ -100,9 +125,10 @@ func drive(t *testing.T, r *rig, budget uint64, unitsPerTrace int) driveResult {
 		if d.Inst.IsBranch() {
 			r.bim.Update(d.PC, d.Taken)
 		}
-		r.eng.Observe(d)
-		if b.Append(d.PC, d.Inst, d.Taken) {
-			handle(b.Finish(d.NextPC))
+		if b.AppendClassified(d.PC, &d.Inst, d.Inst.Classify(), d.Taken) {
+			tr := b.Seal(d.NextPC)
+			r.eng.Observe(tr)
+			handle(tr.Clone())
 			b.Reset()
 		}
 	})
@@ -144,12 +170,12 @@ func TestStackPushRules(t *testing.T) {
 	r := newRig(t, im, DefaultConfig())
 
 	call := emulator.Dyn{PC: 0x1000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x2000}}
-	r.eng.Observe(call)
+	observe(r.eng, call)
 	if r.eng.StackDepth() != 1 {
 		t.Fatalf("depth = %d after call", r.eng.StackDepth())
 	}
 	// Duplicate top suppressed.
-	r.eng.Observe(call)
+	observe(r.eng, call)
 	if r.eng.StackDepth() != 1 {
 		t.Errorf("duplicate push not suppressed")
 	}
@@ -159,26 +185,26 @@ func TestStackPushRules(t *testing.T) {
 	// Taken backward branch pushes its fall-through.
 	back := emulator.Dyn{PC: 0x1100, Taken: true,
 		Inst: isa.Inst{Op: isa.OpBne, Ra: 1, Imm: -32}}
-	r.eng.Observe(back)
+	observe(r.eng, back)
 	if r.eng.StackDepth() != 2 {
 		t.Errorf("depth = %d after backward branch", r.eng.StackDepth())
 	}
 	// Not-taken backward branch does not push.
 	back.Taken = false
 	back.PC = 0x1200
-	r.eng.Observe(back)
+	observe(r.eng, back)
 	if r.eng.StackDepth() != 2 {
 		t.Errorf("not-taken backward branch pushed")
 	}
 	// Forward branch does not push.
 	fwd := emulator.Dyn{PC: 0x1300, Taken: true,
 		Inst: isa.Inst{Op: isa.OpBeq, Imm: 64}}
-	r.eng.Observe(fwd)
+	observe(r.eng, fwd)
 	if r.eng.StackDepth() != 2 {
 		t.Errorf("forward branch pushed")
 	}
 	// Execution reaching a stacked point removes it.
-	r.eng.Observe(emulator.Dyn{PC: 0x1104, Inst: isa.Inst{Op: isa.OpAdd}})
+	observe(r.eng, emulator.Dyn{PC: 0x1104, Inst: isa.Inst{Op: isa.OpAdd}})
 	if r.eng.StackDepth() != 1 {
 		t.Errorf("caught-up entry not removed: depth %d", r.eng.StackDepth())
 	}
@@ -197,9 +223,9 @@ func TestSpeculativeObservation(t *testing.T) {
 	r := newRig(t, im, DefaultConfig())
 
 	committed := emulator.Dyn{PC: 0x1000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}}
-	r.eng.Observe(committed)
+	observe(r.eng, committed)
 	for i := 0; i < 3; i++ {
-		r.eng.ObserveSpeculative(emulator.Dyn{
+		observeSpec(r.eng, emulator.Dyn{
 			PC:   uint32(0x2000 + i*0x100),
 			Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000},
 		})
@@ -232,9 +258,9 @@ func TestSpeculativeOverflowDisplacesCommitted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StackDepth = 2
 	r := newRig(t, im, cfg)
-	r.eng.Observe(emulator.Dyn{PC: 0x1000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
-	r.eng.ObserveSpeculative(emulator.Dyn{PC: 0x2000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
-	r.eng.ObserveSpeculative(emulator.Dyn{PC: 0x3000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: 0x1000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observeSpec(r.eng, emulator.Dyn{PC: 0x2000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observeSpec(r.eng, emulator.Dyn{PC: 0x3000, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	// The committed entry was displaced by overflow; the flush leaves
 	// an empty stack.
 	r.eng.FlushSpeculation()
@@ -251,7 +277,7 @@ func TestStackOverflowDiscardsOldest(t *testing.T) {
 	cfg.StackDepth = 3
 	r := newRig(t, im, cfg)
 	for i := 0; i < 5; i++ {
-		r.eng.Observe(emulator.Dyn{PC: uint32(0x1000 + i*0x100),
+		observe(r.eng, emulator.Dyn{PC: uint32(0x1000 + i*0x100),
 			Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	}
 	if r.eng.StackDepth() != 3 {
@@ -364,7 +390,7 @@ func TestCatchUpTerminatesRegion(t *testing.T) {
 	r := newRig(t, im, DefaultConfig())
 	after, _ := im.Lookup("after")
 	// Push the region start and let the engine work a little.
-	r.eng.Observe(emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(4)
 	if st := r.eng.Stats(); st.RegionsActivated != 1 || st.RegionsCompleted != 0 {
 		t.Fatalf("want one active region; stats = %+v", st)
@@ -386,13 +412,13 @@ func TestCompletedRegionNotRestarted(t *testing.T) {
 	r := newRig(t, im, DefaultConfig())
 	after, _ := im.Lookup("after")
 	call := emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}}
-	r.eng.Observe(call)
+	observe(r.eng, call)
 	r.eng.Step(200) // run to completion
 	if !r.eng.Idle() {
 		t.Fatalf("engine not idle; stats=%+v", r.eng.Stats())
 	}
 	activated := r.eng.Stats().RegionsActivated
-	r.eng.Observe(call)
+	observe(r.eng, call)
 	r.eng.Step(10)
 	if r.eng.Stats().RegionsActivated != activated {
 		t.Errorf("completed region was restarted")
@@ -435,7 +461,7 @@ func TestPreWalkAborts(t *testing.T) {
 			r := newRig(t, im, DefaultConfig())
 			exit, _ := im.Lookup("exit")
 			// A taken backward branch whose fall-through is "exit".
-			r.eng.Observe(emulator.Dyn{PC: exit - 4, Taken: true,
+			observe(r.eng, emulator.Dyn{PC: exit - 4, Taken: true,
 				Inst: isa.Inst{Op: isa.OpBne, Ra: 1, Imm: -16}})
 			r.eng.Step(30)
 			if r.eng.Stats().PreWalkAborts == 0 {
@@ -482,7 +508,7 @@ func TestPreWalkCapAborts(t *testing.T) {
 		}
 	}
 	exit, _ := im.Lookup("exit")
-	r.eng.Observe(emulator.Dyn{PC: exit - 4, Taken: true,
+	observe(r.eng, emulator.Dyn{PC: exit - 4, Taken: true,
 		Inst: isa.Inst{Op: isa.OpBne, Ra: 1, Imm: -16}})
 	r.eng.Step(30)
 	if r.eng.Stats().PreWalkAborts == 0 {
@@ -527,7 +553,7 @@ func TestWalkAbandonsOnBadPC(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, tc.im, DefaultConfig())
 			// A call just before start pushes start as a region start.
-			r.eng.Observe(emulator.Dyn{PC: tc.start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+			observe(r.eng, emulator.Dyn{PC: tc.start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 			r.eng.Step(30)
 			if got := r.eng.Stats().TracesBuilt; got != tc.traces {
 				t.Errorf("built %d traces from a walk starting at 0x%x, want %d", got, tc.start, tc.traces)
@@ -564,7 +590,7 @@ func TestBiasedBranchFollowedOneWay(t *testing.T) {
 			r.bim.Update(brPC, dir)
 		}
 		start, _ := im.Lookup("start")
-		r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+		observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 		// The push used start-4+4 = start as the return point.
 		r.eng.Step(100)
 		return r.eng.Stats().TracesBuilt
@@ -596,7 +622,7 @@ func TestConstructorStopsAtIndirect(t *testing.T) {
 	}
 	r := newRig(t, im, DefaultConfig())
 	start, _ := im.Lookup("start")
-	r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(50)
 	if got := r.eng.Stats().TracesBuilt; got != 1 {
 		t.Fatalf("built %d traces, want exactly 1 (ends at indirect)", got)
@@ -638,7 +664,7 @@ func TestResolveIndirects(t *testing.T) {
 		if train {
 			r.itb.Update(start+4, landing)
 		}
-		r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+		observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 		r.eng.Step(50)
 		return r.eng.Stats().TracesBuilt
 	}
@@ -671,7 +697,7 @@ func TestConstructorFollowsCalls(t *testing.T) {
 	}
 	r := newRig(t, im, DefaultConfig())
 	start, _ := im.Lookup("start")
-	r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(50)
 	// First trace: addi, jal, leaf-addi, ret (ends at return).
 	tr, hit := r.buf.Take(trace.ID{Start: start, NumBr: 0, Mask: 0})
@@ -709,7 +735,7 @@ func TestPrefetchCapTerminatesRegion(t *testing.T) {
 	cfg.PrefetchInstrs = 32 // 2 lines only
 	r := newRig(t, im, cfg)
 	start, _ := im.Lookup("start")
-	r.eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(100)
 	st := r.eng.Stats()
 	if st.RegionsExhausted != 1 {
@@ -726,7 +752,7 @@ func TestEngineSharesICache(t *testing.T) {
 	im := buildCallProgram(t)
 	r := newRig(t, im, DefaultConfig())
 	after, _ := im.Lookup("after")
-	r.eng.Observe(emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+	observe(r.eng, emulator.Dyn{PC: after - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
 	r.eng.Step(100)
 	if r.eng.Stats().ICacheMisses == 0 {
 		t.Fatal("engine recorded no i-cache misses on a cold cache")
@@ -766,9 +792,10 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 	eng := benchEngine(b, im, DefaultConfig())
 	start, _ := im.Lookup("start")
+	call := &trace.Trace{PCs: []uint32{start - 4}, Insts: []isa.Inst{{Op: isa.OpJal, Target: 0x9000}}, Starts: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Observe(emulator.Dyn{PC: start - 4, Inst: isa.Inst{Op: isa.OpJal, Target: 0x9000}})
+		eng.Observe(call)
 		eng.Step(4)
 	}
 }

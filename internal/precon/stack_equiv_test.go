@@ -126,11 +126,11 @@ func TestStackEquivalence(t *testing.T) {
 				ref.flush()
 			case 2, 3:
 				d := randDyn(rng)
-				r.eng.ObserveSpeculative(d)
+				observeSpec(r.eng, d)
 				ref.events(&d, true)
 			default:
 				d := randDyn(rng)
-				r.eng.Observe(d)
+				observe(r.eng, d)
 				ref.observe(&d)
 			}
 			if got, want := r.eng.StackDepth(), len(ref.entries); got != want {
@@ -162,12 +162,12 @@ func TestStackCaughtUpRegression(t *testing.T) {
 	r := newRig(t, buildLoopProgram(t), DefaultConfig())
 	call := emulator.Dyn{PC: 0x100, Inst: isa.Inst{Op: isa.OpJal}}
 	ret := emulator.Dyn{PC: 0x104, Inst: isa.Inst{Op: isa.OpAdd}}
-	r.eng.Observe(call)
+	observe(r.eng, call)
 	if r.eng.StackDepth() != 1 {
 		t.Fatalf("depth %d after call", r.eng.StackDepth())
 	}
-	r.eng.Observe(ret)
-	r.eng.Observe(ret) // second arrival: nothing left to retire
+	observe(r.eng, ret)
+	observe(r.eng, ret) // second arrival: nothing left to retire
 	st := r.eng.Stats()
 	if st.StackCaughtUp != 1 || r.eng.StackDepth() != 0 {
 		t.Fatalf("caught-up %d depth %d, want 1 and 0", st.StackCaughtUp, r.eng.StackDepth())

@@ -1,8 +1,8 @@
 // Package program represents static programs: an image of decoded
-// instructions at a base address, an optional initialized data section,
+// instructions at a base address, each with the length of the
+// straight-line run it starts, an optional initialized data section,
 // and the exported labels. A Builder assembles images with labels and
-// forward references, and CFG reports basic-block structure for
-// workload statistics and tests.
+// forward references.
 package program
 
 import (
@@ -27,6 +27,7 @@ type Image struct {
 	Symbols map[string]uint32
 
 	insts []isa.Inst // decoded instructions in address order
+	runs  []uint8    // straight-line run length per instruction (Runs)
 }
 
 // NumInstrs returns the static instruction count.
@@ -54,6 +55,14 @@ func (im *Image) At(pc uint32) (isa.Inst, bool) {
 // loops (stream replay, the preconstruction walk) index it in place
 // instead of copying each instruction out of At.
 func (im *Image) Insts() []isa.Inst { return im.insts }
+
+// Runs returns, per instruction in Insts' order, the length of the
+// straight-line run starting there: the instructions from this one on
+// before the next control transfer (branch, jump, call, return or
+// halt) or the image's end, capped at 255, and 0 at a control transfer.
+// The preconstruction walk appends a run in one step. The slice is
+// shared and must not be mutated.
+func (im *Image) Runs() []uint8 { return im.runs }
 
 // Lookup returns the address of a symbol.
 func (im *Image) Lookup(name string) (uint32, bool) {
@@ -307,6 +316,17 @@ func (b *Builder) Build() (*Image, error) {
 			return nil, fmt.Errorf("program: word %d at 0x%x: %w", k, b.base+uint32(k)*isa.WordSize, err)
 		}
 	}
+	runs := make([]uint8, len(insts))
+	for k := len(insts) - 1; k >= 0; k-- {
+		switch insts[k].Classify() {
+		case isa.ClassALU, isa.ClassLoad, isa.ClassStore:
+			n := 1
+			if k+1 < len(runs) {
+				n += int(runs[k+1])
+			}
+			runs[k] = uint8(min(n, 255))
+		}
+	}
 	entry := b.base
 	if b.entry != "" {
 		sym, ok := b.symbols[b.entry]
@@ -328,5 +348,6 @@ func (b *Builder) Build() (*Image, error) {
 		Data:     append([]uint32(nil), b.data...),
 		Symbols:  syms,
 		insts:    insts,
+		runs:     runs,
 	}, nil
 }

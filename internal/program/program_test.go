@@ -264,3 +264,36 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("Blocks = %d, AvgBlockSize = %f, want 5 and 1.4", s.Blocks, s.AvgBlockSize)
 	}
 }
+
+// TestRuns: each instruction's run counts it and the straight-line
+// instructions after it up to a control transfer or the image's end,
+// capped at 255.
+func TestRuns(t *testing.T) {
+	im := buildLoop(t)
+	// addi; jal; addi; bne; halt; addi; ret
+	if got, want := im.Runs(), []uint8{1, 0, 1, 0, 0, 1, 0}; string(got) != string(want) {
+		t.Errorf("loop runs = %v, want %v", got, want)
+	}
+
+	b := NewBuilder(0x1000)
+	for i := 0; i < 300; i++ {
+		b.Load(1, 2, 0)
+	}
+	b.Jmp("tail")
+	b.Label("tail")
+	b.Store(1, 2, 0)
+	b.Nop()
+	im, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := im.Runs()
+	if len(runs) != im.NumInstrs() {
+		t.Fatalf("%d runs for %d instructions", len(runs), im.NumInstrs())
+	}
+	for k, want := range map[int]uint8{0: 255, 44: 255, 45: 255, 46: 254, 299: 1, 300: 0, 301: 2, 302: 1} {
+		if runs[k] != want {
+			t.Errorf("runs[%d] = %d, want %d", k, runs[k], want)
+		}
+	}
+}

@@ -75,7 +75,7 @@ func decodeAll(t testing.TB, st *emulator.Stream) []emulator.Dyn {
 	return all
 }
 
-// builderTraces is the selection oracle: Builder.Append run once per
+// builderTraces is the selection oracle: Builder.AppendClassified run once per
 // instruction over the committed stream. It returns every completed
 // trace with the span of the stream it covers; a trailing partial trace
 // is dropped, as the simulator drops it.
@@ -83,8 +83,8 @@ func builderTraces(all []emulator.Dyn, cfg SelectConfig) (traces []*Trace, dyns 
 	b := NewBuilder(cfg)
 	start := 0
 	for i, d := range all {
-		if b.Append(d.PC, d.Inst, d.Taken) {
-			traces = append(traces, b.Finish(d.NextPC))
+		if appendInst(b, d.PC, d.Inst, d.Taken) {
+			traces = append(traces, finish(b, d.NextPC))
 			dyns = append(dyns, all[start:i+1])
 			b.Reset()
 			start = i + 1
@@ -200,7 +200,7 @@ func FuzzChunkSegmenter(f *testing.F) {
 // tracesEqual compares every selection-relevant field of two traces.
 func tracesEqual(a, b *Trace) bool {
 	if len(a.PCs) != len(b.PCs) || a.Succ != b.Succ || a.BrMask != b.BrMask ||
-		a.NumBr != b.NumBr || a.Flags != b.Flags ||
+		a.NumBr != b.NumBr || a.Flags != b.Flags || a.Starts != b.Starts ||
 		a.EndsInReturn != b.EndsInReturn || a.EndsInIndirect != b.EndsInIndirect ||
 		a.EndsInHalt != b.EndsInHalt {
 		return false

@@ -77,7 +77,7 @@ type Store struct {
 	// replacing a Go map whose hashing dominated the intern path under
 	// eviction churn. slots is a power of two; count is resident
 	// entries.
-	slots []*Trace
+	slots []slot
 	mask  uint32
 	count int
 
@@ -95,23 +95,38 @@ type Store struct {
 	released, scavenged    uint64
 }
 
+// slot is one index entry: a resident trace's ID hash and its chunk
+// plus one (0 marks an empty slot). Probing compares hashes in the
+// index itself and loads a trace header only on a hash match.
+type slot struct {
+	hash  uint32
+	chunk int32
+}
+
 // minIndexSlots is the initial index size (power of two).
 const minIndexSlots = 1024
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{slots: make([]*Trace, minIndexSlots), mask: minIndexSlots - 1}
+	return &Store{slots: make([]slot, minIndexSlots), mask: minIndexSlots - 1}
+}
+
+// header returns chunk c's trace header.
+func (s *Store) header(c int32) *Trace {
+	return &s.hdrSlabs[c/chunksPerSlab][c%chunksPerSlab]
 }
 
 // lookup returns the trace indexed under id, or nil.
 func (s *Store) lookup(id ID, h uint32) *Trace {
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		t := s.slots[i]
-		if t == nil {
+		e := s.slots[i]
+		if e.chunk == 0 {
 			return nil
 		}
-		if t.hash == h && t.ID() == id {
-			return t
+		if e.hash == h {
+			if t := s.header(e.chunk - 1); t.ID() == id {
+				return t
+			}
 		}
 	}
 }
@@ -125,14 +140,14 @@ func (s *Store) indexPut(t *Trace, id ID, h uint32) {
 	}
 	t.hash = h
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		e := s.slots[i]
-		if e == nil {
-			s.slots[i] = t
+		e := &s.slots[i]
+		if e.chunk == 0 {
+			*e = slot{hash: h, chunk: t.chunk + 1}
 			s.count++
 			return
 		}
-		if e.hash == h && e.ID() == id {
-			s.slots[i] = t
+		if e.hash == h && s.header(e.chunk-1).ID() == id {
+			e.chunk = t.chunk + 1
 			return
 		}
 	}
@@ -145,25 +160,25 @@ func (s *Store) indexDel(t *Trace) {
 	i := h & s.mask
 	for {
 		e := s.slots[i]
-		if e == nil {
+		if e.chunk == 0 {
 			return // t lost its slot to a same-ID displacement
 		}
-		if e == t {
+		if e.chunk == t.chunk+1 {
 			break
 		}
-		if e.hash == h && e.ID() == t.ID() {
+		if e.hash == h && s.header(e.chunk-1).ID() == t.ID() {
 			return // slot taken by a newer same-ID trace
 		}
 		i = (i + 1) & s.mask
 	}
 	s.count--
 	for {
-		s.slots[i] = nil
+		s.slots[i] = slot{}
 		j := i
 		for {
 			j = (j + 1) & s.mask
 			e := s.slots[j]
-			if e == nil {
+			if e.chunk == 0 {
 				return
 			}
 			// e may shift into the hole only if its home slot does not
@@ -180,15 +195,15 @@ func (s *Store) indexDel(t *Trace) {
 // growIndex doubles the slot array and reinserts every resident trace.
 func (s *Store) growIndex() {
 	old := s.slots
-	s.slots = make([]*Trace, 2*len(old))
+	s.slots = make([]slot, 2*len(old))
 	s.mask = uint32(len(s.slots) - 1)
-	for _, t := range old {
-		if t == nil {
+	for _, e := range old {
+		if e.chunk == 0 {
 			continue
 		}
-		for i := t.hash & s.mask; ; i = (i + 1) & s.mask {
-			if s.slots[i] == nil {
-				s.slots[i] = t
+		for i := e.hash & s.mask; ; i = (i + 1) & s.mask {
+			if s.slots[i].chunk == 0 {
+				s.slots[i] = e
 				break
 			}
 		}
@@ -223,6 +238,7 @@ func (s *Store) Intern(b *Trace) *Trace {
 	t.BrMask = b.BrMask
 	t.NumBr = b.NumBr
 	t.Flags = b.Flags
+	t.Starts = b.Starts
 	t.EndsInReturn = b.EndsInReturn
 	t.EndsInIndirect = b.EndsInIndirect
 	t.EndsInHalt = b.EndsInHalt
@@ -298,9 +314,8 @@ func (s *Store) alloc() *Trace {
 	if !ok {
 		c = s.scavenge()
 	}
-	slab, k := int(c)/chunksPerSlab, int(c)%chunksPerSlab
-	off := k * chunkInsts
-	t := &s.hdrSlabs[slab][k]
+	slab, off := int(c)/chunksPerSlab, int(c)%chunksPerSlab*chunkInsts
+	t := s.header(c)
 	*t = Trace{
 		PCs:      s.pcSlabs[slab][off : off : off+chunkInsts],
 		Insts:    s.instSlabs[slab][off : off : off+chunkInsts],

@@ -179,7 +179,7 @@ func TestQuickInternMatchesClone(t *testing.T) {
 		for i := range interned {
 			a, c := interned[i], clones[i]
 			if !a.contentEqual(c) || a.ID() != c.ID() ||
-				a.Flags != c.Flags || a.Len() != c.Len() {
+				a.Flags != c.Flags || a.Starts != c.Starts || a.Len() != c.Len() {
 				t.Logf("seed %d: trace %d: interned %v != clone %v", seed, i, a, c)
 				return false
 			}

@@ -97,6 +97,11 @@ type Trace struct {
 	// when the trace is sealed. Code that constructs traces by hand
 	// (tests, tools) must set them to match the contents.
 	Flags Flags
+	// Starts marks the instructions that push a region start point
+	// (§3.2): bit k is set when instruction k is a call (jal or jalr)
+	// or a taken backward branch. Like Flags it is computed as the
+	// trace is built, and hand-built traces must set it to match.
+	Starts uint16
 
 	EndsInReturn   bool
 	EndsInIndirect bool
@@ -112,7 +117,7 @@ type Trace struct {
 	refs     int32
 	chunk    int32
 	limboIdx int32
-	hash     uint32 // ID.Hash(), cached for the store's index probes
+	hash     uint32 // ID.Hash(), cached to find the trace's index slot
 }
 
 // ID returns the trace's identity.
@@ -189,18 +194,13 @@ func (b *Builder) Reset() {
 // Len returns the number of instructions appended so far.
 func (b *Builder) Len() int { return b.k }
 
-// Append adds one instruction with its resolved (or predicted) branch
-// direction and reports whether the trace is now complete. Appending to
-// a complete trace is a caller bug and panics.
-func (b *Builder) Append(pc uint32, in isa.Inst, taken bool) (done bool) {
-	return b.AppendClassified(pc, &in, in.Classify(), taken)
-}
-
-// AppendClassified is Append for callers that already classified the
-// instruction (the preconstruction walk classifies to resolve the next
-// PC); class must equal in.Classify(). The instruction is copied, and
-// passing it by pointer lets the walk hand over the image's own slot
-// instead of spreading the instruction across argument registers.
+// AppendClassified adds one instruction with its resolved (or
+// predicted) branch direction and reports whether the trace is now
+// complete. class must equal in.Classify(): both callers classify
+// anyway, the walk to resolve the next PC. The instruction is copied,
+// and passing it by pointer lets the walk hand over the image's own
+// slot instead of spreading the instruction across argument registers.
+// Appending to a complete trace is a caller bug; past MaxLen it panics.
 func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, taken bool) (done bool) {
 	k := b.k
 	if uint(k) >= uint(len(b.insts)) || k >= b.cfg.MaxLen {
@@ -222,15 +222,20 @@ func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, tak
 		if in.Imm < 0 { // a backward branch, without classifying again
 			b.sinceBwd = 0
 			b.t.Flags |= FlagContainsBackward
+			if taken {
+				b.t.Starts |= 1 << k
+			}
 		}
 	case isa.ClassCall:
 		b.t.Flags |= FlagContainsCall
+		b.t.Starts |= 1 << k
 	case isa.ClassReturn:
 		b.t.EndsInReturn = true
 		return true
 	case isa.ClassJumpInd:
 		if in.IsCall() { // jalr: an indirect call
 			b.t.Flags |= FlagContainsCall
+			b.t.Starts |= 1 << k
 		}
 		b.t.EndsInIndirect = true
 		return true
@@ -238,43 +243,50 @@ func (b *Builder) AppendClassified(pc uint32, in *isa.Inst, class isa.Class, tak
 		b.t.EndsInHalt = true
 		return true
 	}
-	if b.k == b.cfg.MaxLen {
-		return true
-	}
-	// The first positive multiple of AlignMod past the last backward
-	// branch ends the trace, so the count never passes AlignMod and
-	// equality is the whole test.
-	if b.sinceBwd == b.cfg.AlignMod {
-		return true
-	}
-	// Traces that have used all 16 branch-mask bits must end: the ID
-	// could not distinguish further outcomes.
-	if b.t.NumBr == 16 {
-		return true
-	}
-	return false
+	return b.full()
 }
 
-// Finish seals the trace and returns it. succ is the address of the
-// instruction that follows the trace (0 if unknown). Finish may be
-// called on a partial trace (e.g. when the preconstructor abandons a
-// region); an empty trace returns nil.
-func (b *Builder) Finish(succ uint32) *Trace {
-	if b.k == 0 {
-		return nil
+// full reports whether the trace must end after its last instruction:
+// it reached MaxLen; it reached the first positive multiple of AlignMod
+// past its last backward branch (so the count never passes AlignMod and
+// equality is the whole test); or it used all 16 branch-mask bits, past
+// which the ID could not distinguish outcomes.
+func (b *Builder) full() bool {
+	return b.k == b.cfg.MaxLen || b.sinceBwd == b.cfg.AlignMod || b.t.NumBr == 16
+}
+
+// Room returns how many straight-line instructions (no control
+// transfer) the unfinished trace takes before the length or alignment
+// rule ends it: at least 1, since a complete trace is never appended to.
+func (b *Builder) Room() int {
+	n := b.cfg.MaxLen - b.k
+	if b.sinceBwd >= 0 {
+		n = min(n, b.cfg.AlignMod-b.sinceBwd)
 	}
-	t := Trace{
-		PCs:            append([]uint32(nil), b.pcs[:b.k]...),
-		Insts:          append([]isa.Inst(nil), b.insts[:b.k]...),
-		BrMask:         b.t.BrMask,
-		NumBr:          b.t.NumBr,
-		Flags:          b.t.Flags | b.cfg.lenClass(b.k),
-		EndsInReturn:   b.t.EndsInReturn,
-		EndsInIndirect: b.t.EndsInIndirect,
-		EndsInHalt:     b.t.EndsInHalt,
-		Succ:           succ,
+	return n
+}
+
+// AppendRun appends insts, straight-line instructions (ALU, load or
+// store) at consecutive addresses from pc, and reports whether the
+// trace is now complete. It equals AppendClassified on each in turn:
+// such an instruction touches no branch, flag or mark state, and
+// len(insts), which must lie in 1..Room(), lets only the last one end
+// the trace. The preconstruction walk appends a run this way.
+func (b *Builder) AppendRun(pc uint32, insts []isa.Inst) (done bool) {
+	n := len(insts)
+	if n == 0 || n > b.Room() {
+		panic("trace: AppendRun past the trace's room")
 	}
-	return &t
+	k := b.k
+	for i := range insts {
+		b.pcs[k+i] = pc + uint32(i)*isa.WordSize
+		b.insts[k+i] = insts[i]
+	}
+	b.k = k + n
+	if b.sinceBwd >= 0 {
+		b.sinceBwd += n
+	}
+	return b.full()
 }
 
 // lenClass returns the length-class flag bits for an n-instruction trace
@@ -291,9 +303,10 @@ func (c SelectConfig) lenClass(n int) Flags {
 }
 
 // Seal finalizes the in-progress trace in place and returns a pointer
-// to the Builder's internal Trace, avoiding the copy Finish makes. The
-// returned trace is valid only until the next Append or Reset; callers
-// that retain it must Clone it first. An empty trace returns nil.
+// to the Builder's internal Trace. succ is the address of the
+// instruction that follows the trace (0 if unknown). The returned trace
+// is valid only until the next append or Reset; callers that retain it
+// must Clone or intern it first. An empty trace returns nil.
 func (b *Builder) Seal(succ uint32) *Trace {
 	if b.k == 0 {
 		return nil

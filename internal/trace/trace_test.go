@@ -12,6 +12,20 @@ import (
 
 func cfg() SelectConfig { return DefaultSelectConfig() }
 
+// appendInst appends one instruction through AppendClassified.
+func appendInst(b *Builder, pc uint32, in isa.Inst, taken bool) bool {
+	return b.AppendClassified(pc, &in, in.Classify(), taken)
+}
+
+// finish seals the trace and returns a copy that outlives the builder,
+// or nil for an empty trace.
+func finish(b *Builder, succ uint32) *Trace {
+	if tr := b.Seal(succ); tr != nil {
+		return tr.Clone()
+	}
+	return nil
+}
+
 func TestSelectConfigValidate(t *testing.T) {
 	if err := DefaultSelectConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
@@ -49,14 +63,14 @@ func TestBuilderMaxLen(t *testing.T) {
 	b := NewBuilder(cfg())
 	in := isa.Inst{Op: isa.OpAdd, Rd: 1, Ra: 2, Rb: 3}
 	for i := 0; i < 15; i++ {
-		if b.Append(uint32(i*4), in, false) {
+		if appendInst(b, uint32(i*4), in, false) {
 			t.Fatalf("trace ended early at %d", i+1)
 		}
 	}
-	if !b.Append(60, in, false) {
+	if !appendInst(b, 60, in, false) {
 		t.Error("trace did not end at MaxLen")
 	}
-	tr := b.Finish(64)
+	tr := finish(b, 64)
 	if tr.Len() != 16 || tr.Succ != 64 {
 		t.Errorf("trace = %v", tr)
 	}
@@ -67,11 +81,11 @@ func TestBuilderMaxLen(t *testing.T) {
 
 func TestBuilderEndsAtReturn(t *testing.T) {
 	b := NewBuilder(cfg())
-	b.Append(0, isa.Inst{Op: isa.OpAdd}, false)
-	if !b.Append(4, isa.Inst{Op: isa.OpJr, Ra: isa.RegLink}, false) {
+	appendInst(b, 0, isa.Inst{Op: isa.OpAdd}, false)
+	if !appendInst(b, 4, isa.Inst{Op: isa.OpJr, Ra: isa.RegLink}, false) {
 		t.Error("trace did not end at return")
 	}
-	tr := b.Finish(0x2000)
+	tr := finish(b, 0x2000)
 	if !tr.EndsInReturn || tr.EndsInIndirect {
 		t.Errorf("flags = %+v", tr)
 	}
@@ -79,24 +93,24 @@ func TestBuilderEndsAtReturn(t *testing.T) {
 
 func TestBuilderEndsAtIndirect(t *testing.T) {
 	b := NewBuilder(cfg())
-	if !b.Append(0, isa.Inst{Op: isa.OpJr, Ra: 5}, false) {
+	if !appendInst(b, 0, isa.Inst{Op: isa.OpJr, Ra: 5}, false) {
 		t.Error("trace did not end at indirect jump")
 	}
-	if tr := b.Finish(0); !tr.EndsInIndirect {
+	if tr := finish(b, 0); !tr.EndsInIndirect {
 		t.Error("EndsInIndirect not set")
 	}
 	b2 := NewBuilder(cfg())
-	if !b2.Append(0, isa.Inst{Op: isa.OpJalr, Ra: 5}, false) {
+	if !appendInst(b2, 0, isa.Inst{Op: isa.OpJalr, Ra: 5}, false) {
 		t.Error("trace did not end at indirect call")
 	}
 }
 
 func TestBuilderEndsAtHalt(t *testing.T) {
 	b := NewBuilder(cfg())
-	if !b.Append(0, isa.Inst{Op: isa.OpHalt}, false) {
+	if !appendInst(b, 0, isa.Inst{Op: isa.OpHalt}, false) {
 		t.Error("trace did not end at halt")
 	}
-	if tr := b.Finish(0); !tr.EndsInHalt {
+	if tr := finish(b, 0); !tr.EndsInHalt {
 		t.Error("EndsInHalt not set")
 	}
 }
@@ -104,11 +118,11 @@ func TestBuilderEndsAtHalt(t *testing.T) {
 func TestBuilderBranchMask(t *testing.T) {
 	b := NewBuilder(cfg())
 	br := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 2, Imm: 32} // forward branch
-	b.Append(0, br, true)
-	b.Append(32, isa.Inst{Op: isa.OpAdd}, false)
-	b.Append(36, br, false)
-	b.Append(40, br, true)
-	tr := b.Finish(0)
+	appendInst(b, 0, br, true)
+	appendInst(b, 32, isa.Inst{Op: isa.OpAdd}, false)
+	appendInst(b, 36, br, false)
+	appendInst(b, 40, br, true)
+	tr := finish(b, 0)
 	if tr.NumBr != 3 {
 		t.Fatalf("NumBr = %d", tr.NumBr)
 	}
@@ -127,21 +141,21 @@ func TestAlignmentRule(t *testing.T) {
 	b := NewBuilder(cfg())
 	add := isa.Inst{Op: isa.OpAdd}
 	back := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 0, Imm: -16}
-	b.Append(0, add, false)
-	b.Append(4, add, false)
-	if b.Append(8, back, false) { // loop exit: branch not taken
+	appendInst(b, 0, add, false)
+	appendInst(b, 4, add, false)
+	if appendInst(b, 8, back, false) { // loop exit: branch not taken
 		t.Fatal("ended at backward branch itself")
 	}
 	// Now 4 more instructions must complete the trace.
 	for i := 0; i < 3; i++ {
-		if b.Append(uint32(12+i*4), add, false) {
+		if appendInst(b, uint32(12+i*4), add, false) {
 			t.Fatalf("ended early, %d past branch", i+1)
 		}
 	}
-	if !b.Append(24, add, false) {
+	if !appendInst(b, 24, add, false) {
 		t.Error("did not end 4 instructions past backward branch")
 	}
-	if got := b.Finish(28).Len(); got != 7 {
+	if got := finish(b, 28).Len(); got != 7 {
 		t.Errorf("len = %d, want 7", got)
 	}
 }
@@ -151,16 +165,16 @@ func TestAlignmentCounterResets(t *testing.T) {
 	b := NewBuilder(cfg())
 	add := isa.Inst{Op: isa.OpAdd}
 	back := isa.Inst{Op: isa.OpBne, Ra: 1, Rb: 0, Imm: -8}
-	b.Append(0, back, true)  // taken back edge
-	b.Append(4, add, false)  // 1 past
-	b.Append(8, add, false)  // 2 past
-	b.Append(12, back, true) // new back edge: count resets
+	appendInst(b, 0, back, true)  // taken back edge
+	appendInst(b, 4, add, false)  // 1 past
+	appendInst(b, 8, add, false)  // 2 past
+	appendInst(b, 12, back, true) // new back edge: count resets
 	for i := 0; i < 3; i++ {
-		if b.Append(uint32(16+i*4), add, false) {
+		if appendInst(b, uint32(16+i*4), add, false) {
 			t.Fatalf("ended %d past second branch", i+1)
 		}
 	}
-	if !b.Append(28, add, false) {
+	if !appendInst(b, 28, add, false) {
 		t.Error("did not end 4 past the second backward branch")
 	}
 }
@@ -170,9 +184,9 @@ func TestForwardBranchNoAlign(t *testing.T) {
 	b := NewBuilder(cfg())
 	fwd := isa.Inst{Op: isa.OpBeq, Ra: 1, Rb: 2, Imm: 64}
 	add := isa.Inst{Op: isa.OpAdd}
-	b.Append(0, fwd, false)
+	appendInst(b, 0, fwd, false)
 	for i := 1; i < 15; i++ {
-		if b.Append(uint32(i*4), add, false) {
+		if appendInst(b, uint32(i*4), add, false) {
 			t.Fatalf("ended early at %d", i+1)
 		}
 	}
@@ -181,47 +195,47 @@ func TestForwardBranchNoAlign(t *testing.T) {
 func TestAppendPastEndPanics(t *testing.T) {
 	b := NewBuilder(cfg())
 	for i := 0; i < 16; i++ {
-		b.Append(uint32(i*4), isa.Inst{Op: isa.OpAdd}, false)
+		appendInst(b, uint32(i*4), isa.Inst{Op: isa.OpAdd}, false)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Append past MaxLen did not panic")
 		}
 	}()
-	b.Append(64, isa.Inst{Op: isa.OpAdd}, false)
+	appendInst(b, 64, isa.Inst{Op: isa.OpAdd}, false)
 }
 
 func TestFinishEmpty(t *testing.T) {
 	b := NewBuilder(cfg())
-	if b.Finish(0) != nil {
-		t.Error("Finish on empty builder returned a trace")
+	if finish(b, 0) != nil {
+		t.Error("sealing an empty builder returned a trace")
 	}
 }
 
 func TestResetReuse(t *testing.T) {
 	b := NewBuilder(cfg())
-	b.Append(0, isa.Inst{Op: isa.OpHalt}, false)
-	t1 := b.Finish(0)
+	appendInst(b, 0, isa.Inst{Op: isa.OpHalt}, false)
+	t1 := finish(b, 0)
 	b.Reset()
 	if b.Len() != 0 {
 		t.Error("Reset did not clear")
 	}
-	b.Append(100, isa.Inst{Op: isa.OpAdd}, false)
-	b.Append(104, isa.Inst{Op: isa.OpHalt}, false)
-	t2 := b.Finish(0)
+	appendInst(b, 100, isa.Inst{Op: isa.OpAdd}, false)
+	appendInst(b, 104, isa.Inst{Op: isa.OpHalt}, false)
+	t2 := finish(b, 0)
 	if t1.Len() != 1 || t2.Len() != 2 || t2.PCs[0] != 100 {
 		t.Errorf("t1=%v t2=%v", t1, t2)
 	}
 	// The first trace must be unaffected by builder reuse.
 	if t1.PCs[0] != 0 {
-		t.Error("Finish did not copy slices")
+		t.Error("the finished trace shares the builder's slices")
 	}
 }
 
 func TestTraceStringAndPending(t *testing.T) {
 	b := NewBuilder(cfg())
-	b.Append(0x100, isa.Inst{Op: isa.OpAdd}, false)
-	tr := b.Finish(0x104)
+	appendInst(b, 0x100, isa.Inst{Op: isa.OpAdd}, false)
+	tr := finish(b, 0x104)
 	if s := tr.String(); s == "" {
 		t.Error("empty trace String")
 	}
@@ -240,16 +254,33 @@ func TestTraceStringAndPending(t *testing.T) {
 
 func TestContainsCall(t *testing.T) {
 	b := NewBuilder(cfg())
-	b.Append(0, isa.Inst{Op: isa.OpAdd}, false)
-	b.Append(4, isa.Inst{Op: isa.OpJal, Target: 0x100}, false)
-	b.Append(0x100, isa.Inst{Op: isa.OpHalt}, false)
-	if !b.Finish(0).ContainsCall() {
+	appendInst(b, 0, isa.Inst{Op: isa.OpAdd}, false)
+	appendInst(b, 4, isa.Inst{Op: isa.OpJal, Target: 0x100}, false)
+	appendInst(b, 0x100, isa.Inst{Op: isa.OpHalt}, false)
+	if !finish(b, 0).ContainsCall() {
 		t.Error("ContainsCall = false")
 	}
 	b2 := NewBuilder(cfg())
-	b2.Append(0, isa.Inst{Op: isa.OpHalt}, false)
-	if b2.Finish(0).ContainsCall() {
+	appendInst(b2, 0, isa.Inst{Op: isa.OpHalt}, false)
+	if finish(b2, 0).ContainsCall() {
 		t.Error("ContainsCall = true for plain trace")
+	}
+}
+
+// TestStartMarks: Starts marks exactly the calls, direct and indirect,
+// and the taken backward branches.
+func TestStartMarks(t *testing.T) {
+	b := NewBuilder(cfg())
+	back := isa.Inst{Op: isa.OpBne, Ra: 1, Imm: -8}
+	fwd := isa.Inst{Op: isa.OpBeq, Ra: 1, Imm: 8}
+	appendInst(b, 0, isa.Inst{Op: isa.OpAdd}, false)
+	appendInst(b, 4, isa.Inst{Op: isa.OpJal, Target: 0x100}, false) // 1
+	appendInst(b, 0x100, back, true)                                // 2
+	appendInst(b, 0xf8, back, false)
+	appendInst(b, 0xfc, fwd, true)
+	appendInst(b, 0x104, isa.Inst{Op: isa.OpJalr, Ra: 5}, false) // 5
+	if got, want := finish(b, 0).Starts, uint16(1<<1|1<<2|1<<5); got != want {
+		t.Errorf("Starts = %b, want %b", got, want)
 	}
 }
 

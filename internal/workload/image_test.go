@@ -86,9 +86,10 @@ func TestGeneratedImagesUnchanged(t *testing.T) {
 }
 
 // TestImageFootprint bounds what a generated gcc image keeps alive:
-// its decoded instructions (about 616 KiB), data section and function
-// labels. Keeping the encoded words as well, or exporting every block
-// label, pushes it past the bound.
+// its decoded instructions (about 616 KiB), their straight-line run
+// lengths (one byte each, 51 KiB), data section and function labels.
+// Keeping the encoded words as well, or exporting every block label,
+// pushes it past the bound.
 func TestImageFootprint(t *testing.T) {
 	p, err := ByName("gcc")
 	if err != nil {
