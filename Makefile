@@ -10,13 +10,15 @@ all: build vet test
 # shuffled test suite, a race-detector pass over the short suite, the
 # benchmark module (its own Go module, so ./... above never compiles
 # it), the bench smoke run, and the lint job with its race pass over
-# the trace store's lifecycle.
+# the trace table, the trace caches and the group driver (a table
+# reached from two concurrently running groups shows up as a race).
 ci: build lint examples
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -short ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-smoke
 	$(GO) test -race ./internal/trace ./internal/tracecache
+	$(GO) test -race -run 'TestBroadcast|TestGridIndependentOfWorkers' ./internal/harness
 
 build:
 	$(GO) build ./...
@@ -61,8 +63,8 @@ bench:
 # One iteration of the hot-path microbenchmarks: not a measurement, a
 # CI canary that the benchmarks build and run (real numbers come from
 # `bash perfbench/run.sh`, which BENCHMARK.json declares). The
-# allocation contracts run here too — the trace store's intern/release
-# round and its growth (headers carved from slabs, not one per trace),
+# allocation contracts run here too — the trace table's intern hit and
+# its growth (headers carved from slabs, not one per trace),
 # the chunked replay loop, a whole decode pass, a recording (slice
 # growth only, nothing per instruction), the cost of one more
 # group member over shared predictor tables, the backend's dispatch and
@@ -82,7 +84,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
-	$(GO) test -run '^$$' -bench 'InternHit|InternChurn|Clone|Segmenter' \
+	$(GO) test -run '^$$' -bench 'InternHit|InternMiss|Clone|Segmenter' \
 		-benchtime 1x -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'Optimize' -benchtime 1x -benchmem ./internal/preproc/
 	$(GO) test -run '^$$' -bench 'Record' -benchtime 1x -benchmem ./internal/emulator/

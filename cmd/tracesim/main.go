@@ -71,10 +71,7 @@ func main() {
 		opts = append(opts, harness.WithSampling(plan))
 	}
 
-	cfg := core.BaselineConfig(*tc)
-	if *pb > 0 {
-		cfg = core.PreconConfig(*tc, *pb)
-	}
+	cfg := core.PreconConfig(*tc, *pb) // -pb 0 is the baseline; Validate rejects a negative count
 	if *timing || *preproc {
 		cfg = core.TimingConfig(cfg, *preproc)
 	}

@@ -94,6 +94,11 @@ type Config struct {
 	// in lockstep may share one set (see SlowTables). Required.
 	Slow *SlowTables
 
+	// Traces is the table the frontend and its engine intern traces
+	// into, through a handle of the frontend's own. Frontends of one
+	// group may share it (see trace.Store). Required.
+	Traces *trace.Store
+
 	// Precon configures the engine.
 	Precon precon.Config
 }
@@ -147,16 +152,12 @@ func (s Stats) SupplierHitRate(i int) float64 {
 	return s.Suppliers[i].HitRate()
 }
 
-// supplierSlot binds a wired supplier to the design-specific hooks the
-// composition root needs beyond the probe contract (drain, occupancy,
-// native counters). The hooks are fixed at wiring time so the supply
-// loop and the maintenance paths stay free of design conditionals.
+// supplierSlot binds a wired supplier to its native counters, fixed at
+// wiring time so the supply loop stays free of design conditionals.
 type supplierSlot struct {
-	name      string
-	s         TraceSupplier
-	drain     func()
-	occupancy func() int
-	counters  func() tracecache.Stats
+	name     string
+	s        TraceSupplier
+	counters func() tracecache.Stats
 }
 
 // Supply reports how one demanded trace was supplied.
@@ -183,15 +184,16 @@ type Supply struct {
 
 // Frontend is the composition root: it owns the supplier probe order,
 // routes fills, runs the slow path on misses, and hosts the shared
-// fetch-side state (predictors, intern store, precon engine, port). Its
-// next-trace predictor is a view, and the tables behind it, like the
-// slow path's bimodal table and indirect target buffer, may be shared
-// with other frontends (Config.Pred, Config.Slow); the return address
-// stack is always its own.
+// fetch-side state (predictors, trace table handle, precon engine,
+// port). Its next-trace predictor is a view, and the tables behind it,
+// like the slow path's bimodal table and indirect target buffer and
+// the trace table behind its handle, may be shared with other
+// frontends (Config.Pred, Config.Slow, Config.Traces); the return
+// address stack is always its own.
 type Frontend struct {
-	cfg   Config
-	im    *program.Image
-	store *trace.Store
+	cfg    Config
+	im     *program.Image
+	traces *trace.Handle
 
 	suppliers []supplierSlot
 	primary   PrimarySupplier
@@ -216,7 +218,7 @@ type Frontend struct {
 // and (when buffers are configured) the preconstruction engine behind
 // the port.
 func New(im *program.Image, cfg Config) (*Frontend, error) {
-	f := &Frontend{cfg: cfg, im: im, store: trace.NewStore(), slow: cfg.Slow, slowN: cfg.Slow.n}
+	f := &Frontend{cfg: cfg, im: im, traces: cfg.Traces.NewHandle(), slow: cfg.Slow, slowN: cfg.Slow.n}
 	var err error
 	if f.ic, err = cache.New(cfg.ICache); err != nil {
 		return nil, err
@@ -236,61 +238,37 @@ func New(im *program.Image, cfg Config) (*Frontend, error) {
 			Entries: cfg.TraceCache.Entries + cfg.Buffers.Entries,
 			Assoc:   cfg.TraceCache.Assoc,
 		}
-		adpt, err := tracecache.NewAdaptive(unified, f.store)
+		adpt, err := tracecache.NewAdaptive(unified)
 		if err != nil {
 			return nil, err
 		}
 		pb := adpt.PBView()
 		f.primary = adpt
-		f.addSupplier(supplierSlot{
-			name:      "trace-cache",
-			s:         adpt,
-			drain:     adpt.Drain,
-			occupancy: func() int { tc, _ := adpt.Occupancy(); return tc },
-			counters:  adpt.Stats,
-		})
-		f.addSupplier(supplierSlot{
-			name:      "precon-buffers",
-			s:         pb,
-			drain:     func() {}, // one container: primary's drain empties both roles
-			occupancy: func() int { _, pb := adpt.Occupancy(); return pb },
-			counters:  adpt.PBStatsView,
-		})
+		f.addSupplier(supplierSlot{name: "trace-cache", s: adpt, counters: adpt.Stats})
+		f.addSupplier(supplierSlot{name: "precon-buffers", s: pb, counters: adpt.PBStatsView})
 		f.partition = func() (float64, uint64) {
 			return adpt.TargetPBShare(), adpt.Adjustments()
 		}
 		engTC, engBuf = adpt, pb
 	} else {
-		tcc, err := tracecache.New(cfg.TraceCache, f.store)
+		tcc, err := tracecache.New(cfg.TraceCache)
 		if err != nil {
 			return nil, err
 		}
 		f.primary = tcc
-		f.addSupplier(supplierSlot{
-			name:      "trace-cache",
-			s:         tcc,
-			drain:     tcc.Drain,
-			occupancy: tcc.Occupancy,
-			counters:  tcc.Stats,
-		})
+		f.addSupplier(supplierSlot{name: "trace-cache", s: tcc, counters: tcc.Stats})
 		engTC = tcc
 		if cfg.PreconEnabled() {
-			bufc, err := tracecache.NewBuffers(cfg.Buffers, f.store)
+			bufc, err := tracecache.NewBuffers(cfg.Buffers)
 			if err != nil {
 				return nil, err
 			}
-			f.addSupplier(supplierSlot{
-				name:      "precon-buffers",
-				s:         bufc,
-				drain:     bufc.Drain,
-				occupancy: bufc.Occupancy,
-				counters:  bufc.Stats,
-			})
+			f.addSupplier(supplierSlot{name: "precon-buffers", s: bufc, counters: bufc.Stats})
 			engBuf = bufc
 		}
 	}
 	if cfg.PreconEnabled() {
-		f.eng, err = precon.New(cfg.Precon, cfg.Select, im, f.slow.bim, f.slow.itb, f.port, engTC, engBuf, f.store)
+		f.eng, err = precon.New(cfg.Precon, cfg.Select, im, f.slow.bim, f.slow.itb, f.port, engTC, engBuf, f.traces)
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +309,7 @@ func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supp
 		f.stats.Suppliers[i].Hits++
 		if promote {
 			// §3.1: a buffer hit is copied into the trace cache (the
-			// supplier consumed its entry; ownership moves with Fill).
+			// supplier consumed its entry).
 			f.primary.Fill(got)
 		}
 		sup.Trace = got
@@ -344,7 +322,7 @@ func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supp
 	// Full miss: the conventional fetch path builds the trace and the
 	// primary supplier retains it.
 	sup.FetchLat, sup.SlowBusy = f.slowPath(tr, dyns, now)
-	tr = f.store.Intern(tr)
+	tr = f.traces.Intern(tr)
 	f.primary.Fill(tr)
 	sup.Trace = tr
 	return sup
@@ -398,9 +376,10 @@ func (f *Frontend) SupplyFast(tr *trace.Trace, dyns []emulator.Dyn, now uint64, 
 				last = la
 			}
 		}
-		// tr stays the caller's borrowed trace: the engine's inserts
-		// below may evict the interned copy and let the store reuse it.
-		f.primary.Fill(f.store.Intern(tr))
+		// tr stays the caller's borrowed trace below: it is this
+		// demand's own, Succ included, where a table entry keeps its
+		// first interner's.
+		f.primary.Fill(f.traces.Intern(tr))
 	}
 	f.slow.train(f.slowN, dyns)
 	f.slowN++
@@ -439,9 +418,9 @@ func (f *Frontend) ReplayWrongPath(predID, actual trace.ID) {
 // record the resolved stream's outcomes for the slow-path predictors
 // (SlowTables trains them before the next trace), and train the
 // next-trace predictor with the actual trace. demand is the caller's
-// borrowed trace, not a stored copy: the engine steps first, and its
-// inserts may evict the copy Supply filled and let the intern store
-// reuse its slot. now is the cycle the idle interval starts (the
+// borrowed trace, not a stored copy: it is this demand's own, Succ
+// included, where the table entry Supply returned keeps its first
+// interner's. now is the cycle the idle interval starts (the
 // previous trace's retirement); the port clock walks forward from it as
 // units are granted, timestamping the engine's memory-level requests.
 func (f *Frontend) Retire(demand *trace.Trace, idle int64, dyns []emulator.Dyn, now uint64) {
@@ -481,8 +460,8 @@ func (f *Frontend) PreconStats() precon.Stats {
 	return f.eng.Stats()
 }
 
-// StoreStats returns the intern store's counters.
-func (f *Frontend) StoreStats() trace.StoreStats { return f.store.Stats() }
+// StoreStats returns this frontend's use of the trace table.
+func (f *Frontend) StoreStats() trace.StoreStats { return f.traces.Stats() }
 
 // TotalICMisses returns all i-cache misses, demand and engine-induced.
 func (f *Frontend) TotalICMisses() uint64 { return f.ic.Stats().Misses }
@@ -499,21 +478,3 @@ func (f *Frontend) AdaptiveStats() (share float64, adjusts uint64, ok bool) {
 
 // Engine exposes the preconstruction engine (nil when disabled).
 func (f *Frontend) Engine() *precon.Engine { return f.eng }
-
-// Drain empties every supplier, returning interned references to the
-// store (the leak invariant: after Drain the store holds zero live
-// traces).
-func (f *Frontend) Drain() {
-	for i := range f.suppliers {
-		f.suppliers[i].drain()
-	}
-}
-
-// Occupancy sums resident traces across suppliers.
-func (f *Frontend) Occupancy() int {
-	n := 0
-	for i := range f.suppliers {
-		n += f.suppliers[i].occupancy()
-	}
-	return n
-}

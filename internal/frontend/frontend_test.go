@@ -55,7 +55,7 @@ func TestSupplyProbeOrderAndPromotion(t *testing.T) {
 	planted, pdyns := mkSeq(0x2000, 8)
 	id := planted.ID()
 	bufc := f.suppliers[1].s.(*tracecache.Buffers)
-	bufc.Insert(f.store.Intern(planted), 1)
+	bufc.Insert(f.traces.Intern(planted), 1)
 	if f.primary.Contains(id) {
 		t.Fatal("planted trace already in primary")
 	}

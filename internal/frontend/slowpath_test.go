@@ -40,6 +40,7 @@ func testConfig(t testing.TB) Config {
 		Mem:               h,
 		Pred:              tpred.NewTables(tpred.Config{}),
 		Slow:              slow,
+		Traces:            trace.NewStore(),
 		Precon:            precon.DefaultConfig(),
 	}
 }

@@ -354,3 +354,47 @@ func TestGroupCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupTableScale bounds what one group's trace table holds at
+// scale: gcc and go, each one group of the nine Figure 5 PB>0 points,
+// sampled at 20M. A cell's Result sums its measurement units, so its
+// Interns − Hits counts the traces a member first interned inside a
+// unit, and its SlabBytes is the bytes of every distinct trace the
+// member interned over the whole run. Equal content stored twice would
+// count as new on every re-intern and push both past their bounds. The
+// set stays small because traces are reused heavily across loops and
+// calls: a member here interns about 10k distinct traces, some 2 MiB,
+// and at most about 1,200 new traces inside its units.
+func TestGroupTableScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("samples two benchmarks at 20M")
+	}
+	const (
+		budget     = 20_000_000
+		maxNew     = 2048
+		maxSlabKiB = 3072
+	)
+	m := Matrix{Name: "table-scale", Benches: []string{"gcc", "go"}, Budget: budget}
+	for _, pb := range []int{64, 256} {
+		for _, tc := range []int{64, 128, 256, 512, 1024} {
+			if pb >= 256 && tc >= 1024 {
+				continue // beyond the paper's area range, as in Figure 5
+			}
+			m.Points = append(m.Points, ConfigPoint{Name: fmt.Sprintf("tc%d/pb%d", tc, pb), Cfg: precon(tc, pb)})
+		}
+	}
+	g, err := Run(context.Background(), m, WithSampling(sample.PlanForBudget(budget)), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.Cells {
+		c := &g.Cells[i]
+		st := c.Result.Intern
+		fresh, kib := st.Interns-st.Hits, st.SlabBytes>>10
+		t.Logf("%s/%s: %d interns in units, %d of new traces; %d KiB of distinct traces", c.Bench, c.Point.Name, st.Interns, fresh, kib)
+		if st.Hits == 0 || fresh > maxNew || kib > maxSlabKiB {
+			t.Errorf("%s/%s: %d interns, %d of new traces, %d KiB; want hits, at most %d new and %d KiB",
+				c.Bench, c.Point.Name, st.Interns, fresh, kib, maxNew, maxSlabKiB)
+		}
+	}
+}

@@ -176,10 +176,10 @@ func (c Config) WithModeledL2(mc mem.Config) Config {
 
 // frontendConfig slices the fetch-side configuration out for the
 // frontend composition root. The shared memory hierarchy and the
-// predictor tables are not part of the slice: the simulator's
-// constructor binds them into the returned Config's Mem, Pred and Slow
-// fields, so I-side and D-side misses meet in one level and group
-// members can share predictor tables.
+// predictor and trace tables are not part of the slice: the
+// simulator's constructor binds them into the returned Config's Mem,
+// Pred, Slow and Traces fields, so I-side and D-side misses meet in one
+// level and group members can share the tables.
 func (c Config) frontendConfig() frontend.Config {
 	return frontend.Config{
 		Select:            c.Select,
@@ -203,6 +203,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.ICache.Validate(); err != nil {
 		return err
+	}
+	if c.Buffers.Entries < 0 {
+		return fmt.Errorf("pipeline: Buffers.Entries %d is negative (0 disables preconstruction)", c.Buffers.Entries)
 	}
 	if c.PreconEnabled() {
 		if err := c.Buffers.Validate(); err != nil {

@@ -62,13 +62,15 @@ func fieldIndex(name string) uint8 {
 // for the default configuration under up to three field mutations,
 // Validate returns nil exactly when New succeeds, and neither panics.
 // The seeds are a zero drain rate under full timing, which the
-// fast-forward phase still divides by, and the check construction makes
+// fast-forward phase still divides by; the check construction makes
 // beyond the parts' own Validate methods: a prefetch cache smaller than
-// one 64-byte i-cache line.
+// one 64-byte i-cache line; and a negative buffer count, which must not
+// pass as preconstruction off.
 func FuzzConfig(f *testing.F) {
 	none := uint8(len(configFields)) // out of range: no mutation
 	f.Add(fieldIndex("FullTiming"), int8(1), fieldIndex("FrontendIPC"), int8(0), none, int8(0))
 	f.Add(fieldIndex("Buffers.Entries"), int8(64), fieldIndex("Precon.PrefetchInstrs"), int8(8), none, int8(0))
+	f.Add(fieldIndex("Buffers.Entries"), int8(-1), none, int8(0), none, int8(0))
 	im := loopImage(f, 5)
 	f.Fuzz(func(t *testing.T, f1 uint8, v1 int8, f2 uint8, v2 int8, f3 uint8, v3 int8) {
 		c := DefaultConfig()

@@ -10,6 +10,7 @@ import (
 	"tracepre/internal/mem"
 	"tracepre/internal/program"
 	"tracepre/internal/tpred"
+	"tracepre/internal/trace"
 	"tracepre/internal/tracecache"
 )
 
@@ -64,6 +65,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Backend.NumPEs = 0 },
 		func(c *Config) { c.Backend.Lookahead = 0 },
 		func(c *Config) { c.Buffers.Entries = 64; c.Precon.StackDepth = 0 },
+		// A negative buffer count is an error, not preconstruction off.
+		func(c *Config) { c.Buffers.Entries = -1 },
 		// Adaptive partition: requires precon; the unified store must
 		// itself be a valid trace-cache geometry.
 		func(c *Config) { c.AdaptivePartition = true; c.Buffers.Entries = 0 },
@@ -430,11 +433,12 @@ func TestGroupMemberAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traces := trace.NewStore()
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	s, err := newMember(im, cfg, tables, slow, nil)
+	s, err := newMember(im, cfg, tables, slow, traces, nil)
 	runtime.ReadMemStats(&ms)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,10 @@ type Result struct {
 	// With the default FixedLevel wiring only the access counters move.
 	Memory mem.LevelStats
 
-	// Intern reports trace-store activity: intern hit rate, live and
-	// limbo residency, slab footprint (see trace.StoreStats).
+	// Intern reports this simulator's use of the trace table: its
+	// interns, those of traces it had interned before, and the bytes of
+	// its distinct traces (see trace.StoreStats). It reads the same
+	// whether the table is the group's or the simulator's own.
 	Intern trace.StoreStats
 }
 
@@ -206,8 +208,8 @@ type chunkRun struct {
 
 // New builds a simulator for the image: a frontend composed from the
 // config's fetch-side slice, plus the optional full-timing backend. It
-// is a group of one (NewGroup), so its next-trace predictor tables are
-// its own.
+// is a group of one (NewGroup), so its next-trace predictor tables and
+// its trace table are its own.
 func New(im *program.Image, cfg Config) (*Simulator, error) {
 	sims, err := NewGroup(im, []Config{cfg})
 	if err != nil {
@@ -226,16 +228,19 @@ func New(im *program.Image, cfg Config) (*Simulator, error) {
 // and indirect target buffer learn from the same committed stream, so
 // all members share one set, and each reads it in the state its own
 // copy would hold (frontend.SlowTables). Feeding members out of
-// lockstep panics in the shared tables. The full-timing members share
-// one per-trace analysis table: each distinct trace they dispatch is
-// analyzed, and preprocessed, once for the group. Members run on one
-// goroutine, as the shared tables require.
+// lockstep panics in the shared tables. All members intern their
+// traces into one append-only table (trace.Store), each through a
+// handle of its own, so a trace two members retain is stored once. The
+// full-timing members share one per-trace analysis table: each distinct
+// trace they dispatch is analyzed, and preprocessed, once for the
+// group. Members run on one goroutine, as the shared tables require.
 func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 	tables := map[tpred.Config]*tpred.Tables{}
 	slow, err := frontend.NewSlowTables()
 	if err != nil {
 		return nil, err
 	}
+	traces := trace.NewStore()
 	var analyses *analysisTable
 	sims := make([]*Simulator, len(cfgs))
 	for i, cfg := range cfgs {
@@ -250,7 +255,7 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 		if cfg.FullTiming && analyses == nil {
 			analyses = newAnalysisTable()
 		}
-		if sims[i], err = newMember(im, cfg, t, slow, analyses); err != nil {
+		if sims[i], err = newMember(im, cfg, t, slow, traces, analyses); err != nil {
 			return nil, err
 		}
 	}
@@ -258,9 +263,11 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 }
 
 // newMember builds one validated simulator whose frontend predicts
-// through the given next-trace and slow-path tables and whose backend,
-// under full timing, analyzes traces through the given table.
-func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *frontend.SlowTables, analyses *analysisTable) (*Simulator, error) {
+// through the given next-trace and slow-path tables and interns into
+// the given trace table, and whose backend, under full timing, analyzes
+// traces through the given analysis table.
+func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *frontend.SlowTables,
+	traces *trace.Store, analyses *analysisTable) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, im: im}
 	h, err := mem.New(cfg.Mem, cfg.Backend.L2Lat)
 	if err != nil {
@@ -271,6 +278,7 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *fronte
 	fcfg.Mem = h
 	fcfg.Pred = tables
 	fcfg.Slow = slow
+	fcfg.Traces = traces
 	fe, err := frontend.New(im, fcfg)
 	if err != nil {
 		return nil, err
@@ -450,14 +458,6 @@ func (s *Simulator) fold() Result {
 	res.Memory = s.mem.Stats()
 	return res
 }
-
-// ReleaseStorage drains every trace supplier, returning interned
-// references to the store. After a run, ReleaseStorage must leave the
-// store with zero live traces — the leak invariant pinned by the
-// pipeline tests. Useful when a caller keeps many finished simulators
-// around (sweeps) and wants their slab memory reusable; a Simulator is
-// single-use, so there is nothing to drain twice.
-func (s *Simulator) ReleaseStorage() { s.fe.Drain() }
 
 // onTrace processes one demanded trace — supplied by the frontend's
 // arbitration loop — and charges its timing. tr is borrowed from the

@@ -1,20 +1,22 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
+	"tracepre/internal/emulator"
+	"tracepre/internal/frontend"
+	"tracepre/internal/tpred"
+	"tracepre/internal/trace"
 	"tracepre/internal/workload"
 )
 
-// occupancy sums resident lines across whichever trace suppliers the
-// configuration wired into the frontend.
-func occupancy(s *Simulator) int { return s.Frontend().Occupancy() }
-
-// TestStoreLeakInvariant is the ISSUE's leak contract: after a sweep of
-// runs across the paper's configuration space, every live interned
-// trace is exactly one resident cache/buffer line, and draining the
-// containers (ReleaseStorage) leaves zero live traces. Run under -race
-// in CI to guard the refcount paths.
+// TestStoreLeakInvariant pins the trace table's invariant, that the
+// table only grows: across the paper's configuration space, a
+// simulator's table holds one entry per distinct trace the simulator
+// interned, and a second simulator of the same configuration run over
+// that table finds every trace it interns already there and simulates
+// exactly what the first did.
 func TestStoreLeakInvariant(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -48,30 +50,110 @@ func TestStoreLeakInvariant(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			sim := newSim(t, im, tt.cfg)
-			res, err := sim.Run(60_000)
-			if err != nil {
-				t.Fatal(err)
+			traces := trace.NewStore()
+			run := func() Result {
+				t.Helper()
+				slow, err := frontend.NewSlowTables()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var analyses *analysisTable
+				if tt.cfg.FullTiming {
+					analyses = newAnalysisTable()
+				}
+				sim, err := newMember(im, tt.cfg, tpred.NewTables(tt.cfg.Pred), slow, traces, analyses)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.Run(60_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			occ := occupancy(sim)
-			if res.Intern.Live != occ {
-				t.Fatalf("%d live interned traces, %d resident lines", res.Intern.Live, occ)
+			first := run()
+			st := first.Intern
+			if st.Interns == 0 || st.Hits == 0 {
+				t.Fatalf("intern stats idle: %+v", st)
 			}
-			if res.Intern.Live == 0 {
-				t.Fatal("run left no resident traces; invariant vacuous")
+			if got := uint64(traces.Len()); got != st.Interns-st.Hits {
+				t.Fatalf("table holds %d entries, the run interned %d distinct traces", got, st.Interns-st.Hits)
 			}
-			if res.Intern.Interns == 0 || res.Intern.Hits == 0 {
-				t.Fatalf("intern stats idle: %+v", res.Intern)
+			n := traces.Len()
+			second := run()
+			if traces.Len() != n {
+				t.Errorf("a second run of the same configuration grew the table from %d to %d entries", n, traces.Len())
 			}
-			sim.ReleaseStorage()
-			after := sim.fe.StoreStats()
-			if after.Live != 0 {
-				t.Fatalf("%d live interned traces after ReleaseStorage, want 0", after.Live)
-			}
-			if after.SlabBytes != res.Intern.SlabBytes {
-				t.Fatalf("draining changed slab footprint: %d -> %d",
-					res.Intern.SlabBytes, after.SlabBytes)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("a run over a table another run filled simulated differently:\nfirst  %+v\nsecond %+v", first, second)
 			}
 		})
+	}
+}
+
+// TestGroupSharesTraceTable checks what one table per group means for
+// its members: two members of one NewGroup, fed the same traces in
+// lockstep, hold the same table entry for equal content, a lone
+// simulator holds an equal but distinct copy in its own table, and all
+// three report the same Result, Result.Intern included.
+func TestGroupSharesTraceTable(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := emulator.Record(im, 60_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(32)
+	sims, err := NewGroup(im, []Config{cfg, cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims = append(sims, newSim(t, im, cfg))
+	for _, sim := range sims {
+		if err := sim.StartChunked(1 << 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trs, dyns := segmentStream(t, st, cfg.Select)
+	for i := range trs {
+		for _, sim := range sims {
+			if _, err := sim.RunTrace(trs[i], dyns[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var res [3]Result
+	for i, sim := range sims {
+		if res[i], err = sim.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res[0].Intern.Hits == 0 {
+		t.Fatalf("intern stats idle: %+v", res[0].Intern)
+	}
+	for i := 1; i < len(res); i++ {
+		if !reflect.DeepEqual(res[i], res[0]) {
+			t.Errorf("simulator %d simulated differently from member 0: Intern %+v against %+v", i, res[i].Intern, res[0].Intern)
+		}
+	}
+	// Supply returns the table's entry for a demanded trace, resident
+	// or interned on a miss.
+	for i := len(trs) - 200; i < len(trs); i++ {
+		var got [3]*trace.Trace
+		for k, sim := range sims {
+			got[k] = sim.fe.Supply(trs[i], dyns[i], 0).Trace
+		}
+		if got[0] != got[1] {
+			t.Fatalf("trace %d (%v): group members hold %p and %p, want one entry", i, trs[i].ID(), got[0], got[1])
+		}
+		if got[2] == got[0] || !reflect.DeepEqual(got[2].PCs, got[0].PCs) || !reflect.DeepEqual(got[2].Insts, got[0].Insts) {
+			t.Fatalf("trace %d (%v): lone simulator holds %p, want a distinct equal copy of %p", i, trs[i].ID(), got[2], got[0])
+		}
 	}
 }

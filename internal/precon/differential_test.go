@@ -105,8 +105,8 @@ func newDiffRig(tb testing.TB, s diffSetup) (*diffRig, recordingBuffers) {
 	r.itb, errs[1] = bpred.NewTargetBuffer(1 << 8)
 	r.ic, errs[2] = cache.New(cache.Config{SizeBytes: 16 * 1024, LineBytes: s.icLine, Assoc: 2})
 	h, errs[3] = mem.New(s.mem, 10)
-	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: s.tcEntries, Assoc: 2}, r.store)
-	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: s.pbEntries, Assoc: 2}, r.store)
+	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: s.tcEntries, Assoc: 2})
+	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: s.pbEntries, Assoc: 2})
 	if err := errors.Join(errs[:]...); err != nil {
 		tb.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func newDiffDriver(tb testing.TB, what string, im *program.Image, s diffSetup) *
 	d.a, bufA = newDiffRig(tb, s)
 	d.b, bufB = newDiffRig(tb, s)
 	var errA, errB error
-	d.eng, errA = New(s.cfg, sel, im, d.a.bim, d.a.itb, d.a.port, d.a.tc, bufA, d.a.store)
+	d.eng, errA = New(s.cfg, sel, im, d.a.bim, d.a.itb, d.a.port, d.a.tc, bufA, d.a.store.NewHandle())
 	d.ref, errB = newRefEngine(s.cfg, sel, im, d.b.bim, d.b.itb, d.b.port, d.b.tc, bufB, d.b.store)
 	if err := errors.Join(errA, errB); err != nil {
 		tb.Fatal(err)

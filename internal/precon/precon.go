@@ -260,9 +260,9 @@ type Engine struct {
 	// itb resolves indirect-jump targets when ResolveIndirects is on.
 	itb *bpred.TargetBuffer
 
-	// store interns completed traces before they escape into the
+	// traces interns completed traces before they escape into the
 	// buffers (see trace.Store).
-	store *trace.Store
+	traces *trace.Handle
 }
 
 // SetTraceHook installs an observer called for every trace the engine
@@ -311,14 +311,12 @@ func (r *region) popWork() uint32 {
 // rules sel, the demand path's, sharing the image, the slow path's
 // bimodal predictor and indirect target buffer (read only under
 // ResolveIndirects), the slow-path i-cache port, the trace cache, the
-// preconstruction buffers and the intern store with the frontend. The
-// port is the engine's only route to instruction lines; demand fetch
-// shares it. deliver retains completed traces through store.Intern — a
-// refcount bump and content check when an identical trace is resident —
-// and the buffers' Insert takes ownership of that reference, so they
-// must hold references in the same store.
+// preconstruction buffers and the frontend's handle on the trace table.
+// The port is the engine's only route to instruction lines; demand
+// fetch shares it. deliver retains completed traces through
+// traces.Intern, a lookup when an identical trace is in the table.
 func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimodal, itb *bpred.TargetBuffer,
-	port *SlowPathPort, tc TraceStore, buf BufferStore, store *trace.Store) (*Engine, error) {
+	port *SlowPathPort, tc TraceStore, buf BufferStore, traces *trace.Handle) (*Engine, error) {
 	if err := errors.Join(cfg.Validate(), sel.Validate()); err != nil {
 		return nil, err
 	}
@@ -335,7 +333,7 @@ func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimod
 		port:     port,
 		tc:       tc,
 		buf:      buf,
-		store:    store,
+		traces:   traces,
 		lineMask: uint32(port.LineBytes() - 1),
 		lineCap:  lineCap,
 		regions:  make([]*region, NumRegions),
@@ -664,7 +662,7 @@ func (e *Engine) deliver(r *region, tr *trace.Trace) {
 	if e.tc.Contains(id) || e.buf.Contains(id) {
 		e.stats.TracesDuplicate++
 	} else {
-		if !e.buf.Insert(e.store.Intern(tr), r.seq) {
+		if !e.buf.Insert(e.traces.Intern(tr), r.seq) {
 			e.completeRegion(r, &e.stats.RegionsBounded)
 			return
 		}

@@ -29,7 +29,7 @@ type rig struct {
 // buildRig wires an engine the way the frontend does, through the real
 // constructors: a 64 KiB i-cache of icLine-byte lines behind a
 // fixed-latency L2, and a trace cache and buffers of entries traces
-// each over one intern store. It returns New's error.
+// each, interning into one trace table. It returns New's error.
 func buildRig(tb testing.TB, im *program.Image, cfg Config, icLine, entries int) (*rig, error) {
 	tb.Helper()
 	r := &rig{im: im, store: trace.NewStore()}
@@ -39,13 +39,13 @@ func buildRig(tb testing.TB, im *program.Image, cfg Config, icLine, entries int)
 	r.itb, errs[1] = bpred.NewTargetBuffer(64)
 	r.ic, errs[2] = cache.New(cache.Config{SizeBytes: 64 * 1024, LineBytes: icLine, Assoc: 4})
 	h, errs[3] = mem.New(mem.Config{}, 10)
-	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: entries, Assoc: 2}, r.store)
-	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: entries, Assoc: 2}, r.store)
+	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: entries, Assoc: 2})
+	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: entries, Assoc: 2})
 	if err := errors.Join(errs[:]...); err != nil {
 		tb.Fatal(err)
 	}
 	var err error
-	r.eng, err = New(cfg, trace.DefaultSelectConfig(), im, r.bim, r.itb, NewSlowPathPort(r.ic, h), r.tc, r.buf, r.store)
+	r.eng, err = New(cfg, trace.DefaultSelectConfig(), im, r.bim, r.itb, NewSlowPathPort(r.ic, h), r.tc, r.buf, r.store.NewHandle())
 	return r, err
 }
 

@@ -14,7 +14,7 @@ import (
 // other field (floats, ints, strings) is a gauge or label and keeps its
 // end-of-unit value. The repo's stats structs follow that convention —
 // counters are uint64, point-in-time gauges are int/int64/float64
-// (trace.StoreStats.Live, Result.AdaptivePBShare) — so new counters
+// (trace.StoreStats.SlabBytes, Result.AdaptivePBShare) — so new counters
 // added to any component are interval-correct with no change here.
 
 // deltaResult returns end minus start, counter-wise. The Windows slice

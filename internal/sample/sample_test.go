@@ -96,7 +96,7 @@ func TestDeltaResult(t *testing.T) {
 			{Name: "trace-cache", Probes: 100, Hits: 90},
 		}},
 	}
-	start.Intern.Live = 5
+	start.Intern.SlabBytes = 5
 	end := pipeline.Result{
 		Instructions:    1500,
 		Cycles:          600,
@@ -106,14 +106,14 @@ func TestDeltaResult(t *testing.T) {
 			{Name: "trace-cache", Probes: 160, Hits: 140},
 		}},
 	}
-	end.Intern.Live = 7
+	end.Intern.SlabBytes = 7
 
 	d := deltaResult(end, start)
 	if d.Instructions != 500 || d.Cycles != 200 || d.TCMisses != 4 {
 		t.Errorf("counter deltas wrong: %+v", d)
 	}
-	if d.AdaptivePBShare != 0.5 || d.Intern.Live != 7 {
-		t.Errorf("gauges must keep end values: share %v live %d", d.AdaptivePBShare, d.Intern.Live)
+	if d.AdaptivePBShare != 0.5 || d.Intern.SlabBytes != 7 {
+		t.Errorf("gauges must keep end values: share %v slab bytes %d", d.AdaptivePBShare, d.Intern.SlabBytes)
 	}
 	sp := d.Frontend.Suppliers[0]
 	if sp.Probes != 60 || sp.Hits != 50 || sp.Name != "trace-cache" {

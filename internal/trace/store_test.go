@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,134 +25,86 @@ func storeTrace(start uint32, n int) *Trace {
 
 func TestStoreInternBasics(t *testing.T) {
 	s := NewStore()
+	h := s.NewHandle()
 	b := storeTrace(0x1000, 8)
-	a := s.Intern(b)
+	a := h.Intern(b)
 	if a == b {
 		t.Fatal("Intern returned the borrowed trace")
 	}
 	if !a.contentEqual(b) || a.ID() != b.ID() || a.Succ != b.Succ {
 		t.Fatalf("interned trace differs: %v vs %v", a, b)
 	}
-	if got := s.Refs(a); got != 1 {
-		t.Fatalf("refs after Intern = %d, want 1", got)
-	}
-	if s.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", s.Live())
-	}
 
-	// Interning identical content is a hit on the same trace.
-	a2 := s.Intern(storeTrace(0x1000, 8))
-	if a2 != a {
-		t.Fatal("intern of identical content returned a different trace")
+	// Interning identical content, with another successor, is a hit on
+	// the same entry, which keeps its first interner's Succ.
+	again := storeTrace(0x1000, 8)
+	again.Succ = 0
+	if a2 := h.Intern(again); a2 != a || a2.Succ != b.Succ {
+		t.Fatalf("intern of identical content returned %p (Succ %#x), want %p (Succ %#x)", a2, a2.Succ, a, b.Succ)
 	}
-	if got := s.Refs(a); got != 2 {
-		t.Fatalf("refs after second Intern = %d, want 2", got)
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	st := s.Stats()
-	if st.Interns != 2 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 2 interns 1 hit", st)
+	want := StoreStats{Interns: 2, Hits: 1, SlabBytes: 8 * instBytes}
+	if st := h.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if st.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", st.HitRate())
-	}
-
-	// Retain adds a reference; Releases balance.
-	s.Retain(a)
-	s.Release(a)
-	s.Release(a)
-	if s.Live() != 1 {
-		t.Fatalf("Live after partial release = %d, want 1", s.Live())
-	}
-	s.Release(a)
-	if s.Live() != 0 {
-		t.Fatalf("Live after full release = %d, want 0", s.Live())
-	}
-	if st := s.Stats(); st.Limbo != 1 {
-		t.Fatalf("Limbo = %d, want 1 (deferred reclamation)", st.Limbo)
-	}
-}
-
-func TestStoreReviveKeepsTrace(t *testing.T) {
-	s := NewStore()
-	a := s.Intern(storeTrace(0x2000, 6))
-	s.Release(a)
-	if s.Live() != 0 {
-		t.Fatalf("Live = %d, want 0", s.Live())
-	}
-	// Re-interning identical content revives the limbo trace itself:
-	// no copy is made.
-	b := s.Intern(storeTrace(0x2000, 6))
-	if b != a {
-		t.Fatal("revival returned a different trace")
-	}
-	if st := s.Stats(); st.Revived != 1 || st.Limbo != 0 {
-		t.Fatalf("stats = %+v, want 1 revived, 0 limbo", st)
-	}
-	s.Release(b)
 }
 
 func TestStoreContentMismatchSameID(t *testing.T) {
 	s := NewStore()
 	b1 := storeTrace(0x3000, 4)
 	a1 := s.Intern(b1)
-	// Same ID (start, no branches, same length would differ — use same
-	// length but different instruction payload).
+	// Same ID (start, no branches), different instruction payload.
 	b2 := storeTrace(0x3000, 4)
 	b2.Insts[2].Imm = 99
 	a2 := s.Intern(b2)
 	if a2 == a1 {
-		t.Fatal("content-unequal traces interned to the same storage")
+		t.Fatal("content-unequal traces interned to the same entry")
 	}
-	if !a2.contentEqual(b2) {
-		t.Fatal("second intern does not match its source")
+	if !a2.contentEqual(b2) || !a1.contentEqual(b1) {
+		t.Fatal("an entry does not match its source")
 	}
-	// The old trace stays valid until released.
-	if !a1.contentEqual(b1) {
-		t.Fatal("first interned trace corrupted by conflicting intern")
+	// Each content finds its own entry: the lookup probes past the
+	// same-ID entry whose content differs.
+	if s.Intern(b1) != a1 || s.Intern(b2) != a2 || s.Len() != 2 {
+		t.Fatalf("re-interning same-ID contents: Len %d, want 2 entries found again", s.Len())
 	}
-	s.Release(a1)
-	s.Release(a2)
 }
 
-// TestStoreScavengeBoundsSlabs pins the deferred-reclamation contract:
-// interning a stream of distinct traces with a bounded live set must
-// plateau the slab footprint (limbo storage is recycled before slabs
-// grow), and scavenged traces must stop hitting in the index.
-func TestStoreScavengeBoundsSlabs(t *testing.T) {
+// TestHandleStatsArePerMember pins what a handle counts: its own calls,
+// and a hit only for a trace it had interned before, even when another
+// handle put the trace in the table.
+func TestHandleStatsArePerMember(t *testing.T) {
 	s := NewStore()
-	const live = 64
-	ring := make([]*Trace, live)
-	for i := 0; i < 100_000; i++ {
-		tr := s.Intern(storeTrace(uint32(0x1000+i*64), 3+i%14))
-		if old := ring[i%live]; old != nil {
-			s.Release(old)
-		}
-		ring[i%live] = tr
+	a, b := s.NewHandle(), s.NewHandle()
+	x, y := storeTrace(0x1000, 5), storeTrace(0x2000, 3)
+	xa := a.Intern(x)
+	if xb := b.Intern(x); xb != xa {
+		t.Fatal("two handles on one table got different entries for equal content")
 	}
-	if s.Live() != live {
-		t.Fatalf("Live = %d, want %d", s.Live(), live)
+	a.Intern(x)
+	b.Intern(y)
+	if got, want := a.Stats(), (StoreStats{Interns: 2, Hits: 1, SlabBytes: 5 * instBytes}); got != want {
+		t.Fatalf("first handle: %+v, want %+v", got, want)
 	}
-	// One slab holds 256 chunks; 64 live plus recycling limbo should
-	// never need more than a couple of slabs.
-	if got := s.SlabBytes(); got > 4*chunksPerSlab*int64(chunkBytes) {
-		t.Fatalf("slab bytes %d did not plateau (want <= %d)",
-			got, 4*chunksPerSlab*int64(chunkBytes))
+	if got, want := b.Stats(), (StoreStats{Interns: 2, Hits: 0, SlabBytes: 8 * instBytes}); got != want {
+		t.Fatalf("second handle: %+v, want %+v", got, want)
 	}
-	if st := s.Stats(); st.Scavenged == 0 {
-		t.Fatalf("stats = %+v, want scavenging under slab pressure", st)
-	}
-	for _, tr := range ring {
-		s.Release(tr)
-	}
-	if s.Live() != 0 {
-		t.Fatalf("Live after drain = %d, want 0", s.Live())
-	}
+}
+
+// contentKey renders everything contentEqual compares.
+func contentKey(tr *Trace) string {
+	return fmt.Sprintf("%v|%#v|%d|%d|%d|%v%v%v", tr.PCs, tr.Insts, tr.BrMask, tr.NumBr, tr.Flags,
+		tr.EndsInReturn, tr.EndsInIndirect, tr.EndsInHalt)
 }
 
 // TestQuickInternMatchesClone pins interned semantics to Clone
-// semantics: over random programs, retaining every demanded trace via
-// the store yields bit-identical content to retaining deep copies,
-// under interleaved releases.
+// semantics. Over random programs it interns every demanded trace,
+// same-ID variants whose content differs, and repeats of earlier ones,
+// interleaved. The table must hold one entry per distinct content,
+// return one pointer per content, and leave every pointer it returned
+// equal to the clone taken when it was interned.
 func TestQuickInternMatchesClone(t *testing.T) {
 	f := func(seed int64) bool {
 		im := randomProgram(seed)
@@ -163,34 +116,46 @@ func TestQuickInternMatchesClone(t *testing.T) {
 		traces := segmentDyns(dyns)
 		s := NewStore()
 		r := rand.New(rand.NewSource(seed ^ 0x17e4))
-		var interned []*Trace
-		var clones []*Trace
+		var interned, clones []*Trace
+		byContent := map[string]*Trace{}
+		split := false
+		intern := func(b *Trace) {
+			a := s.Intern(b)
+			k := contentKey(b)
+			if prev, ok := byContent[k]; ok && prev != a {
+				split = true
+			}
+			byContent[k] = a
+			interned = append(interned, a)
+			clones = append(clones, b.Clone())
+		}
 		for _, tr := range traces {
-			interned = append(interned, s.Intern(tr))
-			clones = append(clones, tr.Clone())
-			// Random release/revive churn: drop a random earlier
-			// reference and re-intern it, exercising limbo.
-			if len(interned) > 4 && r.Intn(3) == 0 {
-				k := r.Intn(len(interned))
-				s.Release(interned[k])
-				interned[k] = s.Intern(clones[k])
+			intern(tr)
+			// A same-ID variant: one ALU instruction's immediate changes,
+			// which no field of the ID or the flags sees.
+			if k := r.Intn(tr.Len()); r.Intn(3) == 0 && tr.Insts[k].Classify() == isa.ClassALU {
+				v := tr.Clone()
+				v.Insts[k].Imm ^= 0x55
+				intern(v)
+			}
+			if r.Intn(3) == 0 {
+				intern(clones[r.Intn(len(clones))])
 			}
 		}
-		for i := range interned {
-			a, c := interned[i], clones[i]
-			if !a.contentEqual(c) || a.ID() != c.ID() ||
+		if split || s.Len() != len(byContent) {
+			t.Logf("seed %d: %d entries for %d distinct contents (equal content split: %v)",
+				seed, s.Len(), len(byContent), split)
+			return false
+		}
+		for i, a := range interned {
+			c := clones[i]
+			if byContent[contentKey(c)] != a || !a.contentEqual(c) || a.ID() != c.ID() ||
 				a.Flags != c.Flags || a.Starts != c.Starts || a.Len() != c.Len() {
 				t.Logf("seed %d: trace %d: interned %v != clone %v", seed, i, a, c)
 				return false
 			}
 		}
-		if int(s.Stats().Interns) < len(traces) {
-			return false
-		}
-		for _, a := range interned {
-			s.Release(a)
-		}
-		return s.Live() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -198,43 +163,28 @@ func TestQuickInternMatchesClone(t *testing.T) {
 }
 
 // TestInternSteadyStateAllocs is the allocation contract bench-smoke
-// enforces: once a trace's content is resident (live or limbo), an
-// intern/release round allocates nothing.
+// enforces: re-interning traces a member already holds allocates
+// nothing.
 func TestInternSteadyStateAllocs(t *testing.T) {
-	s := NewStore()
+	h := NewStore().NewHandle()
 	borrowed := make([]*Trace, 32)
-	held := make([]*Trace, 32)
 	for i := range borrowed {
 		borrowed[i] = storeTrace(uint32(0x4000+i*256), 3+i%14)
-		held[i] = s.Intern(borrowed[i])
+		h.Intern(borrowed[i])
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		for i, b := range borrowed {
-			tr := s.Intern(b) // hit: refcount bump
-			s.Release(held[i])
-			held[i] = tr
+		for _, b := range borrowed {
+			h.Intern(b)
 		}
 	}); avg != 0 {
 		t.Fatalf("steady-state intern hits allocate %v allocs/round, want 0", avg)
 	}
-	// Release-to-limbo and revive must also be allocation-free.
-	if avg := testing.AllocsPerRun(1000, func() {
-		for i := range held {
-			s.Release(held[i])
-		}
-		for i, b := range borrowed {
-			held[i] = s.Intern(b)
-		}
-	}); avg != 0 {
-		t.Fatalf("steady-state release/revive allocates %v allocs/round, want 0", avg)
-	}
 }
 
 // TestStoreGrowthAllocs is the growth half of the allocation contract
-// bench-smoke enforces: a fresh store carves its headers from slabs
-// beside the PCs and instructions, so interning 1,024 distinct traces
-// allocates per slab (four of them) and per index doubling, not per
-// trace.
+// bench-smoke enforces: a fresh table carves its headers, PCs and
+// instructions from slabs, so interning 1,024 distinct traces allocates
+// per slab and per index doubling, not per trace.
 func TestStoreGrowthAllocs(t *testing.T) {
 	borrowed := make([]*Trace, 1024)
 	for i := range borrowed {
@@ -247,93 +197,63 @@ func TestStoreGrowthAllocs(t *testing.T) {
 			s.Intern(b)
 		}
 	})
-	if s.Live() != len(borrowed) {
-		t.Fatalf("%d live traces, want %d distinct", s.Live(), len(borrowed))
+	if s.Len() != len(borrowed) {
+		t.Fatalf("%d entries, want %d distinct", s.Len(), len(borrowed))
 	}
 	t.Logf("%v allocations for %d distinct traces", avg, len(borrowed))
 	if avg > 32 {
-		t.Fatalf("interning %d distinct traces into a fresh store makes %v allocations, want at most 32",
+		t.Fatalf("interning %d distinct traces into a fresh table makes %v allocations, want at most 32",
 			len(borrowed), avg)
 	}
 }
 
-func TestStoreMisusePanics(t *testing.T) {
-	s := NewStore()
-	a := s.Intern(storeTrace(0x5000, 4))
-
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	other := NewStore()
-	expectPanic("Retain foreign", func() { other.Retain(a) })
-	expectPanic("Release foreign", func() { other.Release(a) })
-	expectPanic("Retain unmanaged", func() { s.Retain(storeTrace(0x6000, 2)) })
-	expectPanic("Release unmanaged", func() { s.Release(storeTrace(0x7000, 2)) })
-
-	s.Release(a)
-	expectPanic("Release past zero", func() { s.Release(a) })
-	expectPanic("Retain released", func() { s.Retain(a) })
-}
-
+// TestStoreCloneIsUnmanaged pins that a clone of an entry shares no
+// storage with it: changing the clone leaves the entry as it was.
 func TestStoreCloneIsUnmanaged(t *testing.T) {
 	s := NewStore()
-	a := s.Intern(storeTrace(0x8000, 5))
+	b := storeTrace(0x8000, 5)
+	a := s.Intern(b)
 	c := a.Clone()
-	if s.Refs(c) != 0 {
-		t.Fatal("clone of an interned trace reports store refs")
+	c.PCs[0]++
+	c.Insts[1].Imm = 77
+	if !a.contentEqual(b) {
+		t.Fatal("changing a clone changed the interned trace")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Release of a clone did not panic")
-			}
-		}()
-		s.Release(c)
-	}()
-	if s.Live() != 1 || s.Refs(a) != 1 {
-		t.Fatalf("Live = %d, Refs = %d after releasing a clone, want 1, 1", s.Live(), s.Refs(a))
+	if s.Intern(b) != a || s.Intern(c) == a || s.Len() != 2 {
+		t.Fatalf("Len = %d after interning a changed clone, want 2", s.Len())
 	}
-	s.Release(a)
 }
 
 // BenchmarkInternHit measures the steady-state replacement for Clone:
-// an intern hit on resident content.
+// an intern hit on a trace already in the table.
 func BenchmarkInternHit(b *testing.B) {
-	s := NewStore()
+	h := NewStore().NewHandle()
 	borrowed := storeTrace(0x1000, 16)
-	held := s.Intern(borrowed)
+	h.Intern(borrowed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := s.Intern(borrowed)
-		s.Release(held)
-		held = tr
+		h.Intern(borrowed)
 	}
 }
 
-// BenchmarkInternChurn measures the eviction-heavy case: distinct
-// traces cycling through a bounded live set, all storage scavenged.
-func BenchmarkInternChurn(b *testing.B) {
-	s := NewStore()
-	borrowed := make([]*Trace, 512)
+// BenchmarkInternMiss measures an intern of new content: a miss that
+// appends to a growing table, slab carving and index doubling included.
+// A fresh table starts every 4,096 interns, so memory stays bounded.
+func BenchmarkInternMiss(b *testing.B) {
+	borrowed := make([]*Trace, 4096)
 	for i := range borrowed {
 		borrowed[i] = storeTrace(uint32(0x1000+i*256), 3+i%14)
 	}
-	const live = 64
-	ring := make([]*Trace, live)
+	var h *Handle
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := s.Intern(borrowed[i%len(borrowed)])
-		if old := ring[i%live]; old != nil {
-			s.Release(old)
+		k := i % len(borrowed)
+		if k == 0 {
+			h = NewStore().NewHandle()
 		}
-		ring[i%live] = tr
+		h.Intern(borrowed[k])
 	}
 }
 

@@ -111,13 +111,6 @@ type Trace struct {
 	// the natural start of the next trace. Zero when unknown (a trace
 	// ending at an unresolved indirect jump during preconstruction).
 	Succ uint32
-
-	// Intern bookkeeping, managed by Store. Zero for unmanaged traces.
-	store    *Store
-	refs     int32
-	chunk    int32
-	limboIdx int32
-	hash     uint32 // ID.Hash(), cached to find the trace's index slot
 }
 
 // ID returns the trace's identity.
@@ -318,16 +311,14 @@ func (b *Builder) Seal(succ uint32) *Trace {
 	return &b.t
 }
 
-// Clone returns a deep copy of the trace that is safe to retain. The
-// copy is unmanaged: intern bookkeeping does not transfer. Retaining a
-// borrowed trace through a Store (Intern) is cheaper when one is
-// available — interning recycles slab storage and dedupes against
-// resident traces instead of allocating.
+// Clone returns a deep copy of the trace that is safe to retain and
+// shares no storage with t. Retaining a borrowed trace through a Store
+// (Intern) is cheaper when one is available: a trace already in the
+// table costs a lookup, not an allocation.
 func (t *Trace) Clone() *Trace {
 	c := *t
 	c.PCs = append([]uint32(nil), t.PCs...)
 	c.Insts = append([]isa.Inst(nil), t.Insts...)
-	c.store, c.refs, c.chunk, c.limboIdx, c.hash = nil, 0, 0, 0, 0
 	return &c
 }
 

@@ -42,7 +42,6 @@ type Adaptive struct {
 
 	stats   Stats // trace-cache-view stats
 	pbStats Stats // buffer-view stats
-	store   *trace.Store
 }
 
 type aline struct {
@@ -64,11 +63,8 @@ const (
 )
 
 // NewAdaptive builds an adaptive store with cfg.Entries total entries
-// (the sum the fixed design would split statically) whose lines hold
-// references in store. Insert and InsertPrecon take ownership of one
-// reference per inserted trace; Take keeps the reference with the entry
-// (the role flips in place, so nothing changes hands).
-func NewAdaptive(cfg Config, store *trace.Store) (*Adaptive, error) {
+// (the sum the fixed design would split statically).
+func NewAdaptive(cfg Config) (*Adaptive, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,7 +83,6 @@ func NewAdaptive(cfg Config, store *trace.Store) (*Adaptive, error) {
 		warmup:   adaptiveWarmup,
 		dir:      adaptiveStep,
 		prevMiss: -1,
-		store:    store,
 	}, nil
 }
 
@@ -262,22 +257,16 @@ func (a *Adaptive) Insert(tr *trace.Trace) {
 			if s[i].precon {
 				a.pbCount--
 			}
-			old := s[i].tr
 			s[i] = aline{id: id, tr: tr, valid: true, lru: a.clock}
-			a.store.Release(old)
 			return
 		}
 	}
 	v := a.victim(s, false, 0)
 	if v < 0 {
-		a.store.Release(tr) // cannot happen: trace-cache inserts always find a way
-		return
+		return // cannot happen: trace-cache inserts always find a way
 	}
-	if s[v].valid {
-		if s[v].precon {
-			a.pbCount--
-		}
-		a.store.Release(s[v].tr)
+	if s[v].valid && s[v].precon {
+		a.pbCount--
 	}
 	s[v] = aline{id: id, tr: tr, valid: true, lru: a.clock}
 }
@@ -328,14 +317,11 @@ func (a *Adaptive) InsertPrecon(tr *trace.Trace, region uint64) bool {
 		if s[i].valid && s[i].id == id {
 			if !s[i].precon {
 				// Already in the trace cache: nothing to buffer.
-				a.store.Release(tr)
 				return true
 			}
-			old := s[i].tr
 			s[i].tr = tr
 			s[i].region = region
 			s[i].lru = a.clock
-			a.store.Release(old)
 			a.pbStats.Inserts++
 			return true
 		}
@@ -343,11 +329,7 @@ func (a *Adaptive) InsertPrecon(tr *trace.Trace, region uint64) bool {
 	v := a.victim(s, true, region)
 	if v < 0 {
 		a.pbStats.Rejected++
-		a.store.Release(tr)
 		return false
-	}
-	if s[v].valid {
-		a.store.Release(s[v].tr)
 	}
 	if !s[v].valid || !s[v].precon {
 		a.pbCount++
@@ -355,20 +337,6 @@ func (a *Adaptive) InsertPrecon(tr *trace.Trace, region uint64) bool {
 	s[v] = aline{id: id, tr: tr, valid: true, precon: true, lru: a.clock, region: region}
 	a.pbStats.Inserts++
 	return true
-}
-
-// Drain invalidates every line in both roles, releasing the store's
-// references. The partition target and statistics are preserved.
-func (a *Adaptive) Drain() {
-	for _, s := range a.sets {
-		for i := range s {
-			if s[i].valid {
-				a.store.Release(s[i].tr)
-				s[i] = aline{}
-			}
-		}
-	}
-	a.pbCount = 0
 }
 
 // PBStatsView returns the buffer-view counters.

@@ -8,7 +8,7 @@ import (
 
 func TestAdaptiveValidation(t *testing.T) {
 	for _, c := range []Config{{}, {Entries: 48, Assoc: 2}} {
-		if _, err := NewAdaptive(c, trace.NewStore()); err == nil {
+		if _, err := NewAdaptive(c); err == nil {
 			t.Errorf("invalid geometry %+v accepted", c)
 		}
 	}
@@ -16,7 +16,7 @@ func TestAdaptiveValidation(t *testing.T) {
 
 func TestAdaptiveRoleSeparation(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
-	tr := a.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	if !a.InsertPrecon(tr, 1) {
 		t.Fatal("precon insert refused")
 	}
@@ -52,13 +52,11 @@ func TestAdaptiveRoleSeparation(t *testing.T) {
 
 func TestAdaptiveInsertOverBufferedEntry(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
-	tr := a.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	a.InsertPrecon(tr, 1)
 	// A demand insert of the same trace converts it to TC role without
 	// duplicating.
-	other := mkTrace(0x1000)
-	other.Insts[0].Rd = 2 // same ID, different content: a different object
-	tr2 := a.store.Intern(other)
+	tr2 := mkTrace(0x1000) // same ID: a different object
 	a.Insert(tr2)
 	tc, pb := a.Occupancy()
 	if tc != 1 || pb != 0 {
@@ -71,9 +69,9 @@ func TestAdaptiveInsertOverBufferedEntry(t *testing.T) {
 
 func TestAdaptivePreconInsertOnCachedTraceIsNoop(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
-	tr := a.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	a.Insert(tr)
-	if !a.InsertPrecon(a.store.Intern(mkTrace(0x1000)), 3) {
+	if !a.InsertPrecon(mkTrace(0x1000), 3) {
 		t.Error("precon insert over cached trace should report success")
 	}
 	if a.ContainsPrecon(tr.ID()) {
@@ -89,7 +87,7 @@ func TestAdaptiveRegionPriorityPreserved(t *testing.T) {
 	for start := uint32(0x1000); len(ts) < 4; start += 4 {
 		tr := mkTrace(start)
 		if tr.ID().Hash()&a.setMask == set0 {
-			ts = append(ts, a.store.Intern(tr))
+			ts = append(ts, tr)
 		}
 	}
 	// Force the store over its buffer target so region rules apply.
@@ -97,10 +95,7 @@ func TestAdaptiveRegionPriorityPreserved(t *testing.T) {
 	if !a.InsertPrecon(ts[0], 5) || !a.InsertPrecon(ts[1], 5) {
 		t.Fatal("initial inserts refused")
 	}
-	// Same region cannot displace same region when over target. The
-	// refusal releases the reference it was given, so hold a second one
-	// for the retry below.
-	a.store.Retain(ts[2])
+	// Same region cannot displace same region when over target.
 	if a.InsertPrecon(ts[2], 5) {
 		t.Error("same-region displacement allowed over target")
 	}
@@ -132,7 +127,7 @@ func TestAdaptiveSharesMoveUnderFeedback(t *testing.T) {
 func TestAdaptivePBViewProtocol(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
 	v := a.PBView()
-	tr := a.store.Intern(mkTrace(0x2000))
+	tr := mkTrace(0x2000)
 	if !v.Insert(tr, 1) {
 		t.Fatal("view insert failed")
 	}
@@ -150,9 +145,9 @@ func TestAdaptivePBViewProtocol(t *testing.T) {
 
 func TestAdaptiveStatsAndString(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 16, Assoc: 2})
-	a.Insert(a.store.Intern(mkTrace(0x1000)))
+	a.Insert(mkTrace(0x1000))
 	a.Lookup(mkTrace(0x1000).ID())
-	a.InsertPrecon(a.store.Intern(mkTrace(0x2000)), 1)
+	a.InsertPrecon(mkTrace(0x2000), 1)
 	if s := a.Stats(); s.Lookups != 1 || s.Hits != 1 || s.Inserts != 1 {
 		t.Errorf("tc stats = %+v", s)
 	}
@@ -172,10 +167,10 @@ func TestAdaptiveTCInsertNeverRefused(t *testing.T) {
 	// Fill everything with buffer entries, then demand inserts must
 	// still succeed by reclaiming buffer space.
 	for start := uint32(0x1000); start < 0x1100; start += 4 {
-		a.InsertPrecon(a.store.Intern(mkTrace(start)), 9)
+		a.InsertPrecon(mkTrace(start), 9)
 	}
 	for start := uint32(0x5000); start < 0x5040; start += 4 {
-		tr := a.store.Intern(mkTrace(start))
+		tr := mkTrace(start)
 		a.Insert(tr)
 		if !a.Contains(tr.ID()) {
 			t.Fatalf("demand insert lost at 0x%x", start)

@@ -2,7 +2,10 @@
 // frontend: the primary trace cache (2-way set associative, LRU) and the
 // preconstruction buffers (same geometry, but with the region-priority
 // replacement policy of §3.1). Both are indexed by hashing a trace's
-// starting address with its branch outcomes.
+// starting address with its branch outcomes. Their lines hold plain
+// pointers to traces the caller keeps valid (interned in a
+// trace.Store, whose entries live as long as the table): inserting,
+// evicting or taking a trace transfers nothing.
 package tracecache
 
 import (
@@ -58,20 +61,16 @@ type Stats struct {
 }
 
 // setArray is what the split design's two stores share: the
-// set-associative line array indexed by trace ID, its counters, and the
-// intern store that owns every resident trace. Each resident line holds
-// one reference to its trace, released when the line is refreshed,
-// evicted or drained.
+// set-associative line array indexed by trace ID and its counters.
 type setArray struct {
 	cfg     Config
 	sets    [][]line
 	setMask uint32
 	clock   uint64
 	stats   Stats
-	store   *trace.Store
 }
 
-func newSetArray(cfg Config, store *trace.Store) (setArray, error) {
+func newSetArray(cfg Config) (setArray, error) {
 	if err := cfg.Validate(); err != nil {
 		return setArray{}, err
 	}
@@ -81,7 +80,7 @@ func newSetArray(cfg Config, store *trace.Store) (setArray, error) {
 	for i := range sets {
 		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
-	return setArray{cfg: cfg, sets: sets, setMask: uint32(numSets - 1), store: store}, nil
+	return setArray{cfg: cfg, sets: sets, setMask: uint32(numSets - 1)}, nil
 }
 
 func (a *setArray) set(id trace.ID) []line {
@@ -103,19 +102,6 @@ func (a *setArray) Contains(id trace.ID) bool {
 	return false
 }
 
-// Drain invalidates every line, releasing its reference. The geometry
-// and statistics are preserved.
-func (a *setArray) Drain() {
-	for _, s := range a.sets {
-		for i := range s {
-			if s[i].valid {
-				a.store.Release(s[i].tr)
-				s[i] = line{}
-			}
-		}
-	}
-}
-
 // Occupancy returns the number of valid entries (for tests and reports).
 func (a *setArray) Occupancy() int {
 	n := 0
@@ -132,16 +118,14 @@ func (a *setArray) Occupancy() int {
 // Stats returns a copy of the counters.
 func (a *setArray) Stats() Stats { return a.stats }
 
-// TraceCache is the primary trace cache. Insert takes ownership of one
-// reference to the inserted trace, which must be interned in the
-// cache's store.
+// TraceCache is the primary trace cache.
 type TraceCache struct {
 	setArray
 }
 
-// New builds a trace cache whose lines hold references in store.
-func New(cfg Config, store *trace.Store) (*TraceCache, error) {
-	a, err := newSetArray(cfg, store)
+// New builds a trace cache.
+func New(cfg Config) (*TraceCache, error) {
+	a, err := newSetArray(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,10 +173,8 @@ func (tc *TraceCache) Probe(id trace.ID) (tr *trace.Trace, hit, promote bool) {
 func (tc *TraceCache) Fill(tr *trace.Trace) { tc.Insert(tr) }
 
 // Insert places a trace, evicting the LRU way if the set is full. If the
-// trace is already present its LRU stamp is refreshed instead. Insert
-// takes ownership of the caller's reference to tr: the displaced
-// trace's reference — the old copy on a refresh, the victim on an
-// eviction — is released.
+// trace is already present its line takes tr and its LRU stamp is
+// refreshed instead.
 func (tc *TraceCache) Insert(tr *trace.Trace) {
 	id := tr.ID()
 	tc.clock++
@@ -201,10 +183,8 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 	victim := 0
 	for i := range s {
 		if s[i].valid && s[i].id == id {
-			old := s[i].tr
 			s[i].tr = tr
 			s[i].lru = tc.clock
-			tc.store.Release(old)
 			return
 		}
 		if !s[i].valid {
@@ -212,9 +192,6 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 		} else if s[victim].valid && s[i].lru < s[victim].lru {
 			victim = i
 		}
-	}
-	if s[victim].valid {
-		tc.store.Release(s[victim].tr)
 	}
 	s[victim] = line{id: id, tr: tr, valid: true, lru: tc.clock}
 }
@@ -228,11 +205,9 @@ type Buffers struct {
 	setArray
 }
 
-// NewBuffers builds the preconstruction buffer array whose lines hold
-// references in store. Insert takes ownership of one reference per
-// inserted trace; Take transfers the resident reference to the caller.
-func NewBuffers(cfg Config, store *trace.Store) (*Buffers, error) {
-	a, err := newSetArray(cfg, store)
+// NewBuffers builds the preconstruction buffer array.
+func NewBuffers(cfg Config) (*Buffers, error) {
+	a, err := newSetArray(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +217,8 @@ func NewBuffers(cfg Config, store *trace.Store) (*Buffers, error) {
 // Take searches for the trace; on a hit the buffer entry is invalidated
 // (the caller copies the trace into the trace cache, per §3.1: "after a
 // trace is copied from a preconstruction buffer to the trace cache, the
-// buffer is invalidated"). The buffer's reference transfers to the
-// caller, who must release it or hand it to a consumer that takes
-// ownership (typically TraceCache.Insert).
+// buffer is invalidated"). The caller may keep the returned pointer:
+// invalidating the line frees nothing.
 func (b *Buffers) Take(id trace.ID) (*trace.Trace, bool) {
 	b.stats.Lookups++
 	s := b.set(id)
@@ -274,10 +248,6 @@ func (b *Buffers) Probe(id trace.ID) (tr *trace.Trace, hit, promote bool) {
 // priority). It returns false when the replacement policy refuses the
 // insert: every candidate victim belongs to the same or a more recent
 // region. This refusal is what bounds preconstruction effort per region.
-//
-// Insert takes ownership of the caller's reference to tr: a refused
-// insert releases it, a refresh releases the displaced copy, an
-// eviction releases the victim.
 func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 	id := tr.ID()
 	b.clock++
@@ -285,11 +255,9 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 	// Already present (from any region): refresh, don't duplicate.
 	for i := range s {
 		if s[i].valid && s[i].id == id {
-			old := s[i].tr
 			s[i].tr = tr
 			s[i].region = region
 			s[i].lru = b.clock
-			b.store.Release(old)
 			b.stats.Inserts++
 			return true
 		}
@@ -316,11 +284,7 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 	}
 	if victim == -1 {
 		b.stats.Rejected++
-		b.store.Release(tr)
 		return false
-	}
-	if s[victim].valid {
-		b.store.Release(s[victim].tr)
 	}
 	s[victim] = line{id: id, tr: tr, valid: true, lru: b.clock, region: region}
 	b.stats.Inserts++

@@ -18,12 +18,11 @@ func mkTrace(start uint32) *trace.Trace {
 	}
 }
 
-// newTC, newBuffers and newAdaptive build a container over a fresh
-// intern store, failing the test on a config error. Tests insert
-// traces interned in that store (c.store.Intern), as the frontend does.
+// newTC, newBuffers and newAdaptive build a container, failing the
+// test on a config error.
 func newTC(t testing.TB, cfg Config) *TraceCache {
 	t.Helper()
-	tc, err := New(cfg, trace.NewStore())
+	tc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func newTC(t testing.TB, cfg Config) *TraceCache {
 
 func newBuffers(t testing.TB, cfg Config) *Buffers {
 	t.Helper()
-	b, err := NewBuffers(cfg, trace.NewStore())
+	b, err := NewBuffers(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func newBuffers(t testing.TB, cfg Config) *Buffers {
 
 func newAdaptive(t testing.TB, cfg Config) *Adaptive {
 	t.Helper()
-	a, err := NewAdaptive(cfg, trace.NewStore())
+	a, err := NewAdaptive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +59,10 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil", c)
 		}
-		if _, err := New(c, trace.NewStore()); err == nil {
+		if _, err := New(c); err == nil {
 			t.Errorf("New(%+v) succeeded", c)
 		}
-		if _, err := NewBuffers(c, trace.NewStore()); err == nil {
+		if _, err := NewBuffers(c); err == nil {
 			t.Errorf("NewBuffers(%+v) succeeded", c)
 		}
 	}
@@ -74,7 +73,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTraceCacheInsertLookup(t *testing.T) {
 	tc := newTC(t, Config{Entries: 8, Assoc: 2})
-	tr := tc.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	if _, hit := tc.Lookup(tr.ID()); hit {
 		t.Error("cold lookup hit")
 	}
@@ -91,7 +90,7 @@ func TestTraceCacheInsertLookup(t *testing.T) {
 
 func TestTraceCacheContainsNoPerturb(t *testing.T) {
 	tc := newTC(t, Config{Entries: 8, Assoc: 2})
-	tr := tc.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	tc.Insert(tr)
 	if !tc.Contains(tr.ID()) {
 		t.Error("Contains = false")
@@ -106,34 +105,27 @@ func TestTraceCacheContainsNoPerturb(t *testing.T) {
 
 func TestTraceCacheDuplicateInsert(t *testing.T) {
 	tc := newTC(t, Config{Entries: 8, Assoc: 2})
-	a := tc.store.Intern(mkTrace(0x1000))
-	other := mkTrace(0x1000)
-	other.Insts[0].Rd = 2 // same ID, different content: a different object
-	b := tc.store.Intern(other)
+	a := mkTrace(0x1000)
+	b := mkTrace(0x1000) // same ID: a different object
 	tc.Insert(a)
 	tc.Insert(b)
 	got, _ := tc.Lookup(a.ID())
 	if got != b {
 		t.Error("duplicate insert did not replace the object")
 	}
-	if tc.store.Refs(a) != 0 || tc.store.Refs(b) != 1 {
-		t.Errorf("refs a/b = %d/%d, want 0/1 (displaced reference released)",
-			tc.store.Refs(a), tc.store.Refs(b))
-	}
 	// Set must not hold two copies: inserting two more same-set traces
 	// evicts at most the older entries, never leaves duplicates.
 }
 
-// sameSetTraces finds n traces mapping to the same set of a, interned
-// in a's store.
+// sameSetTraces finds n traces mapping to the same set of a.
 func sameSetTraces(a *setArray, n int) []*trace.Trace {
 	want := mkTrace(0x1000)
 	set0 := want.ID().Hash() & a.setMask
-	out := []*trace.Trace{a.store.Intern(want)}
+	out := []*trace.Trace{want}
 	for start := uint32(0x2000); len(out) < n; start += 4 {
 		tr := mkTrace(start)
 		if tr.ID().Hash()&a.setMask == set0 {
-			out = append(out, a.store.Intern(tr))
+			out = append(out, tr)
 		}
 	}
 	return out
@@ -159,7 +151,7 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 
 func TestBuffersTakeConsumes(t *testing.T) {
 	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
-	tr := b.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	if !b.Insert(tr, 1) {
 		t.Fatal("insert refused")
 	}
@@ -187,10 +179,6 @@ func TestBuffersTakeConsumes(t *testing.T) {
 func TestBuffersRegionPriority(t *testing.T) {
 	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
 	ts := sameSetTraces(&b.setArray, 4)
-	// Every insert takes one reference, refused or not, and ts[3] is
-	// offered three times.
-	b.store.Retain(ts[3])
-	b.store.Retain(ts[3])
 
 	if !b.Insert(ts[0], 5) || !b.Insert(ts[1], 6) {
 		t.Fatal("initial inserts refused")
@@ -221,11 +209,9 @@ func TestBuffersRegionPriority(t *testing.T) {
 
 func TestBuffersDuplicateInsertRefreshes(t *testing.T) {
 	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
-	tr := b.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	b.Insert(tr, 1)
-	other := mkTrace(0x1000)
-	other.Insts[0].Rd = 2 // same ID, different content: a different object
-	tr2 := b.store.Intern(other)
+	tr2 := mkTrace(0x1000) // same ID: a different object
 	if !b.Insert(tr2, 2) {
 		t.Fatal("duplicate insert refused")
 	}
@@ -241,17 +227,15 @@ func TestBuffersDuplicateInsertRefreshes(t *testing.T) {
 func TestBuffersOccupancyAndReset(t *testing.T) {
 	b := newBuffers(t, Config{Entries: 8, Assoc: 2})
 	for i := uint32(0); i < 4; i++ {
-		b.Insert(b.store.Intern(mkTrace(0x1000+i*4)), uint64(i))
+		b.Insert(mkTrace(0x1000+i*4), uint64(i))
 	}
-	if b.Occupancy() == 0 {
-		t.Error("occupancy 0 after inserts")
+	n := b.Occupancy()
+	if n == 0 || n > 4 {
+		t.Fatalf("occupancy %d after 4 inserts", n)
 	}
-	b.Drain()
-	if n := b.Occupancy(); n != 0 {
-		t.Errorf("occupancy %d after Drain", n)
-	}
-	if n := b.store.Live(); n != 0 {
-		t.Errorf("%d live traces after Drain", n)
+	// Take consumes its entry.
+	if _, hit := b.Take(mkTrace(0x1000).ID()); hit && b.Occupancy() != n-1 {
+		t.Errorf("occupancy %d after a Take hit, want %d", b.Occupancy(), n-1)
 	}
 }
 
@@ -265,7 +249,7 @@ func TestQuickBuffersNeverDisplaceNewer(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			start := uint32(0x1000 + r.Intn(64)*4)
 			region := uint64(r.Intn(8))
-			tr := b.store.Intern(mkTrace(start))
+			tr := mkTrace(start)
 			before := make(map[trace.ID]uint64, len(live))
 			for k, v := range live {
 				before[k] = v
@@ -296,7 +280,7 @@ func BenchmarkTraceCacheLookup(b *testing.B) {
 	tc := newTC(b, Config{Entries: 512, Assoc: 2})
 	ids := make([]trace.ID, 256)
 	for i := range ids {
-		tr := tc.store.Intern(mkTrace(uint32(0x1000 + i*4)))
+		tr := mkTrace(uint32(0x1000 + i*4))
 		tc.Insert(tr)
 		ids[i] = tr.ID()
 	}
@@ -308,7 +292,7 @@ func BenchmarkTraceCacheLookup(b *testing.B) {
 
 func TestTraceCachePeek(t *testing.T) {
 	tc := newTC(t, Config{Entries: 8, Assoc: 2})
-	tr := tc.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	if _, ok := tc.Peek(tr.ID()); ok {
 		t.Error("Peek hit on empty cache")
 	}
@@ -338,7 +322,7 @@ func TestTraceCachePeek(t *testing.T) {
 
 func TestAdaptivePeek(t *testing.T) {
 	a := newAdaptive(t, Config{Entries: 8, Assoc: 2})
-	tr := a.store.Intern(mkTrace(0x1000))
+	tr := mkTrace(0x1000)
 	a.InsertPrecon(tr, 1)
 	if _, ok := a.Peek(tr.ID()); ok {
 		t.Error("Peek saw a buffer-role entry")
