@@ -22,7 +22,7 @@ type Config struct {
 // size and set count, capacity divisible by line size and associativity.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
-		return fmt.Errorf("cache: nonpositive config %+v", c)
+		return fmt.Errorf("cache: %d bytes in %d-byte lines and %d ways: all must be positive", c.SizeBytes, c.LineBytes, c.Assoc)
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)

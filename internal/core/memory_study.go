@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tracepre/internal/cache"
 	"tracepre/internal/harness"
 	"tracepre/internal/mem"
 )
@@ -43,14 +42,7 @@ func memoryLevels() []struct {
 	cfg  mem.Config
 } {
 	l2 := func(kib, assoc, mshrs int) mem.Config {
-		return mem.Config{
-			ModelL2: true,
-			L2:      cache.Config{SizeBytes: kib * 1024, LineBytes: 64, Assoc: assoc},
-			HitLat:  10,
-			MissLat: 40,
-			MSHRs:   mshrs,
-			FillGap: 4,
-		}
+		return mem.Config{ModelL2: true, SizeBytes: kib * 1024, Assoc: assoc, MSHRs: mshrs}
 	}
 	return []struct {
 		name string

@@ -45,15 +45,15 @@ func sensitivityVariants() []struct {
 			c.TraceCache.Assoc = 4
 			c.Buffers.Assoc = 4
 		}},
-		{"slow L2 (20 cycles)", func(c *pipeline.Config) { c.Backend.L2Lat = 20 }},
-		{"fast L2 (5 cycles)", func(c *pipeline.Config) { c.Backend.L2Lat = 5 }},
+		{"slow L2 (20 cycles)", func(c *pipeline.Config) { c.L2Lat = 20 }},
+		{"fast L2 (5 cycles)", func(c *pipeline.Config) { c.L2Lat = 5 }},
 		{"narrow slow path (2/cycle)", func(c *pipeline.Config) { c.SlowFetchWidth = 2 }},
 		{"wide slow path (8/cycle)", func(c *pipeline.Config) { c.SlowFetchWidth = 8 }},
 		{"cheap mispredicts (2 cycles)", func(c *pipeline.Config) { c.MispredictPenalty = 2 }},
 		{"dear mispredicts (10 cycles)", func(c *pipeline.Config) { c.MispredictPenalty = 10 }},
 		{"slow drain (IPC 1.5)", func(c *pipeline.Config) { c.FrontendIPC = 1.5 }},
 		{"fast drain (IPC 4)", func(c *pipeline.Config) { c.FrontendIPC = 4 }},
-		{"small i-cache (16 KB)", func(c *pipeline.Config) { c.ICache.SizeBytes = 16 * 1024 }},
+		{"small i-cache (16 KB)", func(c *pipeline.Config) { c.ICacheBytes = 16 * 1024 }},
 		// §2.2 claims the alignment quantum also limits unique traces,
 		// helping even the baseline; these vary it for both machines.
 		{"alignment quantum 2", func(c *pipeline.Config) { c.Select.AlignMod = 2 }},

@@ -68,7 +68,7 @@ type Config struct {
 	Select trace.SelectConfig
 
 	TraceCache tracecache.Config
-	Buffers    tracecache.Config // Entries == 0 disables preconstruction
+	Buffers    tracecache.BufferConfig // Entries == 0 disables preconstruction
 	// AdaptivePartition replaces the split trace cache + buffers with
 	// one unified store whose partition adapts (requires precon).
 	AdaptivePartition bool
@@ -287,7 +287,7 @@ func (f *Frontend) addSupplier(s supplierSlot) {
 // supplier. tr is borrowed from the caller's segmenter — the miss path
 // interns it before it escapes into a store. now is the cycle the fetch
 // begins (the caller's fetch clock, taken before any redirect penalty —
-// an approximation the hierarchy tolerates, see mem.Level); the slow
+// an approximation the hierarchy tolerates, see mem.Hierarchy); the slow
 // path stamps its memory-level requests relative to it.
 func (f *Frontend) Supply(tr *trace.Trace, dyns []emulator.Dyn, now uint64) Supply {
 	f.slow.sync(f.slowN)

@@ -22,7 +22,7 @@ func supplyRig(t *testing.T) *Frontend {
 		t.Fatal(err)
 	}
 	cfg := testConfig(t)
-	cfg.Buffers = tracecache.Config{Entries: 64, Assoc: 2}
+	cfg.Buffers = tracecache.BufferConfig{Entries: 64, Assoc: 2}
 	return newFrontend(t, im, cfg)
 }
 

@@ -33,7 +33,7 @@ func testConfig(t testing.TB) Config {
 	return Config{
 		Select:            trace.DefaultSelectConfig(),
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
-		Buffers:           tracecache.Config{Entries: 0, Assoc: 2},
+		Buffers:           tracecache.BufferConfig{Entries: 0, Assoc: 2},
 		ICache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
 		SlowFetchWidth:    4,
 		MispredictPenalty: 5,

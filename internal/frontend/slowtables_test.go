@@ -55,7 +55,7 @@ func lockstepFrontend(t *testing.T, im *program.Image, slow *SlowTables) *Fronte
 	t.Helper()
 	cfg := testConfig(t)
 	cfg.TraceCache = tracecache.Config{Entries: 64, Assoc: 2}
-	cfg.Buffers = tracecache.Config{Entries: 64, Assoc: 2}
+	cfg.Buffers = tracecache.BufferConfig{Entries: 64, Assoc: 2}
 	cfg.Precon.ResolveIndirects = true
 	cfg.Pred = tpred.NewTables(tpred.Config{})
 	cfg.Slow = slow

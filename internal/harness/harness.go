@@ -192,7 +192,8 @@ func WithWorkers(n int) Option {
 
 // Run executes the matrix: it records (or reuses) each benchmark's
 // dynamic stream, fans the cell groups out over one worker per CPU, and
-// collects every pipeline.Result into a Grid. The first cell error
+// collects every pipeline.Result into a Grid. A sampling plan must fit
+// at least two measurement units into the budget. The first cell error
 // cancels nothing but wins the returned error (remaining cells still
 // run); cancelling ctx stops the sweep within one decoded chunk per
 // running group and returns an error wrapping ctx.Err().
@@ -207,6 +208,11 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	if o.Sampling != nil {
 		if err := o.Sampling.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, err)
+		}
+		// A Student-t interval needs two measurement units.
+		if n := o.Sampling.Intervals(m.Budget); n < 2 {
+			return nil, fmt.Errorf("harness: matrix %q: budget %d fits %d of the sampling plan's %d-instruction periods, each one measurement unit; an interval needs 2",
+				m.Name, m.Budget, n, o.Sampling.Period())
 		}
 	}
 

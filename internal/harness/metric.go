@@ -59,7 +59,7 @@ var (
 		return stats.PerKI(r.Frontend.Port.IdleCycles, r.Instructions)
 	}}
 	// L2MissRate is the memory level's miss rate: misses over the L1
-	// misses that reached it. Always 0 under the default FixedLevel,
+	// misses that reached it. Always 0 under the default fixed level,
 	// which models a perfect L2.
 	L2MissRate = Metric{"l2-miss-rate", func(r pipeline.Result) float64 {
 		return r.Memory.MissRate()

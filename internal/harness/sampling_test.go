@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracepre/internal/pipeline"
@@ -70,6 +72,40 @@ func TestSampledSweep(t *testing.T) {
 	for i, p := range snaps {
 		if p.Total != 4 || p.Done != i {
 			t.Errorf("snapshot %d = {Done %d Total %d}, want {%d 4}", i, p.Done, p.Total, i)
+		}
+	}
+}
+
+// TestSampledRunNeedsTwoUnits: a Student-t interval needs two
+// measurement units, so Run refuses a plan that fits fewer into the
+// budget, with an error naming the budget and the plan's period, and
+// runs one that fits exactly two.
+func TestSampledRunNeedsTwoUnits(t *testing.T) {
+	plan := testPlan()
+	period := plan.Period()
+	for units := uint64(0); units <= 2; units++ {
+		budget := (units+1)*period - 1
+		if units == 2 {
+			budget = 2 * period
+		}
+		m := samplingTestMatrix(budget)
+		m.Benches = m.Benches[:1]
+		g, err := Run(context.Background(), m, WithSampling(plan), WithWorkers(1))
+		if units < 2 {
+			if err == nil {
+				t.Errorf("budget %d fits %d units, but Run accepted the plan", budget, plan.Intervals(budget))
+			} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(budget)) || !strings.Contains(msg, fmt.Sprint(period)) {
+				t.Errorf("budget %d: error %q does not name the budget and the period %d", budget, msg, period)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("budget %d fits 2 units: %v", budget, err)
+		}
+		for _, c := range g.Cells {
+			if c.Sample == nil || len(c.Sample.Intervals) == 0 {
+				t.Errorf("%s/%s: no measurement units at a two-unit budget", c.Bench, c.Point.Name)
+			}
 		}
 	}
 }

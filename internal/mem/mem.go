@@ -1,30 +1,30 @@
 // Package mem models the memory hierarchy behind the L1 caches. It does
 // for the memory side what internal/frontend did for trace supply: the
 // consumers — the backend's load path, the frontend's slow-path demand
-// fetch, and the preconstruction engine's stolen line fetches — speak an
-// explicit request/response contract (Level: "this L1 miss reaches you
-// at cycle now; when is the data back?") instead of reading a latency
-// constant out of the backend configuration.
+// fetch, and the preconstruction engine's stolen line fetches — ask one
+// Hierarchy "this L1 miss reaches you at cycle now; when is the data
+// back?" instead of reading a latency constant out of the backend
+// configuration.
 //
-// Two levels implement the contract:
+// The Hierarchy answers in one of two ways:
 //
-//   - FixedLevel reproduces the paper's §4.1 assumption bit for bit: a
-//     perfect L2 that answers every request after a fixed latency. It is
-//     the default wiring, so every pre-hierarchy experiment measures
-//     exactly what it measured before.
-//   - ModeledL2 is a real shared, set-associative L2 (built on
-//     internal/cache) with finite MSHRs, a fill-bandwidth budget, and
-//     separate I-side / D-side / preconstruction accounting. Behind it,
-//     memory answers after a fixed miss latency. It opens the questions
-//     the flat constant hides: prefetcher/demand contention, finite miss
-//     tracking, and shared-level interference between the three
-//     requesters.
+//   - By default it is the paper's §4.1 perfect L2: every request hits
+//     after a fixed latency, bit for bit the pre-hierarchy model, so
+//     every such experiment measures exactly what it measured before.
+//   - With Config.ModelL2 it forwards to ModeledL2, a real shared,
+//     set-associative L2 (built on internal/cache) with finite MSHRs, a
+//     fill-bandwidth budget, and separate I-side / D-side /
+//     preconstruction accounting. Behind it, memory answers after a
+//     fixed miss latency. It opens the questions the flat constant
+//     hides: prefetcher/demand contention, finite miss tracking, and
+//     shared-level interference between the three requesters.
 //
-// Following the devirtualization lesson from the frontend decomposition
-// (BENCH_frontend.json), the hot path does not call through the Level
-// interface: consumers hold a concrete *Hierarchy bound at wiring time,
-// whose Lookup is a nil check plus a direct call into whichever level is
-// wired. The Level interface documents the contract and serves tests.
+// Lookups need not arrive in cycle order — the three consumers run on
+// loosely coupled clocks — so all timing state is kept as absolute
+// ready-cycles, never deltas. Following the devirtualization lesson
+// from the frontend decomposition (BENCH_frontend.json), the hot path
+// calls no interface: consumers hold a concrete *Hierarchy bound at
+// wiring time, whose Lookup is a nil check plus a direct call.
 package mem
 
 import (
@@ -61,7 +61,7 @@ func (p Port) String() string {
 
 // LevelStats counts one level's activity. Accesses are the L1 misses
 // that reached the level; Misses are the ones the level itself missed
-// (always zero for the perfect FixedLevel). The per-port slices of both
+// (always zero for the perfect fixed-latency level). The per-port slices of both
 // make the preconstruction engine's share of L2 pressure — pollution it
 // induces and MSHRs it occupies — a measured quantity rather than an
 // assumption.
@@ -136,51 +136,39 @@ func (s *LevelStats) count(p Port, miss bool) {
 	}
 }
 
-// Level is the request/response contract between the L1 caches and
-// whatever backs them: an L1 miss to addr arrives at cycle now, and the
-// level answers the cycle the data is available. Implementations keep
-// their own state and statistics; callers charge done-now as the miss
-// penalty. Lookups need not arrive in cycle order — the three consumers
-// run on loosely coupled clocks — and levels must tolerate that (all
-// timing state is kept as absolute ready-cycles, never deltas).
-type Level interface {
-	Lookup(p Port, addr uint32, now uint64) (done uint64)
-	Stats() LevelStats
-}
-
 // Config selects and sizes the level behind the L1s. The zero value —
-// ModelL2 false — wires a FixedLevel at the backend's flat L2 latency,
-// reproducing the paper's perfect-L2 model exactly.
+// ModelL2 false — is the paper's perfect L2 at the backend's flat
+// latency.
 type Config struct {
-	// ModelL2 replaces the flat-latency FixedLevel with the ModeledL2.
+	// ModelL2 replaces the flat latency with the ModeledL2.
 	ModelL2 bool
 
-	// L2 is the modeled level's geometry.
-	L2 cache.Config
-	// HitLat is the modeled L2's hit latency in cycles.
-	HitLat int
-	// MissLat is the additional latency of a modeled-L2 miss: the
-	// cycles memory takes beyond the point of lookup.
-	MissLat int
+	// SizeBytes and Assoc are the modeled L2's capacity and ways; its
+	// lines are l2LineBytes.
+	SizeBytes int
+	Assoc     int
 	// MSHRs bounds outstanding misses (miss-status holding registers).
 	MSHRs int
-	// FillGap is the minimum cycle spacing between fills — the
-	// fill-bandwidth budget. 0 means unbounded fill bandwidth.
-	FillGap int
 }
 
+// The modeled L2's line and timing, which no experiment varies.
+const (
+	l2LineBytes = 64
+	l2HitLat    = 10 // hit latency in cycles: the paper's flat L2 latency
+	l2MissLat   = 40 // cycles memory takes beyond the point of lookup
+	l2FillGap   = 4  // minimum cycles between fills: the fill-bandwidth budget
+)
+
 // DefaultModeledL2 returns a plausible shared L2 behind §4.1's L1s:
-// 256 KiB, 8-way, 64-byte lines, 10-cycle hits (the paper's flat
-// latency), 40 further cycles to memory, 8 MSHRs, one fill per 4 cycles.
+// 256 KiB, 8-way and 8 MSHRs, with every modeled L2's 64-byte lines,
+// 10-cycle hits, 40 further cycles to memory and one fill per 4 cycles.
 func DefaultModeledL2() Config {
-	return Config{
-		ModelL2: true,
-		L2:      cache.Config{SizeBytes: 256 * 1024, LineBytes: 64, Assoc: 8},
-		HitLat:  10,
-		MissLat: 40,
-		MSHRs:   8,
-		FillGap: 4,
-	}
+	return Config{ModelL2: true, SizeBytes: 256 * 1024, Assoc: 8, MSHRs: 8}
+}
+
+// l2 returns the modeled L2's tag-store geometry.
+func (c Config) l2() cache.Config {
+	return cache.Config{SizeBytes: c.SizeBytes, LineBytes: l2LineBytes, Assoc: c.Assoc}
 }
 
 // Validate checks the configuration; the zero (fixed) config is valid.
@@ -188,43 +176,14 @@ func (c Config) Validate() error {
 	if !c.ModelL2 {
 		return nil
 	}
-	if err := c.L2.Validate(); err != nil {
+	if err := c.l2().Validate(); err != nil {
 		return fmt.Errorf("mem: L2 geometry: %w", err)
-	}
-	if c.HitLat < 0 || c.MissLat < 0 {
-		return fmt.Errorf("mem: negative latency %+v", c)
 	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("mem: MSHRs %d", c.MSHRs)
 	}
-	if c.FillGap < 0 {
-		return fmt.Errorf("mem: FillGap %d", c.FillGap)
-	}
 	return nil
 }
-
-// FixedLevel is the paper's perfect L2: every request is a hit after a
-// fixed latency. It has no contents, so it cannot miss, be polluted, or
-// run out of miss-tracking resources — exactly the legacy constant, with
-// per-port accounting added.
-type FixedLevel struct {
-	lat   uint64
-	stats LevelStats
-}
-
-// NewFixed builds a fixed-latency level.
-func NewFixed(lat int) *FixedLevel {
-	return &FixedLevel{lat: uint64(lat)}
-}
-
-// Lookup answers after the fixed latency.
-func (l *FixedLevel) Lookup(p Port, addr uint32, now uint64) uint64 {
-	l.stats.count(p, false)
-	return now + l.lat
-}
-
-// Stats returns a copy of the counters.
-func (l *FixedLevel) Stats() LevelStats { return l.stats }
 
 // mshr is one miss-status holding register: the line whose fill is in
 // flight and the cycle the fill completes.
@@ -237,13 +196,10 @@ type mshr struct {
 // fill-bandwidth budget. Contents are line tags (internal/cache); a
 // miss allocates an MSHR — stalling until one retires when all are in
 // flight — waits out the fill-bandwidth gap, and completes after
-// MissLat further cycles. An access to a line whose fill is still in
+// l2MissLat further cycles. An access to a line whose fill is still in
 // flight merges with the outstanding MSHR instead of re-requesting.
 type ModeledL2 struct {
 	c        *cache.Cache
-	hitLat   uint64
-	missLat  uint64
-	fillGap  uint64
 	mshrs    []mshr
 	fillFree uint64 // next cycle the fill path can start a fill
 	stats    LevelStats
@@ -257,17 +213,11 @@ func NewModeledL2(cfg Config) (*ModeledL2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := cache.New(cfg.L2)
+	c, err := cache.New(cfg.l2())
 	if err != nil {
 		return nil, err
 	}
-	return &ModeledL2{
-		c:       c,
-		hitLat:  uint64(cfg.HitLat),
-		missLat: uint64(cfg.MissLat),
-		fillGap: uint64(cfg.FillGap),
-		mshrs:   make([]mshr, cfg.MSHRs),
-	}, nil
+	return &ModeledL2{c: c, mshrs: make([]mshr, cfg.MSHRs)}, nil
 }
 
 // Lookup performs one shared-L2 access at cycle now.
@@ -283,7 +233,7 @@ func (l *ModeledL2) Lookup(p Port, addr uint32, now uint64) uint64 {
 				return l.mshrs[i].ready
 			}
 		}
-		return now + l.hitLat
+		return now + l2HitLat
 	}
 	l.stats.count(p, true)
 
@@ -304,13 +254,13 @@ func (l *ModeledL2) Lookup(p Port, addr uint32, now uint64) uint64 {
 		l.stats.MSHRStallCycles += minReady - now
 		start = minReady
 	}
-	// Fill bandwidth: fills keep at least fillGap cycles apart.
+	// Fill bandwidth: fills keep at least l2FillGap cycles apart.
 	if l.fillFree > start {
 		l.stats.FillStallCycles += l.fillFree - start
 		start = l.fillFree
 	}
-	ready := start + l.hitLat + l.missLat
-	l.fillFree = start + l.fillGap
+	ready := start + l2HitLat + l2MissLat
+	l.fillFree = start + l2FillGap
 	l.mshrs[slot] = mshr{line: line, ready: ready}
 	return ready
 }
@@ -339,22 +289,23 @@ func (l *ModeledL2) Stats() LevelStats {
 	return s
 }
 
-// Cache exposes the backing tag store (tests, diagnostics).
-func (l *ModeledL2) Cache() *cache.Cache { return l.c }
-
-// Hierarchy binds the configured level concretely, so the three hot
-// paths pay a nil check and a direct (inlinable) call instead of an
-// interface dispatch. Exactly one of fixed/modeled is set.
+// Hierarchy is the level behind the L1s, bound concretely so the three
+// hot paths pay a nil check and a direct (inlinable) call instead of an
+// interface dispatch. Without a modeled L2 it is the paper's perfect
+// L2: every request hits after a fixed latency, so it cannot miss, be
+// polluted, or run out of miss-tracking resources — exactly the legacy
+// constant, with per-port accounting added.
 type Hierarchy struct {
-	fixed   *FixedLevel
-	modeled *ModeledL2
+	modeled *ModeledL2 // nil: the fixed-latency level
+	lat     uint64     // the fixed level's latency
+	stats   LevelStats // the fixed level's counters
 }
 
 // New wires the hierarchy: the modeled L2 when cfg.ModelL2 is set,
-// otherwise a FixedLevel at fixedLat (the backend's flat L2 latency).
+// otherwise the fixed level at fixedLat (the backend's flat L2 latency).
 func New(cfg Config, fixedLat int) (*Hierarchy, error) {
 	if !cfg.ModelL2 {
-		return &Hierarchy{fixed: NewFixed(fixedLat)}, nil
+		return &Hierarchy{lat: uint64(fixedLat)}, nil
 	}
 	l2, err := NewModeledL2(cfg)
 	if err != nil {
@@ -363,15 +314,13 @@ func New(cfg Config, fixedLat int) (*Hierarchy, error) {
 	return &Hierarchy{modeled: l2}, nil
 }
 
-// Modeled reports whether the modeled L2 is wired.
-func (h *Hierarchy) Modeled() bool { return h.modeled != nil }
-
 // Lookup performs one access on the wired level.
 func (h *Hierarchy) Lookup(p Port, addr uint32, now uint64) uint64 {
 	if h.modeled != nil {
 		return h.modeled.Lookup(p, addr, now)
 	}
-	return h.fixed.Lookup(p, addr, now)
+	h.stats.count(p, false)
+	return now + h.lat
 }
 
 // Latency is Lookup expressed as a miss penalty: the cycles beyond now
@@ -400,13 +349,5 @@ func (h *Hierarchy) Stats() LevelStats {
 	if h.modeled != nil {
 		return h.modeled.Stats()
 	}
-	return h.fixed.Stats()
-}
-
-// Level returns the wired level through the contract interface (tests).
-func (h *Hierarchy) Level() Level {
-	if h.modeled != nil {
-		return h.modeled
-	}
-	return h.fixed
+	return h.stats
 }

@@ -2,26 +2,27 @@ package mem
 
 import (
 	"testing"
-
-	"tracepre/internal/cache"
 )
 
-// smallCfg is a 4-set, 2-way, 64B-line modeled L2 (512 bytes) with
-// distinguishable latencies: hits 10, misses +40, 2 MSHRs, fills 4
+// smallCfg is a 4-set, 2-way modeled L2 (512 bytes of 64-byte lines)
+// with 2 MSHRs: hits take 10 cycles, misses 40 more, and fills keep 4
 // cycles apart.
 func smallCfg() Config {
-	return Config{
-		ModelL2: true,
-		L2:      cache.Config{SizeBytes: 512, LineBytes: 64, Assoc: 2},
-		HitLat:  10,
-		MissLat: 40,
-		MSHRs:   2,
-		FillGap: 4,
+	return Config{ModelL2: true, SizeBytes: 512, Assoc: 2, MSHRs: 2}
+}
+
+// mustNew wires a hierarchy, failing the test on a config error.
+func mustNew(t testing.TB, cfg Config) *Hierarchy {
+	t.Helper()
+	h, err := New(cfg, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return h
 }
 
 func TestFixedLevelFlatLatency(t *testing.T) {
-	l := NewFixed(10)
+	l := mustNew(t, Config{})
 	for now := uint64(0); now < 100; now += 37 {
 		if done := l.Lookup(IFetch, 0x1000, now); done != now+10 {
 			t.Errorf("Lookup(now=%d) = %d, want %d", now, done, now+10)
@@ -44,15 +45,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{ModelL2: true}, // no geometry
-		func() Config { c := smallCfg(); c.HitLat = -1; return c }(),             // negative latency
-		func() Config { c := smallCfg(); c.MissLat = -1; return c }(),            // negative latency
-		func() Config { c := smallCfg(); c.MSHRs = 0; return c }(),               // no MSHRs
-		func() Config { c := smallCfg(); c.FillGap = -1; return c }(),            // negative gap
-		func() Config { c := smallCfg(); c.L2.LineBytes = 48; return c }(),       // bad geometry
-		func() Config { c := smallCfg(); c.L2.SizeBytes = 0; return c }(),        // bad geometry
-		func() Config { c := smallCfg(); c.L2 = cache.Config{}; return c }(),     // bad geometry
-		func() Config { c := smallCfg(); c.HitLat, c.MissLat = -2, 0; return c }( // both checks
-		),
+		func() Config { c := smallCfg(); c.MSHRs = 0; return c }(),      // no MSHRs
+		func() Config { c := smallCfg(); c.SizeBytes = 0; return c }(),  // no capacity
+		func() Config { c := smallCfg(); c.Assoc = 0; return c }(),      // no ways
+		func() Config { c := smallCfg(); c.SizeBytes = 96; return c }(), // not whole lines
+		func() Config { c := smallCfg(); c.Assoc = 3; return c }(),      // 8 lines into 3 ways
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -187,37 +184,25 @@ func TestModeledL2NonMonotonicNow(t *testing.T) {
 }
 
 func TestHierarchyFixedWiring(t *testing.T) {
-	h, err := New(Config{}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Modeled() {
-		t.Error("zero config wired the modeled level")
-	}
+	h := mustNew(t, Config{})
 	if got := h.Latency(Data, 0x1000, 77); got != 10 {
 		t.Errorf("fixed Latency = %d, want 10", got)
 	}
 	if !h.AdmitPrecon(0) {
 		t.Error("fixed level refused a precon miss")
 	}
-	if s := h.Stats(); s.Accesses != 1 || s.PreconDenied != 0 {
+	if s := h.Stats(); s.Accesses != 1 || s.Misses != 0 || s.PreconDenied != 0 {
 		t.Errorf("stats = %+v", s)
-	}
-	if _, ok := h.Level().(*FixedLevel); !ok {
-		t.Errorf("Level() = %T, want *FixedLevel", h.Level())
 	}
 }
 
 func TestHierarchyModeledWiring(t *testing.T) {
-	h, err := New(smallCfg(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Modeled() {
-		t.Error("modeled config wired the fixed level")
+	h := mustNew(t, smallCfg())
+	// A cold access misses the modeled level: hit plus miss latency.
+	if got := h.Latency(Data, 0x1000, 100); got != 10+40 {
+		t.Errorf("cold modeled Latency = %d, want 50", got)
 	}
 	// Exhaust the MSHRs, then a precon miss must be refused and counted.
-	h.Lookup(Data, 0x1000, 100)
 	h.Lookup(Data, 0x2000, 100)
 	if h.AdmitPrecon(100) {
 		t.Error("AdmitPrecon with all MSHRs busy")
@@ -228,39 +213,33 @@ func TestHierarchyModeledWiring(t *testing.T) {
 	if h.AdmitPrecon(1000) != true {
 		t.Error("AdmitPrecon false after fills retired")
 	}
-	if _, ok := h.Level().(*ModeledL2); !ok {
-		t.Errorf("Level() = %T, want *ModeledL2", h.Level())
-	}
 }
 
-// TestLevelContract runs both implementations through the interface:
-// done never precedes now, and stats ledgers stay internally consistent
-// (per-port counts sum to totals).
+// TestLevelContract runs both wirings of the hierarchy: done never
+// precedes now, and stats ledgers stay internally consistent (per-port
+// counts sum to totals).
 func TestLevelContract(t *testing.T) {
-	l2, err := NewModeledL2(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lvl := range []Level{NewFixed(10), l2} {
+	for _, cfg := range []Config{{}, smallCfg()} {
+		lvl := mustNew(t, cfg)
 		var now uint64
 		for i := 0; i < 300; i++ {
 			p := Port(i % 3)
 			addr := uint32((i * 2654435761) & 0xFFFF)
 			done := lvl.Lookup(p, addr, now)
 			if done < now {
-				t.Fatalf("%T: done %d < now %d", lvl, done, now)
+				t.Fatalf("%+v: done %d < now %d", cfg, done, now)
 			}
 			now += uint64(i % 7)
 		}
 		s := lvl.Stats()
 		if s.IAccesses+s.DAccesses+s.PreconAccesses != s.Accesses {
-			t.Errorf("%T: port accesses do not sum: %+v", lvl, s)
+			t.Errorf("%+v: port accesses do not sum: %+v", cfg, s)
 		}
 		if s.IMisses+s.DMisses+s.PreconMisses != s.Misses {
-			t.Errorf("%T: port misses do not sum: %+v", lvl, s)
+			t.Errorf("%+v: port misses do not sum: %+v", cfg, s)
 		}
 		if s.Misses > s.Accesses {
-			t.Errorf("%T: misses exceed accesses: %+v", lvl, s)
+			t.Errorf("%+v: misses exceed accesses: %+v", cfg, s)
 		}
 	}
 }
@@ -280,12 +259,9 @@ func TestLevelStatsRates(t *testing.T) {
 }
 
 // BenchmarkFixedLookup pins the default wiring's hot-path cost: the
-// FixedLevel lookup the backend and slow path pay per L1 miss.
+// fixed level's lookup the backend and slow path pay per L1 miss.
 func BenchmarkFixedLookup(b *testing.B) {
-	h, err := New(Config{}, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := mustNew(b, Config{})
 	b.ReportAllocs()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
@@ -295,10 +271,7 @@ func BenchmarkFixedLookup(b *testing.B) {
 }
 
 func BenchmarkModeledLookup(b *testing.B) {
-	h, err := New(DefaultModeledL2(), 10)
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := mustNew(b, DefaultModeledL2())
 	b.ReportAllocs()
 	var sink uint64
 	for i := 0; i < b.N; i++ {

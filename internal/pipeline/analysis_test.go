@@ -46,8 +46,8 @@ func TestAnalysisSharedIDMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	dcache := cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}
 	for round := 0; round < 300; round++ {
-		got := testBackendWith(t, DefaultBackendConfig(), dcache, mem.DefaultModeledL2())
-		want := testBackendWith(t, DefaultBackendConfig(), dcache, mem.DefaultModeledL2())
+		got := testBackendWith(t, dcache, mem.DefaultModeledL2())
+		want := testBackendWith(t, dcache, mem.DefaultModeledL2())
 		a, dyns := randCtlTrace(r, 0x1000)
 		pair := [2]*trace.Trace{a, sameIDVariant(r, a)}
 		ready := uint64(10)

@@ -10,10 +10,27 @@ import (
 	"tracepre/internal/trace"
 )
 
-// backend models the distributed execution engine: NumPEs processing
+// The backend's geometry and latencies, which no experiment varies:
+// §4.1's four PEs with 2-way issue, 2-cycle cross-PE bypass and 2-cycle
+// data cache, R10000-like multiply and divide, and a lookahead that
+// calibrates the preprocessing speedup.
+const (
+	numPEs     = 4  // processing elements
+	issuePerPE = 2  // issue slots per PE per cycle
+	xferLat    = 2  // extra cycles for cross-PE register results
+	loadLat    = 2  // D-cache hit latency
+	mulLat     = 3  // multiply latency
+	divLat     = 12 // divide latency
+	// lookahead is how far past the oldest unissued instruction the
+	// simple PE scans for ready work. Preprocessed traces always see the
+	// whole window (the fill unit's schedule did the reordering).
+	lookahead = 10
+)
+
+// backend models the distributed execution engine: numPEs processing
 // elements, each holding one trace (a 16-instruction window) with
-// IssuePerPE-way issue, full bypassing inside a PE, and global result
-// buses adding XferLat cycles to cross-PE register communication.
+// issuePerPE-way issue, full bypassing inside a PE, and global result
+// buses adding xferLat cycles to cross-PE register communication.
 // Traces dispatch to PEs round-robin and retire in order.
 //
 // Issue is cycle-accurate within a PE. An unpreprocessed trace issues
@@ -25,13 +42,12 @@ import (
 // execute together — this is how preprocessing raises backend
 // throughput (§6).
 type backend struct {
-	cfg    BackendConfig
 	dcache *cache.Cache
 	mem    *mem.Hierarchy // D-side of the shared level behind the L1s
 	table  *analysisTable // per-trace analysis, shared by the group
 
 	regReady [isa.NumRegs]regStamp
-	peFree   []uint64
+	peFree   [numPEs]uint64
 	k        uint64 // dispatch counter for PE rotation
 	retired  uint64 // in-order retirement horizon
 
@@ -124,8 +140,8 @@ type regStamp struct {
 
 // newBackend wires the execution engine to its data cache, the shared
 // memory level behind it and its group's trace analysis table.
-func newBackend(cfg BackendConfig, dc *cache.Cache, h *mem.Hierarchy, t *analysisTable) *backend {
-	return &backend{cfg: cfg, dcache: dc, mem: h, table: t, peFree: make([]uint64, cfg.NumPEs)}
+func newBackend(dc *cache.Cache, h *mem.Hierarchy, t *analysisTable) *backend {
+	return &backend{dcache: dc, mem: h, table: t}
 }
 
 // latency returns the execution latency of an instruction issued at
@@ -134,12 +150,12 @@ func newBackend(cfg BackendConfig, dc *cache.Cache, h *mem.Hierarchy, t *analysi
 func (b *backend) latency(op isa.Op, addr uint32, now uint64) uint64 {
 	switch op {
 	case isa.OpMul:
-		return uint64(b.cfg.MulLat)
+		return mulLat
 	case isa.OpDiv:
-		return uint64(b.cfg.DivLat)
+		return divLat
 	case isa.OpLoad:
 		b.loads++
-		lat := uint64(b.cfg.LoadLat)
+		lat := uint64(loadLat)
 		if !b.dcache.Access(addr) {
 			b.dcacheMisses++
 			lat += b.mem.Latency(mem.Data, addr, now)
@@ -173,11 +189,11 @@ var inOrder = [maxSlots]uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 
 // producer that issues clears itself from its consumers' sets and
 // raises their ready cycles to its completion. Each cycle scans the
 // priority order as the PE does, within the lookahead window and up to
-// IssuePerPE slots. A cycle that issues nothing leaves the window and
+// issuePerPE slots. A cycle that issues nothing leaves the window and
 // every ready cycle as they were, so the scan jumps to the window's
 // earliest ready cycle instead of stepping through the idle ones.
 func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, preprocessed bool) (retire, resolve uint64) {
-	pe := int(b.k) % b.cfg.NumPEs
+	pe := int(b.k % numPEs)
 	b.k++
 	start := ready
 	if b.peFree[pe] > start {
@@ -186,7 +202,7 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 
 	a := b.table.lookup(tr)
 	n := int(a.n)
-	order, lookahead := inOrder[:n], b.cfg.Lookahead
+	order, window := inOrder[:n], lookahead
 	var folded uint16
 	if preprocessed {
 		if !a.pre {
@@ -195,16 +211,15 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 		// The fill unit's schedule already saw the whole window, so
 		// the lookahead never binds, and a fused consumer is never
 		// scanned: it issues with its producer.
-		order, lookahead, folded = a.order[:a.heads], n, a.folded
+		order, window, folded = a.order[:a.heads], n, a.folded
 	}
 
 	// A source produced by an earlier trace is ready at its published
-	// completion, plus XferLat across PEs; that stays fixed until this
+	// completion, plus xferLat across PEs; that stays fixed until this
 	// trace publishes its own results. Constant-folded slots read no
 	// registers. Producers precede their consumers, so users[p] is
 	// cleared before any consumer marks it.
 	s := &b.scr
-	xfer := uint64(b.cfg.XferLat)
 	for i := 0; i < n; i++ {
 		s.rdy[i], s.wait[i], s.users[i] = start, 0, 0
 		if folded&(1<<i) != 0 {
@@ -221,7 +236,7 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 				st := &b.regReady[v]
 				c := st.cycle
 				if st.pe != pe && c > start {
-					c += xfer
+					c += xferLat
 				}
 				if c > s.rdy[i] {
 					s.rdy[i] = c
@@ -278,12 +293,12 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 	}
 	// unissued marks the positions in the priority order still to issue.
 	for c, unissued := start, uint16(1)<<len(order)-1; unissued != 0; {
-		slots := b.cfg.IssuePerPE
+		slots := issuePerPE
 		seen := 0
 		next := ^uint64(0)
 		for m := unissued; m != 0; m &= m - 1 {
 			seen++
-			if seen > lookahead || slots == 0 {
+			if seen > window || slots == 0 {
 				break
 			}
 			k := bits.TrailingZeros16(m)
@@ -305,7 +320,7 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 			}
 		}
 		switch {
-		case slots < b.cfg.IssuePerPE:
+		case slots < issuePerPE:
 			c++
 		case next == ^uint64(0):
 			panic("pipeline: dispatch window holds no slot that can issue")

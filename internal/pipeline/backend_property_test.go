@@ -127,7 +127,6 @@ func TestQuickBackendInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		be := testBackend(t)
-		cfg := be.cfg
 		var prevRetire uint64
 		clock := uint64(10)
 		for k := 0; k < 40; k++ {
@@ -154,7 +153,7 @@ func TestQuickBackendInvariants(t *testing.T) {
 					}
 				}
 			}
-			minCycles := (n - fused + uint64(cfg.IssuePerPE) - 1) / uint64(cfg.IssuePerPE)
+			minCycles := (n - fused + issuePerPE - 1) / issuePerPE
 			if retire < ready+minCycles {
 				t.Logf("seed %d: retire %d beats issue-width bound %d (n=%d)", seed, retire, ready+minCycles, n)
 				return false

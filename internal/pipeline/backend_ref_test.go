@@ -36,7 +36,7 @@ type refScratch struct {
 // fused-operand case of readyAt read them, and fused consumers issue
 // with their producer without calling readyAt.
 func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, preprocessed bool) (retire, resolve uint64) {
-	pe := int(b.k) % b.cfg.NumPEs
+	pe := int(b.k) % numPEs
 	b.k++
 	start := ready
 	if b.peFree[pe] > start {
@@ -55,12 +55,12 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 	for i := range order {
 		order[i] = i
 	}
-	lookahead := b.cfg.Lookahead
+	window := lookahead
 	if opt != nil {
 		for i, idx := range opt.Order {
 			order[i] = int(idx)
 		}
-		lookahead = n // the schedule already sees the whole window
+		window = n // the schedule already sees the whole window
 	}
 
 	// fusedOf[i] = consumer fused onto producer i, or -1.
@@ -178,7 +178,7 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 				st := b.regReady[r]
 				c := st.cycle
 				if st.pe != pe && c > start {
-					c += uint64(b.cfg.XferLat)
+					c += xferLat
 				}
 				if c > rdy {
 					rdy = c
@@ -191,14 +191,14 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 	lastDone := start
 	resolve = start
 	for c := start; remaining > 0; c++ {
-		slots := b.cfg.IssuePerPE
+		slots := issuePerPE
 		unissuedSeen := 0
 		for _, idx := range order {
 			if issued[idx] {
 				continue
 			}
 			unissuedSeen++
-			if unissuedSeen > lookahead || slots == 0 {
+			if unissuedSeen > window || slots == 0 {
 				break
 			}
 			if opt == nil || opt.FusedWith[idx] < 0 {
@@ -263,11 +263,9 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 // built unpreprocessed and the reverse. Every trace must retire
 // and resolve in the same cycle on both, and at the end the register
 // stamps, the ARB, the load, miss and forwarding counters and the
-// shared level's statistics must be equal. The grid covers every
-// lookahead regime, issue width and PE count the model distinguishes,
-// with and without a cross-PE transfer cost, behind the flat level and
-// the modeled L2 at 8 MSHRs and at 1 (where loads queue for tens of
-// cycles).
+// shared level's statistics must be equal. Each seed sends 48 streams
+// of 48 traces behind each of the flat level and the modeled L2 at 8
+// MSHRs and at 1 (where loads queue for tens of cycles).
 func TestDispatchMatchesReference(t *testing.T) {
 	oneMSHR := mem.DefaultModeledL2()
 	oneMSHR.MSHRs = 1
@@ -279,28 +277,20 @@ func TestDispatchMatchesReference(t *testing.T) {
 		{"l2-8mshr", mem.DefaultModeledL2()},
 		{"l2-1mshr", oneMSHR},
 	}
-	const traces = 48
+	const streams, traces = 48, 48
 	var loads, mshrStalls uint64 // behind the 1-MSHR level
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		for _, lv := range levels {
-			for _, la := range []int{1, 3, 10, 16} {
-				for _, ipe := range []int{1, 2, 4} {
-					for _, npe := range []int{1, 4} {
-						for _, xfer := range []int{0, 2} {
-							cfg := DefaultBackendConfig()
-							cfg.Lookahead, cfg.IssuePerPE, cfg.NumPEs, cfg.XferLat = la, ipe, npe, xfer
-							be, ok := matchesReference(t, r, cfg, lv.cfg, traces)
-							if !ok {
-								t.Logf("seed %d, level %s, config %+v", seed, lv.name, cfg)
-								return false
-							}
-							if lv.cfg.MSHRs == 1 {
-								loads += be.loads
-								mshrStalls += be.mem.Stats().MSHRStallCycles
-							}
-						}
-					}
+			for k := 0; k < streams; k++ {
+				be, ok := matchesReference(t, r, lv.cfg, traces)
+				if !ok {
+					t.Logf("seed %d, level %s, stream %d", seed, lv.name, k)
+					return false
+				}
+				if lv.cfg.MSHRs == 1 {
+					loads += be.loads
+					mshrStalls += be.mem.Stats().MSHRStallCycles
 				}
 			}
 		}
@@ -322,10 +312,10 @@ func TestDispatchMatchesReference(t *testing.T) {
 // matchesReference runs one stream of random traces through a fresh
 // backend pair and reports whether dispatch and dispatchReference
 // agreed throughout; it returns the backend under test.
-func matchesReference(t *testing.T, r *rand.Rand, cfg BackendConfig, level mem.Config, traces int) (*backend, bool) {
+func matchesReference(t *testing.T, r *rand.Rand, level mem.Config, traces int) (*backend, bool) {
 	t.Helper()
 	pair := func() *backend {
-		return testBackendWith(t, cfg, cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, level)
+		return testBackendWith(t, cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, level)
 	}
 	got, want := pair(), pair()
 	clock := uint64(10)

@@ -12,24 +12,25 @@ import (
 )
 
 // testBackendWith wires a backend to a fresh data cache of geometry
-// dcfg and the memory level selected by level.
-func testBackendWith(t testing.TB, cfg BackendConfig, dcfg cache.Config, level mem.Config) *backend {
+// dcfg and the memory level selected by level, whose perfect L2 has the
+// default latency.
+func testBackendWith(t testing.TB, dcfg cache.Config, level mem.Config) *backend {
 	t.Helper()
 	dc, err := cache.New(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := mem.New(level, cfg.L2Lat)
+	h, err := mem.New(level, DefaultConfig().L2Lat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBackend(cfg, dc, h, newAnalysisTable())
+	return newBackend(dc, h, newAnalysisTable())
 }
 
-// testBackend is the default backend over the paper's data cache and
+// testBackend is the backend over the paper's data cache and
 // fixed-latency L2.
 func testBackend(t testing.TB) *backend {
-	return testBackendWith(t, DefaultBackendConfig(), DCache, mem.Config{})
+	return testBackendWith(t, DCache, mem.Config{})
 }
 
 // mkTrace builds a trace and matching dyn records at sequential PCs.
@@ -106,11 +107,15 @@ func TestBackendCrossPETransfer(t *testing.T) {
 }
 
 func TestBackendSamePENoTransfer(t *testing.T) {
-	cfg := DefaultBackendConfig()
-	cfg.NumPEs = 1
-	be := testBackendWith(t, cfg, DCache, mem.Config{})
+	be := testBackend(t)
 	t1, d1 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 1, Ra: 0, Imm: 5})
 	be.dispatch(t1, d1, 100, false)
+	// Three unrelated traces take PEs 1-3, so the consumer comes back
+	// round to the producer's PE 0.
+	for i := 1; i < numPEs; i++ {
+		tr, d := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: uint8(8 + i), Ra: 0, Imm: 1})
+		be.dispatch(tr, d, 100, false)
+	}
 	t2, d2 := mkTrace(isa.Inst{Op: isa.OpAddI, Rd: 2, Ra: 1, Imm: 1})
 	r2, _ := be.dispatch(t2, d2, 100, false)
 	// Same PE: no transfer, but the PE is busy until 101; issue 101,
@@ -161,34 +166,37 @@ func TestBackendInOrderRetirement(t *testing.T) {
 	}
 }
 
+// TestBackendLookaheadLimits: in a 16-instruction trace whose first
+// stalled instructions fill the lookahead, the independent ones behind
+// them wait too; one stalled instruction fewer lets them issue early.
 func TestBackendLookaheadLimits(t *testing.T) {
-	// Head instruction waits on an external register produced far in
-	// the future; with lookahead 1, everything serializes behind it.
-	mk := func(lookahead int) uint64 {
-		cfg := DefaultBackendConfig()
-		cfg.Lookahead = lookahead
-		be := testBackendWith(t, cfg, DCache, mem.Config{})
-		// Producer trace on PE0 making r1 available late.
-		prod, dProd := mkTrace(
-			isa.Inst{Op: isa.OpDiv, Rd: 1, Ra: 2, Rb: 3},
-		)
+	// stalled returns the retirement of a 16-instruction trace whose
+	// first k instructions wait on r1, which a divide on another PE
+	// makes ready at 12 + 2 (transfer) = 14; the rest are independent.
+	stalled := func(k int) uint64 {
+		be := testBackend(t)
+		prod, dProd := mkTrace(isa.Inst{Op: isa.OpDiv, Rd: 1, Ra: 2, Rb: 3})
 		be.dispatch(prod, dProd, 0, false)
-		// Consumer trace: head depends on r1, the rest independent.
-		cons, dCons := mkTrace(
-			isa.Inst{Op: isa.OpAddI, Rd: 4, Ra: 1, Imm: 1},
-			isa.Inst{Op: isa.OpAddI, Rd: 5, Ra: 0, Imm: 1},
-			isa.Inst{Op: isa.OpAddI, Rd: 6, Ra: 0, Imm: 1},
-		)
+		insts := make([]isa.Inst, 16)
+		for i := range insts {
+			insts[i] = isa.Inst{Op: isa.OpAddI, Rd: uint8(2 + i), Ra: 0, Imm: 1}
+			if i < k {
+				insts[i].Ra = 1
+			}
+		}
+		cons, dCons := mkTrace(insts...)
 		r, _ := be.dispatch(cons, dCons, 0, false)
 		return r
 	}
-	narrow := mk(1)
-	wide := mk(8)
-	if wide > narrow {
-		t.Errorf("wider lookahead slower: %d > %d", wide, narrow)
+	// The window holds only stalled instructions: nothing issues until
+	// 14, then 16 issue two a cycle, the last at 21.
+	if got := stalled(lookahead); got != 22 {
+		t.Errorf("stalled head filling the lookahead: retire = %d, want 22", got)
 	}
-	if narrow == wide {
-		t.Error("lookahead had no effect on a stalled head")
+	// The six independent instructions issue one a cycle at the
+	// window's edge before 14; the nine stalled ones then take 14-18.
+	if got := stalled(lookahead - 1); got != 19 {
+		t.Errorf("stalled head inside the lookahead: retire = %d, want 19", got)
 	}
 }
 
@@ -321,8 +329,7 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 			name = "preprocessed"
 		}
 		t.Run(name, func(t *testing.T) {
-			be := testBackendWith(t, DefaultBackendConfig(),
-				cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, mem.DefaultModeledL2())
+			be := testBackendWith(t, cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}, mem.DefaultModeledL2())
 			k, ready := 0, uint64(0)
 			round := func() {
 				j := jobs[k%len(jobs)]

@@ -21,52 +21,16 @@ import (
 	"tracepre/internal/tracecache"
 )
 
-// BackendConfig sizes the distributed execution engine.
-type BackendConfig struct {
-	NumPEs     int // processing elements (4)
-	IssuePerPE int // issue slots per PE per cycle (2)
-	XferLat    int // extra cycles for cross-PE register results (2)
-	LoadLat    int // D-cache hit latency (2)
-	MulLat     int // multiply latency (3, R10000-like)
-	DivLat     int // divide latency (12)
-	L2Lat      int // L2 hit latency for L1 misses (10)
-	// Lookahead is how far past the oldest unissued instruction the
-	// simple PE scans for ready work. Preprocessed traces always see
-	// the whole window (the fill unit's schedule did the reordering).
-	Lookahead int
-}
-
-// DefaultBackendConfig returns §4.1's backend.
-func DefaultBackendConfig() BackendConfig {
-	return BackendConfig{
-		NumPEs:     4,
-		IssuePerPE: 2,
-		XferLat:    2,
-		LoadLat:    2,
-		MulLat:     3,
-		DivLat:     12,
-		L2Lat:      10,
-		Lookahead:  10,
-	}
-}
-
-// Validate checks the backend configuration.
-func (c BackendConfig) Validate() error {
-	if c.NumPEs <= 0 || c.IssuePerPE <= 0 {
-		return fmt.Errorf("pipeline: PEs %d issue %d", c.NumPEs, c.IssuePerPE)
-	}
-	if c.XferLat < 0 || c.LoadLat < 1 || c.MulLat < 1 || c.DivLat < 1 || c.L2Lat < 0 {
-		return fmt.Errorf("pipeline: bad latencies %+v", c)
-	}
-	if c.Lookahead < 1 {
-		return fmt.Errorf("pipeline: Lookahead %d", c.Lookahead)
-	}
-	return nil
-}
-
 // DCache is the backend's data cache (§4.1: 64 KiB, 4-way, 64-byte
 // lines), which no experiment varies.
 var DCache = cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4}
+
+// The instruction cache's line and ways (§4.1: 4-way, 64-byte lines),
+// which no experiment varies; Config.ICacheBytes sizes it.
+const (
+	icacheLineBytes = 64
+	icacheAssoc     = 4
+)
 
 // Config is the full simulator configuration.
 type Config struct {
@@ -75,17 +39,20 @@ type Config struct {
 	TraceCache tracecache.Config
 	// Buffers sizes the preconstruction buffers; Entries == 0 disables
 	// preconstruction entirely.
-	Buffers tracecache.Config
+	Buffers tracecache.BufferConfig
 
-	ICache cache.Config
+	// ICacheBytes is the instruction cache's capacity.
+	ICacheBytes int
 
 	// Mem selects the memory level behind the L1s, shared by demand
 	// i-fetch, the backend's loads/stores, and the preconstruction
-	// engine's stolen fetches. The zero value wires a FixedLevel at
-	// Backend.L2Lat — the paper's perfect L2, byte-identical to the
-	// pre-hierarchy model; set Mem.ModelL2 for a real shared L2 with
-	// finite MSHRs and fill bandwidth (mem.DefaultModeledL2).
+	// engine's stolen fetches. The zero value is the paper's perfect L2
+	// at L2Lat, byte-identical to the pre-hierarchy model; set
+	// Mem.ModelL2 for a real shared L2 with finite MSHRs and fill
+	// bandwidth (mem.DefaultModeledL2).
 	Mem mem.Config
+	// L2Lat is the perfect L2's latency for L1 misses (10).
+	L2Lat int
 
 	SlowFetchWidth    int // instructions per cycle from the i-cache (4)
 	MispredictPenalty int // frontend redirect penalty, cycles
@@ -128,8 +95,6 @@ type Config struct {
 	// either mode.
 	FullTiming  bool
 	FrontendIPC float64
-
-	Backend BackendConfig
 }
 
 // DefaultConfig returns the paper's configuration with a 512-entry trace
@@ -138,22 +103,22 @@ func DefaultConfig() Config {
 	return Config{
 		Select:            trace.DefaultSelectConfig(),
 		TraceCache:        tracecache.Config{Entries: 512, Assoc: 2},
-		Buffers:           tracecache.Config{Entries: 0, Assoc: 2},
-		ICache:            cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4},
+		Buffers:           tracecache.BufferConfig{Entries: 0, Assoc: 2},
+		ICacheBytes:       64 * 1024,
+		L2Lat:             10,
 		SlowFetchWidth:    4,
 		MispredictPenalty: 5,
 		Precon:            precon.DefaultConfig(),
 		PreprocEnabled:    false,
 		FullTiming:        false,
 		FrontendIPC:       2.5,
-		Backend:           DefaultBackendConfig(),
 	}
 }
 
 // WithPrecon returns the configuration with a preconstruction buffer of
 // the given entry count.
 func (c Config) WithPrecon(entries int) Config {
-	c.Buffers = tracecache.Config{Entries: entries, Assoc: 2}
+	c.Buffers = tracecache.BufferConfig{Entries: entries, Assoc: 2}
 	return c
 }
 
@@ -186,41 +151,55 @@ func (c Config) frontendConfig() frontend.Config {
 		TraceCache:        c.TraceCache,
 		Buffers:           c.Buffers,
 		AdaptivePartition: c.AdaptivePartition,
-		ICache:            c.ICache,
+		ICache:            c.icache(),
 		SlowFetchWidth:    c.SlowFetchWidth,
 		MispredictPenalty: c.MispredictPenalty,
 		Precon:            c.Precon,
 	}
 }
 
-// Validate checks the full configuration.
+// icache returns the instruction cache's geometry.
+func (c Config) icache() cache.Config {
+	return cache.Config{SizeBytes: c.ICacheBytes, LineBytes: icacheLineBytes, Assoc: icacheAssoc}
+}
+
+// Validate checks the full configuration. A trace store's or the
+// i-cache's geometry error names the store.
 func (c Config) Validate() error {
 	if err := c.Select.Validate(); err != nil {
 		return err
 	}
 	if err := c.TraceCache.Validate(); err != nil {
-		return err
+		return fmt.Errorf("pipeline: trace cache: %w", err)
 	}
-	if err := c.ICache.Validate(); err != nil {
-		return err
+	if err := c.icache().Validate(); err != nil {
+		return fmt.Errorf("pipeline: i-cache: %w", err)
 	}
 	if c.Buffers.Entries < 0 {
 		return fmt.Errorf("pipeline: Buffers.Entries %d is negative (0 disables preconstruction)", c.Buffers.Entries)
 	}
 	if c.PreconEnabled() {
-		if err := c.Buffers.Validate(); err != nil {
-			return err
+		if err := c.Buffers.Geometry().Validate(); err != nil {
+			return fmt.Errorf("pipeline: preconstruction buffers: %w", err)
 		}
 		if err := c.Precon.Validate(); err != nil {
 			return err
 		}
-		if _, err := c.Precon.PrefetchLines(c.ICache.LineBytes); err != nil {
+		if _, err := c.Precon.PrefetchLines(icacheLineBytes); err != nil {
 			return err
 		}
 	}
 	if c.AdaptivePartition {
-		if !c.PreconEnabled() {
+		// The unified store has the trace cache's ways and keeps region
+		// priority, so it would ignore the buffers' own.
+		switch {
+		case !c.PreconEnabled():
 			return fmt.Errorf("pipeline: AdaptivePartition requires preconstruction")
+		case c.Buffers.PlainLRU:
+			return fmt.Errorf("pipeline: AdaptivePartition keeps region priority; Buffers.PlainLRU would be ignored")
+		case c.Buffers.Assoc != c.TraceCache.Assoc:
+			return fmt.Errorf("pipeline: AdaptivePartition unifies the stores: buffers' %d ways differ from the trace cache's %d",
+				c.Buffers.Assoc, c.TraceCache.Assoc)
 		}
 		unified := tracecache.Config{
 			Entries: c.TraceCache.Entries + c.Buffers.Entries,
@@ -233,6 +212,9 @@ func (c Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
+	if c.L2Lat < 0 {
+		return fmt.Errorf("pipeline: L2Lat %d is negative", c.L2Lat)
+	}
 	if c.SlowFetchWidth <= 0 {
 		return fmt.Errorf("pipeline: SlowFetchWidth %d", c.SlowFetchWidth)
 	}
@@ -242,5 +224,5 @@ func (c Config) Validate() error {
 	if c.FrontendIPC <= 0 {
 		return fmt.Errorf("pipeline: FrontendIPC %f", c.FrontendIPC)
 	}
-	return c.Backend.Validate()
+	return nil
 }

@@ -20,19 +20,18 @@ var configFields = []struct {
 	{"TraceCache.Assoc", func(c *Config, v int) { c.TraceCache.Assoc = v }},
 	{"Buffers.Entries", func(c *Config, v int) { c.Buffers.Entries = v }},
 	{"Buffers.Assoc", func(c *Config, v int) { c.Buffers.Assoc = v }},
-	{"ICache.SizeBytes", func(c *Config, v int) { c.ICache.SizeBytes = 64 * v }},
-	{"ICache.LineBytes", func(c *Config, v int) { c.ICache.LineBytes = v }},
-	{"ICache.Assoc", func(c *Config, v int) { c.ICache.Assoc = v }},
+	{"Buffers.PlainLRU", func(c *Config, v int) { c.Buffers.PlainLRU = v%2 != 0 }},
+	{"ICacheBytes", func(c *Config, v int) { c.ICacheBytes = 64 * v }},
 	{"Mem", func(c *Config, v int) {
 		if v%2 != 0 {
 			c.Mem = mem.DefaultModeledL2()
 		}
 		c.Mem.ModelL2 = v != 0
 	}},
-	{"Mem.L2.SizeBytes", func(c *Config, v int) { c.Mem.L2.SizeBytes = 1024 * v }},
-	{"Mem.L2.LineBytes", func(c *Config, v int) { c.Mem.L2.LineBytes = v }},
+	{"Mem.SizeBytes", func(c *Config, v int) { c.Mem.SizeBytes = 1024 * v }},
+	{"Mem.Assoc", func(c *Config, v int) { c.Mem.Assoc = v }},
 	{"Mem.MSHRs", func(c *Config, v int) { c.Mem.MSHRs = v }},
-	{"Mem.FillGap", func(c *Config, v int) { c.Mem.FillGap = v }},
+	{"L2Lat", func(c *Config, v int) { c.L2Lat = v }},
 	{"SlowFetchWidth", func(c *Config, v int) { c.SlowFetchWidth = v }},
 	{"MispredictPenalty", func(c *Config, v int) { c.MispredictPenalty = v }},
 	{"Precon.StackDepth", func(c *Config, v int) { c.Precon.StackDepth = v }},
@@ -41,11 +40,6 @@ var configFields = []struct {
 	{"AdaptivePartition", func(c *Config, v int) { c.AdaptivePartition = v%2 != 0 }},
 	{"FullTiming", func(c *Config, v int) { c.FullTiming = v%2 != 0 }},
 	{"FrontendIPC", func(c *Config, v int) { c.FrontendIPC = float64(v) / 4 }},
-	{"Backend.NumPEs", func(c *Config, v int) { c.Backend.NumPEs = v }},
-	{"Backend.IssuePerPE", func(c *Config, v int) { c.Backend.IssuePerPE = v }},
-	{"Backend.XferLat", func(c *Config, v int) { c.Backend.XferLat = v }},
-	{"Backend.L2Lat", func(c *Config, v int) { c.Backend.L2Lat = v }},
-	{"Backend.Lookahead", func(c *Config, v int) { c.Backend.Lookahead = v }},
 }
 
 // fieldIndex returns the index of the named configFields entry.
@@ -64,13 +58,15 @@ func fieldIndex(name string) uint8 {
 // The seeds are a zero drain rate under full timing, which the
 // fast-forward phase still divides by; the check construction makes
 // beyond the parts' own Validate methods: a prefetch cache smaller than
-// one 64-byte i-cache line; and a negative buffer count, which must not
-// pass as preconstruction off.
+// one 64-byte i-cache line; a negative buffer count, which must not
+// pass as preconstruction off; and plain-LRU buffers under the adaptive
+// partition, whose unified store would ignore them.
 func FuzzConfig(f *testing.F) {
 	none := uint8(len(configFields)) // out of range: no mutation
 	f.Add(fieldIndex("FullTiming"), int8(1), fieldIndex("FrontendIPC"), int8(0), none, int8(0))
 	f.Add(fieldIndex("Buffers.Entries"), int8(64), fieldIndex("Precon.PrefetchInstrs"), int8(8), none, int8(0))
 	f.Add(fieldIndex("Buffers.Entries"), int8(-1), none, int8(0), none, int8(0))
+	f.Add(fieldIndex("Buffers.Entries"), int8(64), fieldIndex("AdaptivePartition"), int8(1), fieldIndex("Buffers.PlainLRU"), int8(1))
 	im := loopImage(f, 5)
 	f.Fuzz(func(t *testing.T, f1 uint8, v1 int8, f2 uint8, v2 int8, f3 uint8, v3 int8) {
 		c := DefaultConfig()

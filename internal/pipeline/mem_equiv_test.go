@@ -15,7 +15,7 @@ import (
 )
 
 // TestFixedLevelMatchesLegacyConstant is the cross-wiring equivalence
-// proof for the memory-hierarchy refactor: the default FixedLevel wiring
+// proof for the memory-hierarchy refactor: the default fixed-latency level
 // must produce exactly the Results the legacy flat `+= L2Lat` arithmetic
 // produced. testdata/mem/legacy.golden.json was captured from the
 // pre-refactor code (full-timing runs on a recorded gcc stream) and is
@@ -146,14 +146,8 @@ func TestModeledL2ChangesTiming(t *testing.T) {
 	fixed := DefaultConfig().WithTraceCache(64).WithPrecon(64)
 	fixed.FullTiming = true
 	modeled := fixed
-	modeled.Mem = mem.Config{
-		ModelL2: true,
-		L2:      fixed.ICache, // same size as the L1s: heavy L2 missing
-		HitLat:  10,
-		MissLat: 40,
-		MSHRs:   1,
-		FillGap: 4,
-	}
+	// The i-cache's size and ways: heavy L2 missing.
+	modeled.Mem = mem.Config{ModelL2: true, SizeBytes: fixed.ICacheBytes, Assoc: icacheAssoc, MSHRs: 1}
 
 	fres, err := newSim(t, im, fixed).RunStream(st, budget)
 	if err != nil {

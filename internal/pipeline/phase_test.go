@@ -22,8 +22,8 @@ func TestPhaseZeroValueIsMeasure(t *testing.T) {
 	if got := sim.Phase(); got != PhaseFastForward {
 		t.Fatalf("SetPhase not applied: %v", got)
 	}
-	sim.SetPhase(PhaseWarm)
-	if got := sim.Phase(); got != PhaseWarm {
+	sim.SetPhase(PhaseMeasure)
+	if got := sim.Phase(); got != PhaseMeasure {
 		t.Fatalf("SetPhase not applied: %v", got)
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tracepre/internal/frontend"
@@ -11,7 +12,6 @@ import (
 	"tracepre/internal/program"
 	"tracepre/internal/tpred"
 	"tracepre/internal/trace"
-	"tracepre/internal/tracecache"
 )
 
 // loopImage builds a program that repeats the same control flow many
@@ -52,49 +52,113 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config: %v", err)
 	}
-	mutate := []func(*Config){
-		func(c *Config) { c.Select.MaxLen = 0 },
-		func(c *Config) { c.TraceCache.Entries = 0 },
-		func(c *Config) { c.Buffers = tracecache.Config{Entries: 48, Assoc: 2} },
-		func(c *Config) { c.ICache.SizeBytes = 0 },
-		func(c *Config) { c.SlowFetchWidth = 0 },
-		func(c *Config) { c.MispredictPenalty = -1 },
-		func(c *Config) { c.FrontendIPC = 0 },
+	// Each mutation applies on top of the default with 64 buffer
+	// entries, which exercises the buffer and precon validation paths.
+	// want is a substring the error must carry ("" checks only that
+	// the configuration fails); a geometry error names its store.
+	cases := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Select.MaxLen = 0 }, ""},
+		{func(c *Config) { c.TraceCache.Entries = 0 }, "trace cache: tracecache: 0 entries in 2 ways"},
+		{func(c *Config) { c.TraceCache.Entries = 3 }, "trace cache: tracecache: 3 entries not divisible into 2 ways"},
+		{func(c *Config) { c.Buffers.Entries = 48 }, "preconstruction buffers: tracecache: set count 24"},
+		{func(c *Config) { c.Buffers.Entries = 3 }, "preconstruction buffers: tracecache: 3 entries not divisible into 2 ways"},
+		{func(c *Config) { c.ICacheBytes = 0 }, "i-cache: cache:"},
+		{func(c *Config) { c.ICacheBytes = 96 }, "i-cache: cache:"},
+		{func(c *Config) { c.SlowFetchWidth = 0 }, ""},
+		{func(c *Config) { c.MispredictPenalty = -1 }, ""},
+		{func(c *Config) { c.FrontendIPC = 0 }, ""},
 		// Fast-forward drains at FrontendIPC under full timing too.
-		func(c *Config) { c.FullTiming = true; c.FrontendIPC = 0 },
-		func(c *Config) { c.Backend.NumPEs = 0 },
-		func(c *Config) { c.Backend.Lookahead = 0 },
-		func(c *Config) { c.Buffers.Entries = 64; c.Precon.StackDepth = 0 },
+		{func(c *Config) { c.FullTiming = true; c.FrontendIPC = 0 }, ""},
+		{func(c *Config) { c.Precon.StackDepth = 0 }, ""},
 		// A negative buffer count is an error, not preconstruction off.
-		func(c *Config) { c.Buffers.Entries = -1 },
+		{func(c *Config) { c.Buffers.Entries = -1 }, ""},
 		// Adaptive partition: requires precon; the unified store must
-		// itself be a valid trace-cache geometry.
-		func(c *Config) { c.AdaptivePartition = true; c.Buffers.Entries = 0 },
-		func(c *Config) { c.AdaptivePartition = true; c.TraceCache.Assoc = 0 },
-		// Backend latency error paths.
-		func(c *Config) { c.Backend.IssuePerPE = 0 },
-		func(c *Config) { c.Backend.XferLat = -1 },
-		func(c *Config) { c.Backend.LoadLat = 0 },
-		func(c *Config) { c.Backend.MulLat = 0 },
-		func(c *Config) { c.Backend.DivLat = 0 },
-		func(c *Config) { c.Backend.L2Lat = -1 },
+		// itself be a valid trace-cache geometry (512+64 entries are
+		// not), and it would ignore the buffers' own replacement policy
+		// and ways (512+512 entries are a valid unified store).
+		{func(c *Config) { c.AdaptivePartition = true; c.Buffers.Entries = 0 }, ""},
+		{func(c *Config) { c.AdaptivePartition = true }, "adaptive partition: tracecache: set count 288"},
+		{func(c *Config) { c.AdaptivePartition = true; c.TraceCache.Assoc = 0 }, ""},
+		{func(c *Config) { c.AdaptivePartition, c.Buffers.Entries, c.Buffers.PlainLRU = true, 512, true }, "PlainLRU"},
+		{func(c *Config) { c.AdaptivePartition, c.Buffers.Entries, c.Buffers.Assoc = true, 512, 4 }, "buffers' 4 ways differ from the trace cache's 2"},
+		{func(c *Config) { c.L2Lat = -1 }, "L2Lat"},
 		// Memory-hierarchy config error paths (mem.Config.Validate).
-		func(c *Config) { c.Mem.ModelL2 = true },
-		func(c *Config) { c.Mem = mem.DefaultModeledL2(); c.Mem.MSHRs = 0 },
-		func(c *Config) { c.Mem = mem.DefaultModeledL2(); c.Mem.HitLat = -1 },
-		func(c *Config) { c.Mem = mem.DefaultModeledL2(); c.Mem.L2.LineBytes = 48 },
+		{func(c *Config) { c.Mem.ModelL2 = true }, ""},
+		{func(c *Config) { c.Mem = mem.DefaultModeledL2(); c.Mem.MSHRs = 0 }, ""},
+		{func(c *Config) { c.Mem = mem.DefaultModeledL2(); c.Mem.Assoc = 3 }, ""},
 	}
 	im := loopImage(t, 5)
-	for i, m := range mutate {
+	for i, tc := range cases {
 		c := DefaultConfig()
-		c.Buffers.Entries = 64 // exercise buffer/precon validation paths
-		m(&c)
-		if err := c.Validate(); err == nil {
+		c.Buffers.Entries = 64
+		tc.mutate(&c)
+		err := c.Validate()
+		if err == nil {
 			t.Errorf("mutation %d: Validate = nil", i)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("mutation %d: Validate = %q, want it to contain %q", i, err, tc.want)
+		}
+		if strings.Contains(err.Error(), "{") {
+			t.Errorf("mutation %d: Validate = %q prints a Go value", i, err)
 		}
 		if _, err := New(im, c); err == nil {
 			t.Errorf("mutation %d: New succeeded", i)
 		}
+	}
+	// The split design reads both settings the adaptive one rejects,
+	// and the adaptive one takes a valid unified store.
+	c := DefaultConfig().WithPrecon(512)
+	c.Buffers.PlainLRU, c.Buffers.Assoc = true, 4
+	if err := c.Validate(); err != nil {
+		t.Errorf("split design with 4-way plain-LRU buffers: %v", err)
+	}
+	c = DefaultConfig().WithPrecon(512)
+	c.AdaptivePartition = true
+	if err := c.Validate(); err != nil {
+		t.Errorf("adaptive partition of 512+512 entries: %v", err)
+	}
+}
+
+// TestConfigSettableValues pins the settable leaf values of Config by
+// name, so that adding a knob is a reviewed one-line change here.
+func TestConfigSettableValues(t *testing.T) {
+	var got []string
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, prefix+f.Name+".")
+				continue
+			}
+			got = append(got, prefix+f.Name)
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "")
+	want := []string{
+		"Select.MaxLen", "Select.AlignMod",
+		"TraceCache.Entries", "TraceCache.Assoc",
+		"Buffers.Entries", "Buffers.Assoc", "Buffers.PlainLRU",
+		"ICacheBytes",
+		"Mem.ModelL2", "Mem.SizeBytes", "Mem.Assoc", "Mem.MSHRs",
+		"L2Lat",
+		"SlowFetchWidth", "MispredictPenalty",
+		"Pred.DisableSecondary", "Pred.DisableRHS",
+		"Precon.StackDepth", "Precon.PrefetchInstrs", "Precon.NumConstructors",
+		"Precon.DecisionDepth", "Precon.MeasureOverhead", "Precon.ResolveIndirects",
+		"PreprocEnabled", "WindowInstrs", "AdaptivePartition", "FFObservePrecon",
+		"FullTiming", "FrontendIPC",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Config's %d settable values are\n%q\nwant these %d:\n%q", len(got), got, len(want), want)
 	}
 }
 
@@ -326,7 +390,7 @@ func TestFullTimingIPCBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak := float64(cfg.Backend.NumPEs * cfg.Backend.IssuePerPE)
+	peak := float64(numPEs * issuePerPE)
 	if res.IPC() <= 0 || res.IPC() > peak {
 		t.Errorf("IPC = %.3f outside (0, %.0f]", res.IPC(), peak)
 	}

@@ -62,7 +62,7 @@ type Result struct {
 	// Memory reports the level behind the L1s: per-port (I-side, D-side,
 	// precon) access and miss counts, MSHR merges and stalls, fill-
 	// bandwidth stalls, and the engine fetches the hierarchy refused.
-	// With the default FixedLevel wiring only the access counters move.
+	// Behind the default perfect L2 only the access counters move.
 	Memory mem.LevelStats
 
 	// Intern reports this simulator's use of the trace table: its
@@ -139,20 +139,17 @@ func (r Result) IPC() float64 {
 type Phase uint8
 
 const (
-	// PhaseMeasure runs full detail and accumulates statistics. This is
-	// the only phase a non-sampled run ever sees.
+	// PhaseMeasure runs full detail and accumulates statistics. It is
+	// the only phase a non-sampled run ever sees. A sampled run's
+	// detailed warm-up runs in it too: the sampling layer discards the
+	// warm-up's statistics by differencing Snapshot results at
+	// measurement boundaries, so warm activity never needs per-counter
+	// guards on the hot path.
 	PhaseMeasure Phase = iota
 	// PhaseFastForward runs functional-plus-trainable-state only: the
 	// frontend's fast supply keeps suppliers, cache tags and predictors
 	// current, but no timing advances and no statistics move.
 	PhaseFastForward
-	// PhaseWarm runs full detail to re-establish timing-dependent state
-	// (port clocks, engine progress, backend occupancy) before a
-	// measurement unit. The pipeline treats it exactly like
-	// PhaseMeasure; the sampling layer freezes statistics around it by
-	// differencing Snapshot results at measurement boundaries, so warm
-	// activity never needs per-counter guards on the hot path.
-	PhaseWarm
 )
 
 // Simulator is one configured trace processor bound to a program image.
@@ -269,7 +266,7 @@ func NewGroup(im *program.Image, cfgs []Config) ([]*Simulator, error) {
 func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *frontend.SlowTables,
 	traces *trace.Store, analyses *analysisTable) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, im: im}
-	h, err := mem.New(cfg.Mem, cfg.Backend.L2Lat)
+	h, err := mem.New(cfg.Mem, cfg.L2Lat)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +285,7 @@ func newMember(im *program.Image, cfg Config, tables *tpred.Tables, slow *fronte
 		if s.dc, err = cache.New(DCache); err != nil {
 			return nil, err
 		}
-		s.be = newBackend(cfg.Backend, s.dc, h, analyses)
+		s.be = newBackend(s.dc, h, analyses)
 	}
 	return s, nil
 }
@@ -548,9 +545,9 @@ func (s *Simulator) onTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 // activity. The cycle clock advances nominally (trace length over the
 // frontend IPC): the skipped instructions took time in the machine
 // being modelled, and keeping the clock monotonic lets the engine's
-// port timestamps and the warm phase resume without time running
+// port timestamps and the detailed warm-up resume without time running
 // backwards. The remaining timing-dependent state (backend occupancy,
-// slow-path transients) is deliberately left for the warm phase.
+// slow-path transients) is deliberately left for the detailed warm-up.
 func (s *Simulator) fastTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 	drain := uint64(float64(len(dyns))/s.cfg.FrontendIPC + 0.5)
 	if drain == 0 {

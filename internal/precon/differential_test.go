@@ -106,7 +106,7 @@ func newDiffRig(tb testing.TB, s diffSetup) (*diffRig, recordingBuffers) {
 	r.ic, errs[2] = cache.New(cache.Config{SizeBytes: 16 * 1024, LineBytes: s.icLine, Assoc: 2})
 	h, errs[3] = mem.New(s.mem, 10)
 	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: s.tcEntries, Assoc: 2})
-	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: s.pbEntries, Assoc: 2})
+	r.buf, errs[5] = tracecache.NewBuffers(tracecache.BufferConfig{Entries: s.pbEntries, Assoc: 2})
 	if err := errors.Join(errs[:]...); err != nil {
 		tb.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func NewSlowPathPort(ic *cache.Cache, h *mem.Hierarchy) *SlowPathPort {
 // sets it to the start of the idle interval it is about to grant;
 // BeginUnit then advances it one cycle per granted unit. The engine and
 // demand clocks are loosely coupled, which the hierarchy tolerates (see
-// mem.Level).
+// mem.Hierarchy).
 func (p *SlowPathPort) SetClock(now uint64) { p.now = now }
 
 // Now returns the port clock.

@@ -94,10 +94,12 @@ type Config struct {
 	NumConstructors int // parallel trace constructors (4)
 	DecisionDepth   int // weak branches forked per start point (4)
 
-	// MeasureOverhead times the engine's Observe and Step calls
-	// into Stats.ObserveNs/StepNs, letting sweeps report per-cell
-	// engine overhead without a profiler. Off by default: the clock
-	// reads cost a few percent of engine time.
+	// MeasureOverhead estimates the time the engine spends in its
+	// Observe and Step calls into Stats.ObserveNs/StepNs, letting
+	// sweeps report per-cell engine overhead without a profiler. It
+	// times one call in overheadSample and counts it overheadSample
+	// times, because two clock reads cost about as much as the call.
+	// Off by default; off, it costs one predictable branch per call.
 	MeasureOverhead bool
 
 	// ResolveIndirects is an extension beyond the paper: instead of
@@ -201,14 +203,16 @@ type Stats struct {
 	PreWalkAborts    uint64
 	WorkUnits        uint64
 
-	// ObserveNs and StepNs accumulate wall-clock time spent in
+	// ObserveNs and StepNs estimate the wall-clock time spent in
 	// Observe and Step when Config.MeasureOverhead is set (0
-	// otherwise) — the engine's share of a cell's simulation cost.
+	// otherwise) — the engine's share of a cell's simulation cost. Each
+	// timed call, one in overheadSample drawn at random, counts
+	// overheadSample times.
 	ObserveNs uint64
 	StepNs    uint64
 }
 
-// EngineNs returns the total measured engine time (MeasureOverhead).
+// EngineNs returns the total estimated engine time (MeasureOverhead).
 func (s Stats) EngineNs() uint64 { return s.ObserveNs + s.StepNs }
 
 // Engine is the trace preconstruction unit.
@@ -263,7 +267,15 @@ type Engine struct {
 	// traces interns completed traces before they escape into the
 	// buffers (see trace.Store).
 	traces *trace.Handle
+
+	// clockDraw is the xorshift state that picks the calls
+	// MeasureOverhead times.
+	clockDraw uint32
 }
+
+// overheadSample is how many engine calls one timed call stands for
+// under MeasureOverhead.
+const overheadSample = 16
 
 // SetTraceHook installs an observer called for every trace the engine
 // constructs (including duplicates). The trace is borrowed — valid only
@@ -338,6 +350,8 @@ func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimod
 		lineCap:  lineCap,
 		regions:  make([]*region, NumRegions),
 		ctors:    make([]*constructor, cfg.NumConstructors),
+		// Any nonzero seed: xorshift never leaves the nonzero states.
+		clockDraw: 0x9e3779b9,
 	}
 	for i := range e.ctors {
 		e.ctors[i] = newConstructor(e)
@@ -354,13 +368,25 @@ func (e *Engine) lineAddr(pc uint32) uint32 { return pc &^ e.lineMask }
 // marked in tr.Starts push theirs (calls their return address, taken
 // backward branches their fall-through, the loop exit).
 func (e *Engine) Observe(tr *trace.Trace) {
-	if e.cfg.MeasureOverhead {
+	if e.cfg.MeasureOverhead && e.timeCall() {
 		t0 := time.Now()
 		e.observe(tr)
-		e.stats.ObserveNs += uint64(time.Since(t0))
+		e.stats.ObserveNs += overheadSample * uint64(time.Since(t0))
 		return
 	}
 	e.observe(tr)
+}
+
+// timeCall reports whether MeasureOverhead times the current call: one
+// in overheadSample, drawn by a xorshift so that the choice cannot lock
+// onto the period of a loop in the simulated program.
+func (e *Engine) timeCall() bool {
+	x := e.clockDraw
+	x ^= x << 13
+	x ^= x >> 17
+	x ^= x << 5
+	e.clockDraw = x
+	return x%overheadSample == 0
 }
 
 func (e *Engine) observe(tr *trace.Trace) {
@@ -698,10 +724,10 @@ func (e *Engine) bestWorklist() *region {
 // constructor advance up to StepInstrs instructions; line fetches happen
 // on demand through the shared port as constructors encounter them.
 func (e *Engine) Step(units int) {
-	if e.cfg.MeasureOverhead {
+	if e.cfg.MeasureOverhead && e.timeCall() {
 		t0 := time.Now()
 		e.step(units)
-		e.stats.StepNs += uint64(time.Since(t0))
+		e.stats.StepNs += overheadSample * uint64(time.Since(t0))
 		return
 	}
 	e.step(units)

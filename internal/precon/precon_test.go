@@ -40,7 +40,7 @@ func buildRig(tb testing.TB, im *program.Image, cfg Config, icLine, entries int)
 	r.ic, errs[2] = cache.New(cache.Config{SizeBytes: 64 * 1024, LineBytes: icLine, Assoc: 4})
 	h, errs[3] = mem.New(mem.Config{}, 10)
 	r.tc, errs[4] = tracecache.New(tracecache.Config{Entries: entries, Assoc: 2})
-	r.buf, errs[5] = tracecache.NewBuffers(tracecache.Config{Entries: entries, Assoc: 2})
+	r.buf, errs[5] = tracecache.NewBuffers(tracecache.BufferConfig{Entries: entries, Assoc: 2})
 	if err := errors.Join(errs[:]...); err != nil {
 		tb.Fatal(err)
 	}
@@ -776,6 +776,31 @@ func TestIdleColdEngine(t *testing.T) {
 	}
 	if r.eng.Stats().WorkUnits != 10 {
 		t.Errorf("work units = %d", r.eng.Stats().WorkUnits)
+	}
+}
+
+// TestTimeCallSamplesOneInSixteen: MeasureOverhead times about one call
+// in overheadSample, and every call position within a period of
+// overheadSample calls gets timed, so the choice locks onto no loop of
+// that period or a divisor of it.
+func TestTimeCallSamplesOneInSixteen(t *testing.T) {
+	e := &Engine{clockDraw: 1}
+	const calls = 1 << 16
+	var byPos [overheadSample]int
+	timed := 0
+	for i := 0; i < calls; i++ {
+		if e.timeCall() {
+			timed++
+			byPos[i%overheadSample]++
+		}
+	}
+	if want := calls / overheadSample; timed < want*9/10 || timed > want*11/10 {
+		t.Errorf("%d of %d calls timed, want about %d", timed, calls, want)
+	}
+	for pos, n := range byPos {
+		if n < calls/overheadSample/overheadSample/2 {
+			t.Errorf("call position %d of each %d timed %d times", pos, overheadSample, n)
+		}
 	}
 }
 

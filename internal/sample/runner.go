@@ -168,7 +168,9 @@ func (r *Runner) enter(kind int) {
 			case segFF, segFFTail:
 				r.sim.SetPhase(pipeline.PhaseFastForward)
 			case segWarm:
-				r.sim.SetPhase(pipeline.PhaseWarm)
+				// Detailed warm-up: its statistics fall outside the
+				// unit's Snapshot difference.
+				r.sim.SetPhase(pipeline.PhaseMeasure)
 			}
 			return
 		}

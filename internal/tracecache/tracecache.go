@@ -18,17 +18,25 @@ import (
 type Config struct {
 	Entries int // total traces held (paper: 64..1024 TC, 32..256 buffers)
 	Assoc   int // ways per set (paper: 2)
+}
 
-	// PlainLRU applies only to preconstruction Buffers: it replaces the
-	// paper's region-priority replacement with ordinary LRU (an
-	// ablation of §3.1's policy). Ignored by the primary trace cache.
+// BufferConfig sizes the preconstruction buffers and selects their
+// replacement policy.
+type BufferConfig struct {
+	Entries int // total traces held (paper: 32..256)
+	Assoc   int // ways per set (paper: 2)
+	// PlainLRU replaces the paper's region-priority replacement with
+	// ordinary LRU (an ablation of §3.1's policy).
 	PlainLRU bool
 }
+
+// Geometry returns the buffers' trace-store geometry.
+func (c BufferConfig) Geometry() Config { return Config{Entries: c.Entries, Assoc: c.Assoc} }
 
 // Validate checks the geometry: positive power-of-two set count.
 func (c Config) Validate() error {
 	if c.Entries <= 0 || c.Assoc <= 0 {
-		return fmt.Errorf("tracecache: nonpositive config %+v", c)
+		return fmt.Errorf("tracecache: %d entries in %d ways: both must be positive", c.Entries, c.Assoc)
 	}
 	sets := c.Entries / c.Assoc
 	if sets == 0 || sets*c.Assoc != c.Entries {
@@ -203,15 +211,16 @@ func (tc *TraceCache) Insert(tr *trace.Trace) {
 // is consumed (invalidated) when the processor uses it.
 type Buffers struct {
 	setArray
+	plainLRU bool
 }
 
 // NewBuffers builds the preconstruction buffer array.
-func NewBuffers(cfg Config) (*Buffers, error) {
-	a, err := newSetArray(cfg)
+func NewBuffers(cfg BufferConfig) (*Buffers, error) {
+	a, err := newSetArray(cfg.Geometry())
 	if err != nil {
 		return nil, err
 	}
-	return &Buffers{setArray: a}, nil
+	return &Buffers{setArray: a, plainLRU: cfg.PlainLRU}, nil
 }
 
 // Take searches for the trace; on a hit the buffer entry is invalidated
@@ -268,7 +277,7 @@ func (b *Buffers) Insert(tr *trace.Trace, region uint64) bool {
 			victim = i
 			break
 		}
-		if b.cfg.PlainLRU {
+		if b.plainLRU {
 			if victim == -1 || s[i].lru < s[victim].lru {
 				victim = i
 			}

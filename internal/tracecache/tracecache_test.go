@@ -31,7 +31,7 @@ func newTC(t testing.TB, cfg Config) *TraceCache {
 
 func newBuffers(t testing.TB, cfg Config) *Buffers {
 	t.Helper()
-	b, err := NewBuffers(cfg)
+	b, err := NewBuffers(BufferConfig{Entries: cfg.Entries, Assoc: cfg.Assoc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(c); err == nil {
 			t.Errorf("New(%+v) succeeded", c)
 		}
-		if _, err := NewBuffers(c); err == nil {
+		if _, err := NewBuffers(BufferConfig{Entries: c.Entries, Assoc: c.Assoc}); err == nil {
 			t.Errorf("NewBuffers(%+v) succeeded", c)
 		}
 	}
@@ -204,6 +204,28 @@ func TestBuffersRegionPriority(t *testing.T) {
 	// A newer region always wins.
 	if !b.Insert(ts[3], 7) {
 		t.Error("newer region refused")
+	}
+}
+
+// TestBuffersPlainLRU: under the plain-LRU ablation a same-region
+// insert into a full set displaces the least recently inserted trace
+// instead of being refused.
+func TestBuffersPlainLRU(t *testing.T) {
+	b, err := NewBuffers(BufferConfig{Entries: 8, Assoc: 2, PlainLRU: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := sameSetTraces(&b.setArray, 3)
+	for _, tr := range ts {
+		if !b.Insert(tr, 6) {
+			t.Fatalf("plain-LRU insert of %#x refused", tr.ID().Start)
+		}
+	}
+	if b.Contains(ts[0].ID()) || !b.Contains(ts[1].ID()) || !b.Contains(ts[2].ID()) {
+		t.Error("plain LRU did not displace the oldest insert")
+	}
+	if b.Stats().Rejected != 0 {
+		t.Errorf("rejected = %d, want 0", b.Stats().Rejected)
 	}
 }
 
