@@ -82,7 +82,7 @@ bench:
 # short size, with the equivalence of the walk's straight-line runs to
 # per-instruction appends.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
+	$(GO) test -run '^$$' -bench 'Observe|RegionChurn' \
 		-benchtime 1x -benchmem ./internal/precon/
 	$(GO) test -run '^$$' -bench 'InternHit|InternMiss|Clone|Segmenter' \
 		-benchtime 1x -benchmem ./internal/trace/
@@ -117,8 +117,6 @@ fuzz:
 	$(GO) test -fuzz FuzzReplayer -fuzztime 30s ./internal/emulator/
 	$(GO) test -fuzz FuzzRecord -fuzztime 30s ./internal/emulator/
 	$(GO) test -fuzz FuzzConfig -fuzztime 30s ./internal/pipeline/
-	$(GO) test -fuzz FuzzU32Set -fuzztime 30s ./internal/precon/
-	$(GO) test -fuzz FuzzLineSet -fuzztime 30s ./internal/precon/
 	$(GO) test -fuzz FuzzEngine -fuzztime 30s ./internal/precon/
 
 clean:

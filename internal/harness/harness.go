@@ -209,7 +209,9 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 		if err := o.Sampling.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, err)
 		}
-		// A Student-t interval needs two measurement units.
+		// A Student-t interval needs two measurement units. The check
+		// reads Intervals as a floor: it asks for two whole periods,
+		// although a jittered run can capture one unit more.
 		if n := o.Sampling.Intervals(m.Budget); n < 2 {
 			return nil, fmt.Errorf("harness: matrix %q: budget %d fits %d of the sampling plan's %d-instruction periods, each one measurement unit; an interval needs 2",
 				m.Name, m.Budget, n, o.Sampling.Period())

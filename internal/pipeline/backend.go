@@ -46,7 +46,7 @@ type backend struct {
 	mem    *mem.Hierarchy // D-side of the shared level behind the L1s
 	table  *analysisTable // per-trace analysis, shared by the group
 
-	regReady [isa.NumRegs]regStamp
+	regReady [isa.NumRegs]uint64 // completion cycle of each register's last write
 	peFree   [numPEs]uint64
 	k        uint64 // dispatch counter for PE rotation
 	retired  uint64 // in-order retirement horizon
@@ -133,11 +133,6 @@ func (b *backend) arbReady(addr uint32) uint64 {
 	return latest
 }
 
-type regStamp struct {
-	cycle uint64
-	pe    int
-}
-
 // newBackend wires the execution engine to its data cache, the shared
 // memory level behind it and its group's trace analysis table.
 func newBackend(dc *cache.Cache, h *mem.Hierarchy, t *analysisTable) *backend {
@@ -216,9 +211,11 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 
 	// A source produced by an earlier trace is ready at its published
 	// completion, plus xferLat across PEs; that stays fixed until this
-	// trace publishes its own results. Constant-folded slots read no
-	// registers. Producers precede their consumers, so users[p] is
-	// cleared before any consumer marks it.
+	// trace publishes its own results. A result that completes after
+	// start comes from another PE: a trace's results complete by its
+	// retirement, which becomes its PE's peFree, and start is no earlier.
+	// Constant-folded slots read no registers. Producers precede their
+	// consumers, so users[p] is cleared before any consumer marks it.
 	s := &b.scr
 	for i := 0; i < n; i++ {
 		s.rdy[i], s.wait[i], s.users[i] = start, 0, 0
@@ -233,9 +230,8 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 				s.wait[i] |= 1 << p
 				s.users[p] |= 1 << i
 			default:
-				st := &b.regReady[v]
-				c := st.cycle
-				if st.pe != pe && c > start {
+				c := b.regReady[v]
+				if c > start {
 					c += xferLat
 				}
 				if c > s.rdy[i] {
@@ -332,7 +328,7 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 	// Publish register results and store completions for later traces.
 	for m := a.lastWrites; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros16(m)
-		b.regReady[a.written(i)] = regStamp{cycle: s.done[i], pe: pe}
+		b.regReady[a.written(i)] = s.done[i]
 	}
 	for m := a.stores; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros16(m)

@@ -121,8 +121,10 @@ func randCtlTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
 // TestQuickBackendInvariants dispatches random trace streams and checks
 // the timing invariants that must hold regardless of content:
 // retirement is monotone and in order, resolve never exceeds retire,
-// execution can't beat the issue-width bound, and every instruction
-// takes at least one cycle.
+// no register is ready after the retirement just returned (so a
+// same-PE result never pays the cross-PE transfer), execution can't
+// beat the issue-width bound, and every instruction takes at least one
+// cycle.
 func TestQuickBackendInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -141,6 +143,12 @@ func TestQuickBackendInvariants(t *testing.T) {
 			if resolve > retire {
 				t.Logf("seed %d: resolve %d after retire %d", seed, resolve, retire)
 				return false
+			}
+			for reg, c := range be.regReady {
+				if c > retire {
+					t.Logf("seed %d: r%d ready at %d, after retire %d", seed, reg, c, retire)
+					return false
+				}
 			}
 			n := uint64(tr.Len())
 			// Lower bound: the trace's own issue-width constraint

@@ -175,10 +175,9 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 					rdy = c
 				}
 			} else {
-				st := b.regReady[r]
-				c := st.cycle
-				if st.pe != pe && c > start {
-					c += xferLat
+				c := b.regReady[r]
+				if c > start {
+					c += xferLat // same-PE results complete by start (see dispatch)
 				}
 				if c > rdy {
 					rdy = c
@@ -233,7 +232,7 @@ func (b *backend) dispatchReference(tr *trace.Trace, dyns []emulator.Dyn, ready 
 	// Publish register results and store completions for later traces.
 	for r, idx := range writer {
 		if idx >= 0 {
-			b.regReady[r] = regStamp{cycle: doneOf[idx], pe: pe}
+			b.regReady[r] = doneOf[idx]
 		}
 	}
 	for i, in := range tr.Insts {

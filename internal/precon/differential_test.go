@@ -185,7 +185,10 @@ func newDiffDriver(tb testing.TB, what string, im *program.Image, s diffSetup) *
 // check fails the test unless both engines did the same since the last
 // check: equal engine and port counters, stack depth and idleness, the
 // same buffer inserts and buffer counters and occupancy, and the same
-// constructed traces, each with its region's start point.
+// constructed traces, each with its region's start point. It also fails
+// when the engine's state outgrows the bounds its linear scans rely on:
+// StackDepth stack entries, 1+MaxTracesPerRegion queued start points
+// per active region, and lineCap lines per prefetch cache.
 func (d *diffDriver) check(call string) {
 	d.tb.Helper()
 	d.calls++
@@ -202,6 +205,18 @@ func (d *diffDriver) check(call string) {
 	}
 	if d.eng.StackDepth() != d.ref.StackDepth() || d.eng.Idle() != d.ref.Idle() {
 		fail("stack depth %d idle %v, want %d %v", d.eng.StackDepth(), d.eng.Idle(), d.ref.StackDepth(), d.ref.Idle())
+	}
+	if n := len(d.eng.stack); n > d.eng.cfg.StackDepth {
+		fail("stack holds %d entries, StackDepth is %d", n, d.eng.cfg.StackDepth)
+	}
+	for i := range d.eng.regions {
+		r := &d.eng.regions[i]
+		if r.active && len(r.worklist) > 1+MaxTracesPerRegion {
+			fail("region %d queued %d start points, at most %d fit", i, len(r.worklist), 1+MaxTracesPerRegion)
+		}
+		if len(r.lines) > d.eng.lineCap {
+			fail("region %d prefetch cache holds %d lines, lineCap is %d", i, len(r.lines), d.eng.lineCap)
+		}
 	}
 	if !slices.Equal(a.inserts, b.inserts) {
 		fail("buffer inserts\n got %v\nwant %v", a.inserts, b.inserts)

@@ -126,13 +126,13 @@ func BenchmarkObserveStep(b *testing.B) {
 }
 
 // BenchmarkRegionChurn measures region activation/completion turnover:
-// every iteration activates a region, drives it to completion, and the
-// pool must hand the same storage back.
+// every iteration activates a region and drives it to completion, in a
+// slot whose storage New allocated once.
 func BenchmarkRegionChurn(b *testing.B) {
 	_, im := benchStream(b)
 	eng := benchEngine(b, im, DefaultConfig())
 	// Cycle more start addresses than the completed-region ring holds,
-	// so every iteration activates (and pools) a real region.
+	// so every iteration activates a real region.
 	starts := make([]*trace.Trace, 8)
 	for i := range starts {
 		addr := im.Base + uint32(4+i)*isa.WordSize
@@ -148,54 +148,9 @@ func BenchmarkRegionChurn(b *testing.B) {
 	b.ReportMetric(float64(eng.Stats().RegionsCompleted)/float64(b.N), "regions/op")
 }
 
-// Set microbenchmarks: the membership structures the hot path runs on.
-func BenchmarkU32SetAddHas(b *testing.B) {
-	var s u32set
-	s.init(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint32(i) % 61
-		s.has(k * 4)
-		s.add(k * 4)
-		if s.len() >= 61 {
-			s.reset()
-		}
-	}
-}
-
-func BenchmarkLineSetAddHas(b *testing.B) {
-	var s lineSet
-	s.initLines(0x1000, 0x41000, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		line := 0x1000 + uint32(i%1024)*64
-		if !s.has(line) {
-			s.add(line)
-		}
-		if s.len() >= 1024 {
-			s.reset()
-		}
-	}
-}
-
-func BenchmarkAddrIndex(b *testing.B) {
-	var x addrIndex
-	const window = 16
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := uint32(i) * 4
-		x.inc(a)
-		x.contains(a &^ 1023)
-		if i >= window {
-			x.dec(uint32(i-window) * 4)
-		}
-	}
-}
-
-// TestHotPathSteadyStateAllocs pins the tentpole's allocation claim:
-// once the engine is warm (stack storage grown, regions pooled, all
-// constructed traces duplicates of buffered ones), a full
-// observe-and-step round allocates nothing.
+// TestHotPathSteadyStateAllocs pins the engine's allocation claim:
+// once the engine is warm (all constructed traces duplicates of
+// buffered ones), a full observe-and-step round allocates nothing.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	traces, im := benchStream(t)
 	eng := benchEngine(t, im, DefaultConfig())
@@ -209,7 +164,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		round() // warm: grow stack storage, pool regions, fill buffers
+		round() // warm: fill the buffers
 	}
 	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
 		t.Errorf("steady-state round allocates %.1f objects; hot path must be allocation-free", allocs)

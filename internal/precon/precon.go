@@ -32,19 +32,21 @@
 // Because the engine monitors every dispatched instruction of every
 // simulated configuration, its constant factors multiply across entire
 // sweeps. The hot path is therefore allocation-free in the steady
-// state: the start-point stack is backed by an address index so the
-// per-instruction membership probe is O(1), regions (with their
-// open-addressed start-point sets and prefetch-line bitsets) are pooled
-// and reset rather than reallocated, and the dispatch stream arrives a
-// trace at a time (Observe) with its start-point events marked when the
-// trace was built (trace.Trace.Starts). Walks append straight-line runs
-// of the image (program.Image.Runs) in one step.
+// state. The start-point stack, each region's queued start points and
+// each prefetch cache's lines are plain slices that New sizes once and
+// that are scanned linearly: at the sizes they hold (the stack is
+// usually empty, and the paper's prefetch cache is 16 lines) a scan
+// costs less than an index. The dispatch stream arrives a trace at a
+// time (Observe), with its start-point events marked when the trace was
+// built (trace.Trace.Starts), and walks append straight-line runs of
+// the image (program.Image.Runs) in one step.
 package precon
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"tracepre/internal/bpred"
@@ -173,13 +175,10 @@ type StartPoint struct {
 // stackEntry is a stacked start point plus its speculation mark: points
 // pushed from wrong-path dispatch are removed when the misprediction
 // resolves ("start points are removed from the stack if they
-// correspond to misspeculation", §3.2). Retired entries are
-// tombstoned (dead) rather than spliced out, so removal never shifts
-// the tail; compaction reclaims tombstones in bulk.
+// correspond to misspeculation", §3.2).
 type stackEntry struct {
 	StartPoint
 	spec bool
-	dead bool
 }
 
 // Stats counts engine activity.
@@ -232,20 +231,18 @@ type Engine struct {
 	lineMask uint32
 	lineCap  int
 
-	// stack holds start points newest-last; entries retire by
-	// tombstone. stackLive counts non-dead entries and stackIdx
-	// indexes their addresses, so the per-instruction catch-up probe in
-	// Observe is a single hash lookup instead of a stack scan.
-	stack     []stackEntry
-	stackLive int
-	stackIdx  addrIndex
+	// stack holds the pending start points, at most StackDepth of
+	// them, newest last. The per-instruction catch-up probe in Observe
+	// scans it from the top; it is empty at most probes.
+	stack []stackEntry
 
 	completed [CompletedSlots]uint32 // ring of recently completed region starts
 	compNext  int
 
-	regions     []*region
-	activeCount int       // regions with active == true
-	freeList    []*region // completed regions awaiting reuse
+	// regions are the four region slots; a slot is free while its
+	// region is not active.
+	regions     [NumRegions]region
+	activeCount int // regions with active == true
 	ctors       []*constructor
 	regionSeq   uint64
 	stats       Stats
@@ -284,17 +281,19 @@ func (e *Engine) SetTraceHook(fn func(tr *trace.Trace, sp StartPoint)) {
 	e.traceHook = fn
 }
 
-// region is one active preconstruction region (one prefetch cache plus
-// its worklist). Regions are pooled: completeRegion resets the sets and
-// returns the region to the engine's free list, so steady-state
-// activation allocates nothing.
+// region is one region slot: a prefetch cache plus the worklist of
+// trace start points. New sizes both slices for the most they can hold
+// and completeRegion truncates them, so activation allocates nothing.
 type region struct {
-	seq      uint64
-	start    StartPoint
+	seq   uint64
+	start StartPoint
+	// worklist holds every trace start point queued since activation,
+	// consumed ones included, so it is also the set already queued. A
+	// region queues at most 1+MaxTracesPerRegion: its first start point
+	// and at most one successor per delivered trace.
 	worklist []uint32
-	wlHead   int     // consumed prefix of worklist
-	seen     u32set  // trace start points already queued
-	lines    lineSet // prefetch cache contents (line addresses)
+	wlHead   int      // consumed prefix of worklist
+	lines    []uint32 // prefetch cache contents (line addresses), at most lineCap
 	built    int
 	walkers  int // constructors currently working this region
 	active   bool
@@ -306,10 +305,9 @@ type region struct {
 // pending returns the number of unconsumed worklist entries.
 func (r *region) pending() int { return len(r.worklist) - r.wlHead }
 
-// pushWork queues a trace start point and marks it seen.
+// pushWork queues a trace start point.
 func (r *region) pushWork(addr uint32) {
 	r.worklist = append(r.worklist, addr)
-	r.seen.add(addr)
 }
 
 // popWork consumes the oldest queued trace start point.
@@ -348,10 +346,15 @@ func New(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bpred.Bimod
 		traces:   traces,
 		lineMask: uint32(port.LineBytes() - 1),
 		lineCap:  lineCap,
-		regions:  make([]*region, NumRegions),
+		stack:    make([]stackEntry, 0, cfg.StackDepth),
 		ctors:    make([]*constructor, cfg.NumConstructors),
 		// Any nonzero seed: xorshift never leaves the nonzero states.
 		clockDraw: 0x9e3779b9,
+	}
+	for i := range e.regions {
+		r := &e.regions[i]
+		r.worklist = make([]uint32, 0, 1+MaxTracesPerRegion)
+		r.lines = make([]uint32, 0, lineCap)
 	}
 	for i := range e.ctors {
 		e.ctors[i] = newConstructor(e)
@@ -392,9 +395,7 @@ func (e *Engine) timeCall() bool {
 func (e *Engine) observe(tr *trace.Trace) {
 	marks := tr.Starts
 	for k, pc := range tr.PCs {
-		// The address index rejects the no-match case — almost every
-		// instruction — with one probe.
-		if e.stackLive != 0 && e.stackIdx.contains(pc) {
+		if len(e.stack) != 0 {
 			e.retireStacked(pc)
 		}
 		if marks&1 != 0 {
@@ -413,35 +414,16 @@ func (e *Engine) pushMark(tr *trace.Trace, k int, spec bool) {
 	e.push(StartPoint{Addr: tr.PCs[k] + isa.WordSize, Kind: kind}, spec)
 }
 
-// retireStacked tombstones the newest live stack entry at addr.
+// retireStacked removes the newest stack entry at addr, if any:
+// execution has arrived at that start point.
 func (e *Engine) retireStacked(addr uint32) {
 	for i := len(e.stack) - 1; i >= 0; i-- {
-		en := &e.stack[i]
-		if !en.dead && en.Addr == addr {
-			en.dead = true
-			e.stackLive--
-			e.stackIdx.dec(addr)
+		if e.stack[i].Addr == addr {
+			e.stack = slices.Delete(e.stack, i, i+1)
 			e.stats.StackCaughtUp++
-			break
+			return
 		}
 	}
-	e.compactStack()
-}
-
-// compactStack drops tombstones once they outnumber live entries,
-// preserving entry order.
-func (e *Engine) compactStack() {
-	dead := len(e.stack) - e.stackLive
-	if dead <= e.stackLive || dead == 0 {
-		return
-	}
-	kept := e.stack[:0]
-	for _, en := range e.stack {
-		if !en.dead {
-			kept = append(kept, en)
-		}
-	}
-	e.stack = kept
 }
 
 // ObserveSpeculative monitors a wrong-path dispatched trace: the start
@@ -457,92 +439,59 @@ func (e *Engine) ObserveSpeculative(tr *trace.Trace) {
 // FlushSpeculation removes every speculative entry (mispredict
 // recovery).
 func (e *Engine) FlushSpeculation() {
-	kept := e.stack[:0]
-	for _, en := range e.stack {
-		if en.dead {
-			continue
-		}
-		if en.spec {
-			e.stats.SpecFlushed++
-			e.stackIdx.dec(en.Addr)
-			e.stackLive--
-			continue
-		}
-		kept = append(kept, en)
-	}
-	e.stack = kept
+	n := len(e.stack)
+	e.stack = slices.DeleteFunc(e.stack, func(en stackEntry) bool { return en.spec })
+	e.stats.SpecFlushed += uint64(n - len(e.stack))
 }
 
 // push adds a start point, deduplicating against the top of the stack
 // and discarding the oldest entry on overflow.
 func (e *Engine) push(sp StartPoint, spec bool) {
-	// Dedup against the newest live entry.
-	for i := len(e.stack) - 1; i >= 0; i-- {
-		if e.stack[i].dead {
-			continue
-		}
-		if e.stack[i].Addr == sp.Addr {
-			e.stats.StackDedups++
-			return
-		}
-		break
+	if n := len(e.stack); n > 0 && e.stack[n-1].Addr == sp.Addr {
+		e.stats.StackDedups++
+		return
 	}
-	if e.stackLive == e.cfg.StackDepth {
-		// Tombstone the oldest live entry.
-		for i := range e.stack {
-			if !e.stack[i].dead {
-				e.stack[i].dead = true
-				e.stackIdx.dec(e.stack[i].Addr)
-				e.stackLive--
-				break
-			}
-		}
+	if len(e.stack) == e.cfg.StackDepth {
+		e.stack = slices.Delete(e.stack, 0, 1)
 		e.stats.StackOverflows++
-		e.compactStack()
 	}
 	e.stack = append(e.stack, stackEntry{StartPoint: sp, spec: spec})
-	e.stackLive++
-	e.stackIdx.inc(sp.Addr)
 	e.stats.StackPushes++
 	if spec {
 		e.stats.SpecPushes++
 	}
 }
 
-// popStack removes and returns the newest live start point.
+// popStack removes and returns the newest start point.
 func (e *Engine) popStack() (StartPoint, bool) {
-	for n := len(e.stack); n > 0; n = len(e.stack) {
-		en := e.stack[n-1]
-		e.stack = e.stack[:n-1]
-		if en.dead {
-			continue
-		}
-		e.stackLive--
-		e.stackIdx.dec(en.Addr)
-		return en.StartPoint, true
+	n := len(e.stack)
+	if n == 0 {
+		return StartPoint{}, false
 	}
-	return StartPoint{}, false
+	sp := e.stack[n-1].StartPoint
+	e.stack = e.stack[:n-1]
+	return sp, true
 }
 
 // StackDepth returns the number of pending start points (for tests).
-func (e *Engine) StackDepth() int { return e.stackLive }
+func (e *Engine) StackDepth() int { return len(e.stack) }
 
 // OnDemandFetch notifies the engine that the processor is fetching a
 // trace starting at pc. If pc is one of a region's trace start points,
 // the processor has caught up with that region — the fill unit is now
 // building its traces directly — and its preconstruction terminates.
 func (e *Engine) OnDemandFetch(pc uint32) {
-	for _, r := range e.regions {
-		if r != nil && r.active && (r.start.Addr == pc || r.seen.has(pc)) {
+	for i := range e.regions {
+		r := &e.regions[i]
+		if r.active && (r.start.Addr == pc || slices.Contains(r.worklist, pc)) {
 			e.completeRegion(r, &e.stats.RegionsCaughtUp)
 		}
 	}
 }
 
 // completeRegion retires a region, freeing its slot and remembering its
-// start so it is not immediately re-preconstructed. The region's sets
-// are reset and the region returned to the pool for the next
-// activation.
+// start so it is not immediately re-preconstructed. The slot keeps its
+// slices, emptied, for the next activation.
 func (e *Engine) completeRegion(r *region, reason *uint64) {
 	if !r.active {
 		return
@@ -560,16 +509,9 @@ func (e *Engine) completeRegion(r *region, reason *uint64) {
 			c.reset()
 		}
 	}
-	for i, rr := range e.regions {
-		if rr == r {
-			e.regions[i] = nil
-		}
-	}
 	r.worklist = r.worklist[:0]
 	r.wlHead = 0
-	r.seen.reset()
-	r.lines.reset()
-	e.freeList = append(e.freeList, r)
+	r.lines = r.lines[:0]
 }
 
 func (e *Engine) recentlyCompleted(addr uint32) bool {
@@ -581,24 +523,11 @@ func (e *Engine) recentlyCompleted(addr uint32) bool {
 	return false
 }
 
-// newRegion takes a pooled region or allocates one with its sets sized
-// for this engine's image and line size.
-func (e *Engine) newRegion() *region {
-	if n := len(e.freeList); n > 0 {
-		r := e.freeList[n-1]
-		e.freeList = e.freeList[:n-1]
-		return r
-	}
-	r := &region{worklist: make([]uint32, 0, WorklistCap)}
-	r.seen.init(WorklistCap * 2)
-	r.lines.initLines(e.lineAddr(e.im.Base), e.im.End(), uint(bits.OnesCount32(e.lineMask)))
-	return r
-}
-
 // activateRegions pops start points into free region slots.
 func (e *Engine) activateRegions() {
 	for i := range e.regions {
-		if e.regions[i] != nil {
+		r := &e.regions[i]
+		if r.active {
 			continue
 		}
 		var sp StartPoint
@@ -624,7 +553,6 @@ func (e *Engine) activateRegions() {
 			return
 		}
 		e.regionSeq++
-		r := e.newRegion()
 		r.seq = e.regionSeq
 		r.start = sp
 		r.built = 0
@@ -634,14 +562,13 @@ func (e *Engine) activateRegions() {
 		if sp.Kind == ReturnPoint {
 			r.pushWork(sp.Addr)
 		}
-		e.regions[i] = r
 		e.stats.RegionsActivated++
 	}
 }
 
 func (e *Engine) alreadyActive(addr uint32) bool {
-	for _, r := range e.regions {
-		if r != nil && r.active && r.start.Addr == addr {
+	for i := range e.regions {
+		if r := &e.regions[i]; r.active && r.start.Addr == addr {
 			return true
 		}
 	}
@@ -654,10 +581,10 @@ func (e *Engine) alreadyActive(addr uint32) bool {
 // budget is spent, so the constructor stalls and retries next unit) or
 // the prefetch cache is full (which terminates the region).
 func (e *Engine) fetchLine(r *region, line uint32) bool {
-	if r.lines.has(line) {
+	if slices.Contains(r.lines, line) {
 		return true
 	}
-	if r.lines.len() >= e.lineCap {
+	if len(r.lines) >= e.lineCap {
 		e.completeRegion(r, &e.stats.RegionsExhausted)
 		return false
 	}
@@ -665,7 +592,7 @@ func (e *Engine) fetchLine(r *region, line uint32) bool {
 	if !granted {
 		return false
 	}
-	r.lines.add(line)
+	r.lines = append(r.lines, line)
 	e.stats.LinesFetched++
 	if miss {
 		e.stats.ICacheMisses++
@@ -693,7 +620,7 @@ func (e *Engine) deliver(r *region, tr *trace.Trace) {
 			return
 		}
 	}
-	if tr.Succ != 0 && !r.seen.has(tr.Succ) && r.pending() < WorklistCap {
+	if tr.Succ != 0 && r.pending() < WorklistCap && !slices.Contains(r.worklist, tr.Succ) {
 		r.pushWork(tr.Succ)
 	}
 	if r.built >= MaxTracesPerRegion {
@@ -705,8 +632,9 @@ func (e *Engine) deliver(r *region, tr *trace.Trace) {
 // (most recent seq) that has pending work for an idle constructor.
 func (e *Engine) bestWorklist() *region {
 	var best *region
-	for _, r := range e.regions {
-		if r == nil || !r.active {
+	for i := range e.regions {
+		r := &e.regions[i]
+		if !r.active {
 			continue
 		}
 		if r.pending() == 0 && r.prewalked {
@@ -769,14 +697,15 @@ func (e *Engine) step(units int) {
 // constructor always references an active region (completeRegion
 // resets its constructors), so two counters decide it.
 func (e *Engine) quiet() bool {
-	return e.stackLive == 0 && e.activeCount == 0
+	return len(e.stack) == 0 && e.activeCount == 0
 }
 
 // retireQuiescent completes regions whose work is done: boundary located,
 // worklist drained, and no constructor still walking.
 func (e *Engine) retireQuiescent() {
-	for _, r := range e.regions {
-		if r == nil || !r.active || !r.prewalked || r.pending() > 0 || r.walkers > 0 {
+	for i := range e.regions {
+		r := &e.regions[i]
+		if !r.active || !r.prewalked || r.pending() > 0 || r.walkers > 0 {
 			continue
 		}
 		e.completeRegion(r, nil)

@@ -3,15 +3,16 @@ package precon
 // The reference engine: the preconstruction engine as it stood before
 // start points were marked at seal time and walks appended straight-line
 // runs in one step, kept verbatim apart from its type names (refEngine,
-// refRegion, refConstructor) and constructor (newRefEngine). It shares
-// Config, Stats, the start-point and line sets and the slow-path port
-// with the package. It observes the dispatch stream one emulator.Dyn at
-// a time and walks one instruction at a time, so TestEngineMatchesReference
-// and FuzzEngine hold the engine to it event by event.
+// refRegion, refConstructor), its constructor (newRefEngine), its stack
+// entry (refStackEntry, with the tombstone) and its three sets, which
+// are Go maps (refSet, refIndex). It shares Config, Stats and the
+// slow-path port with the package. It observes the dispatch stream one
+// emulator.Dyn at a time and walks one instruction at a time, so
+// TestEngineMatchesReference and FuzzEngine hold the engine to it event
+// by event.
 
 import (
 	"errors"
-	"math/bits"
 	"time"
 
 	"tracepre/internal/bpred"
@@ -20,6 +21,30 @@ import (
 	"tracepre/internal/program"
 	"tracepre/internal/trace"
 )
+
+// refStackEntry is a stacked start point, its speculation mark and its
+// tombstone.
+type refStackEntry struct {
+	StartPoint
+	spec bool
+	dead bool
+}
+
+// refSet is a set of addresses: a region's queued trace start points
+// or its prefetch cache's lines.
+type refSet map[uint32]bool
+
+func (s refSet) has(k uint32) bool { return s[k] }
+func (s refSet) add(k uint32)      { s[k] = true }
+func (s refSet) len() int          { return len(s) }
+func (s refSet) reset()            { clear(s) }
+
+// refIndex counts the live stack entries at each address.
+type refIndex map[uint32]int
+
+func (x refIndex) contains(addr uint32) bool { return x[addr] > 0 }
+func (x refIndex) inc(addr uint32)           { x[addr]++ }
+func (x refIndex) dec(addr uint32)           { x[addr]-- }
 
 // Engine is the trace preconstruction unit.
 type refEngine struct {
@@ -42,9 +67,9 @@ type refEngine struct {
 	// tombstone. stackLive counts non-dead entries and stackIdx
 	// indexes their addresses, so the per-instruction catch-up probe in
 	// Observe is a single hash lookup instead of a stack scan.
-	stack     []stackEntry
+	stack     []refStackEntry
 	stackLive int
-	stackIdx  addrIndex
+	stackIdx  refIndex
 
 	completed [CompletedSlots]uint32 // ring of recently completed region starts
 	compNext  int
@@ -90,9 +115,9 @@ type refRegion struct {
 	seq      uint64
 	start    StartPoint
 	worklist []uint32
-	wlHead   int     // consumed prefix of worklist
-	seen     u32set  // trace start points already queued
-	lines    lineSet // prefetch cache contents (line addresses)
+	wlHead   int    // consumed prefix of worklist
+	seen     refSet // trace start points already queued
+	lines    refSet // prefetch cache contents (line addresses)
 	built    int
 	walkers  int // constructors currently working this region
 	active   bool
@@ -148,6 +173,7 @@ func newRefEngine(cfg Config, sel trace.SelectConfig, im *program.Image, bim *bp
 		store:    store,
 		lineMask: uint32(port.LineBytes() - 1),
 		lineCap:  lineCap,
+		stackIdx: refIndex{},
 		regions:  make([]*refRegion, NumRegions),
 		ctors:    make([]*refConstructor, cfg.NumConstructors),
 	}
@@ -294,7 +320,7 @@ func (e *refEngine) push(sp StartPoint, spec bool) {
 		e.stats.StackOverflows++
 		e.compactStack()
 	}
-	e.stack = append(e.stack, stackEntry{StartPoint: sp, spec: spec})
+	e.stack = append(e.stack, refStackEntry{StartPoint: sp, spec: spec})
 	e.stackLive++
 	e.stackIdx.inc(sp.Addr)
 	e.stats.StackPushes++
@@ -384,8 +410,7 @@ func (e *refEngine) newRegion() *refRegion {
 		return r
 	}
 	r := &refRegion{worklist: make([]uint32, 0, WorklistCap)}
-	r.seen.init(WorklistCap * 2)
-	r.lines.initLines(e.lineAddr(e.im.Base), e.im.End(), uint(bits.OnesCount32(e.lineMask)))
+	r.seen, r.lines = refSet{}, refSet{}
 	return r
 }
 

@@ -8,12 +8,11 @@ import (
 	"tracepre/internal/isa"
 )
 
-// refStack is the pre-overhaul start-point stack: a plain slice scanned
-// linearly on every observed instruction, with splice removal. The
-// engine replaced it with tombstones plus an address index; this
-// reference pins the two implementations to identical behavior — entry
-// order, every stack statistic (StackCaughtUp in particular, satellite
-// of the hot-path overhaul), and pop/flush results.
+// refStack is the start-point stack written as the paper's rules, one
+// per method: a slice scanned linearly on every observed instruction,
+// with splice removal. It pins the engine's stack to identical
+// behavior — entry order, every stack statistic (StackCaughtUp in
+// particular), and pop/flush results.
 type refStack struct {
 	depth   int
 	entries []stackEntry
@@ -103,11 +102,11 @@ func randDyn(rng *rand.Rand) emulator.Dyn {
 	return d
 }
 
-// TestStackEquivalence drives the engine's tombstone-plus-index stack
-// and the linear-scan reference side by side through random streams of
-// observes, speculative observes, flushes and pops, checking depth,
-// statistics and popped entries stay identical throughout — and that
-// the surviving entries drain in the same order at the end.
+// TestStackEquivalence drives the engine's stack and the reference side
+// by side through random streams of observes, speculative observes,
+// flushes and pops, checking depth, statistics and popped entries stay
+// identical throughout — and that the surviving entries drain in the
+// same order at the end.
 func TestStackEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

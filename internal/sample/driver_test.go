@@ -77,6 +77,19 @@ func TestSampledRunInvariants(t *testing.T) {
 	}
 }
 
+// TestJitteredRunCapturesOneMoreUnit: a jittered unit can close before
+// its period ends, so the partial period after the last whole one can
+// add a unit. PlanForBudget(20_000) fits two whole periods, and gcc's
+// run captures three units.
+func TestJitteredRunCapturesOneMoreUnit(t *testing.T) {
+	const budget = 20_000
+	plan := sample.PlanForBudget(budget)
+	st := sampled(t, "gcc", pipeline.DefaultConfig(), budget, plan)
+	if got, want := len(st.Intervals), plan.Intervals(budget)+1; got != want {
+		t.Errorf("%d units captured, want Intervals+1 = %d", got, want)
+	}
+}
+
 // TestSampledTracksFullDetail drives the same recorded stream through a
 // full-detail run and a sampled run and requires the sampled mean of
 // the headline metrics to land near the full-detail value — the

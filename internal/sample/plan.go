@@ -143,9 +143,13 @@ func (p Plan) Validate() error {
 // skip.
 func (p Plan) Period() uint64 { return p.Detail + p.Skip }
 
-// Intervals returns the number of complete measurement units a budget
-// of committed instructions contains. Unit i closes at (i+1) periods
-// into the stream (each period is a skip followed by its unit).
+// Intervals returns the number of whole periods a budget of committed
+// instructions contains, each a skip and its measurement unit. A run
+// captures Intervals units, or one fewer when trace-boundary slop
+// pushes the last unit past the budget, or one more under Jitter: a
+// jittered unit can close before its period ends, so the partial period
+// after the last whole one can add a unit (PlanForBudget(20_000) fits
+// two periods, and a run of gcc captures three).
 func (p Plan) Intervals(budget uint64) int {
 	return int(budget / p.Period())
 }
